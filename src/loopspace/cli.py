@@ -6,8 +6,13 @@
 Commands: validate, betti, hodge, quotient, aut-ranks, verify.  Output is
 deterministic byte for byte: tables are emitted in sorted label order and
 JSON with sorted keys.  Exit codes: 0 all checks pass, 1 invalid model,
-2 unreadable model file, 3 a mathematical identity failed, 4 an internal
-invariant broke (a bug in the tool, never the model's fault).
+2 unreadable model file or bad arguments, 3 a mathematical identity
+failed, 4 an internal invariant broke (a bug in the tool, never the
+model's fault).
+
+Verdicts are printed as checks pass, and on failure every command lists
+the checks that passed before the error.  The checks come from one
+ordered sequence, sections.CHECKS; each command names the ones it runs.
 
 Table entries computed above the model's declared completeness are
 suffixed with '?' in text output; JSON carries the per-table
@@ -18,20 +23,15 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import (ParseError, ValidationFailure, MathMismatch,
                      InternalCheckFailure, exit_code_for)
 from .sullivan import (parse_model, validate, cohomology_table,
                        check_poincare_duality)
-from .freeloop import (build_free_loop_model, hodge_betti_table, loop_betti,
-                       growth_report)
-from .pdquotient import build_quotient, structure_identities, verify_quasi_iso
-from .sections import (extend_to_quotient_loop, verify_rho_tensor_quasi_iso,
-                       duality_map, build_dual_complex,
-                       verify_duality_quasi_iso, aut_rank_table,
-                       low_degree_section_classes, derivation_oracle,
-                       verify_theorems)
+from .freeloop import loop_betti, growth_report
+from .sections import VERIFY_CHECKS, window, run_checks, verify_theorems
 
 
 @dataclass
@@ -57,10 +57,6 @@ class Report:
     def add_verdict(self, check, passed, degree=None):
         self.verdicts.append({"check": check, "degree": degree,
                               "pass": bool(passed)})
-
-    @property
-    def passed(self):
-        return all(v["pass"] for v in self.verdicts)
 
     def as_dict(self):
         d = {"model": self.model, "command": self.command,
@@ -140,23 +136,21 @@ def _tamper_hook(args):
     return None
 
 
-def _window(model, args, clamp_quotient=False):
-    n_max = args.max_degree
-    if n_max is None:
-        n_max = model.formal_dim + 8
-    if clamp_quotient:
-        n_max = max(n_max, model.formal_dim + 2)
-    return n_max
+@contextmanager
+def _recording(report):
+    """Collect (check, passed) verdicts into the report, also on failure."""
+    verdicts = []
+    try:
+        yield verdicts
+    finally:
+        for check, passed in verdicts:
+            report.add_verdict(check, passed)
 
 
-def _require_valid(model, report):
-    vrep = validate(model)
-    for name, ok, _ in vrep.checks:
-        report.add_verdict(name, ok)
-    if not vrep.passed:
-        bad = "; ".join(d for _, ok, d in vrep.checks if not ok)
-        raise ValidationFailure("model is not a valid input: %s" % bad)
-    return vrep
+def _run_checks(model, args, report, checks):
+    with _recording(report) as verdicts:
+        return run_checks(model, report.max_degree, checks, verdicts,
+                          jobs=args.jobs, _tamper=_tamper_hook(args))
 
 
 def _growth_tables(report, table):
@@ -167,14 +161,14 @@ def _growth_tables(report, table):
     report.add_table("growth_verdict", [g.verdict])
 
 
-def cmd_validate(model, args, report):
+def cmd_validate(model, args, report, checks):
     vrep = validate(model)
     for name, ok, _ in vrep.checks:
         report.add_verdict(name, ok)
     if not vrep.passed:
         report.exit_code = 1
-        return report
-    n_max = _window(model, args)
+        return
+    n_max = report.max_degree
     try:
         pd = check_poincare_duality(model, n_max)
     except ValidationFailure as e:
@@ -182,135 +176,90 @@ def cmd_validate(model, args, report):
                            degree=getattr(e, "degree", None))
         report.error = str(e)
         report.exit_code = 1
-        return report
+        return
     report.add_verdict("poincare_duality", True)
     report.add_table("base_betti", pd.betti.as_array(n_max), start=0,
                      trusted_up_to=pd.betti.trusted_up_to)
     report.notes.append("fundamental-class: %s" % pd.fundamental_render)
-    return report
 
 
-def cmd_betti(model, args, report):
-    _require_valid(model, report)
-    n_max = _window(model, args)
+def cmd_betti(model, args, report, checks):
+    run = _run_checks(model, args, report, checks)
+    n_max = report.max_degree
     base = cohomology_table(model, n_max)
     report.add_table("base_betti", base.as_array(n_max), start=0,
                      trusted_up_to=base.trusted_up_to)
-    flm = build_free_loop_model(model)
-    loop = loop_betti(flm, n_max)
+    loop = loop_betti(run.flm, n_max)
     report.add_table("loop_betti", loop.as_array(n_max), start=0,
                      trusted_up_to=loop.trusted_up_to)
     if args.growth:
         _growth_tables(report, loop)
-    return report
 
 
-def cmd_hodge(model, args, report):
-    _require_valid(model, report)
-    n_max = _window(model, args)
-    flm = build_free_loop_model(model)
-    hodge = hodge_betti_table(flm, n_max, jobs=args.jobs)
-    loop = loop_betti(flm, n_max, hodge=hodge)
-    report.add_verdict("hodge_sum_consistency", True)
-    rows = [[hodge.get(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
-    report.add_rows("hodge", rows, start=0, trusted_up_to=hodge.trusted_up_to)
-    report.add_table("loop_betti", loop.as_array(n_max), start=0,
-                     trusted_up_to=loop.trusted_up_to)
+def _hodge_tables(report, run, args):
+    rows = [[run.hodge.get(n, k) for k in range(n + 1)]
+            for n in range(run.n_max + 1)]
+    report.add_rows("hodge", rows, start=0,
+                    trusted_up_to=run.hodge.trusted_up_to)
+    report.add_table("loop_betti", run.loop.as_array(run.n_max), start=0,
+                     trusted_up_to=run.loop.trusted_up_to)
     if args.growth:
-        _growth_tables(report, loop)
-    return report
+        _growth_tables(report, run.loop)
 
 
-def cmd_quotient(model, args, report):
-    _require_valid(model, report)
-    n_max = _window(model, args, clamp_quotient=True)
-    pd = check_poincare_duality(model, n_max)
-    report.add_verdict("poincare_duality", True)
-    algebra, qmap = build_quotient(model, pd)
-    tamper = _tamper_hook(args)
-    if tamper:
-        tamper(algebra)
-    structure_identities(algebra)
-    report.add_verdict("structure_identities", True)
-    verify_quasi_iso(model, algebra, qmap, n_max)
-    report.add_verdict("quotient_quasi_iso", True)
-    N = model.formal_dim
-    dims = [len(algebra.by_degree(k)) for k in range(N + 1)]
+def _aut_tables(report, run):
+    N = run.formal_dim
+    report.add_table("aut_ranks", run.aut.as_array(run.n_max - N)[1:],
+                     start=1, trusted_up_to=run.aut.trusted_up_to)
+    report.add_table("low_degree_section_classes",
+                     [run.low_degree[n] for n in range(1, N + 1)], start=1)
+
+
+def cmd_hodge(model, args, report, checks):
+    _hodge_tables(report, _run_checks(model, args, report, checks), args)
+
+
+def cmd_quotient(model, args, report, checks):
+    algebra = _run_checks(model, args, report, checks).algebra
+    dims = [len(algebra.by_degree(k)) for k in range(model.formal_dim + 1)]
     report.add_table("quotient_dims", dims, start=0)
     report.notes.append("classes: %s" % " | ".join(algebra.labels))
-    return report
 
 
-def cmd_aut_ranks(model, args, report):
-    _require_valid(model, report)
-    n_max = _window(model, args, clamp_quotient=True)
-    N = model.formal_dim
-    pd = check_poincare_duality(model, n_max)
-    report.add_verdict("poincare_duality", True)
-    algebra, qmap = build_quotient(model, pd)
-    tamper = _tamper_hook(args)
-    if tamper:
-        tamper(algebra)
-    structure_identities(algebra)
-    report.add_verdict("structure_identities", True)
-    flm = build_free_loop_model(model)
-    eqm = extend_to_quotient_loop(model, algebra, qmap, flm, check_to=n_max)
-    dmap = duality_map(algebra)
-    dual = build_dual_complex(algebra, eqm, dmap)
-    report.add_verdict("square_identity", True)
-    aut = aut_rank_table(eqm, n_max - N, dual=dual)
-    report.add_verdict("dual_complex_agreement", True)
-    report.add_table("aut_ranks", aut.as_array(n_max - N)[1:], start=1,
-                     trusted_up_to=aut.trusted_up_to)
-    low = low_degree_section_classes(eqm)
-    report.add_table("low_degree_section_classes",
-                     [low[n] for n in range(1, N + 1)], start=1)
-    report.trusted_up_to = aut.trusted_up_to
-    return report
+def cmd_aut_ranks(model, args, report, checks):
+    run = _run_checks(model, args, report, checks)
+    _aut_tables(report, run)
+    report.trusted_up_to = run.aut.trusted_up_to
 
 
-def cmd_verify(model, args, report):
-    n_max = _window(model, args, clamp_quotient=True)
-    rep = verify_theorems(model, n_max, jobs=args.jobs,
-                          _tamper=_tamper_hook(args))
-    N = rep.formal_dim
-    for check in ("simply_connected", "minimal", "d_squared_zero",
-                  "poincare_duality", "structure_identities",
-                  "quotient_quasi_iso", "loop_extension_quasi_iso",
-                  "duality_chain_property", "duality_cohomology_iso",
-                  "square_identity", "dual_complex_quasi_iso",
-                  "hodge_sum_consistency", "rank_triple_agreement"):
-        report.add_verdict(check, True)
+def cmd_verify(model, args, report, checks):
+    with _recording(report) as verdicts:
+        rep = verify_theorems(model, report.max_degree, jobs=args.jobs,
+                              _tamper=_tamper_hook(args), verdicts=verdicts)
+    n_max, N = rep.n_max, rep.formal_dim
     report.add_table("base_betti", rep.pd_report.betti.as_array(n_max),
                      start=0, trusted_up_to=rep.pd_report.betti.trusted_up_to)
-    report.add_table("loop_betti", rep.loop.as_array(n_max), start=0,
-                     trusted_up_to=rep.loop.trusted_up_to)
-    report.add_table("aut_ranks", rep.aut.as_array(n_max - N)[1:], start=1,
-                     trusted_up_to=rep.aut.trusted_up_to)
     report.add_table("derivation_ranks",
                      rep.oracle.as_array(n_max - N + 1)[1:], start=1,
                      trusted_up_to=rep.oracle.trusted_up_to)
-    report.add_table("low_degree_section_classes",
-                     [rep.low_degree[n] for n in range(1, N + 1)], start=1)
-    rows = [[rep.hodge.get(n, k) for k in range(n + 1)]
-            for n in range(n_max + 1)]
-    report.add_rows("hodge", rows, start=0,
-                    trusted_up_to=rep.hodge.trusted_up_to)
-    if args.growth:
-        _growth_tables(report, rep.loop)
+    _aut_tables(report, rep)
+    _hodge_tables(report, rep, args)
     report.notes.append("fundamental-class: %s" % rep.pd_report.fundamental_render)
     report.notes.append("duality-cochain-invertible: %s"
                         % ("yes" if rep.cochain_perfect else "no"))
-    return report
 
 
+# Each command with the checks it runs, by name from sections.CHECKS,
+# after validating the model.
 _COMMANDS = {
-    "validate": cmd_validate,
-    "betti": cmd_betti,
-    "hodge": cmd_hodge,
-    "quotient": cmd_quotient,
-    "aut-ranks": cmd_aut_ranks,
-    "verify": cmd_verify,
+    "validate": (cmd_validate, ()),
+    "betti": (cmd_betti, ()),
+    "hodge": (cmd_hodge, ("hodge_sum_consistency",)),
+    "quotient": (cmd_quotient, ("poincare_duality", "structure_identities",
+                                "quotient_quasi_iso")),
+    "aut-ranks": (cmd_aut_ranks, ("poincare_duality", "structure_identities",
+                                  "square_identity", "dual_complex_agreement")),
+    "verify": (cmd_verify, VERIFY_CHECKS),
 }
 
 
@@ -320,7 +269,7 @@ def build_parser():
         description="Exact rational cohomology of free loop spaces from "
                     "Sullivan models, with duality and rank cross-checks.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name, (fn, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=fn.__doc__)
         sp.add_argument("model_file", help="model description file")
         sp.add_argument("--max-degree", type=int, default=None,
@@ -337,7 +286,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.max_degree is not None and args.max_degree < 0:
+        parser.error("argument --max-degree: must not be negative")
+    if args.jobs < 1:
+        parser.error("argument --jobs: must be at least 1")
     name = os.path.splitext(os.path.basename(args.model_file))[0]
     report = Report(model=name, command=args.command,
                     max_degree=None, trusted_up_to=None)
@@ -347,14 +301,14 @@ def main(argv=None):
                 text = fh.read()
         except OSError as e:
             raise ParseError("cannot read model file: %s" % e)
+        except UnicodeDecodeError as e:
+            raise ParseError("model file is not UTF-8 text: %s" % e)
         model = parse_model(text, name_hint=name)
         report.model = model.name
-        report.max_degree = _window(
-            model, args, clamp_quotient=args.command in ("quotient",
-                                                         "aut-ranks", "verify"))
-        if report.trusted_up_to is None:
-            report.trusted_up_to = model.trusted_base(report.max_degree)
-        report = _COMMANDS[args.command](model, args, report)
+        command, checks = _COMMANDS[args.command]
+        report.max_degree = window(model, args.max_degree, checks)
+        report.trusted_up_to = model.trusted_base(report.max_degree)
+        command(model, args, report, checks)
     except (ParseError, ValidationFailure, MathMismatch,
             InternalCheckFailure) as e:
         report.exit_code = exit_code_for(e)

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .errors import CompositionNotZero
 
-QQ = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -53,9 +52,6 @@ class SparseMatrix:
 
     def entry(self, r, c):
         return self.entries.get((r, c), ZERO)
-
-    def column(self, c):
-        return {r: v for (r, c2), v in self.entries.items() if c2 == c}
 
     def columns(self):
         cols = [dict() for _ in range(self.cols)]

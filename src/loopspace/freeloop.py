@@ -36,10 +36,6 @@ class FreeLoopModel:
         state["_cache"] = {}
         return state
 
-    @property
-    def n_base(self):
-        return len(self.base.generators)
-
     def slice_basis(self, n, word_length=None):
         return gca.slice_basis(self.generators, n, word_length)
 

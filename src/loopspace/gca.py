@@ -21,7 +21,6 @@ exponent tuples.  basis_of_degree enumerates in exactly that order.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import MissingImage, InternalCheckFailure

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import (IncompleteModel, IdentityViolation, QuasiIsoFailure,
                      ChainMapFailure, TopClassCollapse, InternalCheckFailure)
-from .exactq import (SparseMatrix, ZERO, ONE, rref, rank, cohomology_dim,
+from .exactq import (SparseMatrix, ZERO, ONE, rref, cohomology_dim,
                      solve_in_span, induced_quotient_rank)
 from . import gca
 
@@ -44,11 +44,6 @@ class FiniteCdga:
     unit_index: int
     top_index: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
 
     @property
     def size(self):
@@ -98,11 +93,10 @@ class QuotientMap:
 
     rho[k] is the matrix from the degree-k monomial basis to the degree-k
     slice of A (local coordinates); degrees above the formal dimension map
-    to zero.  reps[i] is a lift of basis class i back into LV.
+    to zero.
     """
     formal_dim: int
     rho: dict
-    reps: list
     s_pivots: dict     # degree -> tuple of pivot monomial positions
     omega: dict        # fundamental class element in LV
 
@@ -125,10 +119,6 @@ class QuotientMap:
         local = mat.apply(vec)
         slice_idx = algebra.by_degree(degree)
         return {slice_idx[r]: c for r, c in local.items() if c}
-
-
-def _apply_quotient(qmap, model, algebra, elem, degree):
-    return qmap.apply(model, algebra, elem, degree)
 
 
 def build_quotient(model, pd_report):
@@ -204,12 +194,12 @@ def build_quotient(model, pd_report):
     algebra = FiniteCdga(name=model.name, degrees=tuple(degrees),
                          labels=tuple(labels), products={}, diff={},
                          unit_index=0, top_index=len(degrees) - 1)
-    qmap = QuotientMap(formal_dim=N, rho=rho, reps=reps,
-                       s_pivots=s_pivots, omega=dict(omega_elem))
+    qmap = QuotientMap(formal_dim=N, rho=rho, s_pivots=s_pivots,
+                       omega=dict(omega_elem))
 
     for i, rep_i in enumerate(reps):
         di = gca.apply_derivation(gens, model.differential, rep_i)
-        beta = _apply_quotient(qmap, model, algebra, di, degrees[i] + 1)
+        beta = qmap.apply(model, algebra, di, degrees[i] + 1)
         if beta:
             algebra.diff[i] = beta
         for j, rep_j in enumerate(reps):
@@ -217,7 +207,7 @@ def build_quotient(model, pd_report):
             if dsum > N:
                 continue
             prod = gca.elem_mul(gens, rep_i, rep_j)
-            alpha = _apply_quotient(qmap, model, algebra, prod, dsum)
+            alpha = qmap.apply(model, algebra, prod, dsum)
             if alpha:
                 algebra.products[(i, j)] = alpha
 
@@ -255,12 +245,7 @@ def structure_identities(algebra):
     for i in range(n):
         acc = {}
         for j, v in algebra.differential(i).items():
-            for k, w in algebra.differential(j).items():
-                s = acc.get(k, ZERO) + v * w
-                if s:
-                    acc[k] = s
-                else:
-                    acc.pop(k, None)
+            gca.elem_add_into(acc, algebra.differential(j), v)
         if acc:
             raise IdentityViolation("d*d nonzero on a_%d" % i)
         counts["d_squared"] += 1
@@ -272,20 +257,10 @@ def structure_identities(algebra):
                     continue
                 left = {}
                 for r, v in algebra.product(i, j).items():
-                    for t, w in algebra.product(r, k).items():
-                        s = left.get(t, ZERO) + v * w
-                        if s:
-                            left[t] = s
-                        else:
-                            left.pop(t, None)
+                    gca.elem_add_into(left, algebra.product(r, k), v)
                 right = {}
                 for s_, v in algebra.product(j, k).items():
-                    for t, w in algebra.product(i, s_).items():
-                        val = right.get(t, ZERO) + v * w
-                        if val:
-                            right[t] = val
-                        else:
-                            right.pop(t, None)
+                    gca.elem_add_into(right, algebra.product(i, s_), v)
                 if left != right:
                     raise IdentityViolation(
                         "associativity fails at (a_%d, a_%d, a_%d)" % (i, j, k))
@@ -295,28 +270,13 @@ def structure_identities(algebra):
         for j in range(n):
             left = {}
             for r, v in algebra.product(i, j).items():
-                for s_, w in algebra.differential(r).items():
-                    val = left.get(s_, ZERO) + v * w
-                    if val:
-                        left[s_] = val
-                    else:
-                        left.pop(s_, None)
+                gca.elem_add_into(left, algebra.differential(r), v)
             right = {}
             for t, v in algebra.differential(i).items():
-                for s_, w in algebra.product(t, j).items():
-                    val = right.get(s_, ZERO) + v * w
-                    if val:
-                        right[s_] = val
-                    else:
-                        right.pop(s_, None)
+                gca.elem_add_into(right, algebra.product(t, j), v)
             sign = -1 if deg[i] % 2 else 1
             for l, v in algebra.differential(j).items():
-                for s_, w in algebra.product(i, l).items():
-                    val = right.get(s_, ZERO) + sign * v * w
-                    if val:
-                        right[s_] = val
-                    else:
-                        right.pop(s_, None)
+                gca.elem_add_into(right, algebra.product(i, l), sign * v)
             if left != right:
                 raise IdentityViolation(
                     "Leibniz rule fails at (a_%d, a_%d)" % (i, j))
@@ -353,7 +313,7 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
             images = []
             for vec in reps:
                 elem = {model.basis(n)[c]: v for c, v in vec.items()}
-                im = _apply_quotient(qmap, model, algebra, elem, n)
+                im = qmap.apply(model, algebra, elem, n)
                 images.append({local[g]: v for g, v in im.items()})
             bdry = algebra.d_matrix(n - 1).columns()
             got = induced_quotient_rank(images, bdry, len(slice_idx))
@@ -377,21 +337,17 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
         for q in range(p, N - p + 1):
             for m1 in model.basis(p):
                 e1 = {m1: ONE}
-                r1 = _apply_quotient(qmap, model, algebra, e1, p)
+                r1 = qmap.apply(model, algebra, e1, p)
                 for m2 in model.basis(q):
                     e2 = {m2: ONE}
-                    r2 = _apply_quotient(qmap, model, algebra, e2, q)
+                    r2 = qmap.apply(model, algebra, e2, q)
                     prod = gca.elem_mul(gens, e1, e2)
-                    via_model = _apply_quotient(qmap, model, algebra, prod, p + q)
+                    via_model = qmap.apply(model, algebra, prod, p + q)
                     via_alg = {}
                     for i, v in r1.items():
                         for j, w in r2.items():
-                            for k, a in algebra.product(i, j).items():
-                                s = via_alg.get(k, ZERO) + v * w * a
-                                if s:
-                                    via_alg[k] = s
-                                else:
-                                    via_alg.pop(k, None)
+                            gca.elem_add_into(via_alg, algebra.product(i, j),
+                                              v * w)
                     if via_model != via_alg:
                         raise QuasiIsoFailure(
                             p + q, "projection is not multiplicative on %s * %s"

@@ -28,6 +28,7 @@ component of the self-equivalences).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SignIdentityFailure, DualMismatch, TheoremMismatch,
@@ -56,11 +57,6 @@ class ExtendedQuotientModel:
     sgens: tuple
     dbar_sv: dict
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
 
     def slice_basis(self, n, k=None):
         key = ("basis", n, k)
@@ -609,94 +605,192 @@ def derivation_oracle(model, m_max):
     return RankTable("derivation_ranks", entries, trusted)
 
 
-@dataclass
 class TheoremReport:
-    model_name: str
-    formal_dim: int
-    n_max: int
-    pd_report: object
-    algebra: object
-    identity_counts: dict
-    quasi_iso: dict
-    rho_tensor_slices: int
-    cochain_perfect: bool
-    singular_degrees: tuple
-    lemma_slices: int
-    duality_degrees: int
-    hodge: object
-    loop: RankTable
-    aut: RankTable
-    oracle: RankTable
-    low_degree: dict
-    compared: list
+    """The objects a run of checks on one model shares and the results it
+    verifies, each built once, on first use.
 
-
-def verify_theorems(model, n_max=None, jobs=1, _tamper=None):
-    """End-to-end verification on one model, raising on the first failure.
-
-    Pipeline: structural validation, duality of H, quotient construction
-    with its structure constant identities, quasi isomorphism checks for
-    rho and rho (x) 1, the square identity for the duality map, and the
-    triple rank agreement (section complex, word-length one loop
-    cohomology, derivation homology, the last shifted by one).
+    Building an object verifies it: every constructor below raises on the
+    first identity that fails.  The quotient is the one exception; a run
+    that uses it certifies it first with the structure_identities check.
 
     _tamper is a fault injection hook: it receives the freshly built
     quotient algebra before any identity is checked, so tests can confirm
     that a perturbed structure constant is caught and not silently used.
     """
-    N = model.formal_dim
-    if n_max is None:
-        n_max = N + 8
-    n_max = max(n_max, N + 2)
 
+    def __init__(self, model, n_max, jobs=1, _tamper=None):
+        self.model = model
+        self.model_name = model.name
+        self.formal_dim = model.formal_dim
+        self.n_max = n_max
+        self.jobs = jobs
+        self._tamper = _tamper
+
+    @cached_property
+    def pd_report(self):
+        return check_poincare_duality(self.model, self.n_max)
+
+    @cached_property
+    def quotient(self):
+        algebra, qmap = build_quotient(self.model, self.pd_report)
+        if self._tamper is not None:
+            self._tamper(algebra)
+        return algebra, qmap
+
+    @property
+    def algebra(self):
+        return self.quotient[0]
+
+    @cached_property
+    def identity_counts(self):
+        return structure_identities(self.algebra)
+
+    @cached_property
+    def quasi_iso(self):
+        return verify_quasi_iso(self.model, *self.quotient, self.n_max)
+
+    @cached_property
+    def flm(self):
+        return build_free_loop_model(self.model)
+
+    @cached_property
+    def eqm(self):
+        return extend_to_quotient_loop(self.model, *self.quotient, self.flm,
+                                       check_to=self.n_max)
+
+    @cached_property
+    def rho_tensor_slices(self):
+        return verify_rho_tensor_quasi_iso(self.eqm, self.n_max)
+
+    @cached_property
+    def dmap(self):
+        return duality_map(self.algebra)
+
+    @property
+    def cochain_perfect(self):
+        return self.dmap.cochain_perfect
+
+    @property
+    def singular_degrees(self):
+        return self.dmap.singular_degrees
+
+    @cached_property
+    def dual(self):
+        return build_dual_complex(self.algebra, self.eqm, self.dmap)
+
+    @property
+    def lemma_slices(self):
+        return self.dual._cache.get("lemma_slices", 0)
+
+    @cached_property
+    def duality_degrees(self):
+        return verify_duality_quasi_iso(self.algebra, self.eqm, self.dual)
+
+    @cached_property
+    def aut(self):
+        return aut_rank_table(self.eqm, self.n_max - self.formal_dim,
+                              dual=self.dual)
+
+    @cached_property
+    def low_degree(self):
+        return low_degree_section_classes(self.eqm)
+
+    @cached_property
+    def hodge(self):
+        return hodge_betti_table(self.flm, self.n_max, jobs=self.jobs)
+
+    @cached_property
+    def loop(self):
+        return loop_betti(self.flm, self.n_max, hodge=self.hodge)
+
+    @cached_property
+    def oracle(self):
+        return derivation_oracle(self.model, self.n_max - self.formal_dim + 1)
+
+    @cached_property
+    def compared(self):
+        """(n, section, word-length one loop, derivation) rank rows, the
+        derivation homology shifted by one; raises unless all three agree."""
+        N = self.formal_dim
+        aut, hodge, oracle = self.aut, self.hodge, self.oracle
+        compared = []
+        for n in range(1, min(self.n_max - N, aut.trusted_up_to) + 1):
+            a, h1, o = aut.get(n), hodge.get(n + N, 1), oracle.get(n + 1)
+            if not (a == h1 == o):
+                raise TheoremMismatch(
+                    "rank disagreement at n=%d: section %d, loop word-length-one %d, "
+                    "derivation %d" % (n, a, h1, o))
+            compared.append((n, a, h1, o))
+        return compared
+
+
+# The checks in the order they run, each with the TheoremReport object
+# whose construction carries it out.  duality_map verifies the chain
+# property and then the isomorphism on cohomology, so one object serves
+# two checks.
+CHECKS = (
+    ("poincare_duality", "pd_report"),
+    ("structure_identities", "identity_counts"),
+    ("quotient_quasi_iso", "quasi_iso"),
+    ("loop_extension_quasi_iso", "rho_tensor_slices"),
+    ("duality_chain_property", "dmap"),
+    ("duality_cohomology_iso", "dmap"),
+    ("square_identity", "dual"),
+    ("dual_complex_quasi_iso", "duality_degrees"),
+    ("dual_complex_agreement", "aut"),
+    ("hodge_sum_consistency", "loop"),
+    ("rank_triple_agreement", "compared"),
+)
+
+# rank_triple_agreement builds the aut ranks with their dual complex
+# cross-check, so verify does not report dual_complex_agreement apart.
+VERIFY_CHECKS = tuple(name for name, _ in CHECKS
+                      if name != "dual_complex_agreement")
+
+
+def window(model, n_max, checks):
+    """Top degree computed: n_max, by default formal dimension + 8.
+
+    Checks that use the quotient certify its structure identities first,
+    and the quotient needs the window to reach formal dimension + 2.
+    """
+    if n_max is None:
+        n_max = model.formal_dim + 8
+    if "structure_identities" in checks:
+        n_max = max(n_max, model.formal_dim + 2)
+    return n_max
+
+
+def run_checks(model, n_max, checks, verdicts, jobs=1, _tamper=None):
+    """Validate the model, then run the named checks in CHECKS order.
+
+    Each verdict is appended to `verdicts` as (check, passed).  The three
+    structural checks of validate() are all recorded, passing or not, and
+    an invalid model stops the run; every later check is recorded only
+    after it returns, and the first one that fails raises.  Returns the
+    TheoremReport holding what the checks built.
+    """
     vrep = validate(model)
+    verdicts.extend((name, ok) for name, ok, _ in vrep.checks)
     if not vrep.passed:
         bad = "; ".join(d for _, ok, d in vrep.checks if not ok)
         raise ValidationFailure("model is not a valid input: %s" % bad)
+    report = TheoremReport(model, n_max, jobs=jobs, _tamper=_tamper)
+    for name, obj in CHECKS:
+        if name in checks:
+            getattr(report, obj)
+            verdicts.append((name, True))
+    return report
 
-    pd = check_poincare_duality(model, n_max)
-    algebra, qmap = build_quotient(model, pd)
-    if _tamper is not None:
-        _tamper(algebra)
-    counts = structure_identities(algebra)
-    qiso = verify_quasi_iso(model, algebra, qmap, n_max)
 
-    flm = build_free_loop_model(model)
-    eqm = extend_to_quotient_loop(model, algebra, qmap, flm, check_to=n_max)
-    slices = verify_rho_tensor_quasi_iso(eqm, n_max)
+def verify_theorems(model, n_max=None, jobs=1, _tamper=None, verdicts=None):
+    """End-to-end verification on one model, raising on the first failure.
 
-    dmap = duality_map(algebra)
-    dual = build_dual_complex(algebra, eqm, dmap)
-    dual_degrees = verify_duality_quasi_iso(algebra, eqm, dual)
-
-    hodge = hodge_betti_table(flm, n_max, jobs=jobs)
-    loop = loop_betti(flm, n_max, hodge=hodge)
-
-    n_aut = n_max - N
-    aut = aut_rank_table(eqm, n_aut, dual=dual)
-    oracle = derivation_oracle(model, n_aut + 1)
-
-    compared = []
-    for n in range(1, n_aut + 1):
-        if n > aut.trusted_up_to:
-            break
-        a = aut.get(n)
-        h1 = hodge.get(n + N, 1)
-        o = oracle.get(n + 1)
-        if not (a == h1 == o):
-            raise TheoremMismatch(
-                "rank disagreement at n=%d: section %d, loop word-length-one %d, "
-                "derivation %d" % (n, a, h1, o))
-        compared.append((n, a, h1, o))
-
-    return TheoremReport(
-        model_name=model.name, formal_dim=N, n_max=n_max,
-        pd_report=pd, algebra=algebra, identity_counts=counts,
-        quasi_iso=qiso, rho_tensor_slices=slices,
-        cochain_perfect=dmap.cochain_perfect,
-        singular_degrees=dmap.singular_degrees,
-        lemma_slices=dual._cache.get("lemma_slices", 0),
-        duality_degrees=dual_degrees,
-        hodge=hodge, loop=loop, aut=aut, oracle=oracle,
-        low_degree=low_degree_section_classes(eqm),
-        compared=compared)
+    Validates the model and runs every check in VERIFY_CHECKS, recording
+    the verdicts into `verdicts` when a list is given (see run_checks).
+    """
+    report = run_checks(model, window(model, n_max, VERIFY_CHECKS),
+                        VERIFY_CHECKS, [] if verdicts is None else verdicts,
+                        jobs=jobs, _tamper=_tamper)
+    report.low_degree  # built here, so the report returned is complete
+    return report

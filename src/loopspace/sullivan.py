@@ -24,9 +24,8 @@ from fractions import Fraction
 
 from .errors import (ParseError, UnknownGenerator, DegreeMismatch, OddExponent,
                      NotPoincareDuality, InternalCheckFailure)
-from .exactq import (SparseMatrix, ZERO, ONE, rref, rank, kernel_basis,
-                     cohomology_dim, solve_in_span, span_rank,
-                     representative_cocycles)
+from .exactq import (SparseMatrix, ZERO, ONE, rank, cohomology_dim,
+                     solve_in_span, span_rank, representative_cocycles)
 from . import gca
 from .gca import Generator, DerivationSpec
 
@@ -130,7 +129,11 @@ def _parse_poly(tokens, gens, index_of, lineno):
         first = False
         coeff = sign
         if i < len(tokens) and tokens[i][0] == "num":
-            coeff *= Fraction(tokens[i][1])
+            try:
+                coeff *= Fraction(tokens[i][1])
+            except ZeroDivisionError:
+                raise ParseError("coefficient %s has a zero denominator"
+                                 % tokens[i][1], lineno)
             i += 1
             if i >= len(tokens) or tokens[i] != ("op", "*"):
                 raise ParseError("coefficient must be followed by '*' and a generator", lineno)

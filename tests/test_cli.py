@@ -93,6 +93,28 @@ class TestExitCodes:
         assert code == 0
         assert out.rstrip().endswith("exit-code: 0")
 
+    @pytest.mark.parametrize("option", [["--max-degree", "-3"],
+                                        ["--jobs", "0"], ["--jobs", "-4"]])
+    def test_out_of_range_option_is_usage_error(self, option):
+        code, out = run(["validate", S2] + option)
+        assert code == 2
+        assert out == ""
+
+    def test_zero_denominator_exits_two_with_line_number(self, tmp_path):
+        bad = tmp_path / "zero.model"
+        bad.write_text("dim 2\ncomplete\ngen x 2\ngen y 3\nd y = 1/0*x^2\n")
+        code, out = run(["verify", str(bad)])
+        assert code == 2
+        assert "error: line 5: coefficient 1/0 has a zero denominator" in out
+
+    def test_non_utf8_file_exits_two(self, tmp_path):
+        bad = tmp_path / "latin1.model"
+        bad.write_bytes("model Sph\xe8re\ndim 2\ncomplete\ngen x 2\n".encode("latin-1"))
+        code, out = run(["validate", str(bad)])
+        assert code == 2
+        assert "error: model file is not UTF-8 text:" in out
+        assert out.rstrip().endswith("exit-code: 2")
+
 
 class TestValidateText:
     def test_s2_verbatim(self):
@@ -365,7 +387,11 @@ class TestJsonFormat:
         assert doc["exit_code"] == 1
         assert doc["error"] == "degree 4: H^4 has dimension 1 above the formal dimension"
         assert doc["tables"] == {}
-        assert doc["verdicts"] == []
+        assert [v["check"] for v in doc["verdicts"]] == [
+            "simply_connected",
+            "minimal",
+            "d_squared_zero",
+        ]
 
 
 class TestDeterminism:
@@ -388,3 +414,48 @@ class TestDeterminism:
         _, serial = run(["hodge", S2XS3, "--max-degree", "12", "--jobs", "1"])
         _, parallel = run(["hodge", S2XS3, "--max-degree", "12", "--jobs", "3"])
         assert serial == parallel
+
+
+def verdict_lines(out):
+    return [line for line in out.splitlines() if line.startswith("verdict ")]
+
+
+class TestFailedVerify:
+    def test_corrupt_alpha_lists_checks_before_the_error(self):
+        code, out = run(["verify", S2, "--corrupt-alpha"])
+        assert code == 3
+        assert verdict_lines(out) == [
+            "verdict simply_connected: pass",
+            "verdict minimal: pass",
+            "verdict d_squared_zero: pass",
+            "verdict poincare_duality: pass",
+        ]
+        assert out.endswith(
+            "verdict poincare_duality: pass\n"
+            "error: unit axiom fails at a_1\n"
+            "exit-code: 3\n"
+        )
+
+    def test_failed_square_identity_stops_the_verdicts(self, monkeypatch):
+        from loopspace import sections
+        from loopspace.errors import SignIdentityFailure
+
+        def broken(*args, **kwargs):
+            raise SignIdentityFailure("square identity fails on the degree 3 slice")
+
+        monkeypatch.setattr(sections, "build_dual_complex", broken)
+        code, out = run(["verify", S2XS3])
+        assert code == 3
+        assert verdict_lines(out) == [
+            "verdict simply_connected: pass",
+            "verdict minimal: pass",
+            "verdict d_squared_zero: pass",
+            "verdict poincare_duality: pass",
+            "verdict structure_identities: pass",
+            "verdict quotient_quasi_iso: pass",
+            "verdict loop_extension_quasi_iso: pass",
+            "verdict duality_chain_property: pass",
+            "verdict duality_cohomology_iso: pass",
+        ]
+        assert "error: square identity fails on the degree 3 slice\n" in out
+        assert out.endswith("exit-code: 3\n")

@@ -94,7 +94,6 @@ class TestSparseMatrix:
         m = SparseMatrix.from_columns(3, cols)
         assert m.rows == 3 and m.cols == 3
         assert m.columns() == [{0: Q(1), 2: Q(-5)}, {}, {1: Q(7)}]
-        assert m.column(0) == {0: Q(1), 2: Q(-5)}
 
     def test_mul_worked_example(self):
         a = from_dense([[1, 2], [3, 4]], 2, 2)
