@@ -17,6 +17,9 @@ ordered sequence, sections.CHECKS; each command names the ones it runs.
 Table entries computed above the model's declared completeness are
 suffixed with '?' in text output; JSON carries the per-table
 trusted_up_to bound instead.
+
+--jobs K is accepted for compatibility and selects nothing: every slice
+is computed in one process.  A K below 1 is still a usage error.
 """
 
 import argparse
@@ -150,7 +153,7 @@ def _recording(report):
 def _run_checks(model, args, report, checks):
     with _recording(report) as verdicts:
         return run_checks(model, report.max_degree, checks, verdicts,
-                          jobs=args.jobs, _tamper=_tamper_hook(args))
+                          _tamper=_tamper_hook(args))
 
 
 def _growth_tables(report, table):
@@ -234,7 +237,7 @@ def cmd_aut_ranks(model, args, report, checks):
 
 def cmd_verify(model, args, report, checks):
     with _recording(report) as verdicts:
-        rep = verify_theorems(model, report.max_degree, jobs=args.jobs,
+        rep = verify_theorems(model, report.max_degree,
                               _tamper=_tamper_hook(args), verdicts=verdicts)
     n_max, N = rep.n_max, rep.formal_dim
     report.add_table("base_betti", rep.pd_report.betti.as_array(n_max),
@@ -279,7 +282,8 @@ def build_parser():
         sp.add_argument("--growth", action="store_true",
                         help="append partial-sum growth tables")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for degree slices")
+                        help="accepted for compatibility; every slice is "
+                             "computed in one process")
         sp.add_argument("--corrupt-alpha", action="store_true",
                         help=argparse.SUPPRESS)
     return p

@@ -20,10 +20,11 @@ class SparseMatrix:
 
     `entries` maps (row, col) to a nonzero Fraction; explicit zeros are
     stripped at construction.  Row/column indices are 0-based and must lie
-    inside the declared shape.
+    inside the declared shape.  `_rank` is None until rank() first computes
+    it; only the integer is kept, never the reduced form.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_rank")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
@@ -39,6 +40,7 @@ class SparseMatrix:
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
+        self._rank = None
 
     @classmethod
     def from_columns(cls, rows, columns):
@@ -156,7 +158,10 @@ def rref(m):
 
 
 def rank(m):
-    return rref(m)[2]
+    """Rank of m, reduced once per matrix object and then remembered."""
+    if m._rank is None:
+        m._rank = rref(m)[2]
+    return m._rank
 
 
 def kernel_basis(m):

@@ -12,7 +12,6 @@ splits by that word length; the pieces are computed slice by slice and
 cross-checked against the full slice.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,11 +29,6 @@ class FreeLoopModel:
     loop_differential: DerivationSpec
     suspension: DerivationSpec
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
 
     def slice_basis(self, n, word_length=None):
         return gca.slice_basis(self.generators, n, word_length)
@@ -115,24 +109,15 @@ class HodgeTable:
         return RankTable("hodge_k%d" % k, entries, self.trusted_up_to)
 
 
-def _hodge_cell(flm, n, k):
-    return n, k, cohomology_dim(flm.d_matrix(n, k), flm.d_matrix(n - 1, k))
-
-
 def hodge_betti_table(flm, n_max, jobs=1):
-    cells = [(n, k) for n in range(n_max + 1) for k in range(n + 1)
-             if flm.slice_basis(n, k)]
-    entries = {}
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(_hodge_cell, flm, n, k) for n, k in cells]
-            for f in futs:
-                n, k, dim = f.result()
-                entries[(n, k)] = dim
-    else:
-        for n, k in cells:
-            _, _, dim = _hodge_cell(flm, n, k)
-            entries[(n, k)] = dim
+    """dim H^n of every populated (degree n, word length k) slice.
+
+    `jobs` is accepted for compatibility and ignored: every slice is
+    computed in this process.
+    """
+    entries = {(n, k): cohomology_dim(flm.d_matrix(n, k), flm.d_matrix(n - 1, k))
+               for n in range(n_max + 1) for k in range(n + 1)
+               if flm.slice_basis(n, k)}
     return HodgeTable(entries=entries, n_max=n_max,
                       trusted_up_to=flm.base.trusted_loop(n_max))
 

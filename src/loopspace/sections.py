@@ -204,13 +204,8 @@ def extend_to_quotient_loop(model, algebra, qmap, flm=None, check_to=None):
                     "loop differential of a suspension has word length != 1")
             j2 = s.index(1)
             bdeg = gca.monomial_degree(model.generators, b)
-            for ai, c2 in qmap.apply(model, algebra, {b: ONE}, bdeg).items():
-                key = (ai, j2)
-                v = acc.get(key, ZERO) + c * c2
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
+            img = qmap.apply(model, algebra, {b: ONE}, bdeg)
+            gca.elem_add_into(acc, {(ai, j2): c2 for ai, c2 in img.items()}, c)
         if acc:
             dbar_sv[j] = acc
 
@@ -454,20 +449,10 @@ def build_dual_complex(algebra, eqm, dual_map=None):
             for (ai, j2), c in eqm.dbar_sv.get(sv, {}).items():
                 tmap.setdefault(ai, []).append((j2, c))
             for (i, l, a) in alpha_into.get(jc, ()):
-                for j2, c in tmap.get(i, ()):
-                    key = (l, j2)
-                    s = out.get(key, ZERO) + sgn * a * c
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            for (r, b) in beta_into.get(jc, ()):
-                key = (r, sv)
-                s = out.get(key, ZERO) - sgn * b
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                gca.elem_add_into(out, {(l, j2): c for j2, c in tmap.get(i, ())},
+                                  sgn * a)
+            gca.elem_add_into(out, {(r, sv): b for r, b in beta_into.get(jc, ())},
+                              -sgn)
             if out:
                 delta[(jc, sv)] = out
 
@@ -618,12 +603,11 @@ class TheoremReport:
     that a perturbed structure constant is caught and not silently used.
     """
 
-    def __init__(self, model, n_max, jobs=1, _tamper=None):
+    def __init__(self, model, n_max, _tamper=None):
         self.model = model
         self.model_name = model.name
         self.formal_dim = model.formal_dim
         self.n_max = n_max
-        self.jobs = jobs
         self._tamper = _tamper
 
     @cached_property
@@ -697,7 +681,7 @@ class TheoremReport:
 
     @cached_property
     def hodge(self):
-        return hodge_betti_table(self.flm, self.n_max, jobs=self.jobs)
+        return hodge_betti_table(self.flm, self.n_max)
 
     @cached_property
     def loop(self):
@@ -761,7 +745,7 @@ def window(model, n_max, checks):
     return n_max
 
 
-def run_checks(model, n_max, checks, verdicts, jobs=1, _tamper=None):
+def run_checks(model, n_max, checks, verdicts, _tamper=None):
     """Validate the model, then run the named checks in CHECKS order.
 
     Each verdict is appended to `verdicts` as (check, passed).  The three
@@ -775,7 +759,7 @@ def run_checks(model, n_max, checks, verdicts, jobs=1, _tamper=None):
     if not vrep.passed:
         bad = "; ".join(d for _, ok, d in vrep.checks if not ok)
         raise ValidationFailure("model is not a valid input: %s" % bad)
-    report = TheoremReport(model, n_max, jobs=jobs, _tamper=_tamper)
+    report = TheoremReport(model, n_max, _tamper=_tamper)
     for name, obj in CHECKS:
         if name in checks:
             getattr(report, obj)
@@ -783,7 +767,7 @@ def run_checks(model, n_max, checks, verdicts, jobs=1, _tamper=None):
     return report
 
 
-def verify_theorems(model, n_max=None, jobs=1, _tamper=None, verdicts=None):
+def verify_theorems(model, n_max=None, _tamper=None, verdicts=None):
     """End-to-end verification on one model, raising on the first failure.
 
     Validates the model and runs every check in VERIFY_CHECKS, recording
@@ -791,6 +775,6 @@ def verify_theorems(model, n_max=None, jobs=1, _tamper=None, verdicts=None):
     """
     report = run_checks(model, window(model, n_max, VERIFY_CHECKS),
                         VERIFY_CHECKS, [] if verdicts is None else verdicts,
-                        jobs=jobs, _tamper=_tamper)
+                        _tamper=_tamper)
     report.low_degree  # built here, so the report returned is complete
     return report

@@ -57,11 +57,6 @@ class SullivanModel:
     completeness: int | None   # None means complete
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
-
     def basis(self, n):
         return gca.basis_of_degree(self.generators, n)
 
@@ -117,6 +112,8 @@ def _parse_poly(tokens, gens, index_of, lineno):
     i = 0
     if not tokens:
         raise ParseError("empty polynomial", lineno)
+    if tokens == [("num", "0")]:
+        return result           # an explicit zero differential
     first = True
     while i < len(tokens):
         sign = ONE

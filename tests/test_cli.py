@@ -7,6 +7,9 @@ exactly and compare byte-for-byte where determinism matters.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -114,6 +117,28 @@ class TestExitCodes:
         assert code == 2
         assert "error: model file is not UTF-8 text:" in out
         assert out.rstrip().endswith("exit-code: 2")
+
+    def test_explicit_zero_differential_exits_zero(self, tmp_path):
+        text = "dim 5\ncomplete\ngen x 2\ngen y 3\ngen z 3\nd y = x^2\n"
+        implicit, explicit = tmp_path / "implicit", tmp_path / "explicit"
+        implicit.mkdir()
+        explicit.mkdir()
+        (implicit / "m.model").write_text(text)
+        (explicit / "m.model").write_text(text + "d z = 0\n")
+        code, out = run(["validate", str(explicit / "m.model")])
+        assert code == 0
+        assert out == run(["validate", str(implicit / "m.model")])[1]
+
+
+class TestImport:
+    def test_cli_import_loads_no_process_pool(self):
+        src = os.path.dirname(os.path.dirname(loopspace.__file__))
+        probe = ("import sys, loopspace.cli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
 
 
 class TestValidateText:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopspace import exactq
 from loopspace.exactq import (
     ONE,
     SparseMatrix,
@@ -234,6 +235,38 @@ class TestCohomology:
         d_in = SparseMatrix(cols, 0)
         reps = representative_cocycles(d_out, d_in)
         assert len(reps) == cohomology_dim(d_out, d_in)
+
+
+def count_rref(monkeypatch):
+    """Patch exactq.rref to record every matrix it reduces."""
+    reduced = []
+    real = exactq.rref
+
+    def counting(m):
+        reduced.append(m)
+        return real(m)
+
+    monkeypatch.setattr(exactq, "rref", counting)
+    return reduced
+
+
+class TestRankMemo:
+    def test_rank_reduces_a_matrix_once(self, monkeypatch):
+        reduced = count_rref(monkeypatch)
+        m = from_dense([[1, 2], [2, 4]], 2, 2)
+        assert rank(m) == 1
+        assert rank(m) == 1
+        assert reduced == [m]
+
+    def test_composite_check_runs_with_memoised_ranks(self, monkeypatch):
+        reduced = count_rref(monkeypatch)
+        d_in = from_dense([[1]], 1, 1)
+        d_out = from_dense([[1]], 1, 1)
+        for m in (d_in, d_out, d_in, d_out):
+            assert rank(m) == 1
+        assert len(reduced) == 2
+        with pytest.raises(CompositionNotZero):
+            cohomology_dim(d_out, d_in)
 
 
 class TestSolveInSpan:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopspace import load_corpus_model
+from loopspace import exactq, load_corpus_model
 from loopspace.errors import DifferentialSquareNonzero
 from loopspace.freeloop import (
     GrowthReport,
@@ -152,6 +152,19 @@ class TestHodge:
         serial = hodge_betti_table(flm, 8, jobs=1)
         parallel = hodge_betti_table(flm, 8, jobs=3)
         assert serial.entries == parallel.entries
+
+    def test_each_slice_is_reduced_once(self, monkeypatch):
+        reduced = []
+        real = exactq.rref
+
+        def counting(m):
+            reduced.append(m)  # holding m keeps every id distinct
+            return real(m)
+
+        monkeypatch.setattr(exactq, "rref", counting)
+        hodge_betti_table(loop("cp2"), 8)
+        assert reduced
+        assert len({id(m) for m in reduced}) == len(reduced)
 
 
 class TestIntegerRoots:

@@ -71,6 +71,14 @@ class TestParser:
         yi = [g.name for g in m.generators].index("y")
         assert m.differential.images[yi] == {}
 
+    def test_explicit_zero_differential(self):
+        text = "dim 5\ncomplete\ngen x 2\ngen y 3\ngen z 3\nd y = x^2\n"
+        explicit = parse_model(text + "d z = 0\n")
+        assert explicit.differential == parse_model(text).differential
+        assert validate(explicit).passed
+        with pytest.raises(ParseError):
+            parse_model(text + "d z = 0 + x^2\n")
+
     def test_corpus_files_parse(self):
         assert corpus_models() == ["cp2", "cp3", "s2", "s2xs3", "s3", "su3"]
         for name in corpus_models():
