@@ -3,8 +3,9 @@
 Every scalar in this package is a `fractions.Fraction`; no floating point
 value ever enters a computation.  Matrices are sparse maps (row, col) ->
 nonzero Fraction, treated as immutable once built.  All routines are
-deterministic: the pivot order is a function of the entry positions only,
-so identical inputs give identical outputs, bit for bit.
+deterministic: every choice they make, such as the pivot rows of `rref`, is
+a function of the input alone, so identical inputs give identical outputs,
+bit for bit.
 """
 
 from fractions import Fraction
@@ -111,39 +112,77 @@ class SparseMatrix:
 def rref(m):
     """Reduced row echelon form.
 
-    Returns (reduced matrix, pivot column tuple, rank).  Pivot choice is
-    deterministic: scan columns left to right, take the lowest-index
-    unused row with a nonzero entry.  Elimination uses exact division, so
-    the result is the unique RREF of the input with pivot rows first.
+    Returns (reduced matrix, pivot column tuple, rank); row i of the
+    reduced matrix, listed row by row, is the pivot row of the i-th pivot
+    column, and rows past the rank are zero.
+
+    Rows are held as dicts {col: value}, next to an index from each column
+    to the set of not-yet-pivot rows with a nonzero there; fill-in and
+    cancellation keep it exact.  Only nonzero rows and columns get an
+    entry, and a column's set is dropped once visited, so a slice with
+    few nonzeros costs little memory whatever its shape.
+
+    Forward elimination visits the columns left to right and touches only
+    the rows the index lists for the column.  Of those it takes the
+    shortest row as pivot, lowest index on ties, to keep fill-in down
+    (Markowitz 1957), scales it to a leading 1 and clears the column
+    below.  Back-substitution then clears each pivot column above its
+    pivot, from the last pivot upward, so every row it subtracts is
+    already reduced.  Every step is exact division, and the RREF of a
+    matrix is unique, so the result does not depend on which rows served
+    as pivots: only the time taken does.
     """
-    rowdata = [dict() for _ in range(m.rows)]
+    rowdata = {}
+    colrows = {}
     for (r, c), v in m.entries.items():
-        rowdata[r][c] = v
-    used = [False] * m.rows
+        rowdata.setdefault(r, {})[c] = v
+        colrows.setdefault(c, set()).add(r)
     pivots = []
-    pivot_rows = []
+    prows = []  # pivot rows without their leading 1, in pivot order
     for col in range(m.cols):
-        pr = None
-        for r in range(m.rows):
-            if not used[r] and rowdata[r].get(col):
-                pr = r
-                break
-        if pr is None:
+        live = colrows.pop(col, None)
+        if not live:
             continue
-        used[pr] = True
-        pivots.append(col)
-        pivot_rows.append(pr)
-        pv = rowdata[pr][col]
+        pr = min(live, key=lambda r: (len(rowdata[r]), r))
+        live.discard(pr)
+        prow = rowdata.pop(pr)
+        pv = prow.pop(col)
+        for c in prow:
+            colrows[c].discard(pr)
         if pv != ONE:
-            rowdata[pr] = {c: v / pv for c, v in rowdata[pr].items()}
-        prow = rowdata[pr]
-        for r in range(m.rows):
-            if r == pr:
-                continue
-            f = rowdata[r].get(col)
-            if not f:
-                continue
+            prow = {c: v / pv for c, v in prow.items()}
+        for r in live:
             row = rowdata[r]
+            f = row.pop(col)
+            for c2, v2 in prow.items():
+                old = row.get(c2)
+                if old is None:
+                    row[c2] = -f * v2
+                    colrows[c2].add(r)
+                else:
+                    nv = old - f * v2
+                    if nv:
+                        row[c2] = nv
+                    else:
+                        del row[c2]
+                        colrows[c2].discard(r)
+        pivots.append(col)
+        prows.append(prow)
+    # Fill-in during back-substitution lands only in non-pivot columns, so
+    # which rows need clearing in each pivot column is known up front.
+    row_of_pivot = {p: i for i, p in enumerate(pivots)}
+    above = [[] for _ in pivots]
+    for i, prow in enumerate(prows):
+        for c in prow:
+            k = row_of_pivot.get(c)
+            if k is not None:
+                above[k].append(i)
+    for k in range(len(pivots) - 1, -1, -1):
+        p = pivots[k]
+        prow = prows[k]
+        for i in above[k]:
+            row = prows[i]
+            f = row.pop(p)
             for c2, v2 in prow.items():
                 nv = row.get(c2, ZERO) - f * v2
                 if nv:
@@ -151,9 +190,10 @@ def rref(m):
                 else:
                     row.pop(c2, None)
     entries = {}
-    for new_r, pr in enumerate(pivot_rows):
-        for c, v in rowdata[pr].items():
-            entries[(new_r, c)] = v
+    for i, (p, prow) in enumerate(zip(pivots, prows)):
+        entries[(i, p)] = ONE
+        for c, v in prow.items():
+            entries[(i, c)] = v
     return SparseMatrix(m.rows, m.cols, entries), tuple(pivots), len(pivots)
 
 
@@ -172,17 +212,12 @@ def kernel_basis(m):
     """
     red, pivots, _ = rref(m)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        vec = {f: ONE}
-        for r, pc in enumerate(pivots):
-            v = red.entry(r, f)
-            if v:
-                vec[pc] = -v
-        basis.append(vec)
-    return basis
+    basis = {f: {f: ONE} for f in range(m.cols) if f not in pivot_set}
+    for (r, c), v in red.entries.items():
+        vec = basis.get(c)
+        if vec is not None:
+            vec[pivots[r]] = -v
+    return list(basis.values())
 
 
 def representative_cocycles(d_out, d_in):

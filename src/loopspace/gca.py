@@ -121,12 +121,21 @@ def basis_of_degree(gens, n):
     return tuple(rec(0, n))
 
 
+@lru_cache(maxsize=None)
+def word_length_slices(gens, n):
+    """basis_of_degree(gens, n) split by word length, each part in order."""
+    parts = {}
+    for m in basis_of_degree(gens, n):
+        parts.setdefault(monomial_word_length(gens, m), []).append(m)
+    return {k: tuple(ms) for k, ms in parts.items()}
+
+
+@lru_cache(maxsize=None)
 def slice_basis(gens, n, word_length=None):
     """Monomials of degree n, optionally restricted to a word length."""
     if word_length is None:
         return basis_of_degree(gens, n)
-    return tuple(m for m in basis_of_degree(gens, n)
-                 if monomial_word_length(gens, m) == word_length)
+    return word_length_slices(gens, n).get(word_length, ())
 
 
 def elem_scale(e, c):

@@ -1,16 +1,18 @@
 """Exact sparse linear algebra: worked examples plus randomized properties.
 
-The oracle here is an independent dense Gauss-Jordan written directly in
-the tests, so the sparse implementation is never checked against itself.
+The oracles here are an independent dense Gauss-Jordan written directly in
+the tests and, where it is installed, sympy's exact `Matrix.rref`, so the
+sparse implementation is never checked against itself.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopspace import exactq
+from loopspace import exactq, load_corpus_model
 from loopspace.exactq import (
     ONE,
     SparseMatrix,
@@ -24,8 +26,12 @@ from loopspace.exactq import (
     span_rank,
 )
 from loopspace.errors import CompositionNotZero
+from loopspace.freeloop import build_free_loop_model
+from loopspace.sullivan import parse_model
 
 Q = Fraction
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def dense(m):
@@ -75,6 +81,29 @@ def matrices(draw, max_dim=5):
     cols = draw(st.integers(min_value=0, max_value=max_dim))
     grid = [[draw(small_entries) for _ in range(cols)] for _ in range(rows)]
     return grid, rows, cols
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=25):
+    """Sparse rational matrices: a few nonzeros per row, small fractions."""
+    rows = draw(st.integers(min_value=1, max_value=max_dim))
+    cols = draw(st.integers(min_value=1, max_value=max_dim))
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    positions = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    entries = draw(st.dictionaries(positions, values, max_size=3 * rows))
+    return SparseMatrix(rows, cols, entries)
+
+
+def loop_model_matrices():
+    """Every loop differential slice of s2xs3 and of the s2xs2 fixture."""
+    s2xs3 = build_free_loop_model(load_corpus_model("s2xs3"))
+    s2xs2 = build_free_loop_model(
+        parse_model((FIXTURES / "s2xs2.model").read_text()))
+    for flm, top in ((s2xs3, 10), (s2xs2, 8)):
+        for n in range(top + 1):
+            yield flm.d_matrix(n)
+            for k in range(n + 1):
+                yield flm.d_matrix(n, k)
 
 
 class TestSparseMatrix:
@@ -158,6 +187,33 @@ class TestRref:
         red, pivots, rk = rref(from_dense(grid, rows, cols))
         red2, pivots2, rk2 = rref(red)
         assert red2 == red and pivots2 == pivots and rk2 == rk
+
+    @given(sparse_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy(self, m):
+        sympy = pytest.importorskip("sympy")
+        red, pivots, rk = rref(m)
+        sm = sympy.Matrix(dense(m))
+        sred, spivots = sm.rref()
+        assert pivots == tuple(spivots)
+        assert rk == sm.rank()
+        assert sympy.Matrix(dense(red)) == sred
+
+    def test_loop_model_slices_match_dense_oracle(self):
+        for m in loop_model_matrices():
+            red, pivots, rk = rref(m)
+            ogrid, opivots, ork = dense_rref(dense(m), m.rows, m.cols)
+            assert (pivots, rk) == (opivots, ork)
+            assert dense(red) == ogrid
+
+    @given(matrices(max_dim=7), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_order_does_not_matter(self, mat, data):
+        # the pivot rows are picked by length and index; the RREF is unique
+        grid, rows, cols = mat
+        perm = data.draw(st.permutations(range(rows)))
+        shuffled = [grid[p] for p in perm]
+        assert rref(from_dense(shuffled, rows, cols)) == rref(from_dense(grid, rows, cols))
 
     @given(matrices())
     @settings(max_examples=60, deadline=None)

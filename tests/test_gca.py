@@ -182,6 +182,28 @@ class TestBasis:
         assert slice_basis(gens2, 3, 1) == ((1, 1),)
         assert slice_basis(gens2, 4, 1) == ()
 
+    def test_slice_basis_is_cached(self):
+        gens = (
+            Generator("x", 2),
+            Generator("sx", 1, kind="suspended", partner=0),
+        )
+        assert slice_basis(gens, 3, 1) is slice_basis(gens, 3, 1)
+
+    def test_word_length_slices_partition_the_basis(self):
+        gens = (
+            Generator("x", 2),
+            Generator("y", 5),
+            Generator("sx", 1, kind="suspended", partner=0),
+            Generator("sy", 4, kind="suspended", partner=1),
+        )
+        for n in range(15):
+            basis = basis_of_degree(gens, n)
+            slices = [slice_basis(gens, n, k) for k in range(n + 1)]
+            assert sorted(m for part in slices for m in part) == list(basis)
+            for k, part in enumerate(slices):
+                assert part == tuple(m for m in basis
+                                     if monomial_word_length(gens, m) == k)
+
 
 class TestElements:
     def test_scale_and_add(self):
