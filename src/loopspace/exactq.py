@@ -2,7 +2,9 @@
 
 Every scalar in this package is a `fractions.Fraction`; no floating point
 value ever enters a computation.  Matrices are sparse maps (row, col) ->
-nonzero Fraction, treated as immutable once built.  All routines are
+nonzero Fraction, treated as immutable once built.  Every module builds
+its slice matrices with `matrix_of_map` and asks for the rank of a map on
+cohomology with `induced_rank`, both defined here.  All routines are
 deterministic: every choice they make, such as the pivot rows of `rref`, is
 a function of the input alone, so identical inputs give identical outputs,
 bit for bit.
@@ -10,7 +12,7 @@ bit for bit.
 
 from fractions import Fraction
 
-from .errors import CompositionNotZero
+from .errors import CompositionNotZero, InternalCheckFailure
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -107,6 +109,24 @@ class SparseMatrix:
 
     def __repr__(self):
         return "SparseMatrix(%d, %d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
+
+
+def matrix_of_map(dom, cod, image, failure):
+    """Matrix of a linear map between two ordered bases.
+
+    image(x) gives the image of the basis element x as {codomain element:
+    coeff}.  Columns follow dom and rows follow cod; an image term outside
+    cod raises InternalCheckFailure(failure).
+    """
+    index = {y: r for r, y in enumerate(cod)}
+    entries = {}
+    for c, x in enumerate(dom):
+        for y, v in image(x).items():
+            r = index.get(y)
+            if r is None:
+                raise InternalCheckFailure(failure)
+            entries[(r, c)] = v
+    return SparseMatrix(len(cod), len(dom), entries)
 
 
 def rref(m):
@@ -277,13 +297,16 @@ def solve_in_span(columns, target, rows):
     return coeffs
 
 
-def induced_quotient_rank(images, denominator_columns, rows):
-    """Rank of a family of vectors in the quotient by a span.
+def induced_rank(f, d_out, d_in, target_d_in):
+    """Rank of the map on cohomology induced by the chain-level matrix f.
 
-    rank([images | denom]) - rank(denom): the number of independent classes
-    the images hit modulo the denominator span.  Used for induced maps on
-    cohomology.
+    f maps C^n, the middle space of d_in : C^{n-1} -> C^n and
+    d_out : C^n -> C^{n+1}, to a space whose incoming differential is
+    target_d_in.  Returns rank([f(reps) | im target_d_in]) -
+    rank(target_d_in): the number of independent classes the images of
+    representative cocycles hit modulo boundaries.  The second rank comes
+    from the memo on target_d_in.
     """
-    base = span_rank(denominator_columns, rows)
-    total = span_rank(list(images) + list(denominator_columns), rows)
-    return total - base
+    images = [f.apply(v) for v in representative_cocycles(d_out, d_in)]
+    total = span_rank(images + target_d_in.columns(), target_d_in.rows)
+    return total - rank(target_d_in)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import MissingImage, InternalCheckFailure
-from .exactq import SparseMatrix, ZERO, ONE
+from .exactq import ZERO, ONE, matrix_of_map
 
 
 @dataclass(frozen=True)
@@ -223,19 +223,11 @@ def matrix_of_degree_slice(gens, spec, n, word_length=None):
     that of the codomain.  With a word_length filter the derivation must
     preserve word length; a stray image monomial raises, by design.
     """
-    dom = slice_basis(gens, n, word_length)
-    cod = slice_basis(gens, n + spec.degree_shift, word_length)
-    index = {m: r for r, m in enumerate(cod)}
-    entries = {}
-    for c, mono in enumerate(dom):
-        img = apply_derivation(gens, spec, {mono: ONE})
-        for m2, v in img.items():
-            r = index.get(m2)
-            if r is None:
-                raise InternalCheckFailure(
-                    "derivation image left the degree/word-length slice")
-            entries[(r, c)] = v
-    return SparseMatrix(len(cod), len(dom), entries)
+    return matrix_of_map(
+        slice_basis(gens, n, word_length),
+        slice_basis(gens, n + spec.degree_shift, word_length),
+        lambda mono: apply_derivation(gens, spec, {mono: ONE}),
+        "derivation image left the degree/word-length slice")
 
 
 def render_monomial(gens, mono):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .errors import (IncompleteModel, IdentityViolation, QuasiIsoFailure,
                      ChainMapFailure, TopClassCollapse, InternalCheckFailure)
 from .exactq import (SparseMatrix, ZERO, ONE, rref, cohomology_dim,
-                     solve_in_span, induced_quotient_rank)
+                     solve_in_span, induced_rank, matrix_of_map)
 from . import gca
 
 
@@ -72,14 +72,9 @@ class FiniteCdga:
         key = ("d", k)
         m = self._cache.get(key)
         if m is None:
-            dom = self.by_degree(k)
-            cod = self.by_degree(k + 1)
-            pos = {g: r for r, g in enumerate(cod)}
-            entries = {}
-            for c, i in enumerate(dom):
-                for j, v in self.differential(i).items():
-                    entries[(pos[j], c)] = v
-            m = SparseMatrix(len(cod), len(dom), entries)
+            m = matrix_of_map(
+                self.by_degree(k), self.by_degree(k + 1), self.differential,
+                "quotient differential left degree %d" % (k + 1))
             self._cache[key] = m
         return m
 
@@ -293,8 +288,6 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
     multiplicativity of rho on all monomial pairs up to the formal
     dimension.  Returns per-degree dimensions; raises on any failure.
     """
-    from .sullivan import cocycle_representatives
-
     N = model.formal_dim
     gens = model.generators
     dims = {}
@@ -306,25 +299,16 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
                 n, "H^%d: model gives %d, quotient gives %d" % (n, h_model, h_alg))
         dims[n] = h_model
 
+        rho_n = qmap.matrix(n, len(model.basis(n)))
         if n <= N:
-            reps = cocycle_representatives(model, n)
-            slice_idx = algebra.by_degree(n)
-            local = {g: r for r, g in enumerate(slice_idx)}
-            images = []
-            for vec in reps:
-                elem = {model.basis(n)[c]: v for c, v in vec.items()}
-                im = qmap.apply(model, algebra, elem, n)
-                images.append({local[g]: v for g, v in im.items()})
-            bdry = algebra.d_matrix(n - 1).columns()
-            got = induced_quotient_rank(images, bdry, len(slice_idx))
+            got = induced_rank(rho_n, model.d_matrix(n), model.d_matrix(n - 1),
+                               algebra.d_matrix(n - 1))
             if got != h_model:
                 raise QuasiIsoFailure(
                     n, "induced map on H^%d has rank %d, expected %d"
                     % (n, got, h_model))
 
         # chain map on the whole slice, not just cocycles
-        basis_n = model.basis(n)
-        rho_n = qmap.matrix(n, len(basis_n))
         rho_n1 = qmap.matrix(n + 1, len(model.basis(n + 1)))
         left = rho_n1.mul(model.d_matrix(n))
         right = algebra.d_matrix(n).mul(rho_n)

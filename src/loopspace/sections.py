@@ -35,7 +35,7 @@ from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SingularDuality, InternalCheckFailure, ChainMapFailure,
                      QuasiIsoFailure)
 from .exactq import (SparseMatrix, ZERO, ONE, rank, cohomology_dim,
-                     representative_cocycles, induced_quotient_rank)
+                     induced_rank, matrix_of_map)
 from . import gca
 from .gca import DerivationSpec
 from .sullivan import RankTable, validate, check_poincare_duality
@@ -134,21 +134,10 @@ class ExtendedQuotientModel:
         key = ("Dbar", n, k)
         got = self._cache.get(key)
         if got is None:
-            if n < 0:
-                got = SparseMatrix(len(self.slice_basis(n + 1, k)), 0)
-            else:
-                dom = self.slice_basis(n, k)
-                cod = self.slice_basis(n + 1, k)
-                pos = {p: r for r, p in enumerate(cod)}
-                entries = {}
-                for c, (i, m) in enumerate(dom):
-                    for p2, v in self.dbar_pair(i, m).items():
-                        r = pos.get(p2)
-                        if r is None:
-                            raise InternalCheckFailure(
-                                "extended differential left its slice at degree %d" % n)
-                        entries[(r, c)] = v
-                got = SparseMatrix(len(cod), len(dom), entries)
+            got = matrix_of_map(
+                self.slice_basis(n, k), self.slice_basis(n + 1, k),
+                lambda pair: self.dbar_pair(*pair),
+                "extended differential left its slice at degree %d" % n)
             self._cache[key] = got
         return got
 
@@ -162,21 +151,15 @@ class ExtendedQuotientModel:
         if got is None:
             model = self.flm.base
             nb = len(model.generators)
-            dom = self.flm.slice_basis(n, k)
-            cod = self.slice_basis(n, k)
-            pos = {p: r for r, p in enumerate(cod)}
-            entries = {}
-            for c, mono in enumerate(dom):
+
+            def image(mono):
                 b, s = mono[:nb], mono[nb:]
                 bdeg = gca.monomial_degree(model.generators, b)
                 img = self.qmap.apply(model, self.algebra, {b: ONE}, bdeg)
-                for ai, v in img.items():
-                    r = pos.get((ai, s))
-                    if r is None:
-                        raise InternalCheckFailure(
-                            "projection left the slice at degree %d" % n)
-                    entries[(r, c)] = v
-            got = SparseMatrix(len(cod), len(dom), entries)
+                return {(ai, s): v for ai, v in img.items()}
+
+            got = matrix_of_map(self.flm.slice_basis(n, k), self.slice_basis(n, k),
+                                image, "projection left the slice at degree %d" % n)
             self._cache[key] = got
         return got
 
@@ -243,12 +226,8 @@ def verify_rho_tensor_quasi_iso(eqm, n_max):
                 raise QuasiIsoFailure(
                     n, "slice (%d, %d): loop model gives %d, quotient gives %d"
                     % (n, k, h_loop, h_ext))
-            reps = representative_cocycles(flm.d_matrix(n, k),
-                                           flm.d_matrix(n - 1, k))
-            rho = eqm.rho_tensor_matrix(n, k)
-            images = [rho.apply(v) for v in reps]
-            bdry = eqm.d_matrix(n - 1, k).columns()
-            got = induced_quotient_rank(images, bdry, len(eqm.slice_basis(n, k)))
+            got = induced_rank(eqm.rho_tensor_matrix(n, k), flm.d_matrix(n, k),
+                               flm.d_matrix(n - 1, k), eqm.d_matrix(n - 1, k))
             if got != h_loop:
                 raise QuasiIsoFailure(
                     n, "slice (%d, %d): induced map has rank %d, expected %d"
@@ -278,16 +257,12 @@ def dual_diff_matrix(algebra, q):
     With d'(f) = -(-1)^{|f|} f o d and |a_j'| = -q this comes out as
     d'(a_j') = -(-1)^q sum_r beta_r^j a_r'.
     """
-    dom = algebra.by_degree(q)
     cod = algebra.by_degree(q - 1)
     sgn = -1 if q % 2 else 1
-    entries = {}
-    for c, j in enumerate(dom):
-        for r, jr in enumerate(cod):
-            b = algebra.differential(jr).get(j, ZERO)
-            if b:
-                entries[(r, c)] = -sgn * b
-    return SparseMatrix(len(cod), len(dom), entries)
+    return matrix_of_map(
+        algebra.by_degree(q), cod,
+        lambda j: {jr: -sgn * algebra.differential(jr).get(j, ZERO) for jr in cod},
+        "dual differential left degree %d" % (q - 1))
 
 
 def duality_map(algebra):
@@ -302,22 +277,19 @@ def duality_map(algebra):
     blocks = {}
     singular = []
     for k in range(N + 1):
-        dom = algebra.by_degree(k)
         cod = algebra.by_degree(N - k)
-        entries = {}
-        for c, i in enumerate(dom):
-            for r, j in enumerate(cod):
-                v = algebra.product(i, j).get(top, ZERO)
-                if v:
-                    entries[(r, c)] = v
-        m = SparseMatrix(len(cod), len(dom), entries)
+        m = matrix_of_map(
+            algebra.by_degree(k), cod,
+            lambda i: {j: algebra.product(i, j).get(top, ZERO) for j in cod},
+            "duality map left degree %d" % (N - k))
         blocks[k] = m
-        if len(dom) != len(cod) or rank(m) < len(dom):
+        if m.rows != m.cols or rank(m) < m.cols:
             singular.append(k)
 
+    dual_d = {q: dual_diff_matrix(algebra, q) for q in range(N + 2)}
     sgn = -1 if N % 2 else 1
     for k in range(N + 1):
-        left = dual_diff_matrix(algebra, N - k).mul(blocks[k])
+        left = dual_d[N - k].mul(blocks[k])
         right = blocks.get(k + 1, SparseMatrix(len(algebra.by_degree(N - k - 1)), 0))
         right = right.mul(algebra.d_matrix(k))
         if left != SparseMatrix(left.rows, left.cols,
@@ -327,12 +299,9 @@ def duality_map(algebra):
 
     for k in range(N + 1):
         h = algebra.betti(k)
-        h_dual = cohomology_dim(dual_diff_matrix(algebra, N - k),
-                                dual_diff_matrix(algebra, N - k + 1))
-        reps = representative_cocycles(algebra.d_matrix(k), algebra.d_matrix(k - 1))
-        images = [blocks[k].apply(v) for v in reps]
-        bdry = dual_diff_matrix(algebra, N - k + 1).columns()
-        got = induced_quotient_rank(images, bdry, len(algebra.by_degree(N - k)))
+        h_dual = cohomology_dim(dual_d[N - k], dual_d[N - k + 1])
+        got = induced_rank(blocks[k], algebra.d_matrix(k), algebra.d_matrix(k - 1),
+                           dual_d[N - k + 1])
         if h_dual != h or got != h:
             raise SingularDuality(
                 "duality map is not an isomorphism on H^%d (rank %d of %d)"
@@ -375,18 +344,10 @@ class DualSectionComplex:
         key = ("delta", n)
         got = self._cache.get(key)
         if got is None:
-            dom = self.by_degree(n)
-            cod = self.by_degree(n + 1)
-            pos = {p: r for r, p in enumerate(cod)}
-            entries = {}
-            for c, p in enumerate(dom):
-                for p2, v in self.delta.get(p, {}).items():
-                    r = pos.get(p2)
-                    if r is None:
-                        raise InternalCheckFailure(
-                            "dual differential left its degree slice at %d" % n)
-                    entries[(r, c)] = v
-            got = SparseMatrix(len(cod), len(dom), entries)
+            got = matrix_of_map(
+                self.by_degree(n), self.by_degree(n + 1),
+                lambda p: self.delta.get(p, {}),
+                "dual differential left its degree slice at %d" % n)
             self._cache[key] = got
         return got
 
@@ -397,21 +358,15 @@ class DualSectionComplex:
 def _du_tensor_matrix(algebra, eqm, dual, n):
     """Matrix of Du (x) 1 from the (n, 1) slice of A (x) sV to the dual."""
     top = algebra.top_index
-    dom = eqm.slice_basis(n, 1)
-    cod = dual.by_degree(n - algebra.top_degree)
-    pos = {p: r for r, p in enumerate(cod)}
-    entries = {}
-    for c, (i, m) in enumerate(dom):
+
+    def image(pair):
+        i, m = pair
         j = m.index(1)
-        for l in range(algebra.size):
-            v = algebra.product(i, l).get(top, ZERO)
-            if v:
-                r = pos.get((l, j))
-                if r is None:
-                    raise InternalCheckFailure(
-                        "Du (x) 1 left its degree slice at %d" % n)
-                entries[(r, c)] = v
-    return SparseMatrix(len(cod), len(dom), entries)
+        row = ((l, algebra.product(i, l).get(top, ZERO)) for l in range(algebra.size))
+        return {(l, j): v for l, v in row if v}
+
+    return matrix_of_map(eqm.slice_basis(n, 1), dual.by_degree(n - algebra.top_degree),
+                         image, "Du (x) 1 left its degree slice at %d" % n)
 
 
 def build_dual_complex(algebra, eqm, dual_map=None):
@@ -498,11 +453,9 @@ def verify_duality_quasi_iso(algebra, eqm, dual):
             raise DualMismatch(
                 "degree %d: section complex gives %d, dual complex gives %d"
                 % (n, h_sec, h_dual))
-        reps = representative_cocycles(eqm.d_matrix(n, 1), eqm.d_matrix(n - 1, 1))
-        du = _du_tensor_matrix(algebra, eqm, dual, n)
-        images = [du.apply(v) for v in reps]
-        bdry = dual.d_matrix(n - N - 1).columns()
-        got = induced_quotient_rank(images, bdry, len(dual.by_degree(n - N)))
+        got = induced_rank(_du_tensor_matrix(algebra, eqm, dual, n),
+                           eqm.d_matrix(n, 1), eqm.d_matrix(n - 1, 1),
+                           dual.d_matrix(n - N - 1))
         if got != h_sec:
             raise DualMismatch(
                 "degree %d: induced duality map has rank %d, expected %d"
@@ -548,14 +501,13 @@ def _derivation_basis(model, m):
 def _derivation_boundary(model, m):
     """Matrix of theta -> d o theta - (-1)^m theta o d on the level-m basis."""
     gens = model.generators
-    dom = _derivation_basis(model, m)
-    cod = _derivation_basis(model, m - 1)
-    pos = {p: r for r, p in enumerate(cod)}
     sgn = Fraction(1) if m % 2 else Fraction(-1)
-    entries = {}
-    for c, (gi, mono) in enumerate(dom):
+
+    def image(theta):
+        gi, mono = theta
         spec = DerivationSpec(-m, {t: ({mono: ONE} if t == gi else {})
                                    for t in range(len(gens))})
+        out = {}
         for hi in range(len(gens)):
             img = {}
             if hi == gi:
@@ -564,13 +516,11 @@ def _derivation_boundary(model, m):
             theta_dh = gca.apply_derivation(
                 gens, spec, model.differential.images.get(hi, {}))
             gca.elem_add_into(img, theta_dh, sgn)
-            for mono2, v in img.items():
-                r = pos.get((hi, mono2))
-                if r is None:
-                    raise InternalCheckFailure(
-                        "derivation boundary left its level at m=%d" % m)
-                entries[(r, c)] = v
-    return SparseMatrix(len(cod), len(dom), entries)
+            out.update(((hi, mono2), v) for mono2, v in img.items())
+        return out
+
+    return matrix_of_map(_derivation_basis(model, m), _derivation_basis(model, m - 1),
+                         image, "derivation boundary left its level at m=%d" % m)
 
 
 def derivation_oracle(model, m_max):

@@ -17,15 +17,16 @@ from loopspace.exactq import (
     ONE,
     SparseMatrix,
     cohomology_dim,
-    induced_quotient_rank,
+    induced_rank,
     kernel_basis,
+    matrix_of_map,
     rank,
     representative_cocycles,
     rref,
     solve_in_span,
     span_rank,
 )
-from loopspace.errors import CompositionNotZero
+from loopspace.errors import CompositionNotZero, InternalCheckFailure
 from loopspace.freeloop import build_free_loop_model
 from loopspace.sullivan import parse_model
 
@@ -72,6 +73,10 @@ def from_dense(grid, rows, cols):
     return SparseMatrix(rows, cols, entries)
 
 
+def identity(n, scale=ONE):
+    return SparseMatrix(n, n, {(i, i): scale for i in range(n)})
+
+
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
@@ -81,6 +86,18 @@ def matrices(draw, max_dim=5):
     cols = draw(st.integers(min_value=0, max_value=max_dim))
     grid = [[draw(small_entries) for _ in range(cols)] for _ in range(rows)]
     return grid, rows, cols
+
+
+@st.composite
+def complexes(draw, max_dim=4):
+    """(d_out, d_in) with d_out * d_in == 0: d_in's columns are drawn
+    combinations of a kernel basis of a drawn d_out."""
+    grid, rows, cols = draw(matrices(max_dim))
+    d_out = from_dense(grid, rows, cols)
+    kernel = SparseMatrix.from_columns(cols, kernel_basis(d_out))
+    n_in = draw(st.integers(min_value=0, max_value=max_dim))
+    coeffs = [[draw(small_entries) for _ in range(n_in)] for _ in range(kernel.cols)]
+    return d_out, kernel.mul(from_dense(coeffs, kernel.cols, n_in))
 
 
 @st.composite
@@ -281,7 +298,7 @@ class TestCohomology:
         for v in reps:
             assert d_out.apply(v) == {}
         # reps must be independent from the boundary column
-        assert induced_quotient_rank(reps, d_in.columns(), 3) == 2
+        assert induced_rank(identity(3), d_out, d_in, d_in) == 2
 
     @given(matrices(max_dim=4))
     @settings(max_examples=50, deadline=None)
@@ -370,12 +387,63 @@ class TestSolveInSpan:
 
 
 class TestQuotientRank:
+    """induced_rank: how many classes the images of cocycles hit modulo
+    the target's boundaries.  With d_out and d_in empty every vector is a
+    cocycle and the representatives are the standard basis."""
+
     def test_worked_example(self):
-        # images e0, e1; denominator e0: one new class
-        assert induced_quotient_rank([{0: ONE}, {1: ONE}], [{0: ONE}], 2) == 1
+        # images e0, e1; target boundaries e0: one new class
+        target_d_in = SparseMatrix(2, 1, {(0, 0): ONE})
+        assert induced_rank(identity(2), SparseMatrix(0, 2), SparseMatrix(2, 0),
+                            target_d_in) == 1
 
     def test_images_inside_denominator(self):
-        assert induced_quotient_rank([{0: Q(5)}], [{0: ONE}], 1) == 0
+        target_d_in = SparseMatrix(1, 1, {(0, 0): ONE})
+        assert induced_rank(identity(1, Q(5)), SparseMatrix(0, 1), SparseMatrix(1, 0),
+                            target_d_in) == 0
 
     def test_empty_everything(self):
-        assert induced_quotient_rank([], [], 3) == 0
+        assert induced_rank(SparseMatrix(3, 0), SparseMatrix(0, 0), SparseMatrix(0, 0),
+                            SparseMatrix(3, 0)) == 0
+
+    @given(complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_identity_and_scaled_identity_are_isomorphisms(self, data):
+        d_out, d_in = data
+        h = cohomology_dim(d_out, d_in)
+        for scale in (ONE, Q(2)):
+            assert induced_rank(identity(d_out.cols, scale), d_out, d_in, d_in) == h
+
+    @given(complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_map_has_rank_zero(self, data):
+        d_out, d_in = data
+        zero = SparseMatrix(d_out.cols, d_out.cols)
+        assert induced_rank(zero, d_out, d_in, d_in) == 0
+
+    def test_denominator_rank_comes_from_the_memo(self, monkeypatch):
+        target_d_in = SparseMatrix(2, 1, {(0, 0): ONE})
+        assert rank(target_d_in) == 1
+        reduced = count_rref(monkeypatch)
+        assert induced_rank(identity(2), SparseMatrix(0, 2), SparseMatrix(2, 0),
+                            target_d_in) == 1
+        assert target_d_in not in reduced
+
+
+class TestMatrixOfMap:
+    def test_rows_follow_cod_and_columns_follow_dom(self):
+        image = {"a": {"y": Q(2), "z": Q(-1)}, "b": {}, "c": {"x": Q(1, 3)}}
+        m = matrix_of_map(["c", "a", "b"], ["z", "y", "x"], image.__getitem__,
+                          "unused")
+        assert dense(m) == [[0, Q(-1), 0], [0, Q(2), 0], [Q(1, 3), 0, 0]]
+
+    def test_image_outside_cod_raises_with_the_given_message(self):
+        with pytest.raises(InternalCheckFailure) as err:
+            matrix_of_map(["a"], ["x"], lambda _: {"w": ONE},
+                          "image left degree 7")
+        assert str(err.value) == "image left degree 7"
+
+    def test_empty_dom(self):
+        m = matrix_of_map([], ["x", "y", "z"], lambda _: {}, "unused")
+        assert (m.rows, m.cols) == (3, 0)
+        assert m.is_zero()

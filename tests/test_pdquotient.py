@@ -18,7 +18,9 @@ from loopspace.errors import (
     ChainMapFailure,
     IdentityViolation,
     IncompleteModel,
+    InternalCheckFailure,
     QuasiIsoFailure,
+    exit_code_for,
 )
 from loopspace.exactq import SparseMatrix, cohomology_dim, kernel_basis, solve_in_span
 from loopspace.pdquotient import (
@@ -196,6 +198,25 @@ class TestStructureIdentities:
         )
         with pytest.raises(IdentityViolation, match="associativity"):
             structure_identities(alg)
+
+
+class TestDifferentialMatrix:
+    def test_differential_leaving_its_degree_is_an_internal_failure(self):
+        # d sends the degree-2 class p to the degree-4 class r, not into
+        # degree 3: the matrix of d on degree 2 has no row for it
+        alg = FiniteCdga(
+            name="synthetic",
+            degrees=(0, 2, 4),
+            labels=("1", "p", "r"),
+            products={(0, 0): {0: ONE}, (0, 1): {1: ONE}, (0, 2): {2: ONE},
+                      (1, 0): {1: ONE}, (2, 0): {2: ONE}, (1, 1): {2: ONE}},
+            diff={1: {2: ONE}},
+            unit_index=0,
+            top_index=2,
+        )
+        with pytest.raises(InternalCheckFailure, match="left degree 3") as err:
+            alg.d_matrix(2)
+        assert exit_code_for(err.value) == 4
 
 
 class TestQuasiIso:
