@@ -11,6 +11,7 @@ bit for bit.
 """
 
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import CompositionNotZero, InternalCheckFailure
 
@@ -22,7 +23,10 @@ class SparseMatrix:
     """Sparse matrix over the rationals.
 
     `entries` maps (row, col) to a nonzero Fraction; explicit zeros are
-    stripped at construction.  Row/column indices are 0-based and must lie
+    stripped at construction.  An entry that is already a Fraction is kept
+    as it is; any other exact rational (an int, say) is converted; any
+    other value, a float included, raises TypeError, since it would enter
+    as a binary approximation.  Row/column indices are 0-based and must lie
     inside the declared shape.  `_rank` is None until rank() first computes
     it; only the integer is kept, never the reduced form.
     """
@@ -39,7 +43,10 @@ class SparseMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError("entry (%d,%d) outside %dx%d" % (r, c, rows, cols))
-                v = Fraction(v)
+                if type(v) is not Fraction:
+                    if not isinstance(v, Rational):
+                        raise TypeError("matrix entry %r is not an exact rational" % (v,))
+                    v = Fraction(v)
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
@@ -51,8 +58,7 @@ class SparseMatrix:
         entries = {}
         for c, col in enumerate(columns):
             for r, v in col.items():
-                if v:
-                    entries[(r, c)] = Fraction(v)
+                entries[(r, c)] = v
         return cls(rows, len(columns), entries)
 
     def entry(self, r, c):

@@ -14,7 +14,9 @@ Sign conventions, fixed once here and used everywhere downstream:
   * a derivation theta of degree s satisfies
         theta(a*b) = theta(a)*b + (-1)^(s*|a|) a*theta(b),
     so applying theta to an ordered monomial walks its factors left to
-    right and picks up (-1)^(s*|prefix|) at each position.
+    right and picks up (-1)^(s*|prefix|) at each position.  That walk is
+    leibniz_terms, the one Leibniz walker: apply_derivation and the
+    projected loop differential of sections both call it.
 
 Monomial order: total degree first, then ascending lexicographic order on
 exponent tuples.  basis_of_degree enumerates in exactly that order.
@@ -23,7 +25,7 @@ exponent tuples.  basis_of_degree enumerates in exactly that order.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import MissingImage, InternalCheckFailure
+from .errors import MissingImage
 from .exactq import ZERO, ONE, matrix_of_map
 
 
@@ -33,9 +35,6 @@ class Generator:
     degree: int
     kind: str = "base"          # "base" or "suspended"
     partner: int | None = None  # for suspended: index of the base generator
-
-    def is_odd(self):
-        return self.degree % 2 == 1
 
 
 @dataclass
@@ -50,17 +49,6 @@ class DerivationSpec:
     images: dict
 
 
-def check_derivation_spec(gens, spec):
-    """Every declared image must be homogeneous of degree |g| + shift."""
-    for i, img in spec.images.items():
-        want = gens[i].degree + spec.degree_shift
-        for mono in img:
-            if monomial_degree(gens, mono) != want:
-                raise InternalCheckFailure(
-                    "image of %s is not homogeneous of degree %d"
-                    % (gens[i].name, want))
-
-
 def monomial_degree(gens, mono):
     return sum(e * g.degree for e, g in zip(mono, gens))
 
@@ -68,10 +56,6 @@ def monomial_degree(gens, mono):
 def monomial_word_length(gens, mono):
     """Number of suspended factors, counted with multiplicity."""
     return sum(e for e, g in zip(mono, gens) if g.kind == "suspended")
-
-
-def unit_monomial(gens):
-    return (0,) * len(gens)
 
 
 def normalize_product(gens, m1, m2):
@@ -170,49 +154,71 @@ def elem_mul(gens, e1, e2):
     return out
 
 
-def elem_degree(gens, e):
-    """Degree of a homogeneous element, None for zero."""
-    degs = {monomial_degree(gens, m) for m in e}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValueError("inhomogeneous element, degrees %s" % sorted(degs))
-    return degs.pop()
+def leibniz_terms(gens, mono, images, odd_shift):
+    """The Leibniz terms of a derivation on one monomial, left to right.
 
-
-_MISSING = object()
+    images[i] maps monomials to payloads (coefficients, or whatever the
+    caller combines); a missing index raises MissingImage.  Write mono =
+    left * g_i * right, left holding the factors before i and e - 1 copies
+    of g_i.  Each image term (im, payload) yields (full, k, payload,
+    |left|): full = left * im * right normalized, k the integer e times
+    (-1)^(odd_shift * |factors before i|) times the signs of both products.
+    Terms whose product vanishes are skipped.
+    """
+    n = len(gens)
+    prefix_deg = 0
+    for i in range(n):
+        e = mono[i]
+        if not e:
+            continue
+        img = images.get(i)
+        if img is None:
+            raise MissingImage("no image declared for generator %s" % gens[i].name)
+        deg = gens[i].degree
+        if img:
+            left = mono[:i] + (e - 1,) + (0,) * (n - i - 1)
+            right = mono[i + 1:]
+            right = (0,) * (i + 1) + right if any(right) else None
+            k0 = -e if odd_shift and prefix_deg % 2 else e
+            left_deg = prefix_deg + (e - 1) * deg
+            for im, payload in img.items():
+                p = normalize_product(gens, left, im)
+                if p is None:
+                    continue
+                sign, full = p
+                if right is not None:
+                    p = normalize_product(gens, full, right)
+                    if p is None:
+                        continue
+                    sign *= p[0]
+                    full = p[1]
+                yield full, sign * k0, payload, left_deg
+        prefix_deg += e * deg
 
 
 def apply_derivation(gens, spec, elem):
-    """Apply a derivation to an element dict, exactly.
+    """Apply a derivation to an element dict, exactly, in one pass.
 
-    Walks each monomial's factors in canonical order; position i picks up
-    the Koszul sign (-1)^(shift * |prefix|) and a factor equal to the
-    exponent (even generators only repeat; odd exponents are at most 1).
+    Each term of leibniz_terms costs one Fraction multiply, of the image
+    coefficient (times the element's, when that is not 1) by the integer
+    k, and is added straight into the result; cancelled terms are dropped.
+    Two image monomials never merge under left * im, so no intermediate
+    element is needed.
     """
-    images = spec.images
     odd_shift = spec.degree_shift % 2
     out = {}
-    n = len(gens)
     for mono, coeff in elem.items():
-        prefix_deg = 0
-        for i in range(n):
-            e = mono[i]
-            if not e:
-                continue
-            img = images.get(i, _MISSING)
-            if img is _MISSING:
-                raise MissingImage("no image declared for generator %s" % gens[i].name)
-            if img:
-                left = mono[:i] + (e - 1,) + (0,) * (n - i - 1)
-                right = (0,) * (i + 1) + mono[i + 1:]
-                sign = -1 if (odd_shift and prefix_deg % 2) else 1
-                term = {left: coeff * e * sign}
-                term = elem_mul(gens, term, img)
-                if right != unit_monomial(gens):
-                    term = elem_mul(gens, term, {right: ONE})
-                elem_add_into(out, term)
-            prefix_deg += e * gens[i].degree
+        scale = None if coeff == 1 else coeff
+        for full, k, c, _ in leibniz_terms(gens, mono, spec.images, odd_shift):
+            if scale is not None:
+                c = scale * c
+            v = c if k == 1 else c * k
+            old = out.get(full)
+            v = v if old is None else old + v
+            if v:
+                out[full] = v
+            else:
+                del out[full]
     return out
 
 

@@ -72,62 +72,43 @@ class ExtendedQuotientModel:
             self._cache[key] = got
         return got
 
+    @cached_property
+    def sv_images(self):
+        """dbar_sv as derivation images: position -> {sv_j: {class: coeff}}."""
+        nb = len(self.sgens)
+        images = {j: {} for j in range(nb)}
+        for j, img in self.dbar_sv.items():
+            for (ai, j2), c in img.items():
+                sv = tuple(1 if t == j2 else 0 for t in range(nb))
+                images[j].setdefault(sv, {})[ai] = c
+        return images
+
     def dbar_on_svmono(self, m):
-        """Dbar(1 (x) m) as {(class, sv monomial): coeff}, by Leibniz."""
-        sgens = self.sgens
-        nb = len(sgens)
+        """Dbar(1 (x) m) as {(class, sv monomial): coeff}, by Leibniz.
+
+        Moving the class a_i of an image term to the front, past the
+        factors left of it, costs (-1)^(|left| * |a_i|).
+        """
         degs = self.algebra.degrees
         out = {}
-        prefix_deg = 0
-        for pos in range(nb):
-            e = m[pos]
-            if e:
-                hit = self.dbar_sv.get(pos)
-                if hit:
-                    left = m[:pos] + (e - 1,) + (0,) * (nb - pos - 1)
-                    right = (0,) * (pos + 1) + m[pos + 1:]
-                    sgn_pref = -1 if prefix_deg % 2 else 1
-                    ldeg = gca.monomial_degree(sgens, left)
-                    for (ai, j2), c in hit.items():
-                        sv2 = tuple(1 if t == j2 else 0 for t in range(nb))
-                        p1 = gca.normalize_product(sgens, left, sv2)
-                        if p1 is None:
-                            continue
-                        s1, mid = p1
-                        p2 = gca.normalize_product(sgens, mid, right)
-                        if p2 is None:
-                            continue
-                        s2, full = p2
-                        sgn_a = -1 if (ldeg * degs[ai]) % 2 else 1
-                        coeff = c * e * sgn_pref * sgn_a * s1 * s2
-                        key = (ai, full)
-                        s = out.get(key, ZERO) + coeff
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-            prefix_deg += e * sgens[pos].degree
-        return out
-
-    def dbar_pair(self, i, m):
-        """Dbar(a_i (x) m) as {(class, sv monomial): coeff}."""
-        out = {}
-        for j, c in self.algebra.differential(i).items():
-            key = (j, m)
-            s = out.get(key, ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        sgn = -1 if self.algebra.degrees[i] % 2 else 1
-        for (ai, m2), c in self.dbar_on_svmono(m).items():
-            for k, a in self.algebra.product(i, ai).items():
-                key = (k, m2)
-                s = out.get(key, ZERO) + sgn * c * a
+        for full, k, classes, left_deg in gca.leibniz_terms(
+                self.sgens, m, self.sv_images, 1):
+            for ai, c in classes.items():
+                key = (ai, full)
+                s = out.get(key, ZERO) + c * (-k if left_deg * degs[ai] % 2 else k)
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
+        return out
+
+    def dbar_pair(self, i, m):
+        """Dbar(a_i (x) m) as {(class, sv monomial): coeff}."""
+        out = {(j, m): c for j, c in self.algebra.differential(i).items()}
+        odd = self.algebra.degrees[i] % 2
+        for (ai, m2), c in self.dbar_on_svmono(m).items():
+            gca.elem_add_into(out, {(k, m2): a for k, a in self.algebra.product(i, ai).items()},
+                              -c if odd else c)
         return out
 
     def d_matrix(self, n, k=None):
@@ -154,8 +135,11 @@ class ExtendedQuotientModel:
 
             def image(mono):
                 b, s = mono[:nb], mono[nb:]
-                bdeg = gca.monomial_degree(model.generators, b)
-                img = self.qmap.apply(model, self.algebra, {b: ONE}, bdeg)
+                img = self._cache.get(("proj", b))
+                if img is None:
+                    bdeg = gca.monomial_degree(model.generators, b)
+                    img = self.qmap.apply(model, self.algebra, {b: ONE}, bdeg)
+                    self._cache[("proj", b)] = img
                 return {(ai, s): v for ai, v in img.items()}
 
             got = matrix_of_map(self.flm.slice_basis(n, k), self.slice_basis(n, k),

@@ -136,6 +136,15 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(-1, 2)
 
+    def test_entries_must_be_exact(self):
+        with pytest.raises(TypeError):
+            SparseMatrix(1, 1, {(0, 0): 0.5})
+        with pytest.raises(TypeError):
+            SparseMatrix.from_columns(1, [{0: 0.5}])
+        m = SparseMatrix(1, 2, {(0, 0): 3, (0, 1): Q(1, 2)})
+        assert m.entries == {(0, 0): Q(3), (0, 1): Q(1, 2)}
+        assert all(type(v) is Fraction for v in m.entries.values())
+
     def test_from_columns_round_trip(self):
         cols = [{0: Q(1), 2: Q(-5)}, {}, {1: Q(7)}]
         m = SparseMatrix.from_columns(3, cols)

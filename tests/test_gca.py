@@ -17,9 +17,7 @@ from loopspace.gca import (
     Generator,
     apply_derivation,
     basis_of_degree,
-    check_derivation_spec,
     elem_add_into,
-    elem_degree,
     elem_mul,
     elem_scale,
     matrix_of_degree_slice,
@@ -29,7 +27,6 @@ from loopspace.gca import (
     render_element,
     render_monomial,
     slice_basis,
-    unit_monomial,
 )
 
 Q = Fraction
@@ -103,8 +100,7 @@ class TestNormalizeProduct:
         assert normalize_product(GENS, (0, 0, 0, 0), (0, 2, 0, 0)) is None
 
     def test_unit(self):
-        u = unit_monomial(GENS)
-        assert u == (0, 0, 0, 0)
+        u = (0, 0, 0, 0)
         assert normalize_product(GENS, u, (1, 1, 0, 0)) == (1, (1, 1, 0, 0))
 
     def test_two_swaps_cancel(self):
@@ -150,7 +146,7 @@ class TestBasis:
             for mono in basis:
                 assert monomial_degree(GENS, mono) == n
                 for exp, g in zip(mono, GENS):
-                    if g.is_odd():
+                    if g.degree % 2:
                         assert exp <= 1
 
     @given(st.lists(st.integers(min_value=2, max_value=7), min_size=1, max_size=4))
@@ -213,20 +209,8 @@ class TestElements:
         elem_add_into(acc, e, Q(-1, 2))
         assert acc == {}
 
-    def test_degree(self):
-        assert elem_degree(GENS, {}) is None
-        assert elem_degree(GENS, {(0, 1, 1, 0): Q(1)}) == 6
-        with pytest.raises(ValueError):
-            elem_degree(GENS, {(1, 0, 0, 0): Q(1), (0, 1, 0, 0): Q(1)})
-
 
 class TestDerivations:
-    def test_images_checked_for_homogeneity(self):
-        check_derivation_spec(GENS, DSPEC)
-        bad = DerivationSpec(1, {1: {(1, 0, 0, 0): Q(1)}})  # degree 2, want 4
-        with pytest.raises(InternalCheckFailure):
-            check_derivation_spec(GENS, bad)
-
     def test_missing_image_raises(self):
         spec = DerivationSpec(1, {0: {}})
         with pytest.raises(MissingImage):
@@ -284,6 +268,66 @@ class TestDerivations:
         # s raises word length by one, so filtering by length 0 must explode
         with pytest.raises(InternalCheckFailure):
             matrix_of_degree_slice(gens, s, 4, word_length=0)
+
+
+def reference_apply_derivation(gens, spec, elem):
+    """The Leibniz sum term by term: (coeff * left) * image, then * right."""
+    n = len(gens)
+    out = {}
+    for mono, coeff in elem.items():
+        prefix_deg = 0
+        for i in range(n):
+            e = mono[i]
+            if not e:
+                continue
+            left = mono[:i] + (e - 1,) + (0,) * (n - i - 1)
+            right = (0,) * (i + 1) + mono[i + 1:]
+            sign = -1 if (spec.degree_shift % 2 and prefix_deg % 2) else 1
+            term = elem_mul(gens, {left: coeff * e * sign}, spec.images[i])
+            elem_add_into(out, elem_mul(gens, term, {right: Q(1)}))
+            prefix_deg += e * gens[i].degree
+    return out
+
+
+coefficients = st.sampled_from(sorted({Q(a, b) for a in range(-4, 5) if a for b in (1, 2, 3, 5)}))
+
+
+@st.composite
+def derivations(draw):
+    """Homogeneous derivations on GENS: up to three rational terms per image."""
+    shift = draw(st.integers(min_value=-2, max_value=3))
+    images = {}
+    for i, g in enumerate(GENS):
+        basis = basis_of_degree(GENS, g.degree + shift)
+        monos = draw(st.lists(st.sampled_from(basis), unique=True, min_size=1, max_size=3)) if basis else []
+        images[i] = {m: draw(coefficients) for m in monos}
+    return DerivationSpec(shift, images)
+
+
+@st.composite
+def rational_elements(draw):
+    out = {}
+    for mono, c in draw(st.lists(st.tuples(monomials(top=8), coefficients), min_size=1, max_size=3)):
+        elem_add_into(out, {mono: c})
+    return out
+
+
+class TestFusedDerivation:
+    @given(derivations(), rational_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, spec, elem):
+        assert apply_derivation(GENS, spec, elem) == reference_apply_derivation(GENS, spec, elem)
+
+    @given(derivations(), monomials(top=8), monomials(top=8), coefficients, coefficients)
+    @settings(max_examples=100, deadline=None)
+    def test_leibniz_rule(self, spec, m1, m2, c1, c2):
+        e1 = {m1: c1}
+        e2 = {m2: c2}
+        lhs = apply_derivation(GENS, spec, elem_mul(GENS, e1, e2))
+        sign = -1 if (spec.degree_shift * monomial_degree(GENS, m1)) % 2 else 1
+        rhs = elem_mul(GENS, apply_derivation(GENS, spec, e1), e2)
+        elem_add_into(rhs, elem_mul(GENS, e1, apply_derivation(GENS, spec, e2)), Q(sign))
+        assert lhs == rhs
 
 
 class TestRendering:
