@@ -301,7 +301,7 @@ def main(argv=None):
                     max_degree=None, trusted_up_to=None)
     try:
         try:
-            with open(args.model_file, "r", encoding="utf-8") as fh:
+            with open(args.model_file, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as e:
             raise ParseError("cannot read model file: %s" % e)

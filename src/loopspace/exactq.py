@@ -2,12 +2,13 @@
 
 Every scalar in this package is a `fractions.Fraction`; no floating point
 value ever enters a computation.  Matrices are sparse maps (row, col) ->
-nonzero Fraction, treated as immutable once built.  Every module builds
-its slice matrices with `matrix_of_map` and asks for the rank of a map on
-cohomology with `induced_rank`, both defined here.  All routines are
-deterministic: every choice they make, such as the pivot rows of `rref`, is
-a function of the input alone, so identical inputs give identical outputs,
-bit for bit.
+nonzero Fraction, treated as immutable once built.  The five complexes
+of the package subclass `CochainComplex`, which caches their slice
+matrices and takes their cohomology; slice matrices are built with
+`matrix_of_map`, commuting squares checked with `is_chain_map` and ranks
+on cohomology taken with `induced_rank`.  All routines are deterministic:
+every choice they make, such as the pivot rows of `rref`, is a function
+of the input alone, so identical inputs give bit-identical outputs.
 """
 
 from fractions import Fraction
@@ -278,6 +279,42 @@ def cohomology_dim(d_out, d_in):
     if dim < 0:
         raise CompositionNotZero("negative cohomology dimension, rank bookkeeping broke")
     return dim
+
+
+def is_chain_map(f_next, d_src, d_tgt, f, sign=1):
+    """Whether f_next * d_src == sign * d_tgt * f, for sign 1 or -1.
+
+    f and f_next map the degree n and n+1 slices of the source complex to
+    the target; sides that do not fit raise ValueError.
+    """
+    left = f_next.mul(d_src)
+    right = d_tgt.mul(f)
+    if (left.rows, left.cols) != (right.rows, right.cols):
+        raise ValueError("sides of the square differ: %r, %r" % (left, right))
+    return left.entries == (right.entries if sign == 1 else
+                            {rc: sign * v for rc, v in right.entries.items()})
+
+
+class CochainComplex:
+    """A cochain complex built slice by slice.
+
+    A subclass holds a dict `_cache` and builds, in `slice_matrix(n, k)`,
+    the differential from degree n to n+1, restricted to word length k
+    where it has one.  An empty degree-n slice, as below degree 0 of a
+    model, gives a matrix with no columns, so it needs no special case.
+    """
+
+    def d_matrix(self, n, k=None):
+        """The slice matrix, built once and then kept in `_cache`."""
+        key = ("d", n, k)
+        m = self._cache.get(key)
+        if m is None:
+            m = self._cache[key] = self.slice_matrix(n, k)
+        return m
+
+    def betti(self, n, k=None):
+        """dim H^n of the slice, from the two differentials around it."""
+        return cohomology_dim(self.d_matrix(n, k), self.d_matrix(n - 1, k))
 
 
 def span_rank(columns, rows):

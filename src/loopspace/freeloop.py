@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DifferentialSquareNonzero, HodgeSumMismatch
-from .exactq import SparseMatrix, cohomology_dim
+from .exactq import CochainComplex
 from . import gca
 from .gca import Generator, DerivationSpec
 from .sullivan import RankTable
 
 
 @dataclass
-class FreeLoopModel:
+class FreeLoopModel(CochainComplex):
     base: object                    # SullivanModel
     generators: tuple               # base generators then suspended ones
     loop_differential: DerivationSpec
@@ -33,17 +33,9 @@ class FreeLoopModel:
     def slice_basis(self, n, word_length=None):
         return gca.slice_basis(self.generators, n, word_length)
 
-    def d_matrix(self, n, word_length=None):
-        key = ("D", n, word_length)
-        m = self._cache.get(key)
-        if m is None:
-            if n < 0:
-                m = SparseMatrix(len(self.slice_basis(n + 1, word_length)), 0)
-            else:
-                m = gca.matrix_of_degree_slice(
-                    self.generators, self.loop_differential, n, word_length)
-            self._cache[key] = m
-        return m
+    def slice_matrix(self, n, k):
+        return gca.matrix_of_degree_slice(
+            self.generators, self.loop_differential, n, k)
 
 
 def _lift_monomial(mono, nb):
@@ -115,18 +107,15 @@ def hodge_betti_table(flm, n_max, jobs=1):
     `jobs` is accepted for compatibility and ignored: every slice is
     computed in this process.
     """
-    entries = {(n, k): cohomology_dim(flm.d_matrix(n, k), flm.d_matrix(n - 1, k))
-               for n in range(n_max + 1) for k in range(n + 1)
-               if flm.slice_basis(n, k)}
+    entries = {(n, k): flm.betti(n, k) for n in range(n_max + 1)
+               for k in range(n + 1) if flm.slice_basis(n, k)}
     return HodgeTable(entries=entries, n_max=n_max,
                       trusted_up_to=flm.base.trusted_loop(n_max))
 
 
 def loop_betti(flm, n_max, hodge=None):
     """dim H^n of the whole loop model; checks the word-length split adds up."""
-    entries = {}
-    for n in range(n_max + 1):
-        entries[n] = cohomology_dim(flm.d_matrix(n), flm.d_matrix(n - 1))
+    entries = {n: flm.betti(n) for n in range(n_max + 1)}
     if hodge is not None:
         top = min(n_max, hodge.n_max)
         for n in range(top + 1):

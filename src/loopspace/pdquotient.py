@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 
 from .errors import (IncompleteModel, IdentityViolation, QuasiIsoFailure,
                      ChainMapFailure, TopClassCollapse, InternalCheckFailure)
-from .exactq import (SparseMatrix, ZERO, ONE, rref, cohomology_dim,
-                     solve_in_span, induced_rank, matrix_of_map)
+from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, rref,
+                     solve_in_span, induced_rank, is_chain_map, matrix_of_map)
 from . import gca
 
 
 @dataclass
-class FiniteCdga:
+class FiniteCdga(CochainComplex):
     """A finite-dimensional cdga by structure constants.
 
     Basis indices are global, sorted by (degree, slice position); the unit
@@ -67,19 +67,11 @@ class FiniteCdga:
     def differential(self, i):
         return self.diff.get(i, {})
 
-    def d_matrix(self, k):
-        """Differential from the degree-k slice to degree k+1, local coords."""
-        key = ("d", k)
-        m = self._cache.get(key)
-        if m is None:
-            m = matrix_of_map(
-                self.by_degree(k), self.by_degree(k + 1), self.differential,
-                "quotient differential left degree %d" % (k + 1))
-            self._cache[key] = m
-        return m
-
-    def betti(self, k):
-        return cohomology_dim(self.d_matrix(k), self.d_matrix(k - 1))
+    def slice_matrix(self, n, k):
+        """Differential from the degree-n slice to degree n+1, local coords."""
+        return matrix_of_map(
+            self.by_degree(n), self.by_degree(n + 1), self.differential,
+            "quotient differential left degree %d" % (n + 1))
 
 
 @dataclass
@@ -292,7 +284,7 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
     gens = model.generators
     dims = {}
     for n in range(n_max + 1):
-        h_model = cohomology_dim(model.d_matrix(n), model.d_matrix(n - 1))
+        h_model = model.betti(n)
         h_alg = algebra.betti(n)
         if h_model != h_alg:
             raise QuasiIsoFailure(
@@ -310,9 +302,7 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
 
         # chain map on the whole slice, not just cocycles
         rho_n1 = qmap.matrix(n + 1, len(model.basis(n + 1)))
-        left = rho_n1.mul(model.d_matrix(n))
-        right = algebra.d_matrix(n).mul(rho_n)
-        if left != right:
+        if not is_chain_map(rho_n1, model.d_matrix(n), algebra.d_matrix(n), rho_n):
             raise ChainMapFailure(
                 "projection fails to commute with d on degree %d" % n)
 

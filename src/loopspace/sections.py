@@ -34,8 +34,8 @@ from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SignIdentityFailure, DualMismatch, TheoremMismatch,
                      SingularDuality, InternalCheckFailure, ChainMapFailure,
                      QuasiIsoFailure)
-from .exactq import (SparseMatrix, ZERO, ONE, rank, cohomology_dim,
-                     induced_rank, matrix_of_map)
+from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, rank,
+                     cohomology_dim, induced_rank, is_chain_map, matrix_of_map)
 from . import gca
 from .gca import DerivationSpec
 from .sullivan import RankTable, validate, check_poincare_duality
@@ -44,7 +44,7 @@ from .pdquotient import build_quotient, structure_identities, verify_quasi_iso
 
 
 @dataclass
-class ExtendedQuotientModel:
+class ExtendedQuotientModel(CochainComplex):
     """A (x) L sV with the projected loop differential.
 
     Basis elements of a slice are pairs (i, m): class a_i tensored with a
@@ -111,19 +111,11 @@ class ExtendedQuotientModel:
                               -c if odd else c)
         return out
 
-    def d_matrix(self, n, k=None):
-        key = ("Dbar", n, k)
-        got = self._cache.get(key)
-        if got is None:
-            got = matrix_of_map(
-                self.slice_basis(n, k), self.slice_basis(n + 1, k),
-                lambda pair: self.dbar_pair(*pair),
-                "extended differential left its slice at degree %d" % n)
-            self._cache[key] = got
-        return got
-
-    def betti(self, n, k=None):
-        return cohomology_dim(self.d_matrix(n, k), self.d_matrix(n - 1, k))
+    def slice_matrix(self, n, k):
+        return matrix_of_map(
+            self.slice_basis(n, k), self.slice_basis(n + 1, k),
+            lambda pair: self.dbar_pair(*pair),
+            "extended differential left its slice at degree %d" % n)
 
     def rho_tensor_matrix(self, n, k=None):
         """Matrix of rho (x) 1 from the loop slice (n, k) to this one."""
@@ -187,9 +179,8 @@ def extend_to_quotient_loop(model, algebra, qmap, flm=None, check_to=None):
             if not d1.mul(d0).is_zero():
                 raise DifferentialSquareNonzero(
                     "Dbar*Dbar nonzero on slice (%d, %d)" % (n, k))
-            left = eqm.rho_tensor_matrix(n + 1, k).mul(flm.d_matrix(n, k))
-            right = d0.mul(eqm.rho_tensor_matrix(n, k))
-            if left != right:
+            if not is_chain_map(eqm.rho_tensor_matrix(n + 1, k), flm.d_matrix(n, k),
+                                d0, eqm.rho_tensor_matrix(n, k)):
                 raise ChainMapFailure(
                     "rho (x) 1 fails to commute with the differentials "
                     "on slice (%d, %d)" % (n, k))
@@ -204,7 +195,7 @@ def verify_rho_tensor_quasi_iso(eqm, n_max):
         for k in range(n + 1):
             if not (flm.slice_basis(n, k) or eqm.slice_basis(n, k)):
                 continue
-            h_loop = cohomology_dim(flm.d_matrix(n, k), flm.d_matrix(n - 1, k))
+            h_loop = flm.betti(n, k)
             h_ext = eqm.betti(n, k)
             if h_loop != h_ext:
                 raise QuasiIsoFailure(
@@ -273,11 +264,8 @@ def duality_map(algebra):
     dual_d = {q: dual_diff_matrix(algebra, q) for q in range(N + 2)}
     sgn = -1 if N % 2 else 1
     for k in range(N + 1):
-        left = dual_d[N - k].mul(blocks[k])
-        right = blocks.get(k + 1, SparseMatrix(len(algebra.by_degree(N - k - 1)), 0))
-        right = right.mul(algebra.d_matrix(k))
-        if left != SparseMatrix(left.rows, left.cols,
-                                {rc: sgn * v for rc, v in right.entries.items()}):
+        nxt = blocks.get(k + 1, SparseMatrix(len(algebra.by_degree(N - k - 1)), 0))
+        if not is_chain_map(nxt, algebra.d_matrix(k), dual_d[N - k], blocks[k], sgn):
             raise ChainMapFailure(
                 "duality map fails the chain property at degree %d" % k)
 
@@ -297,7 +285,7 @@ def duality_map(algebra):
 
 
 @dataclass
-class DualSectionComplex:
+class DualSectionComplex(CochainComplex):
     """A-dual (x) sV with the forced differential delta.
 
     Basis pairs (i, j) stand for a_i' (x) sv_j in degree |sv_j| - |a_i|.
@@ -324,19 +312,11 @@ class DualSectionComplex:
             self._cache[key] = got
         return got
 
-    def d_matrix(self, n):
-        key = ("delta", n)
-        got = self._cache.get(key)
-        if got is None:
-            got = matrix_of_map(
-                self.by_degree(n), self.by_degree(n + 1),
-                lambda p: self.delta.get(p, {}),
-                "dual differential left its degree slice at %d" % n)
-            self._cache[key] = got
-        return got
-
-    def betti(self, n):
-        return cohomology_dim(self.d_matrix(n), self.d_matrix(n - 1))
+    def slice_matrix(self, n, k):
+        return matrix_of_map(
+            self.by_degree(n), self.by_degree(n + 1),
+            lambda p: self.delta.get(p, {}),
+            "dual differential left its degree slice at %d" % n)
 
 
 def _du_tensor_matrix(algebra, eqm, dual, n):
@@ -413,11 +393,8 @@ def build_dual_complex(algebra, eqm, dual_map=None):
     for n in range(lo + N - 1, hi + N + 1):
         du_n = _du_tensor_matrix(algebra, eqm, dual, n)
         du_n1 = _du_tensor_matrix(algebra, eqm, dual, n + 1)
-        left = dual.d_matrix(n - N).mul(du_n)
-        right = du_n1.mul(eqm.d_matrix(n, 1))
-        right = SparseMatrix(right.rows, right.cols,
-                             {rc: sgn_n * v for rc, v in right.entries.items()})
-        if left != right:
+        if not is_chain_map(du_n1, eqm.d_matrix(n, 1), dual.d_matrix(n - N), du_n,
+                            sgn_n):
             raise SignIdentityFailure(
                 "square identity fails on the degree %d slice" % n)
         checked += 1

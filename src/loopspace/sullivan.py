@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import (ParseError, UnknownGenerator, DegreeMismatch, OddExponent,
                      NotPoincareDuality, InternalCheckFailure)
-from .exactq import (SparseMatrix, ZERO, ONE, rank, cohomology_dim,
+from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, rank,
                      solve_in_span, span_rank, representative_cocycles)
 from . import gca
 from .gca import Generator, DerivationSpec
@@ -49,7 +49,7 @@ class RankTable:
 
 
 @dataclass
-class SullivanModel:
+class SullivanModel(CochainComplex):
     name: str
     generators: tuple          # base Generators, canonical order
     differential: DerivationSpec   # degree +1, images over base generators
@@ -60,17 +60,9 @@ class SullivanModel:
     def basis(self, n):
         return gca.basis_of_degree(self.generators, n)
 
-    def d_matrix(self, n):
-        """Matrix of d from degree n to degree n+1, cached."""
-        key = ("d", n)
-        m = self._cache.get(key)
-        if m is None:
-            if n < 0:
-                m = SparseMatrix(len(self.basis(n + 1)), 0)
-            else:
-                m = gca.matrix_of_degree_slice(self.generators, self.differential, n)
-            self._cache[key] = m
-        return m
+    def slice_matrix(self, n, k):
+        """Matrix of d from degree n to degree n+1."""
+        return gca.matrix_of_degree_slice(self.generators, self.differential, n)
 
     def trusted_base(self, n_max):
         c = self.completeness
@@ -325,9 +317,7 @@ def validate(model):
 
 def cohomology_table(model, n_max):
     """dim H^n for 0 <= n <= n_max, exact."""
-    entries = {}
-    for n in range(n_max + 1):
-        entries[n] = cohomology_dim(model.d_matrix(n), model.d_matrix(n - 1))
+    entries = {n: model.betti(n) for n in range(n_max + 1)}
     return RankTable("base_betti", entries, model.trusted_base(n_max))
 
 

@@ -8,10 +8,14 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopspace
 from loopspace.cli import main
@@ -117,6 +121,14 @@ class TestExitCodes:
         assert code == 2
         assert "error: model file is not UTF-8 text:" in out
         assert out.rstrip().endswith("exit-code: 2")
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        bom = tmp_path / "bom.model"
+        bom.write_bytes(b"\xef\xbb\xbf" + b"model S2\ndim 2\ncomplete\n"
+                        b"gen x 2\ngen y 3\nd y = x^2\n")
+        code, out = run(["validate", str(bom)])
+        assert code == 0
+        assert out.startswith("model: S2\n")
 
     def test_explicit_zero_differential_exits_zero(self, tmp_path):
         text = "dim 5\ncomplete\ngen x 2\ngen y 3\ngen z 3\nd y = x^2\n"
@@ -484,3 +496,68 @@ class TestFailedVerify:
         ]
         assert "error: square identity fails on the degree 3 slice\n" in out
         assert out.endswith("exit-code: 3\n")
+
+
+def scaled(rhs, c):
+    """A differential's right-hand side with every term multiplied by c."""
+    terms = []
+    for sign, body in re.findall(r"([+-]?)\s*([^+\-]+)", rhs):
+        coef, star, mono = body.strip().partition("*")
+        if not star or not re.fullmatch(r"\d+(/\d+)?", coef):
+            coef, mono = "1", body.strip()
+        v = Fraction(coef) * c * (-1 if sign == "-" else 1)
+        terms.append("%s %s*%s" % ("-" if v < 0 else "+", abs(v), mono))
+    return " ".join(terms).removeprefix("+ ")
+
+
+@st.composite
+def edited_models(draw):
+    """A shipped model after one to three edits of its `d` lines."""
+    name = draw(st.sampled_from(loopspace.corpus_models()))
+    lines = loopspace.corpus_path(name).read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        d_rows = [i for i, line in enumerate(lines) if line.startswith("d ")]
+        if not d_rows:
+            break
+        i = draw(st.sampled_from(d_rows))
+        edit = draw(st.sampled_from(("drop", "duplicate", "swap", "negate", "rescale")))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            c = -1 if edit == "negate" else draw(st.sampled_from(
+                (2, -3, Fraction(1, 2), Fraction(-5, 7))))
+            head, _, rhs = lines[i].partition("=")
+            lines[i] = "%s= %s" % (head, scaled(rhs, c))
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    """Mangled inputs end with an exit code of the contract, never with an
+    exception; exit 4 (an internal check failed) would be a bug here."""
+
+    def test_scaled_rewrites_every_term(self):
+        assert scaled(" a^2 + a*b + b^2", -1) == "- 1*a^2 - 1*a*b - 1*b^2"
+        assert scaled("x^2 - 2*y", Fraction(1, 2)) == "1/2*x^2 - 1*y"
+
+    @given(edited_models())
+    @settings(max_examples=60, deadline=None)
+    def test_verify_on_edited_models(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "edited.model"
+        path.write_text(text, encoding="utf-8")
+        code, out = run(["verify", str(path), "--max-degree", "6"])
+        assert code in (0, 1, 2, 3), out
+        assert out.endswith("exit-code: %d\n" % code)
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_validate_on_arbitrary_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "bytes.model"
+        path.write_bytes(data)
+        code, out = run(["validate", str(path), "--max-degree", "6"])
+        assert code in (0, 1, 2, 3), out
+        assert out.endswith("exit-code: %d\n" % code)

@@ -18,6 +18,7 @@ from loopspace.exactq import (
     SparseMatrix,
     cohomology_dim,
     induced_rank,
+    is_chain_map,
     kernel_basis,
     matrix_of_map,
     rank,
@@ -456,3 +457,38 @@ class TestMatrixOfMap:
         m = matrix_of_map([], ["x", "y", "z"], lambda _: {}, "unused")
         assert (m.rows, m.cols) == (3, 0)
         assert m.is_zero()
+
+
+class TestIsChainMap:
+    def test_identity_squares_commute(self):
+        d = from_dense([[1, 2], [0, 0], [3, -1]], 3, 2)
+        assert is_chain_map(identity(3), d, d, identity(2))
+        assert is_chain_map(identity(3, Q(-2)), d, d, identity(2, Q(-2)))
+
+    @given(matrices())
+    @settings(max_examples=30, deadline=None)
+    def test_identity_square_of_any_map_commutes(self, data):
+        d = from_dense(*data)
+        assert is_chain_map(identity(d.rows), d, d, identity(d.cols))
+
+    def test_square_commuting_up_to_sign(self):
+        # f_next * d == -(d * f) with f, f_next the identity and its negative
+        d = from_dense([[1, 2], [0, 5]], 2, 2)
+        f_next, f = identity(2, Q(-1)), identity(2)
+        assert is_chain_map(f_next, d, d, f, sign=-1)
+        assert not is_chain_map(f_next, d, d, f, sign=1)
+        assert not is_chain_map(f_next, d, d, f)
+
+    def test_non_commuting_square_is_rejected(self):
+        d_src = from_dense([[1, 0]], 1, 2)
+        d_tgt = from_dense([[0, 1]], 1, 2)
+        assert not is_chain_map(identity(1), d_src, d_tgt, identity(2))
+        assert not is_chain_map(identity(1), d_src, d_tgt, identity(2), sign=-1)
+
+    def test_mismatched_shapes_raise(self):
+        d = from_dense([[1, 2]], 1, 2)
+        with pytest.raises(ValueError):
+            is_chain_map(identity(2), d, d, identity(2))
+        with pytest.raises(ValueError):
+            # both products are defined, but 1x2 against 1x3
+            is_chain_map(identity(1), d, d, SparseMatrix(2, 3))

@@ -167,6 +167,37 @@ class TestHodge:
         assert len({id(m) for m in reduced}) == len(reduced)
 
 
+class TestClosedForms:
+    """Sphere loop cohomology in closed form (Vigue-Poirrier and Sullivan
+    1976), to degree 24 through the same tables the CLI prints."""
+
+    TOP = 24
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_odd_sphere_hodge_table(self, m):
+        # x of degree 2m+1 and sx of degree 2m, D = 0: classes sx^j, x*sx^j
+        model = parse_model("dim %d\ncomplete\ngen x %d\n" % (2 * m + 1, 2 * m + 1))
+        hodge = hodge_betti_table(build_free_loop_model(model), self.TOP)
+        expected = {}
+        for j in range(self.TOP + 1):
+            for n in (2 * m * j, 2 * m * j + 2 * m + 1):
+                if n <= self.TOP:
+                    expected[(n, j)] = 1
+        assert {nk: v for nk, v in hodge.entries.items() if v} == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_even_sphere_loop_betti(self, m):
+        model = parse_model("dim %d\ncomplete\ngen x %d\ngen y %d\nd y = x^2\n"
+                            % (2 * m, 2 * m, 4 * m - 1))
+        flm = build_free_loop_model(model)
+        betti = loop_betti(flm, self.TOP, hodge=hodge_betti_table(flm, self.TOP))
+        expected = {0}
+        for j in range(self.TOP + 1):
+            expected |= {j * (4 * m - 2) + 2 * m - 1, j * (4 * m - 2) + 2 * m}
+        assert betti.as_array(self.TOP) == [
+            1 if n in expected else 0 for n in range(self.TOP + 1)]
+
+
 class TestIntegerRoots:
     def test_small_values(self):
         assert integer_nth_root(0, 3) == 0

@@ -21,6 +21,7 @@ from loopspace.errors import (
     TheoremMismatch,
     ValidationFailure,
 )
+from loopspace.exactq import cohomology_dim
 from loopspace.pdquotient import FiniteCdga, build_quotient
 from loopspace.sections import (
     aut_rank_table,
@@ -52,6 +53,56 @@ def setup(name):
     algebra, qmap = build_quotient(model, check_poincare_duality(model))
     eqm = extend_to_quotient_loop(model, algebra, qmap)
     return model, algebra, qmap, eqm
+
+
+def five_complexes(name):
+    """(complex, slice basis, word lengths, degrees) for each complex of a
+    model: the model, its loop model, the quotient, the extended complex
+    and the dual complex."""
+    model, algebra, _, eqm = setup(name)
+    dual = build_dual_complex(algebra, eqm)
+    lo, hi = dual.degree_range()
+    graded = [None, 0, 1, 2]
+    return [
+        (model, lambda n, k: model.basis(n), [None], range(-1, 9)),
+        (eqm.flm, eqm.flm.slice_basis, graded, range(-1, 9)),
+        (algebra, lambda n, k: algebra.by_degree(n), [None], range(-1, 9)),
+        (eqm, eqm.slice_basis, graded, range(-1, 9)),
+        (dual, lambda n, k: dual.by_degree(n), [None], range(lo - 2, hi + 1)),
+    ]
+
+
+class TestCochainComplexes:
+    @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
+    def test_each_slice_is_built_once(self, name):
+        for cx, basis, ks, degrees in five_complexes(name):
+            for n in degrees:
+                for k in ks:
+                    d = cx.d_matrix(n, k)
+                    assert cx.d_matrix(n, k) is d, (type(cx).__name__, n, k)
+                    assert (d.rows, d.cols) == (len(basis(n + 1, k)), len(basis(n, k)))
+
+    @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
+    def test_below_degree_zero_has_no_columns(self, name):
+        for cx, basis, ks, _ in five_complexes(name)[:4]:
+            for k in ks:
+                d = cx.d_matrix(-1, k)
+                assert (d.rows, d.cols) == (len(basis(0, k)), 0)
+                assert d.is_zero()
+
+    @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
+    def test_betti_is_the_cohomology_of_its_two_slices(self, name):
+        for cx, _, ks, degrees in five_complexes(name):
+            for n in degrees:
+                for k in ks:
+                    assert cx.betti(n, k) == cohomology_dim(
+                        cx.d_matrix(n, k), cx.d_matrix(n - 1, k))
+
+    def test_betti_matches_known_tables(self):
+        model, algebra, _, eqm = setup("cp2")
+        assert [model.betti(n) for n in range(6)] == [1, 0, 1, 0, 1, 0]
+        assert [algebra.betti(n) for n in range(6)] == [1, 0, 1, 0, 1, 0]
+        assert [eqm.flm.betti(n) for n in range(6)] == [eqm.betti(n) for n in range(6)]
 
 
 class TestExtendedComplex:
