@@ -1,17 +1,22 @@
 """Exact rational sparse linear algebra.
 
-Every scalar in this package is a `fractions.Fraction`; no floating point
-value ever enters a computation.  Matrices are sparse maps (row, col) ->
-nonzero Fraction, treated as immutable once built.  The five complexes
-of the package subclass `CochainComplex`, which caches their slice
-matrices and takes their cohomology; slice matrices are built with
+Every scalar at an interface is a `fractions.Fraction`, and no floating
+point value ever enters a computation.  Matrices are sparse maps (row,
+col) -> nonzero Fraction, immutable once built.  Inside, `rref` and
+`product_is_zero` scale each row to exact integers by the lcm of its
+denominators; `rref` clears with r <- (p/g)*r - (f/g)*pivot row, g =
+gcd(p, f), and divides out the content of a scaled row.  Scaling moves no
+zero, so the pivots and the unique RREF are those of Fraction
+elimination.  The five complexes subclass `CochainComplex`, which caches
+their slice matrices and takes their cohomology; slices are built with
 `matrix_of_map`, commuting squares checked with `is_chain_map` and ranks
-on cohomology taken with `induced_rank`.  All routines are deterministic:
-every choice they make, such as the pivot rows of `rref`, is a function
-of the input alone, so identical inputs give bit-identical outputs.
+on cohomology taken with `induced_rank`.  Every choice a routine makes,
+such as the pivot rows of `rref`, is a function of the input alone, so
+identical inputs give bit-identical outputs.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 
 from .errors import CompositionNotZero, InternalCheckFailure
@@ -136,6 +141,29 @@ def matrix_of_map(dom, cod, image, failure):
     return SparseMatrix(len(cod), len(dom), entries)
 
 
+def _integer_rows(entries):
+    """Rows {row: {col: int}} from ((row, col), Fraction) pairs, and an index
+    {col: set of rows with a nonzero there}.  A row with a denominator other
+    than 1 is scaled by the lcm of its denominators."""
+    rows = {}
+    index = {}
+    fractional = set()
+    for (r, c), v in entries:
+        row = rows.setdefault(r, {})
+        index.setdefault(c, set()).add(r)
+        if v.denominator == 1:
+            row[c] = v.numerator
+        else:
+            row[c] = v
+            fractional.add(r)
+    for r in fractional:
+        row = rows[r]
+        scale = lcm(*[v.denominator for v in row.values()])
+        for c, v in row.items():
+            row[c] = v.numerator * (scale // v.denominator)
+    return rows, index
+
+
 def rref(m):
     """Reduced row echelon form.
 
@@ -143,29 +171,22 @@ def rref(m):
     reduced matrix, listed row by row, is the pivot row of the i-th pivot
     column, and rows past the rank are zero.
 
-    Rows are held as dicts {col: value}, next to an index from each column
-    to the set of not-yet-pivot rows with a nonzero there; fill-in and
-    cancellation keep it exact.  Only nonzero rows and columns get an
-    entry, and a column's set is dropped once visited, so a slice with
-    few nonzeros costs little memory whatever its shape.
-
-    Forward elimination visits the columns left to right and touches only
-    the rows the index lists for the column.  Of those it takes the
-    shortest row as pivot, lowest index on ties, to keep fill-in down
-    (Markowitz 1957), scales it to a leading 1 and clears the column
-    below.  Back-substitution then clears each pivot column above its
-    pivot, from the last pivot upward, so every row it subtracts is
-    already reduced.  Every step is exact division, and the RREF of a
-    matrix is unique, so the result does not depend on which rows served
-    as pivots: only the time taken does.
+    Rows are integer dicts {col: int}, next to an index from each column
+    to the not-yet-pivot rows with a nonzero there (`_integer_rows`).
+    Forward elimination visits the columns left to right; of the rows the
+    index lists it takes the shortest as pivot, lowest index on ties, to
+    keep fill-in down (Markowitz 1957), with its entry p made positive.  A
+    row with entry f there becomes (p/g)*row - (f/g)*pivot row, g =
+    gcd(p, f), then, if p/g is not 1, is divided by the gcd of its entries
+    (Bareiss 1968).  Back-substitution, last pivot row first, clears the
+    pivot columns of each row by the same rule, the content leaving the
+    row and its pivot entry together.  Output entries are Fraction(v,
+    pivot entry), the only Fractions formed.  A nonzero scaling keeps each
+    row's support, so the pivots are those of Fraction elimination, and the
+    RREF is unique: the output is unchanged, and only the time differs.
     """
-    rowdata = {}
-    colrows = {}
-    for (r, c), v in m.entries.items():
-        rowdata.setdefault(r, {})[c] = v
-        colrows.setdefault(c, set()).add(r)
-    pivots = []
-    prows = []  # pivot rows without their leading 1, in pivot order
+    rowdata, colrows = _integer_rows(m.entries.items())
+    pivot_rows = {}  # pivot column -> its row, pivot entry included
     for col in range(m.cols):
         live = colrows.pop(col, None)
         if not live:
@@ -176,11 +197,15 @@ def rref(m):
         pv = prow.pop(col)
         for c in prow:
             colrows[c].discard(pr)
-        if pv != ONE:
-            prow = {c: v / pv for c, v in prow.items()}
+        if pv < 0:
+            pv, prow = -pv, {c: -v for c, v in prow.items()}
         for r in live:
             row = rowdata[r]
             f = row.pop(col)
+            g = gcd(pv, f)
+            s, f = pv // g, f // g
+            if s != 1:
+                rowdata[r] = row = {c2: v2 * s for c2, v2 in row.items()}
             for c2, v2 in prow.items():
                 old = row.get(c2)
                 if old is None:
@@ -193,35 +218,34 @@ def rref(m):
                     else:
                         del row[c2]
                         colrows[c2].discard(r)
-        pivots.append(col)
-        prows.append(prow)
-    # Fill-in during back-substitution lands only in non-pivot columns, so
-    # which rows need clearing in each pivot column is known up front.
-    row_of_pivot = {p: i for i, p in enumerate(pivots)}
-    above = [[] for _ in pivots]
-    for i, prow in enumerate(prows):
-        for c in prow:
-            k = row_of_pivot.get(c)
-            if k is not None:
-                above[k].append(i)
-    for k in range(len(pivots) - 1, -1, -1):
-        p = pivots[k]
-        prow = prows[k]
-        for i in above[k]:
-            row = prows[i]
-            f = row.pop(p)
+            if s != 1 and (g := gcd(*row.values())) > 1:
+                rowdata[r] = {c2: v2 // g for c2, v2 in row.items()}
+        prow[col] = pv
+        pivot_rows[col] = prow
+    # A later pivot row is reduced before it clears an earlier one, and
+    # adds entries only in non-pivot columns.
+    for own, row in reversed(pivot_rows.items()):
+        for p in [c for c in row if c in pivot_rows and c != own]:
+            prow = pivot_rows[p]
+            g = gcd(prow[p], row[p])
+            s, f = prow[p] // g, row[p] // g
+            if s != 1:
+                pivot_rows[own] = row = {c2: v2 * s for c2, v2 in row.items()}
             for c2, v2 in prow.items():
-                nv = row.get(c2, ZERO) - f * v2
+                nv = row.get(c2, 0) - f * v2
                 if nv:
                     row[c2] = nv
                 else:
-                    row.pop(c2, None)
+                    del row[c2]
+            if s != 1 and (g := gcd(*row.values())) > 1:
+                pivot_rows[own] = row = {c2: v2 // g for c2, v2 in row.items()}
     entries = {}
-    for i, (p, prow) in enumerate(zip(pivots, prows)):
+    for i, (p, row) in enumerate(pivot_rows.items()):
+        pv = row.pop(p)
+        for c, v in row.items():
+            entries[(i, c)] = Fraction(v, pv)
         entries[(i, p)] = ONE
-        for c, v in prow.items():
-            entries[(i, c)] = v
-    return SparseMatrix(m.rows, m.cols, entries), tuple(pivots), len(pivots)
+    return SparseMatrix(m.rows, m.cols, entries), tuple(pivot_rows), len(pivot_rows)
 
 
 def rank(m):
@@ -265,14 +289,11 @@ def representative_cocycles(d_out, d_in):
 def cohomology_dim(d_out, d_in):
     """dim ker(d_out) - rank(d_in) for consecutive maps of a cochain complex.
 
-    d_in : C^{n-1} -> C^n and d_out : C^n -> C^{n+1}; the shared space C^n
-    gives d_out.cols == d_in.rows.  Raises CompositionNotZero unless
-    d_out * d_in == 0.
+    d_in : C^{n-1} -> C^n and d_out : C^n -> C^{n+1}; ValueError unless
+    d_out.cols == d_in.rows, the dimension of the shared space C^n.
+    Raises CompositionNotZero unless d_out * d_in == 0.
     """
-    if d_out.cols != d_in.rows:
-        raise ValueError("maps do not share a middle space: %d vs %d"
-                         % (d_out.cols, d_in.rows))
-    if not d_out.mul(d_in).is_zero():
+    if not product_is_zero(d_out, d_in):
         raise CompositionNotZero(
             "composite of consecutive differentials is nonzero")
     dim = (d_out.cols - rank(d_out)) - rank(d_in)
@@ -281,12 +302,33 @@ def cohomology_dim(d_out, d_in):
     return dim
 
 
+def product_is_zero(a, b):
+    """Whether a * b == 0, decided in integers: rows of a and columns of b
+    are scaled as in `rref`, which moves no zero of the product, and the
+    test stops at the first nonzero column of the product."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch %dx%d * %dx%d"
+                         % (a.rows, a.cols, b.rows, b.cols))
+    a_rows, a_index = _integer_rows(a.entries.items())
+    b_cols, _ = _integer_rows(((c, r), v) for (r, c), v in b.entries.items())
+    for col in b_cols.values():
+        acc = {}
+        for k, w in col.items():
+            for r in a_index.get(k, ()):
+                acc[r] = acc.get(r, 0) + a_rows[r][k] * w
+        if any(acc.values()):
+            return False
+    return True
+
+
 def is_chain_map(f_next, d_src, d_tgt, f, sign=1):
     """Whether f_next * d_src == sign * d_tgt * f, for sign 1 or -1.
 
     f and f_next map the degree n and n+1 slices of the source complex to
     the target; sides that do not fit raise ValueError.
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be 1 or -1, not %r" % (sign,))
     left = f_next.mul(d_src)
     right = d_tgt.mul(f)
     if (left.rows, left.cols) != (right.rows, right.cols):

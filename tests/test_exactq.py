@@ -6,6 +6,7 @@ sparse implementation is never checked against itself.
 """
 
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from loopspace.exactq import (
     is_chain_map,
     kernel_basis,
     matrix_of_map,
+    product_is_zero,
     rank,
     representative_cocycles,
     rref,
@@ -34,6 +36,7 @@ from loopspace.sullivan import parse_model
 Q = Fraction
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FLAG = Path(__file__).parent.parent / "perfbench" / "models" / "flag.model"
 
 
 def dense(m):
@@ -112,12 +115,59 @@ def sparse_matrices(draw, max_dim=25):
     return SparseMatrix(rows, cols, entries)
 
 
+big_numerators = st.integers(min_value=-10**30, max_value=10**30)
+# products of small primes and of the prime 10^9 + 7
+big_denominators = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13, 10**9 + 7)),
+                            max_size=4).map(prod)
+big_fractions = st.builds(Fraction, big_numerators, big_denominators)
+
+
+@st.composite
+def big_sparse_matrices(draw, max_dim=25):
+    """Sparse matrices with numerators up to 10^30 and large denominators;
+    some rows are drawn as combinations of two others, so elimination has
+    to cancel large entries exactly."""
+    rows = draw(st.integers(min_value=1, max_value=max_dim))
+    cols = draw(st.integers(min_value=1, max_value=max_dim))
+    positions = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    entries = draw(st.dictionaries(positions, big_fractions, max_size=3 * rows))
+    grid = [[entries.get((r, c), Q(0)) for c in range(cols)] for r in range(rows)]
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=rows // 2)):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        a, b = draw(big_fractions), draw(big_fractions)
+        grid[r] = [a * x + b * y for x, y in zip(grid[i], grid[j])]
+    return from_dense(grid, rows, cols)
+
+
+@st.composite
+def rational_pairs(draw, max_dim=5):
+    """(a, b) with a.cols == b.rows, sparse enough that a * b is often 0."""
+    n, k, m = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(3))
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+    def matrix(rows, cols):
+        if not rows or not cols:
+            return SparseMatrix(rows, cols)
+        positions = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        return SparseMatrix(rows, cols, draw(st.dictionaries(positions, values,
+                                                             max_size=rows + cols)))
+    return matrix(n, k), matrix(k, m)
+
+
+def assert_reduced_entries(red, pivots):
+    """Every entry a Fraction, and every pivot entry ONE."""
+    assert all(type(v) is Fraction for v in red.entries.values())
+    assert all(red.entries[(i, p)] == ONE for i, p in enumerate(pivots))
+
+
 def loop_model_matrices():
-    """Every loop differential slice of s2xs3 and of the s2xs2 fixture."""
+    """Every loop differential slice of s2xs3, of the s2xs2 fixture and of
+    the benchmark's SU(3)/T^2 model, split and unsplit."""
     s2xs3 = build_free_loop_model(load_corpus_model("s2xs3"))
     s2xs2 = build_free_loop_model(
         parse_model((FIXTURES / "s2xs2.model").read_text()))
-    for flm, top in ((s2xs3, 10), (s2xs2, 8)):
+    flag = build_free_loop_model(parse_model(FLAG.read_text()))
+    for flm, top in ((s2xs3, 10), (s2xs2, 8), (flag, 8)):
         for n in range(top + 1):
             yield flm.d_matrix(n)
             for k in range(n + 1):
@@ -206,6 +256,7 @@ class TestRref:
         assert pivots == opivots
         assert rk == ork
         assert dense(red) == [[Q(v) for v in row] for row in ogrid]
+        assert_reduced_entries(red, pivots)
 
     @given(matrices())
     @settings(max_examples=60, deadline=None)
@@ -226,12 +277,40 @@ class TestRref:
         assert rk == sm.rank()
         assert sympy.Matrix(dense(red)) == sred
 
+    @given(big_sparse_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_large_entries_match_dense_oracle(self, m):
+        red, pivots, rk = rref(m)
+        ogrid, opivots, ork = dense_rref(dense(m), m.rows, m.cols)
+        assert (pivots, rk) == (opivots, ork)
+        assert dense(red) == ogrid
+        assert_reduced_entries(red, pivots)
+
+    @given(big_sparse_matrices())
+    @settings(max_examples=25, deadline=None)
+    def test_large_entries_match_sympy(self, m):
+        sympy = pytest.importorskip("sympy")
+        red, pivots, rk = rref(m)
+        sred, spivots = sympy.Matrix(dense(m)).rref()
+        assert (pivots, rk) == (tuple(spivots), len(spivots))
+        assert sympy.Matrix(dense(red)) == sred
+
+    def test_row_plus_large_multiple_has_rank_one(self):
+        row = [Q(1, 2), Q(-7, 3), Q(0), Q(5)]
+        big = Q(10**20, 3)
+        m = from_dense([row, [v + big * v for v in row]], 2, 4)
+        red, pivots, rk = rref(m)
+        assert rk == 1 and pivots == (0,)
+        assert dense(red) == [[ONE, Q(-14, 3), Q(0), Q(10)], [Q(0)] * 4]
+        assert_reduced_entries(red, pivots)
+
     def test_loop_model_slices_match_dense_oracle(self):
         for m in loop_model_matrices():
             red, pivots, rk = rref(m)
             ogrid, opivots, ork = dense_rref(dense(m), m.rows, m.cols)
             assert (pivots, rk) == (opivots, ork)
             assert dense(red) == ogrid
+            assert_reduced_entries(red, pivots)
 
     @given(matrices(max_dim=7), st.data())
     @settings(max_examples=60, deadline=None)
@@ -298,6 +377,13 @@ class TestCohomology:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cohomology_dim(SparseMatrix(1, 2), SparseMatrix(3, 1))
+
+    def test_fractional_nonzero_composite_rejected(self):
+        d_out = from_dense([[Q(1, 2), Q(1, 3)]], 1, 2)
+        d_in = from_dense([[2], [-2]], 2, 1)
+        with pytest.raises(CompositionNotZero):
+            cohomology_dim(d_out, d_in)
+        assert cohomology_dim(d_out, from_dense([[2], [-3]], 2, 1)) == 0
 
     def test_representatives_span_cohomology(self):
         # middle space Q^3, image spanned by e0, kernel all of Q^3
@@ -459,6 +545,40 @@ class TestMatrixOfMap:
         assert m.is_zero()
 
 
+class TestProductIsZero:
+    def test_row_and_column_lcms_differ(self):
+        a = from_dense([[Q(1, 2), Q(1, 3)]], 1, 2)
+        assert product_is_zero(a, from_dense([[2], [-3]], 2, 1))
+        assert not product_is_zero(a, from_dense([[2], [-2]], 2, 1))
+
+    def test_nonzero_only_in_the_last_column(self):
+        a = from_dense([[1, 1], [Q(1, 7), Q(1, 7)]], 2, 2)
+        b = from_dense([[1, 0, 2], [-1, 0, -1]], 2, 3)
+        assert a.mul(b).entries == {(0, 2): ONE, (1, 2): Q(1, 7)}
+        assert not product_is_zero(a, b)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            product_is_zero(SparseMatrix(2, 3), SparseMatrix(2, 2))
+
+    def test_empty_factors(self):
+        assert product_is_zero(SparseMatrix(3, 0), SparseMatrix(0, 4))
+        assert product_is_zero(SparseMatrix(0, 2), SparseMatrix(2, 0))
+
+    @given(rational_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_fraction_product(self, pair):
+        a, b = pair
+        assert product_is_zero(a, b) == a.mul(b).is_zero()
+
+    @given(complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_consecutive_differentials_compose_to_zero(self, data):
+        d_out, d_in = data
+        assert d_out.mul(d_in).is_zero()
+        assert product_is_zero(d_out, d_in)
+
+
 class TestIsChainMap:
     def test_identity_squares_commute(self):
         d = from_dense([[1, 2], [0, 0], [3, -1]], 3, 2)
@@ -484,6 +604,12 @@ class TestIsChainMap:
         d_tgt = from_dense([[0, 1]], 1, 2)
         assert not is_chain_map(identity(1), d_src, d_tgt, identity(2))
         assert not is_chain_map(identity(1), d_src, d_tgt, identity(2), sign=-1)
+
+    def test_sign_other_than_one_or_minus_one_raises(self):
+        d = from_dense([[1, 2]], 1, 2)
+        for sign in (0, 2, -2, Q(1, 2)):
+            with pytest.raises(ValueError):
+                is_chain_map(identity(1), d, d, identity(2), sign)
 
     def test_mismatched_shapes_raise(self):
         d = from_dense([[1, 2]], 1, 2)
