@@ -7,12 +7,14 @@ col) -> nonzero Fraction, immutable once built.  Inside, `rref` and
 denominators; `rref` clears with r <- (p/g)*r - (f/g)*pivot row, g =
 gcd(p, f), and divides out the content of a scaled row.  Scaling moves no
 zero, so the pivots and the unique RREF are those of Fraction
-elimination.  The five complexes subclass `CochainComplex`, which caches
-their slice matrices and takes their cohomology; slices are built with
-`matrix_of_map`, commuting squares checked with `is_chain_map` and ranks
-on cohomology taken with `induced_rank`.  Every choice a routine makes,
-such as the pivot rows of `rref`, is a function of the input alone, so
-identical inputs give bit-identical outputs.
+elimination.  Every exact coefficient sum, here and in the modules
+above, goes through one accumulate step, `add_term`, which drops a key
+whose sum is zero.  The five complexes subclass `CochainComplex`, whose
+`memo` caches their slices and whose `betti` takes their cohomology;
+slices are built with `matrix_of_map`, commuting squares checked with
+`is_chain_map` and ranks on cohomology taken with `induced_rank`.  Every
+choice a routine makes, such as the pivot rows of `rref`, is a function
+of the input alone, so identical inputs give bit-identical outputs.
 """
 
 from fractions import Fraction
@@ -23,6 +25,18 @@ from .errors import CompositionNotZero, InternalCheckFailure
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def add_term(acc, key, v):
+    """acc[key] += v for a Fraction v, dropping the key when the sum is
+    zero, so an accumulated dict never holds a zero coefficient."""
+    old = acc.get(key)
+    if old is not None:
+        v = old + v
+    if v:
+        acc[key] = v
+    elif old is not None:
+        del acc[key]
 
 
 class SparseMatrix:
@@ -80,7 +94,11 @@ class SparseMatrix:
         return not self.entries
 
     def mul(self, other):
-        """Matrix product self * other."""
+        """Matrix product self * other, exact in Fractions.
+
+        `is_chain_map` compares its two sides with it, and the tests check
+        `product_is_zero` against it.
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
@@ -90,12 +108,7 @@ class SparseMatrix:
         acc = {}
         for (r, k), v in self.entries.items():
             for c, w in rows_of_other.get(k, ()):
-                key = (r, c)
-                s = acc.get(key, ZERO) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+                add_term(acc, (r, c), v * w)
         return SparseMatrix(self.rows, other.cols, acc)
 
     def apply(self, vec):
@@ -104,11 +117,7 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             x = vec.get(c)
             if x:
-                s = out.get(r, ZERO) + v * x
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
+                add_term(out, r, v * x)
         return out
 
     def __eq__(self, other):
@@ -346,13 +355,16 @@ class CochainComplex:
     model, gives a matrix with no columns, so it needs no special case.
     """
 
+    def memo(self, key, build):
+        """`_cache[key]`, from build() the first time it is asked for."""
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = build()
+        return got
+
     def d_matrix(self, n, k=None):
         """The slice matrix, built once and then kept in `_cache`."""
-        key = ("d", n, k)
-        m = self._cache.get(key)
-        if m is None:
-            m = self._cache[key] = self.slice_matrix(n, k)
-        return m
+        return self.memo(("d", n, k), lambda: self.slice_matrix(n, k))
 
     def betti(self, n, k=None):
         """dim H^n of the slice, from the two differentials around it."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DifferentialSquareNonzero, HodgeSumMismatch
-from .exactq import CochainComplex
+from .exactq import CochainComplex, ONE
 from . import gca
 from .gca import Generator, DerivationSpec
 from .sullivan import RankTable
@@ -58,7 +58,7 @@ def build_free_loop_model(model):
     susp_images = {}
     for i in range(nb):
         sv = tuple(1 if j == nb + i else 0 for j in range(2 * nb))
-        susp_images[i] = {sv: Fraction(1)}
+        susp_images[i] = {sv: ONE}
         susp_images[nb + i] = {}
     suspension = DerivationSpec(-1, susp_images)
 
@@ -66,7 +66,7 @@ def build_free_loop_model(model):
     for i in range(nb):
         d_images[i] = dict(lifted[i])
         s_dv = gca.apply_derivation(gens, suspension, lifted[i])
-        d_images[nb + i] = gca.elem_scale(s_dv, Fraction(-1))
+        d_images[nb + i] = gca.elem_add_into({}, s_dv, -ONE)
     loop_d = DerivationSpec(1, d_images)
 
     for i in range(2 * nb):

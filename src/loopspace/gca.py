@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import MissingImage
-from .exactq import ZERO, ONE, matrix_of_map
+from .exactq import ONE, add_term, matrix_of_map
 
 
 @dataclass(frozen=True)
@@ -122,19 +122,10 @@ def slice_basis(gens, n, word_length=None):
     return word_length_slices(gens, n).get(word_length, ())
 
 
-def elem_scale(e, c):
-    if not c:
-        return {}
-    return {m: c * v for m, v in e.items()}
-
-
 def elem_add_into(acc, e, c=ONE):
+    """acc += c * e, in place; elem_add_into({}, e, c) is c * e."""
     for m, v in e.items():
-        s = acc.get(m, ZERO) + c * v
-        if s:
-            acc[m] = s
-        else:
-            acc.pop(m, None)
+        add_term(acc, m, c * v)
     return acc
 
 
@@ -146,11 +137,7 @@ def elem_mul(gens, e1, e2):
             if p is None:
                 continue
             sign, m = p
-            s = out.get(m, ZERO) + sign * c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            add_term(out, m, sign * c1 * c2)
     return out
 
 
@@ -212,13 +199,7 @@ def apply_derivation(gens, spec, elem):
         for full, k, c, _ in leibniz_terms(gens, mono, spec.images, odd_shift):
             if scale is not None:
                 c = scale * c
-            v = c if k == 1 else c * k
-            old = out.get(full)
-            v = v if old is None else old + v
-            if v:
-                out[full] = v
-            else:
-                del out[full]
+            add_term(out, full, c if k == 1 else c * k)
     return out
 
 

@@ -54,12 +54,8 @@ class FiniteCdga(CochainComplex):
         return self.degrees[self.top_index]
 
     def by_degree(self, k):
-        key = ("deg", k)
-        got = self._cache.get(key)
-        if got is None:
-            got = tuple(i for i, d in enumerate(self.degrees) if d == k)
-            self._cache[key] = got
-        return got
+        return self.memo(("deg", k), lambda: tuple(
+            i for i, d in enumerate(self.degrees) if d == k))
 
     def product(self, i, j):
         return self.products.get((i, j), {})

@@ -27,14 +27,13 @@ component of the self-equivalences).
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SignIdentityFailure, DualMismatch, TheoremMismatch,
                      SingularDuality, InternalCheckFailure, ChainMapFailure,
                      QuasiIsoFailure)
-from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, rank,
+from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, add_term, rank,
                      cohomology_dim, induced_rank, is_chain_map, matrix_of_map,
                      product_is_zero)
 from . import gca
@@ -60,18 +59,9 @@ class ExtendedQuotientModel(CochainComplex):
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def slice_basis(self, n, k=None):
-        key = ("basis", n, k)
-        got = self._cache.get(key)
-        if got is None:
-            pairs = []
-            for i, p in enumerate(self.algebra.degrees):
-                if n - p < 0:
-                    continue
-                for m in gca.slice_basis(self.sgens, n - p, k):
-                    pairs.append((i, m))
-            got = tuple(pairs)
-            self._cache[key] = got
-        return got
+        return self.memo(("basis", n, k), lambda: tuple(
+            (i, m) for i, p in enumerate(self.algebra.degrees) if p <= n
+            for m in gca.slice_basis(self.sgens, n - p, k)))
 
     @cached_property
     def sv_images(self):
@@ -95,12 +85,7 @@ class ExtendedQuotientModel(CochainComplex):
         for full, k, classes, left_deg in gca.leibniz_terms(
                 self.sgens, m, self.sv_images, 1):
             for ai, c in classes.items():
-                key = (ai, full)
-                s = out.get(key, ZERO) + c * (-k if left_deg * degs[ai] % 2 else k)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_term(out, (ai, full), c * (-k if left_deg * degs[ai] % 2 else k))
         return out
 
     def dbar_pair(self, i, m):
@@ -108,8 +93,9 @@ class ExtendedQuotientModel(CochainComplex):
         out = {(j, m): c for j, c in self.algebra.differential(i).items()}
         odd = self.algebra.degrees[i] % 2
         for (ai, m2), c in self.dbar_on_svmono(m).items():
-            gca.elem_add_into(out, {(k, m2): a for k, a in self.algebra.product(i, ai).items()},
-                              -c if odd else c)
+            c = -c if odd else c
+            for k, a in self.algebra.product(i, ai).items():
+                add_term(out, (k, m2), c * a)
         return out
 
     def slice_matrix(self, n, k):
@@ -120,25 +106,18 @@ class ExtendedQuotientModel(CochainComplex):
 
     def rho_tensor_matrix(self, n, k=None):
         """Matrix of rho (x) 1 from the loop slice (n, k) to this one."""
-        key = ("rho", n, k)
-        got = self._cache.get(key)
-        if got is None:
-            model = self.flm.base
-            nb = len(model.generators)
+        model = self.flm.base
+        nb = len(model.generators)
 
-            def image(mono):
-                b, s = mono[:nb], mono[nb:]
-                img = self._cache.get(("proj", b))
-                if img is None:
-                    bdeg = gca.monomial_degree(model.generators, b)
-                    img = self.qmap.apply(model, self.algebra, {b: ONE}, bdeg)
-                    self._cache[("proj", b)] = img
-                return {(ai, s): v for ai, v in img.items()}
+        def image(mono):
+            b, s = mono[:nb], mono[nb:]
+            img = self.memo(("proj", b), lambda: self.qmap.apply(
+                model, self.algebra, {b: ONE}, gca.monomial_degree(model.generators, b)))
+            return {(ai, s): v for ai, v in img.items()}
 
-            got = matrix_of_map(self.flm.slice_basis(n, k), self.slice_basis(n, k),
-                                image, "projection left the slice at degree %d" % n)
-            self._cache[key] = got
-        return got
+        return self.memo(("rho", n, k), lambda: matrix_of_map(
+            self.flm.slice_basis(n, k), self.slice_basis(n, k),
+            image, "projection left the slice at degree %d" % n))
 
 
 def extend_to_quotient_loop(model, algebra, qmap, flm=None, check_to=None):
@@ -164,8 +143,8 @@ def extend_to_quotient_loop(model, algebra, qmap, flm=None, check_to=None):
                     "loop differential of a suspension has word length != 1")
             j2 = s.index(1)
             bdeg = gca.monomial_degree(model.generators, b)
-            img = qmap.apply(model, algebra, {b: ONE}, bdeg)
-            gca.elem_add_into(acc, {(ai, j2): c2 for ai, c2 in img.items()}, c)
+            for ai, c2 in qmap.apply(model, algebra, {b: ONE}, bdeg).items():
+                add_term(acc, (ai, j2), c * c2)
         if acc:
             dbar_sv[j] = acc
 
@@ -289,12 +268,15 @@ class DualSectionComplex(CochainComplex):
     """A-dual (x) sV with the forced differential delta.
 
     Basis pairs (i, j) stand for a_i' (x) sv_j in degree |sv_j| - |a_i|.
+    lemma_slices counts the slices on which build_dual_complex verified
+    the square identity.
     """
     algebra: object
     sgens: tuple
     pairs: tuple
     delta: dict
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    lemma_slices: int = 0
 
     def degree_of(self, pair):
         i, j = pair
@@ -305,12 +287,8 @@ class DualSectionComplex(CochainComplex):
         return min(degs), max(degs)
 
     def by_degree(self, n):
-        key = ("deg", n)
-        got = self._cache.get(key)
-        if got is None:
-            got = tuple(p for p in self.pairs if self.degree_of(p) == n)
-            self._cache[key] = got
-        return got
+        return self.memo(("deg", n), lambda: tuple(
+            p for p in self.pairs if self.degree_of(p) == n))
 
     def slice_matrix(self, n, k):
         return matrix_of_map(
@@ -368,10 +346,10 @@ def build_dual_complex(algebra, eqm, dual_map=None):
             for (ai, j2), c in eqm.dbar_sv.get(sv, {}).items():
                 tmap.setdefault(ai, []).append((j2, c))
             for (i, l, a) in alpha_into.get(jc, ()):
-                gca.elem_add_into(out, {(l, j2): c for j2, c in tmap.get(i, ())},
-                                  sgn * a)
-            gca.elem_add_into(out, {(r, sv): b for r, b in beta_into.get(jc, ())},
-                              -sgn)
+                for j2, c in tmap.get(i, ()):
+                    add_term(out, (l, j2), sgn * a * c)
+            for r, b in beta_into.get(jc, ()):
+                add_term(out, (r, sv), -sgn * b)
             if out:
                 delta[(jc, sv)] = out
 
@@ -397,7 +375,7 @@ def build_dual_complex(algebra, eqm, dual_map=None):
                 "square identity fails on the degree %d slice" % n)
         checked += 1
 
-    dual._cache["lemma_slices"] = checked
+    dual.lemma_slices = checked
     return dual
 
 
@@ -460,7 +438,7 @@ def _derivation_basis(model, m):
 def _derivation_boundary(model, m):
     """Matrix of theta -> d o theta - (-1)^m theta o d on the level-m basis."""
     gens = model.generators
-    sgn = Fraction(1) if m % 2 else Fraction(-1)
+    sgn = ONE if m % 2 else -ONE
 
     def image(theta):
         gi, mono = theta
@@ -573,7 +551,7 @@ class TheoremReport:
 
     @property
     def lemma_slices(self):
-        return self.dual._cache.get("lemma_slices", 0)
+        return self.dual.lemma_slices
 
     @cached_property
     def duality_degrees(self):

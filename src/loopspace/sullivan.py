@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import (ParseError, UnknownGenerator, DegreeMismatch, OddExponent,
                      NotPoincareDuality, InternalCheckFailure)
-from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, rank,
+from .exactq import (CochainComplex, SparseMatrix, ONE, add_term, rank,
                      solve_in_span, span_rank, representative_cocycles)
 from . import gca
 from .gca import Generator, DerivationSpec
@@ -157,12 +157,7 @@ def _parse_poly(tokens, gens, index_of, lineno):
                 i += 1
                 continue
             break
-        mono = tuple(expo)
-        s = result.get(mono, ZERO) + coeff
-        if s:
-            result[mono] = s
-        else:
-            result.pop(mono, None)
+        add_term(result, tuple(expo), coeff)
     return result
 
 

@@ -6,6 +6,7 @@ sparse implementation is never checked against itself.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from loopspace import exactq, load_corpus_model
 from loopspace.exactq import (
     ONE,
     SparseMatrix,
+    add_term,
     cohomology_dim,
     induced_rank,
     is_chain_map,
@@ -31,6 +33,7 @@ from loopspace.exactq import (
 )
 from loopspace.errors import CompositionNotZero, InternalCheckFailure
 from loopspace.freeloop import build_free_loop_model
+from loopspace.sections import TheoremReport
 from loopspace.sullivan import parse_model
 
 Q = Fraction
@@ -225,6 +228,59 @@ class TestSparseMatrix:
         assert a == b and hash(a) == hash(b)
         assert a != SparseMatrix(2, 2, {(0, 1): Q(4)})
         assert a != SparseMatrix(2, 3, {(0, 1): Q(5)})
+
+
+@lru_cache(maxsize=None)
+def quotient_extension(name):
+    """A (x) L sV of a corpus model, checked up to degree 8."""
+    return TheoremReport(load_corpus_model(name), 8).eqm
+
+
+class TestAddTerm:
+    def test_cancelling_sum_removes_the_key(self):
+        acc = {"x": Q(1, 2), "y": Q(3)}
+        add_term(acc, "x", Q(-1, 2))
+        assert acc == {"y": Q(3)}
+
+    def test_zero_on_an_absent_key_stores_nothing(self):
+        acc = {"y": Q(3)}
+        add_term(acc, "x", Q(0))
+        assert acc == {"y": Q(3)}
+
+    def test_nonzero_sum_replaces_the_value(self):
+        acc = {"x": Q(1, 2)}
+        add_term(acc, "x", Q(1, 3))
+        assert acc == {"x": Q(5, 6)}
+
+    def test_stored_value_stays_a_fraction(self):
+        acc = {}
+        add_term(acc, "x", Q(1, 2))
+        add_term(acc, "x", Q(1, 2))
+        add_term(acc, "y", Q(-2))
+        assert acc == {"x": ONE, "y": Q(-2)}
+        assert all(type(v) is Fraction for v in acc.values())
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_apply_stores_no_zero(self, rows, cols, data):
+        # entries of one size, so row sums cancel often
+        values = st.sampled_from((Q(-1), Q(-1, 2), Q(1, 2), ONE))
+        positions = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        m = SparseMatrix(rows, cols, data.draw(st.dictionaries(positions, values)))
+        vec = data.draw(st.dictionaries(st.integers(0, cols - 1), values))
+        out = m.apply(vec)
+        assert all(out.values())
+        column = SparseMatrix.from_columns(m.cols, [vec])
+        assert out == {r: v for (r, _), v in m.mul(column).entries.items()}
+
+    @given(st.sampled_from(("cp2", "s2xs3")), st.integers(0, 9), st.integers(0, 3),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dbar_pair_stores_no_zero(self, name, n, k, data):
+        eqm = quotient_extension(name)
+        basis = eqm.slice_basis(n, k)
+        if basis:
+            assert all(eqm.dbar_pair(*data.draw(st.sampled_from(basis))).values())
 
 
 class TestRref:

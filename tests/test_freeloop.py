@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from loopspace import exactq, load_corpus_model
 from loopspace.errors import DifferentialSquareNonzero
 from loopspace.freeloop import (
-    GrowthReport,
     build_free_loop_model,
     growth_report,
     hodge_betti_table,

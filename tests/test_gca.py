@@ -19,7 +19,6 @@ from loopspace.gca import (
     basis_of_degree,
     elem_add_into,
     elem_mul,
-    elem_scale,
     matrix_of_degree_slice,
     monomial_degree,
     monomial_word_length,
@@ -77,12 +76,7 @@ def elements(draw):
         max_size=3))
     out = {}
     for mono, c in pairs:
-        if c:
-            s = out.get(mono, Q(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+        elem_add_into(out, {mono: Q(c)})
     return out
 
 
@@ -115,7 +109,7 @@ class TestNormalizeProduct:
         d2 = monomial_degree(GENS, m2)
         sign = -1 if (d1 * d2) % 2 else 1
         lhs = elem_mul(GENS, {m1: Q(1)}, {m2: Q(1)})
-        rhs = elem_scale(elem_mul(GENS, {m2: Q(1)}, {m1: Q(1)}), Q(sign))
+        rhs = elem_add_into({}, elem_mul(GENS, {m2: Q(1)}, {m1: Q(1)}), Q(sign))
         assert lhs == rhs
 
     @given(elements(), elements(), elements())
@@ -204,7 +198,7 @@ class TestBasis:
 class TestElements:
     def test_scale_and_add(self):
         e = {(1, 0, 0, 0): Q(2)}
-        assert elem_scale(e, Q(0)) == {}
+        assert elem_add_into({}, e, Q(0)) == {}
         acc = {(1, 0, 0, 0): Q(1)}
         elem_add_into(acc, e, Q(-1, 2))
         assert acc == {}
@@ -328,6 +322,34 @@ class TestFusedDerivation:
         rhs = elem_mul(GENS, apply_derivation(GENS, spec, e1), e2)
         elem_add_into(rhs, elem_mul(GENS, e1, apply_derivation(GENS, spec, e2)), Q(sign))
         assert lhs == rhs
+
+
+def assert_no_zero(elem):
+    assert all(v for v in elem.values()), elem
+
+
+class TestNoStoredZero:
+    """Every element the kernel returns holds only nonzero coefficients, so
+    two equal elements compare equal as dicts."""
+
+    @given(elements(), elements())
+    @settings(max_examples=100, deadline=None)
+    def test_elem_mul(self, e1, e2):
+        assert_no_zero(elem_mul(GENS, e1, e2))
+        # (a + b)(a - b) cancels the cross terms of even products
+        assert_no_zero(elem_mul(GENS, elem_add_into(dict(e1), e2),
+                                elem_add_into(dict(e1), e2, Q(-1))))
+
+    @given(rational_elements(), rational_elements(), st.one_of(coefficients, st.just(Q(0))))
+    @settings(max_examples=100, deadline=None)
+    def test_elem_add_into(self, e1, e2, c):
+        assert_no_zero(elem_add_into(dict(e1), e2, c))
+        assert elem_add_into(dict(e1), e1, Q(-1)) == {}
+
+    @given(derivations(), rational_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_apply_derivation(self, spec, elem):
+        assert_no_zero(apply_derivation(GENS, spec, elem))
 
 
 class TestRendering:

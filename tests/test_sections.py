@@ -18,7 +18,6 @@ from loopspace.errors import (
     DualMismatch,
     IdentityViolation,
     SingularDuality,
-    TheoremMismatch,
     ValidationFailure,
 )
 from loopspace.exactq import cohomology_dim
@@ -237,7 +236,7 @@ class TestDualComplex:
         # delta(x' (x) sy) = -2 1' (x) sx, nothing else
         assert dual.delta == {(1, 1): {(0, 0): Q(-2)}}
         assert dual.degree_range() == (-1, 2)
-        assert dual._cache["lemma_slices"] == 5
+        assert dual.lemma_slices == 5
 
     def test_cp2_delta(self):
         _, alg, _, eqm = setup("cp2")
@@ -257,7 +256,7 @@ class TestDualComplex:
             (4, 2): {(3, 2): Q(-1)},
             (5, 1): {(2, 0): Q(2)},
         }
-        assert dual._cache["lemma_slices"] == 8
+        assert dual.lemma_slices == 8
 
     def test_square_identity_verified_on_all_corpus_models(self):
         # build_dual_complex raises SignIdentityFailure when the square
@@ -266,7 +265,7 @@ class TestDualComplex:
         for name in CORPUS + ("s2xs2",):
             _, alg, _, eqm = setup(name)
             dual = build_dual_complex(alg, eqm)
-            assert dual._cache["lemma_slices"] > 0, name
+            assert dual.lemma_slices > 0, name
 
     def test_duality_quasi_iso_on_corpus(self):
         for name in CORPUS:
