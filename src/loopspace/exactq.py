@@ -12,7 +12,8 @@ above, goes through one accumulate step, `add_term`, which drops a key
 whose sum is zero.  The five complexes subclass `CochainComplex`, whose
 `memo` caches their slices and whose `betti` takes their cohomology;
 slices are built with `matrix_of_map`, commuting squares checked with
-`is_chain_map` and ranks on cohomology taken with `induced_rank`.  Every
+`is_chain_map` and ranks on cohomology taken with `induced_rank`, one
+rank identity that needs the square below to commute.  Every
 choice a routine makes, such as the pivot rows of `rref`, is a function
 of the input alone, so identical inputs give bit-identical outputs.
 """
@@ -376,34 +377,25 @@ def span_rank(columns, rows):
     return rank(SparseMatrix.from_columns(rows, columns))
 
 
-def solve_in_span(columns, target, rows):
-    """Express `target` as a combination of `columns`, or None.
-
-    Returns a coefficient list aligned with `columns` when target lies in
-    their span.  When the columns are independent the solution is unique;
-    otherwise the free coefficients are set to zero, deterministically.
-    """
-    aug = SparseMatrix.from_columns(rows, list(columns) + [target])
-    red, pivots, _ = rref(aug)
-    k = len(columns)
-    if k in pivots:
-        return None
-    coeffs = [ZERO] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = red.entry(r, k)
-    return coeffs
-
-
-def induced_rank(f, d_out, d_in, target_d_in):
+def induced_rank(f, d_out, target_d_in):
     """Rank of the map on cohomology induced by the chain-level matrix f.
 
-    f maps C^n, the middle space of d_in : C^{n-1} -> C^n and
-    d_out : C^n -> C^{n+1}, to a space whose incoming differential is
-    target_d_in.  Returns rank([f(reps) | im target_d_in]) -
-    rank(target_d_in): the number of independent classes the images of
-    representative cocycles hit modulo boundaries.  The second rank comes
-    from the memo on target_d_in.
+    f maps C^n, the domain of d_out, to D^n, the codomain of target_d_in.
+    With Z = ker d_out, dim(f(Z) + im target_d_in) = rank(block) -
+    rank(d_out) for block = [[d_out, 0], [f, target_d_in]], so
+    rank(block) - rank(d_out) - rank(target_d_in) is the rank of Z ->
+    H^n(D), one elimination beside two memoised ranks.  It is the rank on
+    H^n(C) when f sends boundaries into im target_d_in, that is when the
+    chain square one degree down commutes; every caller checks it first.
+    ValueError unless f has d_out's columns and target_d_in's rows.
     """
-    images = [f.apply(v) for v in representative_cocycles(d_out, d_in)]
-    total = span_rank(images + target_d_in.columns(), target_d_in.rows)
-    return total - rank(target_d_in)
+    if f.cols != d_out.cols or f.rows != target_d_in.rows:
+        raise ValueError("f is %dx%d, expected %dx%d" % (
+            f.rows, f.cols, target_d_in.rows, d_out.cols))
+    top = d_out.rows
+    entries = dict(d_out.entries)
+    entries.update(((top + r, c), v) for (r, c), v in f.entries.items())
+    entries.update(((top + r, d_out.cols + c), v)
+                   for (r, c), v in target_d_in.entries.items())
+    block = SparseMatrix(top + f.rows, d_out.cols + target_d_in.cols, entries)
+    return rank(block) - rank(d_out) - rank(target_d_in)

@@ -85,24 +85,18 @@ def normalize_product(gens, m1, m2):
 @lru_cache(maxsize=None)
 def basis_of_degree(gens, n):
     """All monomials of total degree n, ascending lexicographic order."""
-    if n < 0:
-        return ()
-
-    def rec(i, remaining):
-        if i == len(gens):
-            return [()] if remaining == 0 else []
-        g = gens[i]
-        cap = 1 if g.degree % 2 else remaining // g.degree
-        res = []
-        for e in range(cap + 1):
-            rest = remaining - e * g.degree
-            if rest < 0:
-                break
-            for tail in rec(i + 1, rest):
-                res.append((e,) + tail)
-        return res
-
-    return tuple(rec(0, n))
+    # depth first over (exponent prefix, degree left), without recursion;
+    # exponents are pushed largest first, so they pop in ascending order
+    out, stack = [], [((), n)]
+    while stack:
+        prefix, left = stack.pop()
+        if len(prefix) < len(gens):
+            deg = gens[len(prefix)].degree
+            top = min(1, left // deg) if deg % 2 else left // deg
+            stack.extend((prefix + (e,), left - e * deg) for e in range(top, -1, -1))
+        elif left == 0:
+            out.append(prefix)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

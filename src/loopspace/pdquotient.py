@@ -21,9 +21,9 @@ d a_i = sum_j beta_i^j a_j, both exact rationals.
 from dataclasses import dataclass, field
 
 from .errors import (IncompleteModel, IdentityViolation, QuasiIsoFailure,
-                     ChainMapFailure, TopClassCollapse, InternalCheckFailure)
-from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, rref,
-                     solve_in_span, induced_rank, is_chain_map, matrix_of_map)
+                     ChainMapFailure)
+from .exactq import (CochainComplex, SparseMatrix, ONE, induced_rank,
+                     is_chain_map, matrix_of_map)
 from . import gca
 
 
@@ -108,7 +108,9 @@ def build_quotient(model, pd_report):
     """Build the finite quotient cdga and its projection.
 
     Needs the generator list to be reliable through degree N+1, otherwise
-    unseen generators could change the cocycle complements.
+    unseen generators could change the cocycle complements.  The degree-N
+    projection is pd_report.top_functional, unique as Q omega + S^N + B^N
+    is all of degree N.
     """
     N = model.formal_dim
     if model.completeness is not None and model.completeness < N + 1:
@@ -119,31 +121,8 @@ def build_quotient(model, pd_report):
     gens = model.generators
 
     # monomial complements of the cocycles in degrees N-1 and N
-    s_pivots = {}
-    for k in (N - 1, N):
-        _, pivots, _ = rref(model.d_matrix(k))
-        s_pivots[k] = pivots
-
-    basis_N = model.basis(N)
-    pos_N = {m: c for c, m in enumerate(basis_N)}
+    s_pivots = {k: model.s_pivots(k) for k in (N - 1, N)}
     omega_elem = pd_report.fundamental_class
-    omega_vec = {pos_N[m]: c for m, c in omega_elem.items()}
-
-    # lambda functional: coefficient of omega modulo S^N + d S^{N-1}
-    kill = [{c: ONE} for c in s_pivots[N]] + model.d_matrix(N - 1).columns()
-    span_cols = [omega_vec] + kill
-    lam = {}
-    for c in range(len(basis_N)):
-        coeffs = solve_in_span(span_cols, {c: ONE}, len(basis_N))
-        if coeffs is None:
-            raise InternalCheckFailure(
-                "degree-%d monomial escaped omega + S + boundaries" % N)
-        if coeffs[0]:
-            lam[c] = coeffs[0]
-    check = sum(lam.get(c, ZERO) * v for c, v in omega_vec.items())
-    if check != 1:
-        raise TopClassCollapse(
-            "functional evaluates to %s on the fundamental class" % check)
 
     # global basis of A with lifts back to LV
     degrees = []
@@ -163,8 +142,8 @@ def build_quotient(model, pd_report):
                                   {(r, c): ONE for r, c in enumerate(picked)})
         else:
             picked = None
-            rho[k] = SparseMatrix(1, len(basis_k),
-                                  {(0, c): v for c, v in lam.items()})
+            rho[k] = SparseMatrix(1, len(basis_k), {
+                (0, c): v for c, v in pd_report.top_functional.items()})
             degrees.append(k)
             labels.append(gca.render_element(gens, omega_elem))
             reps.append(dict(omega_elem))
@@ -289,8 +268,7 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
 
         rho_n = qmap.matrix(n, len(model.basis(n)))
         if n <= N:
-            got = induced_rank(rho_n, model.d_matrix(n), model.d_matrix(n - 1),
-                               algebra.d_matrix(n - 1))
+            got = induced_rank(rho_n, model.d_matrix(n), algebra.d_matrix(n - 1))
             if got != h_model:
                 raise QuasiIsoFailure(
                     n, "induced map on H^%d has rank %d, expected %d"

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (ParseError, UnknownGenerator, DegreeMismatch, OddExponent,
-                     NotPoincareDuality, InternalCheckFailure)
-from .exactq import (CochainComplex, SparseMatrix, ONE, add_term, rank,
-                     solve_in_span, span_rank, representative_cocycles)
+                     NotPoincareDuality, InternalCheckFailure, TopClassCollapse)
+from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, add_term, rank,
+                     rref, kernel_basis, span_rank, representative_cocycles)
 from . import gca
 from .gca import Generator, DerivationSpec
 
@@ -63,6 +63,11 @@ class SullivanModel(CochainComplex):
     def slice_matrix(self, n, k):
         """Matrix of d from degree n to degree n+1."""
         return gca.matrix_of_degree_slice(self.generators, self.differential, n)
+
+    def s_pivots(self, n):
+        """Pivot columns of the reduced degree-n differential: the monomials
+        spanning a complement S^n of the degree-n cocycles."""
+        return self.memo(("pivots", n), lambda: rref(self.d_matrix(n))[1])
 
     def trusted_base(self, n_max):
         c = self.completeness
@@ -251,7 +256,10 @@ def parse_model(text, name_hint="(unnamed)"):
         if ti in targets_seen:
             raise ParseError("differential of %r declared twice" % tname, lineno)
         targets_seen.add(ti)
-        poly = _parse_poly(_tokenize(polytext, lineno), gens, index_of, lineno)
+        try:
+            poly = _parse_poly(_tokenize(polytext, lineno), gens, index_of, lineno)
+        except ValueError:  # a literal past Python's int-string digit limit
+            raise ParseError("number has too many digits", lineno)
         want = gens[ti].degree + 1
         for mono in poly:
             got = gca.monomial_degree(gens, mono)
@@ -332,6 +340,8 @@ class PoincareReport:
     fundamental_class: dict    # element dict of degree N
     fundamental_render: str
     pairing_ranks: dict        # k -> rank of the cup pairing H^k x H^{N-k}
+    top_functional: dict       # degree-N position -> coeff: lambda, giving the
+                               # omega coefficient modulo S^N + boundaries
     betti: RankTable
 
 
@@ -341,7 +351,8 @@ def check_poincare_duality(model, n_max=None):
     Checks, in order and failing with the first offending degree:
     dim H^N = 1; H^n = 0 for N < n <= window; dim H^k = dim H^{N-k} and
     the cup product pairing into H^N has full rank, for every 0 <= k <= N.
-    Returns a report carrying the fundamental class representative.
+    Returns a report carrying the fundamental class representative and
+    the functional that reads off its coefficient modulo S^N + B^N.
     """
     N = model.formal_dim
     window = n_max if n_max is not None else N + 8
@@ -357,8 +368,10 @@ def check_poincare_duality(model, n_max=None):
 
     gens = model.generators
     basis_N = model.basis(N)
-    b_cols = model.d_matrix(N - 1).columns()
-    b_rank = span_rank(b_cols, len(basis_N))
+    pos_N = {m: c for c, m in enumerate(basis_N)}
+    d_prev = model.d_matrix(N - 1)
+    b_cols = d_prev.columns()
+    b_rank = rank(d_prev)
 
     # fundamental class: first monomial cocycle completing H^N, else the
     # first representative kernel vector
@@ -378,11 +391,18 @@ def check_poincare_duality(model, n_max=None):
     if omega is None:
         raise NotPoincareDuality(N, "no cocycle represents the top class")
 
-    def top_coefficient(vec):
-        coeffs = solve_in_span(b_cols + [omega], vec, len(basis_N))
-        if coeffs is None:
-            raise InternalCheckFailure("degree-N cocycle escaped span of boundaries and top class")
-        return coeffs[-1]
+    # the top-class functional spans the annihilator of S^N + B^N, and
+    # each pairing entry is its value: u*v is a cocycle, Z^N = Q omega + B^N
+    kill = [{p: ONE} for p in model.s_pivots(N)] + b_cols
+    ann = kernel_basis(SparseMatrix(len(kill), len(basis_N), {
+        (i, r): v for i, col in enumerate(kill) for r, v in col.items()}))
+    if len(ann) != 1:
+        raise InternalCheckFailure(
+            "degree-%d monomial escaped omega + S + boundaries" % N)
+    at_omega = sum((ann[0].get(c, ZERO) * x for c, x in omega.items()), ZERO)
+    if not at_omega:
+        raise TopClassCollapse("functional evaluates to 0 on the fundamental class")
+    lam = {c: v / at_omega for c, v in ann[0].items()}
 
     reps = {k: cocycle_representatives(model, k) for k in range(N + 1)}
     pairing_ranks = {}
@@ -397,8 +417,10 @@ def check_poincare_duality(model, n_max=None):
             for j, v in enumerate(reps[N - k]):
                 ev = _vector_to_element(model.basis(N - k), v)
                 prod = gca.elem_mul(gens, eu, ev)
-                pvec = {basis_N.index(m): c for m, c in prod.items()}
-                c = top_coefficient(pvec)
+                if gca.apply_derivation(gens, model.differential, prod):
+                    raise InternalCheckFailure(
+                        "degree-N cocycle escaped span of boundaries and top class")
+                c = sum((lam.get(pos_N[m], ZERO) * x for m, x in prod.items()), ZERO)
                 if c:
                     rows[(i, j)] = c
         pr = rank(SparseMatrix(hk, hnk, rows))
@@ -414,4 +436,5 @@ def check_poincare_duality(model, n_max=None):
         fundamental_class=omega_elem,
         fundamental_render=gca.render_element(gens, omega_elem),
         pairing_ranks=pairing_ranks,
+        top_functional=lam,
         betti=betti)

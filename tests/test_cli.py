@@ -114,6 +114,30 @@ class TestExitCodes:
         assert code == 2
         assert "error: line 5: coefficient 1/0 has a zero denominator" in out
 
+    @pytest.mark.parametrize("poly", ["x^" + "9" * 5000, "9" * 5000 + "*x^2",
+                                      "1/" + "9" * 5000 + "*x^2"],
+                             ids=["exponent", "numerator", "denominator"])
+    def test_overlong_literal_exits_two_with_line_number(self, tmp_path, poly):
+        # past Python's int-string digit limit, which raises ValueError
+        bad = tmp_path / "long.model"
+        bad.write_text("dim 2\ncomplete\ngen x 2\ngen y 3\nd y = %s\n" % poly)
+        code, out = run(["validate", str(bad)])
+        assert code == 2
+        assert "error: line 5: number has too many digits" in out
+
+    def test_thousand_generators_end_with_an_exit_code(self, tmp_path):
+        many = tmp_path / "many.model"
+        many.write_text("dim 2\ncomplete\ngen x 2\ngen y 3\nd y = x^2\n"
+                        + "".join("gen z%d 40\n" % i for i in range(1100)))
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(loopspace.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "loopspace.cli", "validate", str(many),
+             "--max-degree", "4"], env=env, capture_output=True, text=True)
+        assert proc.returncode in (0, 1, 2, 3)
+        assert "exit-code: %d" % proc.returncode in proc.stdout
+        assert "Traceback" not in proc.stderr
+
     def test_non_utf8_file_exits_two(self, tmp_path):
         bad = tmp_path / "latin1.model"
         bad.write_bytes("model Sph\xe8re\ndim 2\ncomplete\ngen x 2\n".encode("latin-1"))

@@ -5,7 +5,7 @@ truncated polynomial algebra on one class, projective spaces give
 truncated polynomial algebras, a product of spheres the tensor product,
 SU(3) the full exterior algebra.  The independent oracle for the
 quasi-isomorphism claim is the acyclicity of the kernel ideal, computed
-here from scratch out of kernel bases and span solves.
+here from scratch out of kernel bases and their free columns.
 """
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from loopspace import load_corpus_model
+from loopspace import corpus_models, load_corpus_model
 from loopspace.errors import (
     ChainMapFailure,
     IdentityViolation,
@@ -22,7 +22,7 @@ from loopspace.errors import (
     QuasiIsoFailure,
     exit_code_for,
 )
-from loopspace.exactq import SparseMatrix, cohomology_dim, kernel_basis, solve_in_span
+from loopspace.exactq import SparseMatrix, cohomology_dim, kernel_basis, rref
 from loopspace.pdquotient import (
     FiniteCdga,
     build_quotient,
@@ -34,11 +34,14 @@ from loopspace.sullivan import check_poincare_duality, parse_model
 Q = Fraction
 ONE = Q(1)
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH_MODELS = Path(__file__).parent.parent / "perfbench" / "models"
 
 
 def quotient(name):
     if name == "s2xs2":
         model = parse_model((FIXTURES / "s2xs2.model").read_text(), name)
+    elif (BENCH_MODELS / (name + ".model")).exists():
+        model = parse_model((BENCH_MODELS / (name + ".model")).read_text(), name)
     else:
         model = load_corpus_model(name)
     algebra, qmap = build_quotient(model, check_poincare_duality(model))
@@ -264,23 +267,27 @@ class TestIdealAcyclicity:
     """H(ker rho) = 0 is equivalent to rho being a quasi-isomorphism.
 
     Computed here independently: kernel bases of each rho slice, the
-    differential restricted to them by span solving, then cohomology.
+    differential restricted to them, then cohomology.  Kernel vector i is 1
+    at the i-th free column of rref(rho) and 0 at the others, so a vector
+    of the kernel has its coordinates at the free columns.
     """
 
     def subcomplex_matrices(self, model, qmap, n_max):
-        kernels = {}
+        kernels, free = {}, {}
         for k in range(n_max + 2):
-            basis_k = model.basis(k)
-            kernels[k] = kernel_basis(qmap.matrix(k, len(basis_k)))
+            rho_k = qmap.matrix(k, len(model.basis(k)))
+            kernels[k] = kernel_basis(rho_k)
+            pivots = set(rref(rho_k)[1])
+            free[k] = [c for c in range(rho_k.cols) if c not in pivots]
         mats = {}
         for k in range(n_max + 1):
+            rho_next = qmap.matrix(k + 1, len(model.basis(k + 1)))
             cols = []
             for vec in kernels[k]:
                 img = model.d_matrix(k).apply(vec)
-                coeffs = solve_in_span(
-                    kernels[k + 1], img, len(model.basis(k + 1)))
-                assert coeffs is not None, "ideal is not d-stable"
-                cols.append({r: c for r, c in enumerate(coeffs) if c})
+                assert rho_next.apply(img) == {}, "ideal is not d-stable"
+                cols.append({i: img[c] for i, c in enumerate(free[k + 1])
+                             if c in img})
             mats[k] = SparseMatrix.from_columns(len(kernels[k + 1]), cols)
         return mats
 
@@ -291,6 +298,32 @@ class TestIdealAcyclicity:
         mats = self.subcomplex_matrices(model, qmap, n_max)
         for k in range(1, n_max):
             assert cohomology_dim(mats[k], mats[k - 1]) == 0, (name, k)
+
+
+class TestTopFunctional:
+    """The top-class functional lambda of the duality check: 1 on omega,
+    0 on the monomial complement S^N and on every boundary, and the
+    degree-N row of the projection."""
+
+    @pytest.mark.parametrize("name", corpus_models()
+                             + sorted(p.stem for p in BENCH_MODELS.glob("*.model"))
+                             + ["s2xs2"])
+    def test_functional_reads_the_top_class(self, name):
+        model, _, qmap = quotient(name)
+        report = check_poincare_duality(model)
+        lam = report.top_functional
+        N = model.formal_dim
+        pos = {m: c for c, m in enumerate(model.basis(N))}
+
+        def value(vec):
+            return sum((lam.get(c, 0) * v for c, v in vec.items()), Q(0))
+
+        assert value({pos[m]: v for m, v in report.fundamental_class.items()}) == 1
+        for p in qmap.s_pivots[N]:
+            assert value({p: ONE}) == 0
+        for col in model.d_matrix(N - 1).columns():
+            assert value(col) == 0
+        assert qmap.rho[N].entries == {(0, c): v for c, v in lam.items()}
 
 
 class TestIncompleteness:
