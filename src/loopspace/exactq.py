@@ -10,12 +10,12 @@ zero, so the pivots and the unique RREF are those of Fraction
 elimination.  Every exact coefficient sum, here and in the modules
 above, goes through one accumulate step, `add_term`, which drops a key
 whose sum is zero.  The five complexes subclass `CochainComplex`, whose
-`memo` caches their slices and whose `betti` takes their cohomology;
-slices are built with `matrix_of_map`, commuting squares checked with
-`is_chain_map` and ranks on cohomology taken with `induced_rank`, one
-rank identity that needs the square below to commute.  Every
-choice a routine makes, such as the pivot rows of `rref`, is a function
-of the input alone, so identical inputs give bit-identical outputs.
+`memo` caches their slices and their `betti`, kept per (n, k); slices are
+built with `matrix_of_map`, commuting squares checked with `is_chain_map`
+and ranks on cohomology taken with `induced_rank`, one rank identity that
+needs the square below to commute.  Every choice a routine makes, such as
+the pivot rows of `rref`, is a function of the input alone, so identical
+inputs give bit-identical outputs.
 """
 
 from fractions import Fraction
@@ -356,25 +356,25 @@ class CochainComplex:
     model, gives a matrix with no columns, so it needs no special case.
     """
 
-    def memo(self, key, build):
-        """`_cache[key]`, from build() the first time it is asked for."""
+    def memo(self, key, build, *args):
+        """`_cache[key]`, from build(*args) the first time it is asked for;
+        a bound method with its arguments makes a hit build no closure."""
         got = self._cache.get(key)
         if got is None:
-            got = self._cache[key] = build()
+            got = self._cache[key] = build(*args)
         return got
 
     def d_matrix(self, n, k=None):
         """The slice matrix, built once and then kept in `_cache`."""
-        return self.memo(("d", n, k), lambda: self.slice_matrix(n, k))
+        return self.memo(("d", n, k), self.slice_matrix, n, k)
 
     def betti(self, n, k=None):
-        """dim H^n of the slice, from the two differentials around it."""
+        """dim H^n of the slice, from the two differentials around it,
+        taken once per (n, k) and then kept in `_cache`."""
+        return self.memo(("betti", n, k), self._betti, n, k)
+
+    def _betti(self, n, k):
         return cohomology_dim(self.d_matrix(n, k), self.d_matrix(n - 1, k))
-
-
-def span_rank(columns, rows):
-    """Rank of the span of sparse column vectors."""
-    return rank(SparseMatrix.from_columns(rows, columns))
 
 
 def induced_rank(f, d_out, target_d_in):

@@ -24,13 +24,14 @@ exponent tuples.  basis_of_degree enumerates in exactly that order.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import MissingImage
 from .exactq import ONE, add_term, matrix_of_map
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
+    """A named tuple, so caches keyed on generator tuples hash it in C."""
     name: str
     degree: int
     kind: str = "base"          # "base" or "suspended"

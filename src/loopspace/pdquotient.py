@@ -80,8 +80,6 @@ class QuotientMap:
     """
     formal_dim: int
     rho: dict
-    s_pivots: dict     # degree -> tuple of pivot monomial positions
-    omega: dict        # fundamental class element in LV
 
     def matrix(self, k, n_cols):
         m = self.rho.get(k)
@@ -119,9 +117,6 @@ def build_quotient(model, pd_report):
             "complete to %d" % (N + 1, model.completeness))
 
     gens = model.generators
-
-    # monomial complements of the cocycles in degrees N-1 and N
-    s_pivots = {k: model.s_pivots(k) for k in (N - 1, N)}
     omega_elem = pd_report.fundamental_class
 
     # global basis of A with lifts back to LV
@@ -136,7 +131,8 @@ def build_quotient(model, pd_report):
             rho[k] = SparseMatrix(len(basis_k), len(basis_k),
                                   {(i, i): ONE for i in range(len(basis_k))})
         elif k == N - 1:
-            pivotset = set(s_pivots[k])
+            # drop the monomial complement of the degree N-1 cocycles
+            pivotset = set(model.s_pivots(k))
             picked = [c for c in range(len(basis_k)) if c not in pivotset]
             rho[k] = SparseMatrix(len(picked), len(basis_k),
                                   {(r, c): ONE for r, c in enumerate(picked)})
@@ -156,8 +152,7 @@ def build_quotient(model, pd_report):
     algebra = FiniteCdga(name=model.name, degrees=tuple(degrees),
                          labels=tuple(labels), products={}, diff={},
                          unit_index=0, top_index=len(degrees) - 1)
-    qmap = QuotientMap(formal_dim=N, rho=rho, s_pivots=s_pivots,
-                       omega=dict(omega_elem))
+    qmap = QuotientMap(formal_dim=N, rho=rho)
 
     for i, rep_i in enumerate(reps):
         di = gca.apply_derivation(gens, model.differential, rep_i)

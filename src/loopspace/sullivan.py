@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import (ParseError, UnknownGenerator, DegreeMismatch, OddExponent,
                      NotPoincareDuality, InternalCheckFailure, TopClassCollapse)
 from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, add_term, rank,
-                     rref, kernel_basis, span_rank, representative_cocycles)
+                     rref, kernel_basis, representative_cocycles)
 from . import gca
 from .gca import Generator, DerivationSpec
 
@@ -351,8 +351,9 @@ def check_poincare_duality(model, n_max=None):
     Checks, in order and failing with the first offending degree:
     dim H^N = 1; H^n = 0 for N < n <= window; dim H^k = dim H^{N-k} and
     the cup product pairing into H^N has full rank, for every 0 <= k <= N.
-    Returns a report carrying the fundamental class representative and
-    the functional that reads off its coefficient modulo S^N + B^N.
+    Returns a report carrying the top-class functional lambda, which reads
+    off the omega coefficient modulo S^N + B^N, and omega: the first
+    monomial cocycle on which lambda is nonzero, else the H^N representative.
     """
     N = model.formal_dim
     window = n_max if n_max is not None else N + 8
@@ -369,42 +370,32 @@ def check_poincare_duality(model, n_max=None):
     gens = model.generators
     basis_N = model.basis(N)
     pos_N = {m: c for c, m in enumerate(basis_N)}
-    d_prev = model.d_matrix(N - 1)
-    b_cols = d_prev.columns()
-    b_rank = rank(d_prev)
-
-    # fundamental class: first monomial cocycle completing H^N, else the
-    # first representative kernel vector
-    omega = None
-    for j, mono in enumerate(basis_N):
-        if gca.apply_derivation(gens, model.differential, {mono: ONE}):
-            continue
-        cand = {j: ONE}
-        if span_rank(b_cols + [cand], len(basis_N)) > b_rank:
-            omega = cand
-            break
-    if omega is None:
-        for vec in cocycle_representatives(model, N):
-            if span_rank(b_cols + [vec], len(basis_N)) > b_rank:
-                omega = vec
-                break
-    if omega is None:
-        raise NotPoincareDuality(N, "no cocycle represents the top class")
+    reps = {k: cocycle_representatives(model, k) for k in range(N + 1)}
 
     # the top-class functional spans the annihilator of S^N + B^N, and
     # each pairing entry is its value: u*v is a cocycle, Z^N = Q omega + B^N
-    kill = [{p: ONE} for p in model.s_pivots(N)] + b_cols
+    kill = ([{p: ONE} for p in model.s_pivots(N)]
+            + model.d_matrix(N - 1).columns())
     ann = kernel_basis(SparseMatrix(len(kill), len(basis_N), {
         (i, r): v for i, col in enumerate(kill) for r, v in col.items()}))
     if len(ann) != 1:
         raise InternalCheckFailure(
             "degree-%d monomial escaped omega + S + boundaries" % N)
+
+    # fundamental class: a cocycle is a boundary exactly when the
+    # functional vanishes on it, so omega is the first monomial cocycle on
+    # which it is nonzero, else the representative of H^N
+    monomial_cocycles = (
+        {j: ONE} for j, mono in enumerate(basis_N) if ann[0].get(j)
+        and not gca.apply_derivation(gens, model.differential, {mono: ONE}))
+    omega = next(monomial_cocycles, reps[N][0] if reps[N] else None)
+    if omega is None:
+        raise NotPoincareDuality(N, "no cocycle represents the top class")
     at_omega = sum((ann[0].get(c, ZERO) * x for c, x in omega.items()), ZERO)
     if not at_omega:
         raise TopClassCollapse("functional evaluates to 0 on the fundamental class")
     lam = {c: v / at_omega for c, v in ann[0].items()}
 
-    reps = {k: cocycle_representatives(model, k) for k in range(N + 1)}
     pairing_ranks = {}
     for k in range(N + 1):
         hk, hnk = betti.get(k), betti.get(N - k)

@@ -100,6 +100,13 @@ class TestExitCodes:
         assert code == 0
         assert out.rstrip().endswith("exit-code: 0")
 
+    def test_verify_with_a_non_monomial_fundamental_class(self):
+        code, out = run(["verify", fixture("s2xs3_twisted.model"),
+                         "--max-degree", "10"])
+        assert code == 0
+        assert "fundamental-class: -x*z + x*a" in out
+        assert len(re.findall(r"^verdict \S+: pass$", out, re.M)) == 13
+
     @pytest.mark.parametrize("option", [["--max-degree", "-3"],
                                         ["--jobs", "0"], ["--jobs", "-4"]])
     def test_out_of_range_option_is_usage_error(self, option):

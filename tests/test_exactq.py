@@ -28,11 +28,10 @@ from loopspace.exactq import (
     rank,
     representative_cocycles,
     rref,
-    span_rank,
 )
 from loopspace.errors import CompositionNotZero, InternalCheckFailure
-from loopspace.freeloop import build_free_loop_model
-from loopspace.sections import TheoremReport
+from loopspace.freeloop import build_free_loop_model, hodge_betti_table
+from loopspace.sections import TheoremReport, verify_rho_tensor_quasi_iso
 from loopspace.sullivan import parse_model
 
 Q = Fraction
@@ -407,7 +406,7 @@ class TestKernel:
     def test_kernel_vectors_independent(self, data):
         grid, rows, cols = data
         ker = kernel_basis(from_dense(grid, rows, cols))
-        assert span_rank(ker, cols) == len(ker)
+        assert rank(SparseMatrix.from_columns(cols, ker)) == len(ker)
 
 
 class TestCohomology:
@@ -491,6 +490,49 @@ class TestRankMemo:
         assert len(reduced) == 2
         with pytest.raises(CompositionNotZero):
             cohomology_dim(d_out, d_in)
+
+
+def count_cohomology_dim(monkeypatch):
+    """Patch exactq.cohomology_dim to record the pair of matrices of every
+    call, by identity."""
+    calls = []
+    real = exactq.cohomology_dim
+
+    def counting(d_out, d_in):
+        calls.append((id(d_out), id(d_in)))
+        return real(d_out, d_in)
+
+    monkeypatch.setattr(exactq, "cohomology_dim", counting)
+    return calls
+
+
+class TestBettiMemo:
+    def test_second_betti_takes_no_cohomology(self, monkeypatch):
+        calls = count_cohomology_dim(monkeypatch)
+        model = load_corpus_model("cp2")
+        assert model.betti(4) == 1
+        assert model.betti(4) == 1
+        assert len(calls) == 1
+
+    def test_cleared_cache_recomputes(self, monkeypatch):
+        calls = count_cohomology_dim(monkeypatch)
+        model = load_corpus_model("cp2")
+        model.betti(4)
+        model._cache.clear()
+        assert model.betti(4) == 1
+        assert len(calls) == 2
+
+    def test_hodge_table_ranks_only_slices_not_yet_seen(self, monkeypatch):
+        report = TheoremReport(load_corpus_model("cp2"), 8)
+        flm, eqm = report.flm, report.eqm
+        calls = count_cohomology_dim(monkeypatch)
+        verify_rho_tensor_quasi_iso(eqm, 5)
+        seen = len(calls)
+        table = hodge_betti_table(flm, 8)
+        assert calls[seen:] == [
+            (id(flm.d_matrix(n, k)), id(flm.d_matrix(n - 1, k)))
+            for n, k in table.entries if n > 5]
+        assert len(set(calls)) == len(calls)
 
 
 class TestQuotientRank:

@@ -57,13 +57,13 @@ def nontrivial_products(algebra):
 
 class TestQuotientStructures:
     def test_s2_truncates_to_one_class(self):
-        _, alg, qmap = quotient("s2")
+        model, alg, _ = quotient("s2")
         assert alg.labels == ("1", "x")
         assert alg.degrees == (0, 2)
         assert alg.diff == {}
         # x * x = x^2 = d(y) dies in the quotient
         assert nontrivial_products(alg) == {}
-        assert qmap.s_pivots == {1: (), 2: ()}
+        assert {k: model.s_pivots(k) for k in (1, 2)} == {1: (), 2: ()}
 
     def test_s3_quotient_is_the_whole_model(self):
         model, alg, _ = quotient("s3")
@@ -88,7 +88,7 @@ class TestQuotientStructures:
             (1, 1): {2: ONE}, (1, 2): {3: ONE}, (2, 1): {3: ONE}}
 
     def test_s2xs3_structure(self):
-        _, alg, qmap = quotient("s2xs3")
+        model, alg, _ = quotient("s2xs3")
         # degree 3 slice orders z before y (ascending exponent tuples)
         assert alg.labels == ("1", "x", "z", "y", "x^2", "x*z")
         assert alg.degrees == (0, 2, 3, 3, 4, 5)
@@ -98,7 +98,7 @@ class TestQuotientStructures:
             (1, 2): {5: ONE}, (2, 1): {5: ONE},    # x * z both ways
         }
         # x*y sits in the monomial complement S^5, hence dies
-        assert qmap.s_pivots == {4: (), 5: (1,)}
+        assert {k: model.s_pivots(k) for k in (4, 5)} == {4: (), 5: (1,)}
 
     def test_su3_is_exterior(self):
         _, alg, _ = quotient("su3")
@@ -108,18 +108,19 @@ class TestQuotientStructures:
             (1, 2): {3: ONE}, (2, 1): {3: Q(-1)}}  # odd classes anticommute
 
     def test_s2xs2_quantum_like_collapse(self):
-        _, alg, qmap = quotient("s2xs2")
+        model, alg, _ = quotient("s2xs2")
         assert alg.labels == ("1", "u", "x", "x*u")
         assert alg.degrees == (0, 2, 2, 4)
         # x^2 = d(y) and u^2 = d(v) both die; the cross product is the top
         assert nontrivial_products(alg) == {
             (1, 2): {3: ONE}, (2, 1): {3: ONE}}
-        assert qmap.s_pivots == {3: (0, 1), 4: ()}
+        assert {k: model.s_pivots(k) for k in (3, 4)} == {3: (0, 1), 4: ()}
 
     def test_top_class_evaluates_to_one(self):
         for name in ("s2", "cp2", "s2xs3", "su3", "s2xs2"):
             model, alg, qmap = quotient(name)
-            out = qmap.apply(model, alg, qmap.omega, model.formal_dim)
+            omega = check_poincare_duality(model).fundamental_class
+            out = qmap.apply(model, alg, omega, model.formal_dim)
             assert out == {alg.top_index: ONE}, name
 
     def test_apply_above_formal_dim_is_zero(self):
@@ -319,7 +320,7 @@ class TestTopFunctional:
             return sum((lam.get(c, 0) * v for c, v in vec.items()), Q(0))
 
         assert value({pos[m]: v for m, v in report.fundamental_class.items()}) == 1
-        for p in qmap.s_pivots[N]:
+        for p in model.s_pivots(N):
             assert value({p: ONE}) == 0
         for col in model.d_matrix(N - 1).columns():
             assert value(col) == 0

@@ -13,6 +13,7 @@ from loopspace.errors import (
     ParseError,
     UnknownGenerator,
 )
+from loopspace.exactq import SparseMatrix, rank
 from loopspace.sullivan import (
     check_poincare_duality,
     cocycle_representatives,
@@ -23,6 +24,8 @@ from loopspace.sullivan import (
 
 Q = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH_MODELS = Path(__file__).parent.parent / "perfbench" / "models"
+PD_FIXTURES = ("s2xs2", "s2xs3_twisted")
 
 S2_TEXT = """\
 model S2
@@ -234,6 +237,11 @@ class TestPoincareDuality:
         assert rep.fundamental_render == "x*z"
         assert rep.pairing_ranks == {0: 1, 1: 0, 2: 1, 3: 1, 4: 0, 5: 1}
 
+    def test_no_monomial_cocycle_falls_back_to_the_representative(self):
+        # d(x*a) = d(x*z) = x^3: omega is the representative of H^5
+        rep = check_poincare_duality(fixture_model("s2xs3_twisted"))
+        assert rep.fundamental_render == "-x*z + x*a"
+
     def test_s2xs2_pairing_is_full(self):
         rep = check_poincare_duality(fixture_model("s2xs2"))
         # H^2 is two dimensional, the pairing swaps the two classes
@@ -265,3 +273,46 @@ class TestPoincareDuality:
         rep = check_poincare_duality(load_corpus_model("s3"), n_max=15)
         assert rep.window == 15
         assert rep.betti.as_array(15)[3] == 1
+
+
+def pd_model(name):
+    if name in PD_FIXTURES:
+        return fixture_model(name)
+    if (BENCH_MODELS / (name + ".model")).exists():
+        return parse_model((BENCH_MODELS / (name + ".model")).read_text(), name)
+    return load_corpus_model(name)
+
+
+class TestFundamentalClass:
+    """omega against a rank oracle: it completes the boundaries B^N to one
+    more dimension, and it is the first monomial cocycle that does, when
+    there is one."""
+
+    @pytest.mark.parametrize("name", corpus_models()
+                             + sorted(p.stem for p in BENCH_MODELS.glob("*.model"))
+                             + list(PD_FIXTURES))
+    def test_omega_is_the_first_cocycle_outside_the_boundaries(self, name):
+        model = pd_model(name)
+        report = check_poincare_duality(model)
+        N = model.formal_dim
+        basis = model.basis(N)
+        omega = {basis.index(m): v for m, v in report.fundamental_class.items()}
+        assert model.d_matrix(N).apply(omega) == {}
+        lam = report.top_functional
+        assert sum((lam.get(c, 0) * v for c, v in omega.items()), Q(0)) == 1
+
+        boundaries = model.d_matrix(N - 1).columns()
+        b_rank = rank(model.d_matrix(N - 1))
+
+        def completes(vec):
+            return rank(SparseMatrix.from_columns(
+                len(basis), boundaries + [vec])) == b_rank + 1
+
+        assert completes(omega)
+        d_top = model.d_matrix(N).columns()
+        monomial = [j for j in range(len(basis))
+                    if not d_top[j] and completes({j: Q(1)})]
+        if monomial:
+            assert report.fundamental_class == {basis[monomial[0]]: Q(1)}
+        else:
+            assert omega == cocycle_representatives(model, N)[0]
