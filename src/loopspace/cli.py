@@ -12,7 +12,8 @@ model's fault).
 
 Verdicts are printed as checks pass, and on failure every command lists
 the checks that passed before the error.  The checks come from one
-ordered sequence, sections.CHECKS; each command names the ones it runs.
+ordered sequence, sections.CHECKS, and run through one entry,
+sections.verify_theorems; each command names the ones it runs.
 
 Table entries computed above the model's declared completeness are
 suffixed with '?' in text output; JSON carries the per-table
@@ -26,7 +27,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import (ParseError, ValidationFailure, MathMismatch,
@@ -34,7 +34,7 @@ from .errors import (ParseError, ValidationFailure, MathMismatch,
 from .sullivan import (parse_model, validate, cohomology_table,
                        check_poincare_duality)
 from .freeloop import loop_betti, growth_report
-from .sections import VERIFY_CHECKS, window, run_checks, verify_theorems
+from .sections import VERIFY_CHECKS, window, verify_theorems
 
 
 @dataclass
@@ -117,43 +117,15 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _corrupt_first_product(algebra):
-    """Fault injection hook: bump the first off-diagonal structure constant.
-
-    Exists so the failure path of the identity checker can be exercised
-    end to end; a corrupted table must be caught and exit with code 3.
-    """
-    for (i, j) in sorted(algebra.products):
-        if i == j:
-            continue
-        coeffs = algebra.products[(i, j)]
-        k = min(coeffs)
-        coeffs[k] = coeffs[k] + 1
-        return True
-    return False
-
-
-def _tamper_hook(args):
-    if getattr(args, "corrupt_alpha", False):
-        return _corrupt_first_product
-    return None
-
-
-@contextmanager
-def _recording(report):
-    """Collect (check, passed) verdicts into the report, also on failure."""
+def _checked(model, report, checks):
+    """Run the checks and record their verdicts on the report, also on
+    failure."""
     verdicts = []
     try:
-        yield verdicts
+        return verify_theorems(model, report.max_degree, checks, verdicts)
     finally:
         for check, passed in verdicts:
             report.add_verdict(check, passed)
-
-
-def _run_checks(model, args, report, checks):
-    with _recording(report) as verdicts:
-        return run_checks(model, report.max_degree, checks, verdicts,
-                          _tamper=_tamper_hook(args))
 
 
 def _growth_tables(report, table):
@@ -187,7 +159,7 @@ def cmd_validate(model, args, report, checks):
 
 
 def cmd_betti(model, args, report, checks):
-    run = _run_checks(model, args, report, checks)
+    run = _checked(model, report, checks)
     n_max = report.max_degree
     base = cohomology_table(model, n_max)
     report.add_table("base_betti", base.as_array(n_max), start=0,
@@ -219,26 +191,24 @@ def _aut_tables(report, run):
 
 
 def cmd_hodge(model, args, report, checks):
-    _hodge_tables(report, _run_checks(model, args, report, checks), args)
+    _hodge_tables(report, _checked(model, report, checks), args)
 
 
 def cmd_quotient(model, args, report, checks):
-    algebra = _run_checks(model, args, report, checks).algebra
+    algebra = _checked(model, report, checks).algebra
     dims = [len(algebra.by_degree(k)) for k in range(model.formal_dim + 1)]
     report.add_table("quotient_dims", dims, start=0)
     report.notes.append("classes: %s" % " | ".join(algebra.labels))
 
 
 def cmd_aut_ranks(model, args, report, checks):
-    run = _run_checks(model, args, report, checks)
+    run = _checked(model, report, checks)
     _aut_tables(report, run)
     report.trusted_up_to = run.aut.trusted_up_to
 
 
 def cmd_verify(model, args, report, checks):
-    with _recording(report) as verdicts:
-        rep = verify_theorems(model, report.max_degree,
-                              _tamper=_tamper_hook(args), verdicts=verdicts)
+    rep = _checked(model, report, checks)
     n_max, N = rep.n_max, rep.formal_dim
     report.add_table("base_betti", rep.pd_report.betti.as_array(n_max),
                      start=0, trusted_up_to=rep.pd_report.betti.trusted_up_to)
@@ -278,14 +248,13 @@ def build_parser():
         sp.add_argument("--max-degree", type=int, default=None,
                         help="top degree of the computed window "
                              "(default: formal dimension + 8)")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.add_argument("--format", choices=("text", "json"), default="text",
+                        help="output format (default: text)")
         sp.add_argument("--growth", action="store_true",
                         help="append partial-sum growth tables")
         sp.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; every slice is "
                              "computed in one process")
-        sp.add_argument("--corrupt-alpha", action="store_true",
-                        help=argparse.SUPPRESS)
     return p
 
 

@@ -310,7 +310,7 @@ def _du_tensor_matrix(algebra, eqm, dual, n):
                          image, "Du (x) 1 left its degree slice at %d" % n)
 
 
-def build_dual_complex(algebra, eqm, dual_map=None):
+def build_dual_complex(algebra, eqm):
     """Assemble (A-dual (x) sV, delta) and verify it exactly.
 
     Checks delta o delta = 0 on every degree, then the square identity
@@ -320,8 +320,6 @@ def build_dual_complex(algebra, eqm, dual_map=None):
     on every degree slice of A (x) sV.  The identity holds whether or not
     Du is invertible; a failure raises SignIdentityFailure.
     """
-    if dual_map is None:
-        dual_map = duality_map(algebra)
     sgens = eqm.sgens
     nb = len(sgens)
     size = algebra.size
@@ -482,18 +480,13 @@ class TheoremReport:
     Building an object verifies it: every constructor below raises on the
     first identity that fails.  The quotient is the one exception; a run
     that uses it certifies it first with the structure_identities check.
-
-    _tamper is a fault injection hook: it receives the freshly built
-    quotient algebra before any identity is checked, so tests can confirm
-    that a perturbed structure constant is caught and not silently used.
     """
 
-    def __init__(self, model, n_max, _tamper=None):
+    def __init__(self, model, n_max):
         self.model = model
         self.model_name = model.name
         self.formal_dim = model.formal_dim
         self.n_max = n_max
-        self._tamper = _tamper
 
     @cached_property
     def pd_report(self):
@@ -501,10 +494,7 @@ class TheoremReport:
 
     @cached_property
     def quotient(self):
-        algebra, qmap = build_quotient(self.model, self.pd_report)
-        if self._tamper is not None:
-            self._tamper(algebra)
-        return algebra, qmap
+        return build_quotient(self.model, self.pd_report)
 
     @property
     def algebra(self):
@@ -545,7 +535,8 @@ class TheoremReport:
 
     @cached_property
     def dual(self):
-        return build_dual_complex(self.algebra, self.eqm, self.dmap)
+        self.dmap  # Du's chain property and cohomology iso come first
+        return build_dual_complex(self.algebra, self.eqm)
 
     @property
     def lemma_slices(self):
@@ -630,36 +621,30 @@ def window(model, n_max, checks):
     return n_max
 
 
-def run_checks(model, n_max, checks, verdicts, _tamper=None):
+def verify_theorems(model, n_max=None, checks=VERIFY_CHECKS, verdicts=None):
     """Validate the model, then run the named checks in CHECKS order.
 
-    Each verdict is appended to `verdicts` as (check, passed).  The three
+    The window is window(model, n_max, checks).  Each verdict is appended
+    to `verdicts`, when a list is given, as (check, passed).  The three
     structural checks of validate() are all recorded, passing or not, and
     an invalid model stops the run; every later check is recorded only
-    after it returns, and the first one that fails raises.  Returns the
+    after it returns, and the first one that fails raises.  A name that is
+    not in CHECKS raises ValueError before any work.  Returns the
     TheoremReport holding what the checks built.
     """
+    unknown = set(checks).difference(name for name, _ in CHECKS)
+    if unknown:
+        raise ValueError("unknown check: %s" % ", ".join(sorted(unknown)))
+    if verdicts is None:
+        verdicts = []
     vrep = validate(model)
     verdicts.extend((name, ok) for name, ok, _ in vrep.checks)
     if not vrep.passed:
         bad = "; ".join(d for _, ok, d in vrep.checks if not ok)
         raise ValidationFailure("model is not a valid input: %s" % bad)
-    report = TheoremReport(model, n_max, _tamper=_tamper)
+    report = TheoremReport(model, window(model, n_max, checks))
     for name, obj in CHECKS:
         if name in checks:
             getattr(report, obj)
             verdicts.append((name, True))
-    return report
-
-
-def verify_theorems(model, n_max=None, _tamper=None, verdicts=None):
-    """End-to-end verification on one model, raising on the first failure.
-
-    Validates the model and runs every check in VERIFY_CHECKS, recording
-    the verdicts into `verdicts` when a list is given (see run_checks).
-    """
-    report = run_checks(model, window(model, n_max, VERIFY_CHECKS),
-                        VERIFY_CHECKS, [] if verdicts is None else verdicts,
-                        _tamper=_tamper)
-    report.low_degree  # built here, so the report returned is complete
     return report

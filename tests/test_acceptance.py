@@ -153,9 +153,9 @@ def test_criterion_6_sign_identities():
                 "leibniz",
             ):
                 assert counts[family] > 0, "%s checked nothing for %s" % (name, family)
-            dual_map = duality_map(algebra)
+            duality_map(algebra)
             try:
-                dual = build_dual_complex(algebra, eqm, dual_map)
+                dual = build_dual_complex(algebra, eqm)
             except SignIdentityFailure:
                 sign_failures += 1
                 continue
@@ -231,7 +231,7 @@ def run_cli(args):
     return code, buf.getvalue()
 
 
-def test_criterion_8_negative_controls(tmp_path):
+def test_criterion_8_negative_controls(tmp_path, corrupt_quotient):
     with verdict(8, "free algebra on x2 rejected, corrupted product detected"):
         bad = tmp_path / "free_even.model"
         bad.write_text("model FreeEven\ndim 2\ncomplete\ngen x 2\n")
@@ -244,9 +244,8 @@ def test_criterion_8_negative_controls(tmp_path):
             raise AssertionError("free even algebra passed the duality check")
         code, _ = run_cli(["verify", str(bad)])
         assert code == 1
-        code, out = run_cli(
-            ["verify", str(loopspace.corpus_path("s2")), "--corrupt-alpha"]
-        )
+        corrupt_quotient()
+        code, out = run_cli(["verify", str(loopspace.corpus_path("s2"))])
         assert code == 3
         assert "error:" in out
 

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopspace
-from loopspace.cli import main
+from loopspace.cli import _COMMANDS, main
+from loopspace.sections import verify_theorems
 
 S2 = str(loopspace.corpus_path("s2"))
 S3 = str(loopspace.corpus_path("s3"))
@@ -89,8 +90,9 @@ class TestExitCodes:
         # PD itself holds on the truncation, so that verdict still prints
         assert "verdict poincare_duality: pass" in out
 
-    def test_corrupt_alpha_exits_three(self):
-        code, out = run(["verify", S2, "--corrupt-alpha"])
+    def test_corrupt_alpha_exits_three(self, corrupt_quotient):
+        corrupt_quotient()
+        code, out = run(["verify", S2])
         assert code == 3
         assert "error: unit axiom fails at a_1" in out
         assert "exit-code: 3" in out
@@ -111,6 +113,11 @@ class TestExitCodes:
                                         ["--jobs", "0"], ["--jobs", "-4"]])
     def test_out_of_range_option_is_usage_error(self, option):
         code, out = run(["validate", S2] + option)
+        assert code == 2
+        assert out == ""
+
+    def test_fault_injection_is_no_cli_option(self):
+        code, out = run(["verify", S2, "--corrupt-alpha"])
         assert code == 2
         assert out == ""
 
@@ -489,8 +496,9 @@ def verdict_lines(out):
 
 
 class TestFailedVerify:
-    def test_corrupt_alpha_lists_checks_before_the_error(self):
-        code, out = run(["verify", S2, "--corrupt-alpha"])
+    def test_corrupt_alpha_lists_checks_before_the_error(self, corrupt_quotient):
+        corrupt_quotient()
+        code, out = run(["verify", S2])
         assert code == 3
         assert verdict_lines(out) == [
             "verdict simply_connected: pass",
@@ -527,6 +535,23 @@ class TestFailedVerify:
         ]
         assert "error: square identity fails on the degree 3 slice\n" in out
         assert out.endswith("exit-code: 3\n")
+
+
+class TestThinShell:
+    """The CLI prints the verdicts the library records and adds none."""
+
+    @pytest.mark.parametrize("command", ["betti", "hodge", "quotient",
+                                         "aut-ranks", "verify"])
+    @pytest.mark.parametrize("name", ["s2", "s2xs3"])
+    def test_cli_verdicts_are_the_library_verdicts(self, name, command):
+        code, out = run([command, str(loopspace.corpus_path(name)),
+                         "--format", "json"])
+        assert code == 0
+        shown = [(v["check"], v["pass"]) for v in json.loads(out)["verdicts"]]
+        got = []
+        verify_theorems(loopspace.load_corpus_model(name), None,
+                        _COMMANDS[command][1], got)
+        assert shown == got
 
 
 def scaled(rhs, c):

@@ -1,17 +1,24 @@
-"""No module imports a name it never uses, and no helper outlives its callers.
+"""No module imports a name it never uses, no helper outlives its callers,
+and no test hook hides in the product.
 
 The project ships no linter, so this walks the syntax tree of every module
 under src/loopspace and of every test module and fails on an imported name
 that is never read.  The package's __init__.py is left out: its imports are
 what it re-exports.  It also fails on a top-level function of the package
 that nothing in the package refers to outside its own definition; a
-re-export in __init__.py counts as a reference.
+re-export in __init__.py counts as a reference.  No function of the
+package takes a parameter whose name starts with an underscore, the shape
+of a hook only tests pass, and every option of the command line shows
+its help.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from loopspace.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "loopspace").glob("*.py"))
@@ -92,3 +99,43 @@ def test_checker_finds_dead_helpers():
 def test_no_dead_helpers():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert dead_helpers(sources) == []
+
+
+def underscore_parameters(source):
+    """(line, function, parameter) of each parameter of a function or
+    method whose name starts with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            found.extend((node.lineno, node.name, p.arg)
+                         for p in params if p.arg.startswith("_"))
+    return sorted(found)
+
+
+def test_checker_finds_underscore_parameters():
+    source = ("def f(a, _hook=None):\n    return a\n\n"
+              "class K:\n    def m(self, *_args, _t=1, **_kw):\n        pass\n\n"
+              "    async def n(self, b, /, _p):\n        pass\n")
+    assert underscore_parameters(source) == [
+        (1, "f", "_hook"), (5, "m", "_args"), (5, "m", "_kw"), (5, "m", "_t"),
+        (8, "n", "_p")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_underscore_parameters(path):
+    assert underscore_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_cli_option_shows_its_help():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        shown = parser.format_help()
+        for action in parser._actions:
+            assert action.help and action.help != argparse.SUPPRESS, (
+                command, action.dest)
+            assert all(opt in shown for opt in action.option_strings), (
+                command, action.dest)

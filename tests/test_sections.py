@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from loopspace import load_corpus_model
+from loopspace import load_corpus_model, sections
 from loopspace.errors import (
     ChainMapFailure,
     DualMismatch,
@@ -31,6 +31,7 @@ from loopspace.sections import (
     low_degree_section_classes,
     verify_duality_quasi_iso,
     verify_rho_tensor_quasi_iso,
+    VERIFY_CHECKS,
     verify_theorems,
 )
 from loopspace.sullivan import check_poincare_duality, parse_model
@@ -385,18 +386,34 @@ class TestVerifyTheorems:
         with pytest.raises(ValidationFailure):
             verify_theorems(bad)
 
-    def test_fault_injection_is_caught(self):
-        def corrupt(algebra):
+    def test_fault_injection_is_caught(self, corrupt_quotient):
+        def non_unit(algebra):
             for (i, j) in sorted(algebra.products):
                 if i != j and i != algebra.unit_index and j != algebra.unit_index:
-                    alpha = algebra.products[(i, j)]
-                    k = min(alpha)
-                    alpha[k] = alpha[k] + 1
-                    return
+                    return i, j
             raise AssertionError("nothing to corrupt")
 
+        corrupt_quotient(non_unit)
         with pytest.raises(IdentityViolation):
-            verify_theorems(get_model("s2xs3"), _tamper=corrupt)
+            verify_theorems(get_model("s2xs3"))
+
+    def test_records_the_verify_verdicts(self):
+        got = []
+        rep = verify_theorems(get_model("s2"), verdicts=got)
+        structural = ("simply_connected", "minimal", "d_squared_zero")
+        assert got == [(name, True) for name in structural + VERIFY_CHECKS]
+        assert len(got) == 13
+        assert rep.low_degree == {1: 1, 2: 0}
+
+    def test_unknown_check_is_rejected_before_any_work(self, monkeypatch):
+        def no_work(model):
+            raise AssertionError("validated a model for an unknown check")
+
+        monkeypatch.setattr(sections, "validate", no_work)
+        got = []
+        with pytest.raises(ValueError, match="poincare_dualty"):
+            verify_theorems(get_model("s2"), 8, ("poincare_dualty",), got)
+        assert got == []
 
     def test_window_clamp(self):
         rep = verify_theorems(get_model("s2"), n_max=3)
