@@ -10,13 +10,25 @@ with s the degree -1 derivation sending v to sv and sv to 0.  D preserves
 the number of suspended factors in a monomial, so each cohomology group
 splits by that word length; the pieces are computed slice by slice and
 cross-checked against the full slice.
+
+The model is the tensor product of its factors LV and L sV, and its slices
+are built from them.  A loop monomial b*t, b over the base generators and
+t over the suspended ones, is the exponent tuple b + t, and
+
+    D(b*t) = d(b)*t + (-1)^|b| b*D(t),
+
+so a column is d(b) with t appended plus one base-length product b*b'
+for each term b'*t' of D(t).  Slice (n, k) is the union over j of the
+degree n - j base monomials times the degree j suspended monomials of
+word length k, listed in ascending lexicographic order of b + t.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DifferentialSquareNonzero, HodgeSumMismatch
-from .exactq import CochainComplex, ONE
+from .exactq import CochainComplex, ONE, add_term, matrix_of_map
 from . import gca
 from .gca import Generator, DerivationSpec
 from .sullivan import RankTable
@@ -24,18 +36,76 @@ from .sullivan import RankTable
 
 @dataclass
 class FreeLoopModel(CochainComplex):
+    """(LV (x) L sV, D), its slices built from the two factors.
+
+    A column of a slice matrix is D(b*t) = d(b)*t + (-1)^|b| b*D(t), with
+    one base-length `normalize_product` per term of D(t).  `_d_base`
+    keeps d(b) for each base monomial b, with the parity of |b|, and
+    `_d_susp` keeps D(t) for each suspended monomial t as (b', t', coeff,
+    -coeff) terms.  Both live as long as the model: caches the size of the
+    two factors, not one entry per loop monomial.  Split and unsplit slices
+    alike are built column by column over their own basis.
+
+    `slice_basis(n, k)` lists the loop monomials b + t of degree n and word
+    length k in ascending lexicographic order, base exponents first; the
+    unsplit basis (k None) merges the split slices' own tuples.
+    """
     base: object                    # SullivanModel
     generators: tuple               # base generators then suspended ones
     loop_differential: DerivationSpec
     suspension: DerivationSpec
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _d_base: dict = field(default_factory=dict, repr=False, compare=False)
+    _d_susp: dict = field(default_factory=dict, repr=False, compare=False)
 
     def slice_basis(self, n, word_length=None):
-        return gca.slice_basis(self.generators, n, word_length)
+        return self.memo(("basis", n, word_length), self._slice_basis, n, word_length)
+
+    def _slice_basis(self, n, k):
+        if k is None:
+            return tuple(sorted(chain.from_iterable(
+                self.slice_basis(n, j) for j in range(n + 1))))
+        base_gens = self.base.generators
+        sgens = self.generators[len(base_gens):]
+        parts = []
+        for j in range(n + 1):
+            ts = gca.word_length_slices(sgens, j).get(k)
+            if ts:
+                parts.extend((b, ts) for b in gca.basis_of_degree(base_gens, n - j))
+        # each b has one degree, so the b are distinct and the sort never
+        # compares two ts; within one b, ts is already in order
+        parts.sort()
+        return tuple(b + t for b, ts in parts for t in ts)
+
+    def _column(self, mono):
+        """D(b*t) = d(b)*t + (-1)^|b| b*D(t), as {loop monomial: coeff}."""
+        base = self.base
+        nb = len(base.generators)
+        b, t = mono[:nb], mono[nb:]
+        got = self._d_base.get(b)
+        if got is None:
+            got = self._d_base[b] = (
+                gca.monomial_degree(base.generators, b) % 2,
+                tuple(gca.apply_derivation(
+                    base.generators, base.differential, {b: ONE}).items()))
+        odd, db = got
+        dt = self._d_susp.get(t)
+        if dt is None:
+            full = gca.apply_derivation(
+                self.generators, self.loop_differential, {(0,) * nb + t: ONE})
+            dt = self._d_susp[t] = tuple(
+                (m[:nb], m[nb:], c, -c) for m, c in full.items())
+        col = {b2 + t: c for b2, c in db}
+        for b1, t1, c, neg in dt:
+            p = gca.normalize_product(base.generators, b, b1)
+            if p is not None:
+                add_term(col, p[1] + t1, neg if (p[0] < 0) != odd else c)
+        return col
 
     def slice_matrix(self, n, k):
-        return gca.matrix_of_degree_slice(
-            self.generators, self.loop_differential, n, k)
+        return matrix_of_map(
+            self.slice_basis(n, k), self.slice_basis(n + 1, k), self._column,
+            "derivation image left the degree/word-length slice")
 
 
 def _lift_monomial(mono, nb):

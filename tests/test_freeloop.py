@@ -8,12 +8,14 @@ the elliptic model (x2, y5 / x3), and the product case by Kunneth.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopspace import exactq, load_corpus_model
+from loopspace import (corpus_models, exactq, gca, load_corpus_model,
+                       verify_theorems)
 from loopspace.errors import DifferentialSquareNonzero
 from loopspace.freeloop import (
     build_free_loop_model,
@@ -26,6 +28,9 @@ from loopspace.freeloop import (
 from loopspace.sullivan import RankTable, cohomology_table, parse_model
 
 Q = Fraction
+TESTS = Path(__file__).resolve().parent
+MODEL_FILES = (sorted((TESTS.parent / "perfbench" / "models").glob("*.model"))
+               + sorted((TESTS / "fixtures").glob("*.model")))
 
 
 def loop(name):
@@ -195,6 +200,84 @@ class TestClosedForms:
             expected |= {j * (4 * m - 2) + 2 * m - 1, j * (4 * m - 2) + 2 * m}
         assert betti.as_array(self.TOP) == [
             1 if n in expected else 0 for n in range(self.TOP + 1)]
+
+
+@st.composite
+def pure_models(draw):
+    """Even generators with d = 0, odd ones whose d is a polynomial with
+    non-integer coefficients in the even ones, so d*d = 0."""
+    evens = draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3))
+    odds = draw(st.lists(st.sampled_from([3, 5, 7]), min_size=1, max_size=3))
+    even_gens = tuple(gca.Generator("x%d" % i, q) for i, q in enumerate(evens))
+    coeffs = st.tuples(st.integers(-9, 9).filter(bool),
+                       st.sampled_from([2, 3, 5, 7])).filter(
+        lambda pq: pq[0] % pq[1])
+    lines = ["dim 1", "complete"] + ["gen %s %d" % (g.name, g.degree)
+                                     for g in even_gens]
+    for j, q in enumerate(odds):
+        lines.append("gen y%d %d" % (j, q))
+        monos = gca.basis_of_degree(even_gens, q + 1)
+        terms = draw(st.lists(st.tuples(st.sampled_from(monos), coeffs),
+                              unique_by=lambda t: t[0], max_size=3)
+                     if monos else st.just([]))
+        poly = " ".join("%+d/%d*%s" % (p, r, gca.render_monomial(even_gens, m))
+                        for m, (p, r) in terms)
+        lines.append("d y%d = %s" % (j, poly or "0"))
+    return parse_model("\n".join(lines) + "\n")
+
+
+class TestFactorisedSlices:
+    """FreeLoopModel builds its slices from the factors LV and L sV; the
+    generic gca path over all 2r generators is the oracle."""
+
+    @staticmethod
+    def assert_slices_match(flm, top):
+        for n in range(top + 1):
+            for k in (None,) + tuple(range(n + 2)):
+                assert flm.slice_basis(n, k) == gca.slice_basis(
+                    flm.generators, n, k), (n, k)
+                assert flm.d_matrix(n, k) == gca.matrix_of_degree_slice(
+                    flm.generators, flm.loop_differential, n, k), (n, k)
+
+    @pytest.mark.parametrize(
+        "source", corpus_models() + MODEL_FILES,
+        ids=lambda s: s if isinstance(s, str) else s.relative_to(TESTS.parent).as_posix())
+    def test_every_slice_matches_the_generic_path(self, source):
+        model = (load_corpus_model(source) if isinstance(source, str)
+                 else parse_model(source.read_text(encoding="utf-8")))
+        flm = build_free_loop_model(model)
+        self.assert_slices_match(flm, 10 if model.name == "S2xS2xS2" else 12)
+
+    def test_unsplit_basis_shares_the_split_tuples(self):
+        flm = loop("s2xs3")
+        split = {id(m) for k in range(10) for m in flm.slice_basis(9, k)}
+        assert {id(m) for m in flm.slice_basis(9)} == split
+
+    @given(pure_models())
+    @settings(max_examples=50, deadline=None)
+    def test_random_pure_models_match_the_generic_path(self, model):
+        self.assert_slices_match(build_free_loop_model(model), 8)
+
+    def test_caches_are_the_size_of_the_factors(self):
+        model = parse_model((TESTS.parent / "perfbench" / "models"
+                             / "s2cubed.model").read_text(encoding="utf-8"))
+        gca.basis_of_degree.cache_clear()
+        gca.word_length_slices.cache_clear()
+        gca.slice_basis.cache_clear()
+        flm = verify_theorems(model, 11).flm
+        nb = len(model.generators)
+        base, susp = flm.generators[:nb], flm.generators[nb:]
+        assert flm._d_base and flm._d_susp
+        assert len(flm._d_base) <= sum(len(gca.basis_of_degree(base, n))
+                                       for n in range(13))
+        assert len(flm._d_susp) <= sum(len(gca.basis_of_degree(susp, n))
+                                       for n in range(13))
+        # no degree of the 2r loop generators was ever enumerated: each
+        # lookup now is a miss
+        for n in range(13):
+            before = gca.basis_of_degree.cache_info()
+            gca.basis_of_degree(flm.generators, n)
+            assert gca.basis_of_degree.cache_info().misses == before.misses + 1, n
 
 
 class TestIntegerRoots:
