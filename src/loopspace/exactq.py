@@ -2,20 +2,23 @@
 
 Every scalar at an interface is a `fractions.Fraction`, and no floating
 point value ever enters a computation.  Matrices are sparse maps (row,
-col) -> nonzero Fraction, immutable once built.  Inside, `rref` and
-`product_is_zero` scale each row to exact integers by the lcm of its
-denominators; `rref` clears with r <- (p/g)*r - (f/g)*pivot row, g =
-gcd(p, f), and divides out the content of a scaled row.  Scaling moves no
-zero, so the pivots and the unique RREF are those of Fraction
-elimination.  Every exact coefficient sum, here and in the modules
-above, goes through one accumulate step, `add_term`, which drops a key
-whose sum is zero.  The five complexes subclass `CochainComplex`, whose
-`memo` caches their slices and their `betti`, kept per (n, k); slices are
-built with `matrix_of_map`, commuting squares checked with `is_chain_map`
-and ranks on cohomology taken with `induced_rank`, one rank identity that
-needs the square below to commute.  Every choice a routine makes, such as
-the pivot rows of `rref`, is a function of the input alone, so identical
-inputs give bit-identical outputs.
+col) -> nonzero Fraction, immutable once built.  Inside, the forward
+elimination `echelon` and `product_is_zero` scale each row to exact
+integers by the lcm of its denominators; `echelon` clears with r <-
+(p/g)*r - (f/g)*pivot row, g = gcd(p, f), and divides out the content of
+a scaled row.  Scaling moves no zero, so the pivots are those of Fraction
+elimination.  `rank` and the pivot columns come from that forward pass
+alone and form no Fraction; only `kernel_basis` asks `rref` for the back-
+substitution and the unique RREF.  Every exact coefficient sum, here and
+in the modules above, goes through one accumulate step, `add_term`, which
+drops a key whose sum is zero.  The five complexes subclass
+`CochainComplex`, whose `memo` caches their slices and their `betti`,
+kept per (n, k), and which records each d * d = 0 pair that passed;
+slices are built with `matrix_of_map`, commuting squares checked with
+`is_chain_map` and ranks on cohomology taken with `induced_rank`, one
+rank identity that needs the square below to commute.  Every choice a
+routine makes, such as the pivot rows of `echelon`, is a function of the
+input alone, so identical inputs give bit-identical outputs.
 """
 
 from fractions import Fraction
@@ -38,6 +41,13 @@ def add_term(acc, key, v):
         acc[key] = v
     elif old is not None:
         del acc[key]
+
+
+def _require_fit(a, b):
+    """ValueError unless the product a * b is defined."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch %dx%d * %dx%d"
+                         % (a.rows, a.cols, b.rows, b.cols))
 
 
 class SparseMatrix:
@@ -100,9 +110,7 @@ class SparseMatrix:
         `is_chain_map` compares its two sides with it, and the tests check
         `product_is_zero` against it.
         """
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch %dx%d * %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
+        _require_fit(self, other)
         rows_of_other = {}
         for (r, c), v in other.entries.items():
             rows_of_other.setdefault(r, []).append((c, v))
@@ -151,16 +159,18 @@ def matrix_of_map(dom, cod, image, failure):
     return SparseMatrix(len(cod), len(dom), entries)
 
 
-def _integer_rows(entries):
+def _integer_rows(entries, indexed=True):
     """Rows {row: {col: int}} from ((row, col), Fraction) pairs, and an index
-    {col: set of rows with a nonzero there}.  A row with a denominator other
-    than 1 is scaled by the lcm of its denominators."""
+    {col: set of rows with a nonzero there}, or None unless indexed.  A row
+    with a denominator other than 1 is scaled by the lcm of its
+    denominators."""
     rows = {}
-    index = {}
+    index = {} if indexed else None
     fractional = set()
     for (r, c), v in entries:
         row = rows.setdefault(r, {})
-        index.setdefault(c, set()).add(r)
+        if indexed:
+            index.setdefault(c, set()).add(r)
         if v.denominator == 1:
             row[c] = v.numerator
         else:
@@ -174,29 +184,21 @@ def _integer_rows(entries):
     return rows, index
 
 
-def rref(m):
-    """Reduced row echelon form.
+def echelon(m, rows=None):
+    """Forward elimination of m: {pivot column: its integer row, pivot
+    entry p > 0 included}, in pivot order.  No Fraction is formed.
 
-    Returns (reduced matrix, pivot column tuple, rank); row i of the
-    reduced matrix, listed row by row, is the pivot row of the i-th pivot
-    column, and rows past the rank are zero.
-
-    Rows are integer dicts {col: int}, next to an index from each column
-    to the not-yet-pivot rows with a nonzero there (`_integer_rows`).
-    Forward elimination visits the columns left to right; of the rows the
-    index lists it takes the shortest as pivot, lowest index on ties, to
-    keep fill-in down (Markowitz 1957), with its entry p made positive.  A
-    row with entry f there becomes (p/g)*row - (f/g)*pivot row, g =
-    gcd(p, f), then, if p/g is not 1, is divided by the gcd of its entries
-    (Bareiss 1968).  Back-substitution, last pivot row first, clears the
-    pivot columns of each row by the same rule, the content leaving the
-    row and its pivot entry together.  Output entries are Fraction(v,
-    pivot entry), the only Fractions formed.  A nonzero scaling keeps each
-    row's support, so the pivots are those of Fraction elimination, and the
-    RREF is unique: the output is unchanged, and only the time differs.
+    rows are m's `_integer_rows` if the caller has them; they are consumed.
+    The columns are visited left to right; of the not-yet-pivot rows with
+    a nonzero there the shortest is the pivot, lowest index on ties, to
+    keep fill-in down (Markowitz 1957).  A row with entry f there becomes
+    (p/g)*row - (f/g)*pivot row, g = gcd(p, f), then, if p/g is not 1, is
+    divided by the gcd of its entries (Bareiss 1968).  A nonzero scaling
+    keeps each row's support, so the pivots are those of Fraction
+    elimination.
     """
-    rowdata, colrows = _integer_rows(m.entries.items())
-    pivot_rows = {}  # pivot column -> its row, pivot entry included
+    rowdata, colrows = rows if rows is not None else _integer_rows(m.entries.items())
+    pivot_rows = {}
     for col in range(m.cols):
         live = colrows.pop(col, None)
         if not live:
@@ -232,6 +234,24 @@ def rref(m):
                 rowdata[r] = {c2: v2 // g for c2, v2 in row.items()}
         prow[col] = pv
         pivot_rows[col] = prow
+    return pivot_rows
+
+
+def rref(m):
+    """Reduced row echelon form.
+
+    Returns (reduced matrix, pivot column tuple, rank); row i of the
+    reduced matrix, listed row by row, is the pivot row of the i-th pivot
+    column, and rows past the rank are zero.
+
+    The forward pass is `echelon`, the one that `rank` runs too.
+    Back-substitution, last pivot row first, clears the pivot columns of
+    each row by the same integer rule, the content leaving the row and its
+    pivot entry together.  Output entries are Fraction(v, pivot entry),
+    the only Fractions formed.  The RREF is unique, so the output is that
+    of Fraction elimination; only the time differs.
+    """
+    pivot_rows = echelon(m)
     # A later pivot row is reduced before it clears an earlier one, and
     # adds entries only in non-pivot columns.
     for own, row in reversed(pivot_rows.items()):
@@ -259,9 +279,11 @@ def rref(m):
 
 
 def rank(m):
-    """Rank of m, reduced once per matrix object and then remembered."""
+    """Rank of m, from the forward pass alone, taken once per matrix
+    object and then remembered; a matrix with no entries has rank 0
+    without one.  No Fraction and no matrix is formed."""
     if m._rank is None:
-        m._rank = rref(m)[2]
+        m._rank = len(echelon(m)) if m.entries else 0
     return m._rank
 
 
@@ -285,47 +307,53 @@ def representative_cocycles(d_out, d_in):
     """Kernel vectors of d_out that complete im(d_in) to a basis of ker.
 
     The result represents a basis of ker(d_out)/im(d_in), picked
-    deterministically: pivot columns of rref([boundaries | kernel basis])
+    deterministically: pivot columns of [boundaries | kernel basis]
     restricted to the kernel block.
     """
     z = kernel_basis(d_out)
     b = d_in.columns()
-    combined = SparseMatrix.from_columns(d_out.cols, b + z)
-    _, pivots, _ = rref(combined)
     nb = len(b)
+    pivots = echelon(SparseMatrix.from_columns(d_out.cols, b + z))
     return [z[p - nb] for p in pivots if p >= nb]
 
 
-def cohomology_dim(d_out, d_in):
+def cohomology_dim(d_out, d_in, checked=False):
     """dim ker(d_out) - rank(d_in) for consecutive maps of a cochain complex.
 
     d_in : C^{n-1} -> C^n and d_out : C^n -> C^{n+1}; ValueError unless
     d_out.cols == d_in.rows, the dimension of the shared space C^n.
-    Raises CompositionNotZero unless d_out * d_in == 0.
+    Raises CompositionNotZero unless d_out * d_in == 0, tested unless
+    checked; the test and the forward pass for an unknown rank(d_out)
+    read d_out's integer rows, formed once.
     """
-    if not product_is_zero(d_out, d_in):
-        raise CompositionNotZero(
-            "composite of consecutive differentials is nonzero")
+    _require_fit(d_out, d_in)
+    if not checked:
+        rows = _integer_rows(d_out.entries.items())
+        if not product_is_zero(d_out, d_in, rows):
+            raise CompositionNotZero(
+                "composite of consecutive differentials is nonzero")
+        if d_out._rank is None and d_out.entries:
+            d_out._rank = len(echelon(d_out, rows))
     dim = (d_out.cols - rank(d_out)) - rank(d_in)
     if dim < 0:
         raise CompositionNotZero("negative cohomology dimension, rank bookkeeping broke")
     return dim
 
 
-def product_is_zero(a, b):
-    """Whether a * b == 0, decided in integers: rows of a and columns of b
-    are scaled as in `rref`, which moves no zero of the product, and the
-    test stops at the first nonzero column of the product."""
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch %dx%d * %dx%d"
-                         % (a.rows, a.cols, b.rows, b.cols))
-    a_rows, a_index = _integer_rows(a.entries.items())
-    b_cols, _ = _integer_rows(((c, r), v) for (r, c), v in b.entries.items())
+def product_is_zero(a, b, a_rows=None):
+    """Whether a * b == 0, decided in integers: rows of a (a_rows if the
+    caller has them, only read here) and columns of b are scaled as in
+    `echelon`, which moves no zero of the product, and the test stops at
+    the first nonzero column of the product."""
+    _require_fit(a, b)
+    rows, index = a_rows if a_rows is not None else _integer_rows(a.entries.items())
+    b_cols, _ = _integer_rows((((c, r), v) for (r, c), v in b.entries.items()),
+                              indexed=False)
     for col in b_cols.values():
         acc = {}
         for k, w in col.items():
-            for r in a_index.get(k, ()):
-                acc[r] = acc.get(r, 0) + a_rows[r][k] * w
+            for r in index.get(k, ()):
+                acc[r] = acc.get(r, 0) + rows[r][k] * w
         if any(acc.values()):
             return False
     return True
@@ -368,13 +396,27 @@ class CochainComplex:
         """The slice matrix, built once and then kept in `_cache`."""
         return self.memo(("d", n, k), self.slice_matrix, n, k)
 
+    def square_is_zero(self, n, k=None):
+        """Whether d_matrix(n + 1, k) * d_matrix(n, k) == 0, kept in
+        `_cache`; `betti` keeps a pass there too and reads it, so a pair
+        that passed is not tested again."""
+        key = ("d2", n, k)
+        if not self._cache.get(key):
+            self._cache[key] = product_is_zero(self.d_matrix(n + 1, k),
+                                               self.d_matrix(n, k))
+        return self._cache[key]
+
     def betti(self, n, k=None):
         """dim H^n of the slice, from the two differentials around it,
         taken once per (n, k) and then kept in `_cache`."""
         return self.memo(("betti", n, k), self._betti, n, k)
 
     def _betti(self, n, k):
-        return cohomology_dim(self.d_matrix(n, k), self.d_matrix(n - 1, k))
+        key = ("d2", n - 1, k)
+        dim = cohomology_dim(self.d_matrix(n, k), self.d_matrix(n - 1, k),
+                             self._cache.get(key, False))
+        self._cache[key] = True
+        return dim
 
 
 def induced_rank(f, d_out, target_d_in):

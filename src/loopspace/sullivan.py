@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import (ParseError, UnknownGenerator, DegreeMismatch, OddExponent,
                      NotPoincareDuality, InternalCheckFailure, TopClassCollapse)
 from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, add_term, rank,
-                     rref, kernel_basis, representative_cocycles)
+                     echelon, kernel_basis, representative_cocycles)
 from . import gca
 from .gca import Generator, DerivationSpec
 
@@ -65,9 +65,10 @@ class SullivanModel(CochainComplex):
         return gca.matrix_of_degree_slice(self.generators, self.differential, n)
 
     def s_pivots(self, n):
-        """Pivot columns of the reduced degree-n differential: the monomials
-        spanning a complement S^n of the degree-n cocycles."""
-        return self.memo(("pivots", n), lambda: rref(self.d_matrix(n))[1])
+        """Pivot columns of the degree-n differential, from its forward
+        elimination: the monomials spanning a complement S^n of the
+        degree-n cocycles."""
+        return self.memo(("pivots", n), lambda: tuple(echelon(self.d_matrix(n))))
 
     def trusted_base(self, n_max):
         c = self.completeness

@@ -3,12 +3,14 @@
 corrupt_quotient injects a fault from outside the product: it wraps
 sections.build_quotient so that the quotient algebra every later check
 uses has one structure constant bumped by one, and the checks must catch
-it rather than use it.
+it rather than use it.  count_eliminations records every matrix the
+forward elimination `exactq.echelon` runs on, so a test can say that a
+matrix was eliminated once.
 """
 
 import pytest
 
-from loopspace import sections
+from loopspace import exactq, sections
 
 
 def first_off_diagonal(algebra):
@@ -33,5 +35,25 @@ def corrupt_quotient(monkeypatch):
             return algebra, qmap
 
         monkeypatch.setattr(sections, "build_quotient", corrupted)
+
+    return install
+
+
+@pytest.fixture
+def count_eliminations(monkeypatch):
+    """Call it to patch exactq.echelon, the forward pass behind `rank`,
+    the pivot columns and `rref`; it returns the list to which every
+    later call appends the matrix it eliminates.  Holding the matrices
+    keeps their ids distinct."""
+    def install():
+        eliminated = []
+        real = exactq.echelon
+
+        def counting(m, rows=None):
+            eliminated.append(m)
+            return real(m, rows)
+
+        monkeypatch.setattr(exactq, "echelon", counting)
+        return eliminated
 
     return install

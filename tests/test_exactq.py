@@ -20,6 +20,7 @@ from loopspace.exactq import (
     SparseMatrix,
     add_term,
     cohomology_dim,
+    echelon,
     induced_rank,
     is_chain_map,
     kernel_basis,
@@ -161,6 +162,14 @@ def assert_reduced_entries(red, pivots):
     assert all(red.entries[(i, p)] == ONE for i, p in enumerate(pivots))
 
 
+def assert_forward_pass(m, pivots, rk):
+    """The forward pass alone, on fresh copies of m so that no memoised
+    rank answers, gives the oracle's pivot columns and rank."""
+    copy = SparseMatrix(m.rows, m.cols, m.entries)
+    assert tuple(echelon(copy)) == pivots
+    assert rank(SparseMatrix(m.rows, m.cols, m.entries)) == rk
+
+
 def loop_model_matrices():
     """Every loop differential slice of s2xs3, of the s2xs2 fixture and of
     the benchmark's SU(3)/T^2 model, split and unsplit."""
@@ -286,6 +295,7 @@ class TestRref:
         m = from_dense([[1, 0], [0, 1]], 2, 2)
         red, pivots, rk = rref(m)
         assert red == m and pivots == (0, 1) and rk == 2
+        assert_forward_pass(m, (0, 1), 2)
 
     def test_worked_example(self):
         # [[1,2,1],[2,4,0],[1,2,3]] has rank 2, pivots in columns 0 and 2
@@ -295,10 +305,42 @@ class TestRref:
         assert dense(red)[0] == [Q(1), Q(2), Q(0)]
         assert dense(red)[1] == [Q(0), Q(0), Q(1)]
         assert dense(red)[2] == [Q(0), Q(0), Q(0)]
+        assert_forward_pass(m, (0, 2), 2)
 
     def test_zero_matrix(self):
         red, pivots, rk = rref(SparseMatrix(3, 4))
         assert red.is_zero() and pivots == () and rk == 0
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (3, 4)])
+    def test_empty_matrix_has_rank_zero_without_elimination(
+            self, shape, count_eliminations):
+        m = SparseMatrix(*shape)
+        assert echelon(m) == {}
+        eliminated = count_eliminations()
+        assert rank(m) == 0
+        assert eliminated == []
+
+    def test_fractional_entries_in_the_forward_pass(self):
+        # rows (1/2, 1/3, 0) and (3/4, 1/2, 5/6): the second minus 3/2 times
+        # the first is (0, 0, 5/6), so the pivots are columns 0 and 2
+        m = SparseMatrix(2, 3, {(0, 0): Q(1, 2), (0, 1): Q(1, 3),
+                                (1, 0): Q(3, 4), (1, 1): Q(1, 2), (1, 2): Q(5, 6)})
+        rows = echelon(SparseMatrix(2, 3, m.entries))
+        assert tuple(rows) == (0, 2)
+        assert all(type(v) is int for row in rows.values() for v in row.values())
+        assert_forward_pass(m, (0, 2), 2)
+        assert rref(m)[1:] == ((0, 2), 2)
+
+    def test_rank_forms_no_fraction_and_no_matrix(self, monkeypatch):
+        m = SparseMatrix(2, 3, {(0, 0): Q(1, 2), (0, 2): Q(-7, 3),
+                                (1, 0): Q(3), (1, 1): Q(5, 4)})
+
+        def refuse(*args):
+            raise AssertionError("built by rank")
+
+        monkeypatch.setattr(exactq, "Fraction", refuse)
+        monkeypatch.setattr(exactq, "SparseMatrix", refuse)
+        assert rank(m) == 2
 
     @given(matrices())
     @settings(max_examples=120, deadline=None)
@@ -311,6 +353,7 @@ class TestRref:
         assert rk == ork
         assert dense(red) == [[Q(v) for v in row] for row in ogrid]
         assert_reduced_entries(red, pivots)
+        assert_forward_pass(m, opivots, ork)
 
     @given(matrices())
     @settings(max_examples=60, deadline=None)
@@ -330,6 +373,7 @@ class TestRref:
         assert pivots == tuple(spivots)
         assert rk == sm.rank()
         assert sympy.Matrix(dense(red)) == sred
+        assert_forward_pass(m, tuple(spivots), sm.rank())
 
     @given(big_sparse_matrices())
     @settings(max_examples=60, deadline=None)
@@ -339,6 +383,7 @@ class TestRref:
         assert (pivots, rk) == (opivots, ork)
         assert dense(red) == ogrid
         assert_reduced_entries(red, pivots)
+        assert_forward_pass(m, opivots, ork)
 
     @given(big_sparse_matrices())
     @settings(max_examples=25, deadline=None)
@@ -348,6 +393,7 @@ class TestRref:
         sred, spivots = sympy.Matrix(dense(m)).rref()
         assert (pivots, rk) == (tuple(spivots), len(spivots))
         assert sympy.Matrix(dense(red)) == sred
+        assert_forward_pass(m, tuple(spivots), len(spivots))
 
     def test_row_plus_large_multiple_has_rank_one(self):
         row = [Q(1, 2), Q(-7, 3), Q(0), Q(5)]
@@ -357,6 +403,7 @@ class TestRref:
         assert rk == 1 and pivots == (0,)
         assert dense(red) == [[ONE, Q(-14, 3), Q(0), Q(10)], [Q(0)] * 4]
         assert_reduced_entries(red, pivots)
+        assert_forward_pass(m, (0,), 1)
 
     def test_loop_model_slices_match_dense_oracle(self):
         for m in loop_model_matrices():
@@ -365,6 +412,7 @@ class TestRref:
             assert (pivots, rk) == (opivots, ork)
             assert dense(red) == ogrid
             assert_reduced_entries(red, pivots)
+            assert_forward_pass(m, opivots, ork)
 
     @given(matrices(max_dim=7), st.data())
     @settings(max_examples=60, deadline=None)
@@ -374,6 +422,8 @@ class TestRref:
         perm = data.draw(st.permutations(range(rows)))
         shuffled = [grid[p] for p in perm]
         assert rref(from_dense(shuffled, rows, cols)) == rref(from_dense(grid, rows, cols))
+        assert (tuple(echelon(from_dense(shuffled, rows, cols)))
+                == tuple(echelon(from_dense(grid, rows, cols))))
 
     @given(matrices())
     @settings(max_examples=60, deadline=None)
@@ -460,29 +510,16 @@ class TestCohomology:
         assert len(reps) == cohomology_dim(d_out, d_in)
 
 
-def count_rref(monkeypatch):
-    """Patch exactq.rref to record every matrix it reduces."""
-    reduced = []
-    real = exactq.rref
-
-    def counting(m):
-        reduced.append(m)
-        return real(m)
-
-    monkeypatch.setattr(exactq, "rref", counting)
-    return reduced
-
-
 class TestRankMemo:
-    def test_rank_reduces_a_matrix_once(self, monkeypatch):
-        reduced = count_rref(monkeypatch)
+    def test_rank_reduces_a_matrix_once(self, count_eliminations):
+        reduced = count_eliminations()
         m = from_dense([[1, 2], [2, 4]], 2, 2)
         assert rank(m) == 1
         assert rank(m) == 1
         assert reduced == [m]
 
-    def test_composite_check_runs_with_memoised_ranks(self, monkeypatch):
-        reduced = count_rref(monkeypatch)
+    def test_composite_check_runs_with_memoised_ranks(self, count_eliminations):
+        reduced = count_eliminations()
         d_in = from_dense([[1]], 1, 1)
         d_out = from_dense([[1]], 1, 1)
         for m in (d_in, d_out, d_in, d_out):
@@ -491,6 +528,23 @@ class TestRankMemo:
         with pytest.raises(CompositionNotZero):
             cohomology_dim(d_out, d_in)
 
+    def test_composite_check_and_rank_share_the_rows(self, monkeypatch):
+        # d_out's rows are formed once for the composite test and the
+        # forward pass; d_in's columns once, and its rank is memoised
+        formed = []
+        real = exactq._integer_rows
+
+        def counting(*args, **kwargs):
+            formed.append(1)
+            return real(*args, **kwargs)
+
+        d_out = from_dense([[1, 1, 0], [0, 0, 1]], 2, 3)
+        d_in = from_dense([[1], [-1], [0]], 3, 1)
+        assert rank(d_in) == 1
+        monkeypatch.setattr(exactq, "_integer_rows", counting)
+        assert cohomology_dim(d_out, d_in) == 0
+        assert d_out._rank == 2 and len(formed) == 2
+
 
 def count_cohomology_dim(monkeypatch):
     """Patch exactq.cohomology_dim to record the pair of matrices of every
@@ -498,9 +552,9 @@ def count_cohomology_dim(monkeypatch):
     calls = []
     real = exactq.cohomology_dim
 
-    def counting(d_out, d_in):
+    def counting(d_out, d_in, *checked):
         calls.append((id(d_out), id(d_in)))
-        return real(d_out, d_in)
+        return real(d_out, d_in, *checked)
 
     monkeypatch.setattr(exactq, "cohomology_dim", counting)
     return calls
@@ -589,10 +643,10 @@ class TestQuotientRank:
         assert (induced_rank(SparseMatrix(n, n, acc), d_out, d_in)
                 == cohomology_dim(d_out, d_in))
 
-    def test_denominator_rank_comes_from_the_memo(self, monkeypatch):
+    def test_denominator_rank_comes_from_the_memo(self, count_eliminations):
         target_d_in = SparseMatrix(2, 1, {(0, 0): ONE})
         assert rank(target_d_in) == 1
-        reduced = count_rref(monkeypatch)
+        reduced = count_eliminations()
         assert induced_rank(identity(2), SparseMatrix(0, 2), target_d_in) == 1
         assert target_d_in not in reduced
 
@@ -602,11 +656,11 @@ class TestQuotientRank:
         with pytest.raises(ValueError):
             induced_rank(identity(2), SparseMatrix(0, 2), SparseMatrix(3, 0))
 
-    def test_one_elimination_beside_the_memos(self, monkeypatch):
+    def test_one_elimination_beside_the_memos(self, count_eliminations):
         d_out = SparseMatrix(1, 2, {(0, 1): ONE})
         target_d_in = SparseMatrix(2, 1, {(0, 0): ONE})
         assert rank(d_out) == rank(target_d_in) == 1
-        reduced = count_rref(monkeypatch)
+        reduced = count_eliminations()
         # the cocycle e0 lands on the boundary e0: rank 0
         assert induced_rank(identity(2), d_out, target_d_in) == 0
         assert len(reduced) == 1

@@ -157,18 +157,19 @@ class TestHodge:
         parallel = hodge_betti_table(flm, 8, jobs=3)
         assert serial.entries == parallel.entries
 
-    def test_each_slice_is_reduced_once(self, monkeypatch):
-        reduced = []
-        real = exactq.rref
-
-        def counting(m):
-            reduced.append(m)  # holding m keeps every id distinct
-            return real(m)
-
-        monkeypatch.setattr(exactq, "rref", counting)
+    def test_each_slice_is_reduced_once(self, count_eliminations):
+        reduced = count_eliminations()
         hodge_betti_table(loop("cp2"), 8)
         assert reduced
         assert len({id(m) for m in reduced}) == len(reduced)
+
+    def test_table_takes_no_full_reduction(self, monkeypatch):
+        # every slice rank comes from the forward pass alone
+        def refuse(m):
+            raise AssertionError("rref reached from the Hodge table")
+
+        monkeypatch.setattr(exactq, "rref", refuse)
+        assert hodge_betti_table(loop("cp2"), 8).get(6, 1) == 1
 
 
 class TestClosedForms:

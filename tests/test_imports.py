@@ -101,6 +101,48 @@ def test_no_dead_helpers():
     assert dead_helpers(sources) == []
 
 
+def callers(sources, name):
+    """(module, function) of each function or method whose body calls
+    `name`, by name or as an attribute; a call inside a nested function
+    or lambda counts for the innermost named function around it, and a
+    call at module level for None."""
+    found = set()
+
+    def visit(node, mod, owner):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(sub, mod, sub.name)
+                continue
+            if isinstance(sub, ast.Call):
+                f = sub.func
+                if (isinstance(f, ast.Name) and f.id == name
+                        or isinstance(f, ast.Attribute) and f.attr == name):
+                    found.add((mod, owner))
+            visit(sub, mod, owner)
+
+    for mod, src in sources.items():
+        visit(ast.parse(src), mod, None)
+    return sorted(found, key=lambda mo: (mo[0], mo[1] or ""))
+
+
+def test_checker_finds_callers():
+    sources = {
+        "a": ("def f(m):\n    return rref(m)\n\n"
+              "class K:\n    def g(self):\n        return (lambda: exactq.rref(1))()\n\n"
+              "def h(rref):\n    return rref\n"),
+        "b": "x = rref(0)\n\ndef outer():\n    def inner():\n        rref(2)\n",
+    }
+    assert callers(sources, "rref") == [
+        ("a", "f"), ("a", "g"), ("b", None), ("b", "inner")]
+
+
+def test_only_kernel_basis_asks_for_the_full_reduction():
+    """Ranks and pivot columns come from the forward pass; a back-
+    substitution behind them would be work whose result nobody reads."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "rref") == [("exactq", "kernel_basis")]
+
+
 def underscore_parameters(source):
     """(line, function, parameter) of each parameter of a function or
     method whose name starts with an underscore."""

@@ -12,17 +12,20 @@ from pathlib import Path
 
 import pytest
 
-from loopspace import load_corpus_model, sections
+from loopspace import exactq, load_corpus_model, sections
 from loopspace.errors import (
     ChainMapFailure,
+    DifferentialSquareNonzero,
     DualMismatch,
     IdentityViolation,
     SingularDuality,
     ValidationFailure,
 )
-from loopspace.exactq import cohomology_dim
+from loopspace.exactq import SparseMatrix, add_term, cohomology_dim
 from loopspace.pdquotient import FiniteCdga, build_quotient
 from loopspace.sections import (
+    DualSectionComplex,
+    ExtendedQuotientModel,
     aut_rank_table,
     build_dual_complex,
     derivation_oracle,
@@ -70,6 +73,28 @@ def five_complexes(name):
         (eqm, eqm.slice_basis, graded, range(-1, 9)),
         (dual, lambda n, k: dual.by_degree(n), [None], range(lo - 2, hi + 1)),
     ]
+
+
+def bump_first_square(monkeypatch, cx, cls, slices):
+    """Of the (n, k) in slices, in order, take the first whose d(n, k) has
+    a nonzero row c and whose d(n + 1, k) has a row, and patch cls so that
+    d(n + 1, k) carries 1 more at (0, c).  Then d(n + 1, k) * d(n, k)
+    gains row c of d(n, k) in its row 0, and no pair before it changes."""
+    n, k, c = next((n, k, min(r for r, _ in cx.d_matrix(n, k).entries))
+                   for n, k in slices
+                   if cx.d_matrix(n, k).entries and cx.d_matrix(n + 1, k).rows)
+    real = cls.slice_matrix
+
+    def bumped(self, m, j):
+        d = real(self, m, j)
+        if (m, j) != (n + 1, k):
+            return d
+        entries = dict(d.entries)
+        add_term(entries, (0, c), ONE)
+        return SparseMatrix(d.rows, d.cols, entries)
+
+    monkeypatch.setattr(cls, "slice_matrix", bumped)
+    return n, k
 
 
 class TestCochainComplexes:
@@ -414,6 +439,41 @@ class TestVerifyTheorems:
         with pytest.raises(ValueError, match="poincare_dualty"):
             verify_theorems(get_model("s2"), 8, ("poincare_dualty",), got)
         assert got == []
+
+    def test_each_composite_is_tested_once(self, monkeypatch):
+        # extend_to_quotient_loop and build_dual_complex test d * d = 0 on
+        # pairs whose betti is read later; each pair is tested once
+        tested = []
+        real = exactq.product_is_zero
+
+        def counting(a, b, *rows):
+            tested.append((a, b))  # holding them keeps every id distinct
+            return real(a, b, *rows)
+
+        monkeypatch.setattr(exactq, "product_is_zero", counting)
+        verify_theorems(get_model("s2xs2"), 8)
+        pairs = [(id(a), id(b)) for a, b in tested]
+        assert pairs and len(set(pairs)) == len(pairs)
+
+    def test_bumped_extended_square_still_raises(self, monkeypatch):
+        model, algebra, qmap, eqm = setup("cp2")
+        top = algebra.top_degree + 2
+        n, k = bump_first_square(
+            monkeypatch, eqm, ExtendedQuotientModel,
+            [(n, k) for n in range(top + 1) for k in range(n + 2)])
+        with pytest.raises(DifferentialSquareNonzero,
+                           match=r"^Dbar\*Dbar nonzero on slice \(%d, %d\)$" % (n, k)):
+            extend_to_quotient_loop(model, algebra, qmap)
+
+    def test_bumped_dual_square_still_raises(self, monkeypatch):
+        _, algebra, _, eqm = setup("cp2")
+        dual = build_dual_complex(algebra, eqm)
+        lo, hi = dual.degree_range()
+        n, _ = bump_first_square(monkeypatch, dual, DualSectionComplex,
+                                 [(n, None) for n in range(lo - 1, hi + 1)])
+        with pytest.raises(DifferentialSquareNonzero, match=(
+                r"^delta\*delta nonzero in degree %d of the dual complex$" % n)):
+            build_dual_complex(algebra, eqm)
 
     def test_window_clamp(self):
         rep = verify_theorems(get_model("s2"), n_max=3)
