@@ -13,12 +13,12 @@ substitution and the unique RREF.  Every exact coefficient sum, here and
 in the modules above, goes through one accumulate step, `add_term`, which
 drops a key whose sum is zero.  The five complexes subclass
 `CochainComplex`, whose `memo` caches their slices and their `betti`,
-kept per (n, k), and which records each d * d = 0 pair that passed;
-slices are built with `matrix_of_map`, commuting squares checked with
-`is_chain_map` and ranks on cohomology taken with `induced_rank`, one
-rank identity that needs the square below to commute.  Every choice a
-routine makes, such as the pivot rows of `echelon`, is a function of the
-input alone, so identical inputs give bit-identical outputs.
+kept per (n, k); slices are built with `matrix_of_map`, commuting squares
+checked with `is_chain_map` and ranks on cohomology taken with
+`induced_rank`, one rank identity that needs the square below to commute.
+Every choice a routine makes, such as the pivot rows of `echelon`, is a
+function of the input alone, so identical inputs give bit-identical
+outputs.
 """
 
 from fractions import Fraction
@@ -278,12 +278,13 @@ def rref(m):
     return SparseMatrix(m.rows, m.cols, entries), tuple(pivot_rows), len(pivot_rows)
 
 
-def rank(m):
-    """Rank of m, from the forward pass alone, taken once per matrix
-    object and then remembered; a matrix with no entries has rank 0
-    without one.  No Fraction and no matrix is formed."""
+def rank(m, rows=None):
+    """Rank of m, from the forward pass alone (on rows, m's
+    `_integer_rows`, if the caller has them), taken once per matrix object
+    and then remembered; a matrix with no entries has rank 0 without one.
+    No Fraction and no matrix is formed."""
     if m._rank is None:
-        m._rank = len(echelon(m)) if m.entries else 0
+        m._rank = len(echelon(m, rows)) if m.entries else 0
     return m._rank
 
 
@@ -317,24 +318,20 @@ def representative_cocycles(d_out, d_in):
     return [z[p - nb] for p in pivots if p >= nb]
 
 
-def cohomology_dim(d_out, d_in, checked=False):
+def cohomology_dim(d_out, d_in):
     """dim ker(d_out) - rank(d_in) for consecutive maps of a cochain complex.
 
     d_in : C^{n-1} -> C^n and d_out : C^n -> C^{n+1}; ValueError unless
     d_out.cols == d_in.rows, the dimension of the shared space C^n.
-    Raises CompositionNotZero unless d_out * d_in == 0, tested unless
-    checked; the test and the forward pass for an unknown rank(d_out)
-    read d_out's integer rows, formed once.
+    Raises CompositionNotZero unless d_out * d_in == 0; the test and the
+    forward pass for an unknown rank(d_out) read d_out's integer rows,
+    formed once.
     """
-    _require_fit(d_out, d_in)
-    if not checked:
-        rows = _integer_rows(d_out.entries.items())
-        if not product_is_zero(d_out, d_in, rows):
-            raise CompositionNotZero(
-                "composite of consecutive differentials is nonzero")
-        if d_out._rank is None and d_out.entries:
-            d_out._rank = len(echelon(d_out, rows))
-    dim = (d_out.cols - rank(d_out)) - rank(d_in)
+    rows = _integer_rows(d_out.entries.items())
+    if not product_is_zero(d_out, d_in, rows):
+        raise CompositionNotZero(
+            "composite of consecutive differentials is nonzero")
+    dim = (d_out.cols - rank(d_out, rows)) - rank(d_in)
     if dim < 0:
         raise CompositionNotZero("negative cohomology dimension, rank bookkeeping broke")
     return dim
@@ -396,27 +393,13 @@ class CochainComplex:
         """The slice matrix, built once and then kept in `_cache`."""
         return self.memo(("d", n, k), self.slice_matrix, n, k)
 
-    def square_is_zero(self, n, k=None):
-        """Whether d_matrix(n + 1, k) * d_matrix(n, k) == 0, kept in
-        `_cache`; `betti` keeps a pass there too and reads it, so a pair
-        that passed is not tested again."""
-        key = ("d2", n, k)
-        if not self._cache.get(key):
-            self._cache[key] = product_is_zero(self.d_matrix(n + 1, k),
-                                               self.d_matrix(n, k))
-        return self._cache[key]
-
     def betti(self, n, k=None):
         """dim H^n of the slice, from the two differentials around it,
         taken once per (n, k) and then kept in `_cache`."""
         return self.memo(("betti", n, k), self._betti, n, k)
 
     def _betti(self, n, k):
-        key = ("d2", n - 1, k)
-        dim = cohomology_dim(self.d_matrix(n, k), self.d_matrix(n - 1, k),
-                             self._cache.get(key, False))
-        self._cache[key] = True
-        return dim
+        return cohomology_dim(self.d_matrix(n, k), self.d_matrix(n - 1, k))
 
 
 def induced_rank(f, d_out, target_d_in):

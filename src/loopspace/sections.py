@@ -34,7 +34,8 @@ from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SingularDuality, InternalCheckFailure, ChainMapFailure,
                      QuasiIsoFailure)
 from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, add_term, rank,
-                     cohomology_dim, induced_rank, is_chain_map, matrix_of_map)
+                     cohomology_dim, induced_rank, is_chain_map, matrix_of_map,
+                     product_is_zero)
 from . import gca
 from .gca import DerivationSpec
 from .sullivan import RankTable, validate, check_poincare_duality
@@ -154,7 +155,7 @@ def extend_to_quotient_loop(model, algebra, qmap, flm=None, check_to=None):
     for n in range(top + 1):
         for k in range(n + 2):
             d0 = eqm.d_matrix(n, k)
-            if not eqm.square_is_zero(n, k):
+            if not product_is_zero(eqm.d_matrix(n + 1, k), d0):
                 raise DifferentialSquareNonzero(
                     "Dbar*Dbar nonzero on slice (%d, %d)" % (n, k))
             if not is_chain_map(eqm.rho_tensor_matrix(n + 1, k), flm.d_matrix(n, k),
@@ -355,7 +356,7 @@ def build_dual_complex(algebra, eqm):
 
     lo, hi = dual.degree_range()
     for n in range(lo - 1, hi + 1):
-        if not dual.square_is_zero(n):
+        if not product_is_zero(dual.d_matrix(n + 1), dual.d_matrix(n)):
             raise DifferentialSquareNonzero(
                 "delta*delta nonzero in degree %d of the dual complex" % n)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from loopspace import exactq, load_corpus_model, sections
+from loopspace import load_corpus_model, sections
 from loopspace.errors import (
     ChainMapFailure,
     DifferentialSquareNonzero,
@@ -439,21 +439,6 @@ class TestVerifyTheorems:
         with pytest.raises(ValueError, match="poincare_dualty"):
             verify_theorems(get_model("s2"), 8, ("poincare_dualty",), got)
         assert got == []
-
-    def test_each_composite_is_tested_once(self, monkeypatch):
-        # extend_to_quotient_loop and build_dual_complex test d * d = 0 on
-        # pairs whose betti is read later; each pair is tested once
-        tested = []
-        real = exactq.product_is_zero
-
-        def counting(a, b, *rows):
-            tested.append((a, b))  # holding them keeps every id distinct
-            return real(a, b, *rows)
-
-        monkeypatch.setattr(exactq, "product_is_zero", counting)
-        verify_theorems(get_model("s2xs2"), 8)
-        pairs = [(id(a), id(b)) for a, b in tested]
-        assert pairs and len(set(pairs)) == len(pairs)
 
     def test_bumped_extended_square_still_raises(self, monkeypatch):
         model, algebra, qmap, eqm = setup("cp2")
