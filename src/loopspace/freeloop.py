@@ -42,9 +42,10 @@ class FreeLoopModel(CochainComplex):
     one base-length `normalize_product` per term of D(t).  `_d_base`
     keeps d(b) for each base monomial b, with the parity of |b|, and
     `_d_susp` keeps D(t) for each suspended monomial t as (b', t', coeff,
-    -coeff) terms.  Both live as long as the model: caches the size of the
-    two factors, not one entry per loop monomial.  Split and unsplit slices
-    alike are built column by column over their own basis.
+    -coeff) terms, filled by `d_suspended`, which the extended complex of
+    sections reads too.  Both live as long as the model: caches the size
+    of the two factors, not one entry per loop monomial.  Split and
+    unsplit slices alike are built column by column over their own basis.
 
     `slice_basis(n, k)` lists the loop monomials b + t of degree n and word
     length k in ascending lexicographic order, base exponents first; the
@@ -91,16 +92,25 @@ class FreeLoopModel(CochainComplex):
         odd, db = got
         dt = self._d_susp.get(t)
         if dt is None:
-            full = gca.apply_derivation(
-                self.generators, self.loop_differential, {(0,) * nb + t: ONE})
-            dt = self._d_susp[t] = tuple(
-                (m[:nb], m[nb:], c, -c) for m, c in full.items())
+            dt = self.d_suspended(t)
         col = {b2 + t: c for b2, c in db}
         for b1, t1, c, neg in dt:
             p = gca.normalize_product(base.generators, b, b1)
             if p is not None:
                 add_term(col, p[1] + t1, neg if (p[0] < 0) != odd else c)
         return col
+
+    def d_suspended(self, t):
+        """D(t) for a suspended monomial t, as (b', t', coeff, -coeff) terms,
+        kept in `_d_susp`."""
+        dt = self._d_susp.get(t)
+        if dt is None:
+            nb = len(self.base.generators)
+            full = gca.apply_derivation(
+                self.generators, self.loop_differential, {(0,) * nb + t: ONE})
+            dt = self._d_susp[t] = tuple(
+                (m[:nb], m[nb:], c, -c) for m, c in full.items())
+        return dt
 
     def slice_matrix(self, n, k):
         return matrix_of_map(

@@ -15,8 +15,9 @@ Sign conventions, fixed once here and used everywhere downstream:
         theta(a*b) = theta(a)*b + (-1)^(s*|a|) a*theta(b),
     so applying theta to an ordered monomial walks its factors left to
     right and picks up (-1)^(s*|prefix|) at each position.  That walk is
-    leibniz_terms, the one Leibniz walker: apply_derivation and the
-    projected loop differential of sections both call it.
+    apply_derivation, the one Leibniz walker; the extended complex of
+    sections reads its differential off the loop model's D(t) and projects
+    it, so it has no walk of its own.
 
 Monomial order: total degree first, then ascending lexicographic order on
 exponent tuples.  basis_of_degree enumerates in exactly that order.
@@ -136,65 +137,50 @@ def elem_mul(gens, e1, e2):
     return out
 
 
-def leibniz_terms(gens, mono, images, odd_shift):
-    """The Leibniz terms of a derivation on one monomial, left to right.
-
-    images[i] maps monomials to payloads (coefficients, or whatever the
-    caller combines); a missing index raises MissingImage.  Write mono =
-    left * g_i * right, left holding the factors before i and e - 1 copies
-    of g_i.  Each image term (im, payload) yields (full, k, payload,
-    |left|): full = left * im * right normalized, k the integer e times
-    (-1)^(odd_shift * |factors before i|) times the signs of both products.
-    Terms whose product vanishes are skipped.
-    """
-    n = len(gens)
-    prefix_deg = 0
-    for i in range(n):
-        e = mono[i]
-        if not e:
-            continue
-        img = images.get(i)
-        if img is None:
-            raise MissingImage("no image declared for generator %s" % gens[i].name)
-        deg = gens[i].degree
-        if img:
-            left = mono[:i] + (e - 1,) + (0,) * (n - i - 1)
-            right = mono[i + 1:]
-            right = (0,) * (i + 1) + right if any(right) else None
-            k0 = -e if odd_shift and prefix_deg % 2 else e
-            left_deg = prefix_deg + (e - 1) * deg
-            for im, payload in img.items():
-                p = normalize_product(gens, left, im)
-                if p is None:
-                    continue
-                sign, full = p
-                if right is not None:
-                    p = normalize_product(gens, full, right)
-                    if p is None:
-                        continue
-                    sign *= p[0]
-                    full = p[1]
-                yield full, sign * k0, payload, left_deg
-        prefix_deg += e * deg
-
-
 def apply_derivation(gens, spec, elem):
     """Apply a derivation to an element dict, exactly, in one pass.
 
-    Each term of leibniz_terms costs one Fraction multiply, of the image
-    coefficient (times the element's, when that is not 1) by the integer
-    k, and is added straight into the result; cancelled terms are dropped.
-    Two image monomials never merge under left * im, so no intermediate
-    element is needed.
+    Write each monomial as left * g_i * right, left holding the factors
+    before i and e - 1 copies of g_i.  Each image term im of g_i adds
+    e * (-1)^(s * |factors before i|) times the signs of both products to
+    the coefficient of left * im * right, one Fraction multiply per term;
+    a missing image raises MissingImage.  Two image monomials never merge
+    under left * im, so no intermediate element is needed.
     """
     odd_shift = spec.degree_shift % 2
+    n = len(gens)
     out = {}
     for mono, coeff in elem.items():
         scale = None if coeff == 1 else coeff
-        for full, k, c, _ in leibniz_terms(gens, mono, spec.images, odd_shift):
-            if scale is not None:
-                c = scale * c
-            add_term(out, full, c if k == 1 else c * k)
+        prefix_deg = 0
+        for i in range(n):
+            e = mono[i]
+            if not e:
+                continue
+            img = spec.images.get(i)
+            if img is None:
+                raise MissingImage("no image declared for generator %s" % gens[i].name)
+            if img:
+                left = mono[:i] + (e - 1,) + (0,) * (n - i - 1)
+                right = mono[i + 1:]
+                right = (0,) * (i + 1) + right if any(right) else None
+                k0 = -e if odd_shift and prefix_deg % 2 else e
+                for im, c in img.items():
+                    p = normalize_product(gens, left, im)
+                    if p is None:
+                        continue
+                    k, full = p
+                    if right is not None:
+                        p = normalize_product(gens, full, right)
+                        if p is None:
+                            continue
+                        k *= p[0]
+                        full = p[1]
+                    k *= k0
+                    if scale is not None:
+                        c = scale * c
+                    add_term(out, full, c if k == 1 else c * k)
+            prefix_deg += e * gens[i].degree
     return out
 
 

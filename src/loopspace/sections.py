@@ -48,14 +48,16 @@ class ExtendedQuotientModel(CochainComplex):
     """A (x) L sV with the projected loop differential.
 
     Basis elements of a slice are pairs (i, m): class a_i tensored with a
-    monomial m in the suspended generators, ordered by (i, m).  dbar_sv[j]
-    holds Dbar(1 (x) sv_j) as {(class index, suspended index): coeff}.
+    monomial m in the suspended generators, ordered by (i, m).  Dbar is
+    (rho (x) 1) o D: Dbar(1 (x) t) reads D(t) from the loop model and
+    projects its base factors by rho, and Dbar(a_i (x) t) follows from it.
+    dbar_sv[j] holds Dbar(1 (x) sv_j) as {(class index, suspended index):
+    coeff}.
     """
     algebra: object
     qmap: object
     flm: object
     sgens: tuple
-    dbar_sv: dict
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def slice_basis(self, n, k=None):
@@ -63,29 +65,29 @@ class ExtendedQuotientModel(CochainComplex):
             (i, m) for i, p in enumerate(self.algebra.degrees) if p <= n
             for m in gca.slice_basis(self.sgens, n - p, k)))
 
-    @cached_property
-    def sv_images(self):
-        """dbar_sv as derivation images: position -> {sv_j: {class: coeff}}."""
-        nb = len(self.sgens)
-        images = {j: {} for j in range(nb)}
-        for j, img in self.dbar_sv.items():
-            for (ai, j2), c in img.items():
-                sv = tuple(1 if t == j2 else 0 for t in range(nb))
-                images[j].setdefault(sv, {})[ai] = c
-        return images
+    def project(self, b):
+        """rho(b) of a base monomial b, as {class: coeff}."""
+        model = self.flm.base
+        return self.memo(("proj", b), lambda: self.qmap.apply(
+            model, self.algebra, {b: ONE}, gca.monomial_degree(model.generators, b)))
 
-    def dbar_on_svmono(self, m):
-        """Dbar(1 (x) m) as {(class, sv monomial): coeff}, by Leibniz.
-
-        Moving the class a_i of an image term to the front, past the
-        factors left of it, costs (-1)^(|left| * |a_i|).
-        """
-        degs = self.algebra.degrees
+    def dbar_on_svmono(self, t):
+        """Dbar(1 (x) t) = sum c rho(b') (x) t' over the terms b' t' of D(t),
+        as {(class, sv monomial): coeff}."""
         out = {}
-        for full, k, classes, left_deg in gca.leibniz_terms(
-                self.sgens, m, self.sv_images, 1):
-            for ai, c in classes.items():
-                add_term(out, (ai, full), c * (-k if left_deg * degs[ai] % 2 else k))
+        for b, t2, c, _ in self.flm.d_suspended(t):
+            for ai, v in self.project(b).items():
+                add_term(out, (ai, t2), c * v)
+        return out
+
+    @cached_property
+    def dbar_sv(self):
+        nb = len(self.sgens)
+        out = {}
+        for j in range(nb):
+            img = self.dbar_on_svmono(tuple(int(i == j) for i in range(nb)))
+            if img:
+                out[j] = {(ai, t.index(1)): c for (ai, t), c in img.items()}
         return out
 
     def dbar_pair(self, i, m):
@@ -106,14 +108,10 @@ class ExtendedQuotientModel(CochainComplex):
 
     def rho_tensor_matrix(self, n, k=None):
         """Matrix of rho (x) 1 from the loop slice (n, k) to this one."""
-        model = self.flm.base
-        nb = len(model.generators)
+        nb = len(self.flm.base.generators)
 
         def image(mono):
-            b, s = mono[:nb], mono[nb:]
-            img = self.memo(("proj", b), lambda: self.qmap.apply(
-                model, self.algebra, {b: ONE}, gca.monomial_degree(model.generators, b)))
-            return {(ai, s): v for ai, v in img.items()}
+            return {(ai, mono[nb:]): v for ai, v in self.project(mono[:nb]).items()}
 
         return self.memo(("rho", n, k), lambda: matrix_of_map(
             self.flm.slice_basis(n, k), self.slice_basis(n, k),
@@ -123,33 +121,20 @@ class ExtendedQuotientModel(CochainComplex):
 def extend_to_quotient_loop(model, algebra, qmap, flm=None, check_to=None):
     """Push the loop differential through the quotient and verify it.
 
-    Checks, slice by slice up to check_to (default: top degree of A plus
+    Checks that the loop differential of each suspension has word length
+    one, then, slice by slice up to check_to (default: top degree of A plus
     two): Dbar composed with itself vanishes, and rho (x) 1 intertwines
     the two differentials.
     """
     if flm is None:
         flm = build_free_loop_model(model)
     nb = len(model.generators)
-    sgens = flm.generators[nb:]
-
-    dbar_sv = {}
-    for j in range(nb):
-        img = flm.loop_differential.images[nb + j]
-        acc = {}
-        for mono, c in img.items():
-            b, s = mono[:nb], mono[nb:]
-            if sum(s) != 1:
-                raise InternalCheckFailure(
-                    "loop differential of a suspension has word length != 1")
-            j2 = s.index(1)
-            bdeg = gca.monomial_degree(model.generators, b)
-            for ai, c2 in qmap.apply(model, algebra, {b: ONE}, bdeg).items():
-                add_term(acc, (ai, j2), c * c2)
-        if acc:
-            dbar_sv[j] = acc
-
+    if any(sum(mono[nb:]) != 1 for j in range(nb)
+           for mono in flm.loop_differential.images[nb + j]):
+        raise InternalCheckFailure(
+            "loop differential of a suspension has word length != 1")
     eqm = ExtendedQuotientModel(algebra=algebra, qmap=qmap, flm=flm,
-                                sgens=sgens, dbar_sv=dbar_sv)
+                                sgens=flm.generators[nb:])
 
     top = check_to if check_to is not None else algebra.top_degree + 2
     for n in range(top + 1):

@@ -143,6 +143,15 @@ def test_only_kernel_basis_asks_for_the_full_reduction():
     assert callers(sources, "rref") == [("exactq", "kernel_basis")]
 
 
+def test_one_place_computes_the_koszul_sign_of_a_product():
+    """Products, the Leibniz walk and the loop model's columns merge
+    monomials; every other differential is built from theirs, so the
+    sign convention lives in one place."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "normalize_product") == [
+        ("freeloop", "_column"), ("gca", "apply_derivation"), ("gca", "elem_mul")]
+
+
 def underscore_parameters(source):
     """(line, function, parameter) of each parameter of a function or
     method whose name starts with an underscore."""

@@ -12,16 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from loopspace import load_corpus_model, sections
+from loopspace import gca, load_corpus_model, sections
 from loopspace.errors import (
     ChainMapFailure,
     DifferentialSquareNonzero,
     DualMismatch,
     IdentityViolation,
+    InternalCheckFailure,
     SingularDuality,
     ValidationFailure,
 )
-from loopspace.exactq import SparseMatrix, add_term, cohomology_dim
+from loopspace.exactq import SparseMatrix, add_term, cohomology_dim, matrix_of_map
+from loopspace.freeloop import build_free_loop_model
 from loopspace.pdquotient import FiniteCdga, build_quotient
 from loopspace.sections import (
     DualSectionComplex,
@@ -42,12 +44,14 @@ from loopspace.sullivan import check_poincare_duality, parse_model
 Q = Fraction
 ONE = Q(1)
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH = Path(__file__).parent.parent / "perfbench" / "models"
 CORPUS = ("s2", "s3", "cp2", "cp3", "s2xs3", "su3")
 
 
 def get_model(name):
-    if name == "s2xs2":
-        return parse_model((FIXTURES / "s2xs2.model").read_text(), name)
+    for path in (FIXTURES / (name + ".model"), BENCH / (name + ".model")):
+        if path.exists():
+            return parse_model(path.read_text(), name)
     return load_corpus_model(name)
 
 
@@ -181,6 +185,99 @@ class TestExtendedComplex:
             1 for n in range(7) for k in range(n + 1)
             if eqm.flm.slice_basis(n, k) or eqm.slice_basis(n, k))
         assert slices == recount == 18
+
+
+def reference_dbar_sv(eqm):
+    """Dbar(1 (x) sv_j) for each j, from D(sv_j) = sum c b * sv_j2 of the
+    loop model: sum c rho(b) (x) sv_j2, as {j: {(class, j2): coeff}}."""
+    model, algebra, qmap = eqm.flm.base, eqm.algebra, eqm.qmap
+    nb = len(model.generators)
+    out = {}
+    for j in range(nb):
+        acc = {}
+        for mono, c in eqm.flm.loop_differential.images[nb + j].items():
+            b, s = mono[:nb], mono[nb:]
+            degree = gca.monomial_degree(model.generators, b)
+            for ai, v in qmap.apply(model, algebra, {b: ONE}, degree).items():
+                add_term(acc, (ai, s.index(1)), c * v)
+        if acc:
+            out[j] = acc
+    return out
+
+
+def leibniz_dbar(eqm, dbar_sv, i, m):
+    """Dbar(a_i (x) m) by Leibniz on the suspended factors of m.
+
+    Position j, with exponent e and factors of degree p before it, gives
+    e (-1)^p left * Dbar(1 (x) sv_j) * right, left holding those factors
+    and e - 1 copies of sv_j; the class a_l of an image term moves to the
+    front past left at the cost (-1)^(|left| |a_l|).  Then a_i multiplies
+    in with (-1)^|a_i|, beside d(a_i) (x) m.
+    """
+    algebra, sgens = eqm.algebra, eqm.sgens
+    degs, nb = algebra.degrees, len(sgens)
+    out = {(r, m): c for r, c in algebra.differential(i).items()}
+    p = 0
+    for j, e in enumerate(m):
+        if not e:
+            continue
+        left = {m[:j] + (e - 1,) + (0,) * (nb - j - 1): ONE}
+        right = {(0,) * (j + 1) + m[j + 1:]: ONE}
+        left_deg = p + (e - 1) * sgens[j].degree
+        for (l, j2), c in dbar_sv.get(j, {}).items():
+            sv = {tuple(int(t == j2) for t in range(nb)): ONE}
+            words = gca.elem_mul(sgens, gca.elem_mul(sgens, left, sv), right)
+            k = e * (-1) ** (p + left_deg * degs[l] + degs[i])
+            for t, w in words.items():
+                for r, a in algebra.product(i, l).items():
+                    add_term(out, (r, t), k * c * w * a)
+        p += e * sgens[j].degree
+    return out
+
+
+class TestExtendedDifferential:
+    """Dbar read off the loop model's D(t) against the Leibniz formula."""
+
+    @pytest.mark.parametrize("name", CORPUS + (
+        "cp2xs3", "flag", "hp2", "s2cubed", "s2xs2", "s2xs3_twisted"))
+    def test_every_slice_matches_the_leibniz_formula(self, name):
+        model, _, _, eqm = setup(name)
+        dbar_sv = reference_dbar_sv(eqm)
+        assert eqm.dbar_sv == dbar_sv
+        top = 10 if name == "s2cubed" else model.formal_dim + 8
+        for n in range(-1, top + 2):
+            for k in [*range(n + 3), None]:
+                want = matrix_of_map(
+                    eqm.slice_basis(n, k), eqm.slice_basis(n + 1, k),
+                    lambda pair: leibniz_dbar(eqm, dbar_sv, *pair),
+                    "Leibniz image left its slice at degree %d" % n)
+                assert eqm.d_matrix(n, k).entries == want.entries, (n, k)
+
+    @pytest.mark.parametrize("cell", [
+        (0, 0, 0), (2, 0, 0), (3, 0, 0), (3, 0, 1), (3, 1, 0), (3, 1, 1),
+        (4, 0, 0), (5, 0, 0), (5, 0, 1)])
+    def test_bumped_projection_breaks_the_intertwining(self, cell):
+        model = get_model("s2xs3")
+        algebra, qmap = build_quotient(model, check_poincare_duality(model))
+        k, row, col = cell
+        rho = qmap.rho[k]
+        assert row < rho.rows and col < rho.cols
+        entries = dict(rho.entries)
+        add_term(entries, (row, col), ONE)
+        qmap.rho[k] = SparseMatrix(rho.rows, rho.cols, entries)
+        with pytest.raises(ChainMapFailure):
+            extend_to_quotient_loop(model, algebra, qmap,
+                                    check_to=model.formal_dim + 4)
+
+    def test_suspension_image_of_word_length_two_is_refused(self):
+        model = get_model("s2")
+        algebra, qmap = build_quotient(model, check_poincare_duality(model))
+        flm = build_free_loop_model(model)
+        nb = len(model.generators)
+        # D(sy) = sx * sy: the right degree, 3, but two suspended factors
+        flm.loop_differential.images[nb + 1] = {(0, 0, 1, 1): ONE}
+        with pytest.raises(InternalCheckFailure, match="word length != 1"):
+            extend_to_quotient_loop(model, algebra, qmap, flm)
 
 
 class TestDualityMap:
