@@ -13,14 +13,15 @@ cross-checked against the full slice.
 
 The model is the tensor product of its factors LV and L sV, and its slices
 are built from them.  A loop monomial b*t, b over the base generators and
-t over the suspended ones, is the exponent tuple b + t, and
+t over the suspended ones, is the pair (b, t) of exponent tuples, and
 
     D(b*t) = d(b)*t + (-1)^|b| b*D(t),
 
-so a column is d(b) with t appended plus one base-length product b*b'
-for each term b'*t' of D(t).  Slice (n, k) is the union over j of the
-degree n - j base monomials times the degree j suspended monomials of
-word length k, listed in ascending lexicographic order of b + t.
+so a column is d(b) paired with t plus one base-length product b*b' for
+each term b'*t' of D(t).  Slice (n, k) is the union over j of the degree
+n - j base monomials times the degree j suspended monomials of word
+length k, its pairs in ascending order, that of b + t.  Only this module
+knows the layout; sections unpacks the pairs and reads D(t).
 """
 
 from dataclasses import dataclass, field
@@ -47,9 +48,12 @@ class FreeLoopModel(CochainComplex):
     of the two factors, not one entry per loop monomial.  Split and
     unsplit slices alike are built column by column over their own basis.
 
-    `slice_basis(n, k)` lists the loop monomials b + t of degree n and word
-    length k in ascending lexicographic order, base exponents first; the
-    unsplit basis (k None) merges the split slices' own tuples.
+    `slice_basis(n, k)` lists the loop monomials (b, t) of degree n and
+    word length k in ascending order, each pair holding the tuples cached
+    by `gca.basis_of_degree` and `gca.word_length_slices`; the unsplit
+    basis (k None) merges the split slices' own pairs.  `slices(n_max)`
+    lists the populated (n, k): every complex over this one, the extended
+    complex included, is empty outside them.
     """
     base: object                    # SullivanModel
     generators: tuple               # base generators then suspended ones
@@ -76,13 +80,17 @@ class FreeLoopModel(CochainComplex):
         # each b has one degree, so the b are distinct and the sort never
         # compares two ts; within one b, ts is already in order
         parts.sort()
-        return tuple(b + t for b, ts in parts for t in ts)
+        return tuple((b, t) for b, ts in parts for t in ts)
 
-    def _column(self, mono):
-        """D(b*t) = d(b)*t + (-1)^|b| b*D(t), as {loop monomial: coeff}."""
+    def slices(self, n_max):
+        """The (n, k), k <= n <= n_max, whose slice basis is not empty."""
+        return [(n, k) for n in range(n_max + 1) for k in range(n + 1)
+                if self.slice_basis(n, k)]
+
+    def _column(self, bt):
+        """D(b*t) = d(b)*t + (-1)^|b| b*D(t), as {(b', t'): coeff}."""
         base = self.base
-        nb = len(base.generators)
-        b, t = mono[:nb], mono[nb:]
+        b, t = bt
         got = self._d_base.get(b)
         if got is None:
             got = self._d_base[b] = (
@@ -93,11 +101,11 @@ class FreeLoopModel(CochainComplex):
         dt = self._d_susp.get(t)
         if dt is None:
             dt = self.d_suspended(t)
-        col = {b2 + t: c for b2, c in db}
+        col = {(b2, t): c for b2, c in db}
         for b1, t1, c, neg in dt:
             p = gca.normalize_product(base.generators, b, b1)
             if p is not None:
-                add_term(col, p[1] + t1, neg if (p[0] < 0) != odd else c)
+                add_term(col, (p[1], t1), neg if (p[0] < 0) != odd else c)
         return col
 
     def d_suspended(self, t):
@@ -187,8 +195,7 @@ def hodge_betti_table(flm, n_max, jobs=1):
     `jobs` is accepted for compatibility and ignored: every slice is
     computed in this process.
     """
-    entries = {(n, k): flm.betti(n, k) for n in range(n_max + 1)
-               for k in range(n + 1) if flm.slice_basis(n, k)}
+    entries = {(n, k): flm.betti(n, k) for n, k in flm.slices(n_max)}
     return HodgeTable(entries=entries, n_max=n_max,
                       trusted_up_to=flm.base.trusted_loop(n_max))
 

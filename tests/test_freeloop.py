@@ -229,16 +229,24 @@ def pure_models(draw):
 
 class TestFactorisedSlices:
     """FreeLoopModel builds its slices from the factors LV and L sV; the
-    generic gca path over all 2r generators is the oracle."""
+    generic gca path over all 2r generators is the oracle.  A slice lists
+    pairs (b, t), and b + t is the generic path's monomial."""
 
     @staticmethod
     def assert_slices_match(flm, top):
         for n in range(top + 1):
             for k in (None,) + tuple(range(n + 2)):
-                assert flm.slice_basis(n, k) == gca.slice_basis(
-                    flm.generators, n, k), (n, k)
+                assert tuple(b + t for b, t in flm.slice_basis(n, k)) == (
+                    gca.slice_basis(flm.generators, n, k)), (n, k)
                 assert flm.d_matrix(n, k) == gca.matrix_of_degree_slice(
                     flm.generators, flm.loop_differential, n, k), (n, k)
+        # the walk is exact: slices lists every populated (n, k) and no
+        # word length above the degree is populated
+        assert flm.slices(top) == [
+            (n, k) for n in range(top + 1) for k in range(n + 1)
+            if gca.slice_basis(flm.generators, n, k)]
+        assert not any(gca.slice_basis(flm.generators, n, n + 1)
+                       for n in range(top + 1))
 
     @pytest.mark.parametrize(
         "source", corpus_models() + MODEL_FILES,
@@ -253,6 +261,16 @@ class TestFactorisedSlices:
         flm = loop("s2xs3")
         split = {id(m) for k in range(10) for m in flm.slice_basis(9, k)}
         assert {id(m) for m in flm.slice_basis(9)} == split
+
+    def test_pairs_hold_the_factor_tuples(self):
+        flm = loop("s2xs3")
+        nb = len(flm.base.generators)
+        base, susp = flm.generators[:nb], flm.generators[nb:]
+        factor = {id(m) for n in range(10) for m in gca.basis_of_degree(base, n)}
+        factor |= {id(m) for n in range(10)
+                   for ms in gca.word_length_slices(susp, n).values() for m in ms}
+        assert all(id(b) in factor and id(t) in factor
+                   for b, t in flm.slice_basis(9))
 
     @given(pure_models())
     @settings(max_examples=50, deadline=None)

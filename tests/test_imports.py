@@ -152,6 +152,24 @@ def test_one_place_computes_the_koszul_sign_of_a_product():
         ("freeloop", "_column"), ("gca", "apply_derivation"), ("gca", "elem_mul")]
 
 
+def test_three_walkers_share_the_populated_slices():
+    """The Hodge table, the extension checks and the rho (x) 1 quasi-iso
+    walk the same (n, k), the ones the loop model lists."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "slices") == [
+        ("freeloop", "hodge_betti_table"),
+        ("sections", "extend_to_quotient_loop"),
+        ("sections", "verify_rho_tensor_quasi_iso")]
+
+
+def test_only_freeloop_reads_the_loop_differential():
+    """The tensor layout of a loop monomial is known in freeloop alone;
+    other modules read D(t) through `FreeLoopModel.d_suspended`."""
+    readers = [p.stem for p in PACKAGE
+               if "loop_differential" in names_in(ast.parse(p.read_text(encoding="utf-8")))]
+    assert readers == ["freeloop"]
+
+
 def underscore_parameters(source):
     """(line, function, parameter) of each parameter of a function or
     method whose name starts with an underscore."""

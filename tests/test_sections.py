@@ -62,6 +62,13 @@ def setup(name):
     return model, algebra, qmap, eqm
 
 
+def sv_images(eqm):
+    """Dbar(1 (x) sv_j) for each j, as {(class, sv monomial): coeff}."""
+    nb = len(eqm.sgens)
+    return [eqm.dbar_on_svmono(tuple(int(i == j) for i in range(nb)))
+            for j in range(nb)]
+
+
 def five_complexes(name):
     """(complex, slice basis, word lengths, degrees) for each complex of a
     model: the model, its loop model, the quotient, the extended complex
@@ -139,22 +146,23 @@ class TestExtendedComplex:
         _, _, _, eqm = setup("s2")
         assert [(g.name, g.degree) for g in eqm.sgens] == [("sx", 1), ("sy", 2)]
         # Dbar(1 (x) sy) = -2 x (x) sx
-        assert eqm.dbar_sv == {1: {(1, 0): Q(-2)}}
+        assert sv_images(eqm) == [{}, {(1, (1, 0)): Q(-2)}]
 
     def test_projective_suspension_images(self):
         _, _, _, eqm = setup("cp2")
-        assert eqm.dbar_sv == {1: {(2, 0): Q(-3)}}   # -3 x^2 (x) sx
+        assert sv_images(eqm) == [{}, {(2, (1, 0)): Q(-3)}]   # -3 x^2 (x) sx
         _, _, _, eqm = setup("cp3")
-        assert eqm.dbar_sv == {1: {(3, 0): Q(-4)}}   # -4 x^3 (x) sx
+        assert sv_images(eqm) == [{}, {(3, (1, 0)): Q(-4)}]   # -4 x^3 (x) sx
 
     def test_odd_generators_suspend_to_cocycles(self):
         _, _, _, eqm = setup("su3")
-        assert eqm.dbar_sv == {}
+        assert sv_images(eqm) == [{}, {}]
 
     def test_s2xs2_suspension_images(self):
         _, alg, _, eqm = setup("s2xs2")
         # classes are (1, u, x, x*u); sy goes to -2 x sx, sv to -2 u su
-        assert eqm.dbar_sv == {2: {(2, 0): Q(-2)}, 3: {(1, 1): Q(-2)}}
+        assert sv_images(eqm) == [{}, {}, {(2, (1, 0, 0, 0)): Q(-2)},
+                                  {(1, (0, 1, 0, 0)): Q(-2)}]
 
     def test_slice_basis_ordering(self):
         _, alg, _, eqm = setup("s2")
@@ -184,24 +192,51 @@ class TestExtendedComplex:
         recount = sum(
             1 for n in range(7) for k in range(n + 1)
             if eqm.flm.slice_basis(n, k) or eqm.slice_basis(n, k))
-        assert slices == recount == 18
+        assert slices == len(eqm.flm.slices(6)) == recount == 18
+
+    @pytest.mark.parametrize("name", CORPUS + (
+        "cp2xs3", "flag", "hp2", "s2cubed", "s2xs2", "s2xs3_twisted"))
+    def test_extended_slices_are_empty_off_the_walk(self, name):
+        # A^p != 0 only where the base has monomials of degree p, so the
+        # loop model's populated slices cover the extended complex's
+        model, _, _, eqm = setup(name)
+        top = 12 if name == "s2cubed" else model.formal_dim + 10
+        walk = set(eqm.flm.slices(top))
+        off = [(n, k) for n in range(top + 1) for k in range(n + 2)
+               if (n, k) not in walk]
+        assert off and not any(eqm.slice_basis(n, k) for n, k in off)
+
+    def test_dbar_of_a_suspended_monomial_is_built_once(self, monkeypatch):
+        built = []
+        real = ExtendedQuotientModel._dbar_on_svmono
+
+        def counting(self, t):
+            built.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(ExtendedQuotientModel, "_dbar_on_svmono", counting)
+        eqm = verify_theorems(get_model("s2cubed"), 11).eqm
+        # one build per distinct t; every later call reads the memo
+        assert len(built) == len(set(built)) == 455
+        assert all(eqm.dbar_on_svmono(t) is eqm.dbar_on_svmono(t) for t in built)
+        assert len(built) == 455
 
 
 def reference_dbar_sv(eqm):
     """Dbar(1 (x) sv_j) for each j, from D(sv_j) = sum c b * sv_j2 of the
-    loop model: sum c rho(b) (x) sv_j2, as {j: {(class, j2): coeff}}."""
+    loop model: sum c rho(b) (x) sv_j2, as a list over j of {(class, sv_j2
+    monomial): coeff}."""
     model, algebra, qmap = eqm.flm.base, eqm.algebra, eqm.qmap
     nb = len(model.generators)
-    out = {}
+    out = []
     for j in range(nb):
         acc = {}
         for mono, c in eqm.flm.loop_differential.images[nb + j].items():
             b, s = mono[:nb], mono[nb:]
             degree = gca.monomial_degree(model.generators, b)
             for ai, v in qmap.apply(model, algebra, {b: ONE}, degree).items():
-                add_term(acc, (ai, s.index(1)), c * v)
-        if acc:
-            out[j] = acc
+                add_term(acc, (ai, s), c * v)
+        out.append(acc)
     return out
 
 
@@ -224,9 +259,8 @@ def leibniz_dbar(eqm, dbar_sv, i, m):
         left = {m[:j] + (e - 1,) + (0,) * (nb - j - 1): ONE}
         right = {(0,) * (j + 1) + m[j + 1:]: ONE}
         left_deg = p + (e - 1) * sgens[j].degree
-        for (l, j2), c in dbar_sv.get(j, {}).items():
-            sv = {tuple(int(t == j2) for t in range(nb)): ONE}
-            words = gca.elem_mul(sgens, gca.elem_mul(sgens, left, sv), right)
+        for (l, s), c in dbar_sv[j].items():
+            words = gca.elem_mul(sgens, gca.elem_mul(sgens, left, {s: ONE}), right)
             k = e * (-1) ** (p + left_deg * degs[l] + degs[i])
             for t, w in words.items():
                 for r, a in algebra.product(i, l).items():
@@ -243,7 +277,7 @@ class TestExtendedDifferential:
     def test_every_slice_matches_the_leibniz_formula(self, name):
         model, _, _, eqm = setup(name)
         dbar_sv = reference_dbar_sv(eqm)
-        assert eqm.dbar_sv == dbar_sv
+        assert sv_images(eqm) == dbar_sv
         top = 10 if name == "s2cubed" else model.formal_dim + 8
         for n in range(-1, top + 2):
             for k in [*range(n + 3), None]:
