@@ -15,15 +15,18 @@ class.  The quotient map is a quasi isomorphism whenever H vanishes above
 N, which the duality check guarantees.
 
 A is stored by structure constants: a_i a_j = sum_k alpha_ij^k a_k and
-d a_i = sum_j beta_i^j a_j, both exact rationals.
+d a_i = sum_j beta_i^j a_j, both exact rationals.  The projection rho is
+a table of monomial images: each monomial goes to its own class, to
+zero, or, in degree N, to lambda times the fundamental class, so rho of
+an element is a sum of table rows and no matrix stands behind it.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import (IncompleteModel, IdentityViolation, QuasiIsoFailure,
                      ChainMapFailure)
-from .exactq import (CochainComplex, SparseMatrix, ONE, induced_rank,
-                     is_chain_map, matrix_of_map)
+from .exactq import (CochainComplex, ONE, induced_rank, is_chain_map,
+                     matrix_of_map)
 from . import gca
 
 
@@ -72,34 +75,30 @@ class FiniteCdga(CochainComplex):
 
 @dataclass
 class QuotientMap:
-    """The projection LV -> A, degree by degree.
+    """The projection rho : LV -> A as a table of monomial images.
 
-    rho[k] is the matrix from the degree-k monomial basis to the degree-k
-    slice of A (local coordinates); degrees above the formal dimension map
-    to zero.
+    image[m] is rho(m) as {global class index: coeff}, held only where it
+    is nonzero: a monomial of degree <= N-2, or of degree N-1 outside the
+    complement S^{N-1}, maps to its own class with coefficient 1, and the
+    degree-N monomial basis_N[c] maps to lambda_c times the fundamental
+    class.  S^{N-1}, the degree-N monomials where lambda vanishes and
+    every degree above N map to zero and have no entry.
     """
-    formal_dim: int
-    rho: dict
+    image: dict
 
-    def matrix(self, k, n_cols):
-        m = self.rho.get(k)
-        if m is None:
-            return SparseMatrix(0, n_cols)
-        return m
-
-    def apply(self, model, algebra, elem, degree):
+    def apply(self, elem):
         """Project an element dict of LV to {global class index: coeff}."""
-        if not elem or degree > self.formal_dim:
-            return {}
-        basis = model.basis(degree)
-        pos = {m: c for c, m in enumerate(basis)}
-        vec = {pos[m]: c for m, c in elem.items()}
-        mat = self.rho.get(degree)
-        if mat is None:
-            return {}
-        local = mat.apply(vec)
-        slice_idx = algebra.by_degree(degree)
-        return {slice_idx[r]: c for r, c in local.items() if c}
+        out = {}
+        for m, c in elem.items():
+            gca.elem_add_into(out, self.image.get(m, {}), c)
+        return out
+
+    def matrix(self, model, algebra, k):
+        """rho on degree k, from the monomial basis to the degree-k slice
+        of A in local coordinates; it has no rows above the top degree."""
+        return matrix_of_map(model.basis(k), algebra.by_degree(k),
+                             lambda m: self.image.get(m, {}),
+                             "projection left degree %d" % k)
 
 
 def build_quotient(model, pd_report):
@@ -119,52 +118,40 @@ def build_quotient(model, pd_report):
     gens = model.generators
     omega_elem = pd_report.fundamental_class
 
-    # global basis of A with lifts back to LV
+    # global basis of A with lifts back to LV, and rho on each monomial
     degrees = []
     labels = []
     reps = []
-    rho = {}
-    for k in range(N + 1):
-        basis_k = model.basis(k)
-        if k <= N - 2:
-            picked = list(range(len(basis_k)))
-            rho[k] = SparseMatrix(len(basis_k), len(basis_k),
-                                  {(i, i): ONE for i in range(len(basis_k))})
-        elif k == N - 1:
-            # drop the monomial complement of the degree N-1 cocycles
-            pivotset = set(model.s_pivots(k))
-            picked = [c for c in range(len(basis_k)) if c not in pivotset]
-            rho[k] = SparseMatrix(len(picked), len(basis_k),
-                                  {(r, c): ONE for r, c in enumerate(picked)})
-        else:
-            picked = None
-            rho[k] = SparseMatrix(1, len(basis_k), {
-                (0, c): v for c, v in pd_report.top_functional.items()})
-            degrees.append(k)
-            labels.append(gca.render_element(gens, omega_elem))
-            reps.append(dict(omega_elem))
-        if picked is not None:
-            for c in picked:
+    image = {}
+    for k in range(N):
+        # degree N-1 drops the monomial complement of its cocycles
+        dropped = set(model.s_pivots(k)) if k == N - 1 else ()
+        for c, m in enumerate(model.basis(k)):
+            if c not in dropped:
+                image[m] = {len(degrees): ONE}
                 degrees.append(k)
-                labels.append(gca.render_monomial(gens, basis_k[c]))
-                reps.append({basis_k[c]: ONE})
+                labels.append(gca.render_monomial(gens, m))
+                reps.append({m: ONE})
+    basis_N = model.basis(N)
+    image.update((basis_N[c], {len(degrees): v})
+                 for c, v in pd_report.top_functional.items())
+    degrees.append(N)
+    labels.append(gca.render_element(gens, omega_elem))
+    reps.append(dict(omega_elem))
 
     algebra = FiniteCdga(name=model.name, degrees=tuple(degrees),
                          labels=tuple(labels), products={}, diff={},
                          unit_index=0, top_index=len(degrees) - 1)
-    qmap = QuotientMap(formal_dim=N, rho=rho)
+    qmap = QuotientMap(image=image)
 
     for i, rep_i in enumerate(reps):
-        di = gca.apply_derivation(gens, model.differential, rep_i)
-        beta = qmap.apply(model, algebra, di, degrees[i] + 1)
+        beta = qmap.apply(gca.apply_derivation(gens, model.differential, rep_i))
         if beta:
             algebra.diff[i] = beta
         for j, rep_j in enumerate(reps):
-            dsum = degrees[i] + degrees[j]
-            if dsum > N:
+            if degrees[i] + degrees[j] > N:
                 continue
-            prod = gca.elem_mul(gens, rep_i, rep_j)
-            alpha = qmap.apply(model, algebra, prod, dsum)
+            alpha = qmap.apply(gca.elem_mul(gens, rep_i, rep_j))
             if alpha:
                 algebra.products[(i, j)] = alpha
 
@@ -253,6 +240,7 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
     N = model.formal_dim
     gens = model.generators
     dims = {}
+    rho_next = qmap.matrix(model, algebra, 0)
     for n in range(n_max + 1):
         h_model = model.betti(n)
         h_alg = algebra.betti(n)
@@ -261,7 +249,7 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
                 n, "H^%d: model gives %d, quotient gives %d" % (n, h_model, h_alg))
         dims[n] = h_model
 
-        rho_n = qmap.matrix(n, len(model.basis(n)))
+        rho_n, rho_next = rho_next, qmap.matrix(model, algebra, n + 1)
         if n <= N:
             got = induced_rank(rho_n, model.d_matrix(n), algebra.d_matrix(n - 1))
             if got != h_model:
@@ -270,8 +258,7 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
                     % (n, got, h_model))
 
         # chain map on the whole slice, not just cocycles
-        rho_n1 = qmap.matrix(n + 1, len(model.basis(n + 1)))
-        if not is_chain_map(rho_n1, model.d_matrix(n), algebra.d_matrix(n), rho_n):
+        if not is_chain_map(rho_next, model.d_matrix(n), algebra.d_matrix(n), rho_n):
             raise ChainMapFailure(
                 "projection fails to commute with d on degree %d" % n)
 
@@ -279,13 +266,10 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
     for p in range(2, N - 1):
         for q in range(p, N - p + 1):
             for m1 in model.basis(p):
-                e1 = {m1: ONE}
-                r1 = qmap.apply(model, algebra, e1, p)
+                r1 = qmap.image.get(m1, {})
                 for m2 in model.basis(q):
-                    e2 = {m2: ONE}
-                    r2 = qmap.apply(model, algebra, e2, q)
-                    prod = gca.elem_mul(gens, e1, e2)
-                    via_model = qmap.apply(model, algebra, prod, p + q)
+                    r2 = qmap.image.get(m2, {})
+                    via_model = qmap.apply(gca.elem_mul(gens, {m1: ONE}, {m2: ONE}))
                     via_alg = {}
                     for i, v in r1.items():
                         for j, w in r2.items():

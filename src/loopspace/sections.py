@@ -51,7 +51,8 @@ class ExtendedQuotientModel(CochainComplex):
     monomial m in the suspended generators, ordered by (i, m).  Dbar is
     (rho (x) 1) o D: Dbar(1 (x) t) reads D(t) from the loop model and
     projects its base factors by rho, and Dbar(a_i (x) t) follows from it.
-    Both rho(b) and Dbar(1 (x) t) are kept once per factor monomial.
+    rho(b) of a base monomial is read from the table qmap.image; only
+    Dbar(1 (x) t) is memoised, once per suspended monomial t.
     """
     algebra: object
     qmap: object
@@ -64,12 +65,6 @@ class ExtendedQuotientModel(CochainComplex):
             (i, m) for i, p in enumerate(self.algebra.degrees) if p <= n
             for m in gca.slice_basis(self.sgens, n - p, k)))
 
-    def project(self, b):
-        """rho(b) of a base monomial b, as {class: coeff}."""
-        model = self.flm.base
-        return self.memo(("proj", b), lambda: self.qmap.apply(
-            model, self.algebra, {b: ONE}, gca.monomial_degree(model.generators, b)))
-
     def dbar_on_svmono(self, t):
         """Dbar(1 (x) t) = sum c rho(b') (x) t' over the terms b' t' of D(t),
         as {(class, sv monomial): coeff}, built once per t."""
@@ -78,7 +73,7 @@ class ExtendedQuotientModel(CochainComplex):
     def _dbar_on_svmono(self, t):
         out = {}
         for b, t2, c, _ in self.flm.d_suspended(t):
-            for ai, v in self.project(b).items():
+            for ai, v in self.qmap.image.get(b, {}).items():
                 add_term(out, (ai, t2), c * v)
         return out
 
@@ -100,9 +95,10 @@ class ExtendedQuotientModel(CochainComplex):
 
     def rho_tensor_matrix(self, n, k=None):
         """Matrix of rho (x) 1 from the loop slice (n, k) to this one."""
+        image = self.qmap.image
         return self.memo(("rho", n, k), lambda: matrix_of_map(
             self.flm.slice_basis(n, k), self.slice_basis(n, k),
-            lambda bt: {(ai, bt[1]): v for ai, v in self.project(bt[0]).items()},
+            lambda bt: {(ai, bt[1]): v for ai, v in image.get(bt[0], {}).items()},
             "projection left the slice at degree %d" % n))
 
 
@@ -179,14 +175,13 @@ def dual_diff_matrix(algebra, q):
     """Differential (A^q)-dual -> (A^{q-1})-dual of the dual complex.
 
     With d'(f) = -(-1)^{|f|} f o d and |a_j'| = -q this comes out as
-    d'(a_j') = -(-1)^q sum_r beta_r^j a_r'.
+    d'(a_j') = -(-1)^q sum_r beta_r^j a_r', the transpose of A's degree
+    q-1 differential times -(-1)^q.
     """
-    cod = algebra.by_degree(q - 1)
-    sgn = -1 if q % 2 else 1
-    return matrix_of_map(
-        algebra.by_degree(q), cod,
-        lambda j: {jr: -sgn * algebra.differential(jr).get(j, ZERO) for jr in cod},
-        "dual differential left degree %d" % (q - 1))
+    d = algebra.d_matrix(q - 1)
+    sgn = 1 if q % 2 else -1
+    return SparseMatrix(d.cols, d.rows,
+                        {(c, r): sgn * v for (r, c), v in d.entries.items()})
 
 
 def duality_map(algebra):
@@ -339,9 +334,9 @@ def build_dual_complex(algebra, eqm):
     N = algebra.top_degree
     sgn_n = -1 if N % 2 else 1
     checked = 0
+    du_n1 = _du_tensor_matrix(algebra, eqm, dual, lo + N - 1)
     for n in range(lo + N - 1, hi + N + 1):
-        du_n = _du_tensor_matrix(algebra, eqm, dual, n)
-        du_n1 = _du_tensor_matrix(algebra, eqm, dual, n + 1)
+        du_n, du_n1 = du_n1, _du_tensor_matrix(algebra, eqm, dual, n + 1)
         if not is_chain_map(du_n1, eqm.d_matrix(n, 1), dual.d_matrix(n - N), du_n,
                             sgn_n):
             raise SignIdentityFailure(

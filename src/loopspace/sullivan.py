@@ -82,6 +82,12 @@ class SullivanModel(CochainComplex):
 _GEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z0-9_]*)|([*^+\-])|(\S))")
 
+# header directives a file states at most once; complete and complete-to
+# are two spellings of one
+_HEADERS = {"model": "'model'", "dim": "'dim'",
+            "complete": "'complete' or 'complete-to'",
+            "complete-to": "'complete' or 'complete-to'"}
+
 
 def _tokenize(text, lineno):
     tokens = []
@@ -181,6 +187,7 @@ def parse_model(text, name_hint="(unnamed)"):
     raw_gens = []          # (name, degree, lineno) in declaration order
     d_lines = []           # (target name, tokens, lineno)
     seen_names = set()
+    seen_headers = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -188,6 +195,11 @@ def parse_model(text, name_hint="(unnamed)"):
         words = line.split(None, 1)
         head = words[0]
         rest = words[1] if len(words) > 1 else ""
+        header = _HEADERS.get(head)
+        if header is not None:
+            if header in seen_headers:
+                raise ParseError("%s line declared twice" % header, lineno)
+            seen_headers.add(header)
         if head == "model":
             if not rest:
                 raise ParseError("model line needs a name", lineno)

@@ -129,10 +129,10 @@ def test_criterion_5_quotient_correctness():
 
         # the exterior algebra on one generator is already self-dual,
         # so nothing is collapsed
-        _, s3, s3_qmap, _ = pipeline("s3")
+        s3_model, s3, s3_qmap, _ = pipeline("s3")
         assert s3.labels == ("1", "x")
         assert s3.degrees == (0, 3)
-        assert s3_qmap.matrix(3, 1).entries == {(0, 0): 1}
+        assert s3_qmap.matrix(s3_model, s3, 3).entries == {(0, 0): 1}
 
         for name in loopspace.corpus_models():
             model, algebra, qmap, _ = pipeline(name)

@@ -162,6 +162,13 @@ def test_three_walkers_share_the_populated_slices():
         ("sections", "verify_rho_tensor_quasi_iso")]
 
 
+def test_only_the_quasi_iso_check_builds_matrices_of_rho():
+    """The projection is a table of monomial images; the extended complex
+    reads it row by row, and only verify_quasi_iso needs rho as matrices."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "matrix") == [("pdquotient", "verify_quasi_iso")]
+
+
 def test_only_freeloop_reads_the_loop_differential():
     """The tensor layout of a loop monomial is known in freeloop alone;
     other modules read D(t) through `FreeLoopModel.d_suspended`."""

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from loopspace import corpus_models, load_corpus_model
+from loopspace import corpus_models, gca, load_corpus_model
 from loopspace.errors import (
     ChainMapFailure,
     IdentityViolation,
@@ -35,13 +35,17 @@ Q = Fraction
 ONE = Q(1)
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_MODELS = Path(__file__).parent.parent / "perfbench" / "models"
+# every shipped, bench and fixture model with Poincare duality
+PD_MODELS = (corpus_models() + sorted(p.stem for p in BENCH_MODELS.glob("*.model"))
+             + ["s2xs2", "s2xs3_twisted"])
 
 
 def quotient(name):
-    if name == "s2xs2":
-        model = parse_model((FIXTURES / "s2xs2.model").read_text(), name)
-    elif (BENCH_MODELS / (name + ".model")).exists():
-        model = parse_model((BENCH_MODELS / (name + ".model")).read_text(), name)
+    for folder in (FIXTURES, BENCH_MODELS):
+        path = folder / (name + ".model")
+        if path.exists():
+            model = parse_model(path.read_text(), name)
+            break
     else:
         model = load_corpus_model(name)
     algebra, qmap = build_quotient(model, check_poincare_duality(model))
@@ -120,13 +124,13 @@ class TestQuotientStructures:
         for name in ("s2", "cp2", "s2xs3", "su3", "s2xs2"):
             model, alg, qmap = quotient(name)
             omega = check_poincare_duality(model).fundamental_class
-            out = qmap.apply(model, alg, omega, model.formal_dim)
+            out = qmap.apply(omega)
             assert out == {alg.top_index: ONE}, name
 
     def test_apply_above_formal_dim_is_zero(self):
         model, alg, qmap = quotient("s2")
         x3 = {(3, 0): ONE}
-        assert qmap.apply(model, alg, x3, 6) == {}
+        assert qmap.apply(x3) == {}
 
     def test_apply_kills_boundary_monomial(self):
         model, alg, qmap = quotient("s2xs2")
@@ -134,9 +138,9 @@ class TestQuotientStructures:
         xsq = {(2, 0, 0, 0): ONE}
         usq = {(0, 2, 0, 0): ONE}
         cross = {(1, 1, 0, 0): ONE}
-        assert qmap.apply(model, alg, xsq, 4) == {}
-        assert qmap.apply(model, alg, usq, 4) == {}
-        assert qmap.apply(model, alg, cross, 4) == {alg.top_index: ONE}
+        assert qmap.apply(xsq) == {}
+        assert qmap.apply(usq) == {}
+        assert qmap.apply(cross) == {alg.top_index: ONE}
 
 
 class TestStructureIdentities:
@@ -273,16 +277,16 @@ class TestIdealAcyclicity:
     of the kernel has its coordinates at the free columns.
     """
 
-    def subcomplex_matrices(self, model, qmap, n_max):
+    def subcomplex_matrices(self, model, alg, qmap, n_max):
         kernels, free = {}, {}
         for k in range(n_max + 2):
-            rho_k = qmap.matrix(k, len(model.basis(k)))
+            rho_k = qmap.matrix(model, alg, k)
             kernels[k] = kernel_basis(rho_k)
             pivots = set(rref(rho_k)[1])
             free[k] = [c for c in range(rho_k.cols) if c not in pivots]
         mats = {}
         for k in range(n_max + 1):
-            rho_next = qmap.matrix(k + 1, len(model.basis(k + 1)))
+            rho_next = qmap.matrix(model, alg, k + 1)
             cols = []
             for vec in kernels[k]:
                 img = model.d_matrix(k).apply(vec)
@@ -294,9 +298,9 @@ class TestIdealAcyclicity:
 
     @pytest.mark.parametrize("name", ["s2", "cp2", "s2xs3", "su3", "s2xs2"])
     def test_kernel_ideal_has_no_cohomology(self, name):
-        model, _, qmap = quotient(name)
+        model, alg, qmap = quotient(name)
         n_max = model.formal_dim + 3
-        mats = self.subcomplex_matrices(model, qmap, n_max)
+        mats = self.subcomplex_matrices(model, alg, qmap, n_max)
         for k in range(1, n_max):
             assert cohomology_dim(mats[k], mats[k - 1]) == 0, (name, k)
 
@@ -306,11 +310,9 @@ class TestTopFunctional:
     0 on the monomial complement S^N and on every boundary, and the
     degree-N row of the projection."""
 
-    @pytest.mark.parametrize("name", corpus_models()
-                             + sorted(p.stem for p in BENCH_MODELS.glob("*.model"))
-                             + ["s2xs2"])
+    @pytest.mark.parametrize("name", PD_MODELS)
     def test_functional_reads_the_top_class(self, name):
-        model, _, qmap = quotient(name)
+        model, alg, qmap = quotient(name)
         report = check_poincare_duality(model)
         lam = report.top_functional
         N = model.formal_dim
@@ -324,7 +326,35 @@ class TestTopFunctional:
             assert value({p: ONE}) == 0
         for col in model.d_matrix(N - 1).columns():
             assert value(col) == 0
-        assert qmap.rho[N].entries == {(0, c): v for c, v in lam.items()}
+        assert qmap.matrix(model, alg, N).entries == {(0, c): v for c, v in lam.items()}
+
+
+class TestProjectionTable:
+    """rho as build_quotient stores it: one image per monomial that does
+    not die, and no entry for one that does."""
+
+    @pytest.mark.parametrize("name", PD_MODELS)
+    def test_table_pins_each_monomial(self, name):
+        model, alg, qmap = quotient(name)
+        gens, N = model.generators, model.formal_dim
+        lam = check_poincare_duality(model).top_functional
+        by_degree = {}
+        for m, img in qmap.image.items():
+            by_degree.setdefault(gca.monomial_degree(gens, m), {})[m] = img
+        assert max(by_degree) == N
+
+        def own_class(m):
+            (i, v), = qmap.image[m].items()
+            return v == 1 and alg.labels[i] == gca.render_monomial(gens, m)
+
+        for k in range(N - 1):
+            assert set(by_degree.get(k, {})) == set(model.basis(k)), k
+            assert all(own_class(m) for m in model.basis(k)), k
+        dropped = [c for c, m in enumerate(model.basis(N - 1)) if m not in qmap.image]
+        assert dropped == list(model.s_pivots(N - 1))
+        assert all(own_class(m) for m in by_degree.get(N - 1, {}))
+        basis_N = model.basis(N)
+        assert by_degree[N] == {basis_N[c]: {alg.top_index: v} for c, v in lam.items()}
 
 
 class TestIncompleteness:

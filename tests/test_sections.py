@@ -226,15 +226,13 @@ def reference_dbar_sv(eqm):
     """Dbar(1 (x) sv_j) for each j, from D(sv_j) = sum c b * sv_j2 of the
     loop model: sum c rho(b) (x) sv_j2, as a list over j of {(class, sv_j2
     monomial): coeff}."""
-    model, algebra, qmap = eqm.flm.base, eqm.algebra, eqm.qmap
-    nb = len(model.generators)
+    nb = len(eqm.flm.base.generators)
     out = []
     for j in range(nb):
         acc = {}
         for mono, c in eqm.flm.loop_differential.images[nb + j].items():
             b, s = mono[:nb], mono[nb:]
-            degree = gca.monomial_degree(model.generators, b)
-            for ai, v in qmap.apply(model, algebra, {b: ONE}, degree).items():
+            for ai, v in eqm.qmap.apply({b: ONE}).items():
                 add_term(acc, (ai, s), c * v)
         out.append(acc)
     return out
@@ -294,11 +292,9 @@ class TestExtendedDifferential:
         model = get_model("s2xs3")
         algebra, qmap = build_quotient(model, check_poincare_duality(model))
         k, row, col = cell
-        rho = qmap.rho[k]
-        assert row < rho.rows and col < rho.cols
-        entries = dict(rho.entries)
-        add_term(entries, (row, col), ONE)
-        qmap.rho[k] = SparseMatrix(rho.rows, rho.cols, entries)
+        basis, classes = model.basis(k), algebra.by_degree(k)
+        assert row < len(classes) and col < len(basis)
+        add_term(qmap.image.setdefault(basis[col], {}), classes[row], ONE)
         with pytest.raises(ChainMapFailure):
             extend_to_quotient_loop(model, algebra, qmap,
                                     check_to=model.formal_dim + 4)

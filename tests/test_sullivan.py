@@ -117,6 +117,17 @@ class TestParseErrors:
         self.check("dim 2\ncomplete\ngen x 2\ngen x 4\n", ParseError,
                    "declared twice", line=4)
 
+    @pytest.mark.parametrize("text, line", [
+        ("model A\nmodel B\ndim 2\ncomplete\ngen x 2\n", 2),
+        ("dim 2\ncomplete\ngen x 2\ndim 3\n", 4),
+        ("dim 2\ncomplete\ncomplete\ngen x 2\n", 3),
+        ("dim 2\ncomplete\ngen x 2\ncomplete-to 3\n", 4),
+        ("dim 2\ncomplete-to 3\ncomplete\ngen x 2\n", 3),
+    ], ids=["model", "dim", "complete", "complete-then-complete-to",
+            "complete-to-then-complete"])
+    def test_duplicate_header(self, text, line):
+        self.check(text, ParseError, "declared twice", line=line)
+
     def test_duplicate_differential(self):
         self.check("dim 2\ncomplete\ngen x 2\ngen y 3\nd y = x^2\nd y = x^2\n",
                    ParseError, "declared twice", line=6)
