@@ -1,17 +1,15 @@
 """Exact rational sparse linear algebra.
 
 Every scalar at an interface is a `fractions.Fraction`, and no floating
-point value ever enters a computation.  Matrices are sparse maps (row,
-col) -> nonzero Fraction, immutable once built.  Inside, the forward
-elimination `echelon` and `product_is_zero` scale each row to exact
-integers by the lcm of its denominators; `echelon` clears with r <-
-(p/g)*r - (f/g)*pivot row, g = gcd(p, f), and divides out the content of
-a scaled row.  Scaling moves no zero, so the pivots are those of Fraction
-elimination.  `rank` and the pivot columns come from that forward pass
-alone and form no Fraction; only `kernel_basis` asks `rref` for the back-
-substitution and the unique RREF.  Every exact coefficient sum, here and
-in the modules above, goes through one accumulate step, `add_term`, which
-drops a key whose sum is zero.  The five complexes subclass
+point value ever enters a computation.  A matrix is stored once, immutable
+and in lowest terms, as nonzero integers over one positive denominator:
+the form every kernel reads.  `rank` and the pivot columns come from the
+fraction-free forward pass `echelon` alone and form no Fraction; only
+`kernel_basis` asks `rref` for the back-substitution and the unique RREF.
+One integer product, row by row, serves `SparseMatrix.mul`,
+`product_is_zero` and `is_chain_map`.  Every exact coefficient sum, here
+and in the modules above, goes through one accumulate step, `add_term`,
+which drops a key whose sum is zero.  The five complexes subclass
 `CochainComplex`, whose `memo` caches their slices and their `betti`,
 kept per (n, k); slices are built with `matrix_of_map`, commuting squares
 checked with `is_chain_map` and ranks on cohomology taken with
@@ -43,45 +41,53 @@ def add_term(acc, key, v):
         del acc[key]
 
 
-def _require_fit(a, b):
-    """ValueError unless the product a * b is defined."""
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch %dx%d * %dx%d"
-                         % (a.rows, a.cols, b.rows, b.cols))
-
-
 class SparseMatrix:
     """Sparse matrix over the rationals.
 
-    `entries` maps (row, col) to a nonzero Fraction; explicit zeros are
-    stripped at construction.  An entry that is already a Fraction is kept
-    as it is; any other exact rational (an int, say) is converted; any
-    other value, a float included, raises TypeError, since it would enter
-    as a binary approximation.  Row/column indices are 0-based and must lie
-    inside the declared shape.  `_rank` is None until rank() first computes
-    it; only the integer is kept, never the reduced form.
+    `entries` maps (row, col), 0-based and inside the shape, to an exact
+    rational; zeros are dropped, and any other value, a float included,
+    raises TypeError, since it would enter as a binary approximation.
+    The matrix is stored in lowest terms: entry (r, c) is ints[(r, c)] /
+    den, with nonzero ints and den the lcm of the entry denominators, so
+    equal matrices have equal `ints` and `den`.  `entries`, `entry`,
+    `columns` and `apply` form Fractions on demand.  `_rank` is None until
+    rank() first computes it; only the integer is kept.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_rank")
+    __slots__ = ("rows", "cols", "ints", "den", "_rank")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        self.rows = rows
-        self.cols = cols
-        clean = {}
+        ints = {}
+        den = 1
         if entries:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError("entry (%d,%d) outside %dx%d" % (r, c, rows, cols))
-                if type(v) is not Fraction:
-                    if not isinstance(v, Rational):
-                        raise TypeError("matrix entry %r is not an exact rational" % (v,))
-                    v = Fraction(v)
+                if type(v) is not int:
+                    if type(v) is not Fraction:
+                        if not isinstance(v, Rational):
+                            raise TypeError("matrix entry %r is not an exact rational" % (v,))
+                        v = Fraction(v)
+                    if v.denominator == 1:
+                        v = v.numerator
+                    elif den % v.denominator:
+                        den = lcm(den, v.denominator)
                 if v:
-                    clean[(r, c)] = v
-        self.entries = clean
-        self._rank = None
+                    ints[(r, c)] = v
+            if den != 1:
+                for rc, v in ints.items():
+                    ints[rc] = v.numerator * (den // v.denominator)
+        self.rows, self.cols, self.ints, self.den, self._rank = rows, cols, ints, den, None
+
+    @classmethod
+    def _of_ints(cls, rows, cols, ints, den):
+        """The matrix ints / den, for nonzero ints already in lowest terms
+        and inside the shape; nothing is checked or converted."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.ints, m.den, m._rank = rows, cols, ints, den, None
+        return m
 
     @classmethod
     def from_columns(cls, rows, columns):
@@ -92,8 +98,13 @@ class SparseMatrix:
                 entries[(r, c)] = v
         return cls(rows, len(columns), entries)
 
+    @property
+    def entries(self):
+        """{(row, col): nonzero Fraction}, a new dict on each read."""
+        return {rc: Fraction(v, self.den) for rc, v in self.ints.items()}
+
     def entry(self, r, c):
-        return self.entries.get((r, c), ZERO)
+        return Fraction(self.ints.get((r, c), 0), self.den)
 
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
@@ -102,43 +113,57 @@ class SparseMatrix:
         return cols
 
     def is_zero(self):
-        return not self.entries
+        return not self.ints
 
     def mul(self, other):
-        """Matrix product self * other, exact in Fractions.
-
-        `is_chain_map` compares its two sides with it, and the tests check
-        `product_is_zero` against it.
-        """
-        _require_fit(self, other)
-        rows_of_other = {}
-        for (r, c), v in other.entries.items():
-            rows_of_other.setdefault(r, []).append((c, v))
-        acc = {}
-        for (r, k), v in self.entries.items():
-            for c, w in rows_of_other.get(k, ()):
-                add_term(acc, (r, c), v * w)
-        return SparseMatrix(self.rows, other.cols, acc)
+        """Matrix product self * other: `_product` over the product of the
+        denominators, brought to lowest terms."""
+        ints = dict(_product(self, other))
+        den = self.den * other.den
+        if den > 1 and (g := gcd(den, *ints.values())) > 1:
+            den //= g
+            ints = {rc: v // g for rc, v in ints.items()}
+        return SparseMatrix._of_ints(self.rows, other.cols, ints, den)
 
     def apply(self, vec):
         """Apply to a sparse column vector {col: value} -> {row: value}."""
-        out = {}
-        for (r, c), v in self.entries.items():
-            x = vec.get(c)
-            if x:
-                add_term(out, r, v * x)
-        return out
+        column = SparseMatrix.from_columns(self.cols, [vec])
+        return {r: v for (r, _), v in self.mul(column).entries.items()}
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.den == other.den and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
+        return hash((self.rows, self.cols, self.den, tuple(sorted(self.ints.items()))))
 
     def __repr__(self):
-        return "SparseMatrix(%d, %d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
+        return "SparseMatrix(%d, %d, %d nonzero)" % (self.rows, self.cols, len(self.ints))
+
+
+def _product(a, b):
+    """The integer product a.ints * b.ints as ((row, col), nonzero int)
+    pairs, computed row by row; a * b is it over a.den * b.den.
+    ValueError unless the product is defined."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch %dx%d * %dx%d"
+                         % (a.rows, a.cols, b.rows, b.cols))
+    b_rows = {}
+    for (k, c), w in b.ints.items():
+        b_rows.setdefault(k, []).append((c, w))
+    terms = {}
+    for (r, k), v in a.ints.items():
+        if k in b_rows:
+            terms.setdefault(r, []).append((v, b_rows[k]))
+    for r, row in terms.items():
+        acc = {}
+        for v, b_row in row:
+            for c, w in b_row:
+                acc[c] = acc.get(c, 0) + v * w
+        for c, x in acc.items():
+            if x:
+                yield (r, c), x
 
 
 def matrix_of_map(dom, cod, image, failure):
@@ -159,36 +184,11 @@ def matrix_of_map(dom, cod, image, failure):
     return SparseMatrix(len(cod), len(dom), entries)
 
 
-def _integer_rows(entries, indexed=True):
-    """Rows {row: {col: int}} from ((row, col), Fraction) pairs, and an index
-    {col: set of rows with a nonzero there}, or None unless indexed.  A row
-    with a denominator other than 1 is scaled by the lcm of its
-    denominators."""
-    rows = {}
-    index = {} if indexed else None
-    fractional = set()
-    for (r, c), v in entries:
-        row = rows.setdefault(r, {})
-        if indexed:
-            index.setdefault(c, set()).add(r)
-        if v.denominator == 1:
-            row[c] = v.numerator
-        else:
-            row[c] = v
-            fractional.add(r)
-    for r in fractional:
-        row = rows[r]
-        scale = lcm(*[v.denominator for v in row.values()])
-        for c, v in row.items():
-            row[c] = v.numerator * (scale // v.denominator)
-    return rows, index
-
-
-def echelon(m, rows=None):
+def echelon(m):
     """Forward elimination of m: {pivot column: its integer row, pivot
     entry p > 0 included}, in pivot order.  No Fraction is formed.
 
-    rows are m's `_integer_rows` if the caller has them; they are consumed.
+    The rows are m.ints, m times its denominator, which moves no pivot.
     The columns are visited left to right; of the not-yet-pivot rows with
     a nonzero there the shortest is the pivot, lowest index on ties, to
     keep fill-in down (Markowitz 1957).  A row with entry f there becomes
@@ -197,7 +197,11 @@ def echelon(m, rows=None):
     keeps each row's support, so the pivots are those of Fraction
     elimination.
     """
-    rowdata, colrows = rows if rows is not None else _integer_rows(m.entries.items())
+    rowdata = {}
+    colrows = {}
+    for (r, c), v in m.ints.items():
+        rowdata.setdefault(r, {})[c] = v
+        colrows.setdefault(c, set()).add(r)
     pivot_rows = {}
     for col in range(m.cols):
         live = colrows.pop(col, None)
@@ -278,13 +282,12 @@ def rref(m):
     return SparseMatrix(m.rows, m.cols, entries), tuple(pivot_rows), len(pivot_rows)
 
 
-def rank(m, rows=None):
-    """Rank of m, from the forward pass alone (on rows, m's
-    `_integer_rows`, if the caller has them), taken once per matrix object
+def rank(m):
+    """Rank of m, from the forward pass alone, taken once per matrix object
     and then remembered; a matrix with no entries has rank 0 without one.
     No Fraction and no matrix is formed."""
     if m._rank is None:
-        m._rank = len(echelon(m, rows)) if m.entries else 0
+        m._rank = len(echelon(m)) if m.ints else 0
     return m._rank
 
 
@@ -323,53 +326,39 @@ def cohomology_dim(d_out, d_in):
 
     d_in : C^{n-1} -> C^n and d_out : C^n -> C^{n+1}; ValueError unless
     d_out.cols == d_in.rows, the dimension of the shared space C^n.
-    Raises CompositionNotZero unless d_out * d_in == 0; the test and the
-    forward pass for an unknown rank(d_out) read d_out's integer rows,
-    formed once.
+    Raises CompositionNotZero unless d_out * d_in == 0.
     """
-    rows = _integer_rows(d_out.entries.items())
-    if not product_is_zero(d_out, d_in, rows):
+    if not product_is_zero(d_out, d_in):
         raise CompositionNotZero(
             "composite of consecutive differentials is nonzero")
-    dim = (d_out.cols - rank(d_out, rows)) - rank(d_in)
+    dim = (d_out.cols - rank(d_out)) - rank(d_in)
     if dim < 0:
         raise CompositionNotZero("negative cohomology dimension, rank bookkeeping broke")
     return dim
 
 
-def product_is_zero(a, b, a_rows=None):
-    """Whether a * b == 0, decided in integers: rows of a (a_rows if the
-    caller has them, only read here) and columns of b are scaled as in
-    `echelon`, which moves no zero of the product, and the test stops at
-    the first nonzero column of the product."""
-    _require_fit(a, b)
-    rows, index = a_rows if a_rows is not None else _integer_rows(a.entries.items())
-    b_cols, _ = _integer_rows((((c, r), v) for (r, c), v in b.entries.items()),
-                              indexed=False)
-    for col in b_cols.values():
-        acc = {}
-        for k, w in col.items():
-            for r in index.get(k, ()):
-                acc[r] = acc.get(r, 0) + rows[r][k] * w
-        if any(acc.values()):
-            return False
-    return True
+def product_is_zero(a, b):
+    """Whether a * b == 0, from the integer product, which stops at the
+    first nonzero row."""
+    return next(_product(a, b), None) is None
 
 
 def is_chain_map(f_next, d_src, d_tgt, f, sign=1):
     """Whether f_next * d_src == sign * d_tgt * f, for sign 1 or -1.
 
     f and f_next map the degree n and n+1 slices of the source complex to
-    the target; sides that do not fit raise ValueError.
+    the target; sides that do not fit raise ValueError.  The integer
+    products of the two sides are compared, each scaled by the other
+    side's denominator.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be 1 or -1, not %r" % (sign,))
-    left = f_next.mul(d_src)
-    right = d_tgt.mul(f)
-    if (left.rows, left.cols) != (right.rows, right.cols):
-        raise ValueError("sides of the square differ: %r, %r" % (left, right))
-    return left.entries == (right.entries if sign == 1 else
-                            {rc: sign * v for rc, v in right.entries.items()})
+    if (f_next.rows, d_src.cols) != (d_tgt.rows, f.cols):
+        raise ValueError("sides of the square differ: %dx%d, %dx%d" % (
+            f_next.rows, d_src.cols, d_tgt.rows, f.cols))
+    ls, rs = d_tgt.den * f.den, sign * f_next.den * d_src.den
+    left = {rc: v * ls for rc, v in _product(f_next, d_src)}
+    return left == {rc: v * rs for rc, v in _product(d_tgt, f)}
 
 
 class CochainComplex:
@@ -413,14 +402,18 @@ def induced_rank(f, d_out, target_d_in):
     H^n(C) when f sends boundaries into im target_d_in, that is when the
     chain square one degree down commutes; every caller checks it first.
     ValueError unless f has d_out's columns and target_d_in's rows.
+
+    The block is assembled from the three integer forms as they are:
+    scaling d_out, f or target_d_in by a nonzero factor is a scaling of
+    rows and columns of the block, as its upper right corner is zero, and
+    leaves its rank unchanged.
     """
     if f.cols != d_out.cols or f.rows != target_d_in.rows:
         raise ValueError("f is %dx%d, expected %dx%d" % (
             f.rows, f.cols, target_d_in.rows, d_out.cols))
-    top = d_out.rows
-    entries = dict(d_out.entries)
-    entries.update(((top + r, c), v) for (r, c), v in f.entries.items())
-    entries.update(((top + r, d_out.cols + c), v)
-                   for (r, c), v in target_d_in.entries.items())
-    block = SparseMatrix(top + f.rows, d_out.cols + target_d_in.cols, entries)
+    top, left = d_out.rows, d_out.cols
+    ints = dict(d_out.ints)
+    ints.update(((top + r, c), v) for (r, c), v in f.ints.items())
+    ints.update(((top + r, left + c), v) for (r, c), v in target_d_in.ints.items())
+    block = SparseMatrix._of_ints(top + f.rows, left + target_d_in.cols, ints, 1)
     return rank(block) - rank(d_out) - rank(target_d_in)

@@ -66,6 +66,18 @@ class FiniteCdga(CochainComplex):
     def differential(self, i):
         return self.diff.get(i, {})
 
+    def pairing(self, i):
+        """{l: alpha_il^top}, the nonzero coefficients of the fundamental
+        class in the products a_i a_l, from one table built on first use."""
+        return self.memo(("pairing",), self._pairing_table).get(i, {})
+
+    def _pairing_table(self):
+        table = {}
+        for (i, l), coeffs in self.products.items():
+            if v := coeffs.get(self.top_index):
+                table.setdefault(i, {})[l] = v
+        return table
+
     def slice_matrix(self, n, k):
         """Differential from the degree-n slice to degree n+1, local coords."""
         return matrix_of_map(

@@ -33,7 +33,7 @@ from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SignIdentityFailure, DualMismatch, TheoremMismatch,
                      SingularDuality, InternalCheckFailure, ChainMapFailure,
                      QuasiIsoFailure)
-from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, add_term, rank,
+from .exactq import (CochainComplex, SparseMatrix, ONE, add_term, rank,
                      cohomology_dim, induced_rank, is_chain_map, matrix_of_map,
                      product_is_zero)
 from . import gca
@@ -165,7 +165,6 @@ class DualityMap:
     invertible; the map always induces isomorphisms on cohomology for a
     verified duality quotient, and that is checked separately.
     """
-    formal_dim: int
     blocks: dict
     cochain_perfect: bool
     singular_degrees: tuple
@@ -192,15 +191,11 @@ def duality_map(algebra):
     Blocks may legitimately be non invertible at the cochain level.
     """
     N = algebra.top_degree
-    top = algebra.top_index
     blocks = {}
     singular = []
     for k in range(N + 1):
-        cod = algebra.by_degree(N - k)
-        m = matrix_of_map(
-            algebra.by_degree(k), cod,
-            lambda i: {j: algebra.product(i, j).get(top, ZERO) for j in cod},
-            "duality map left degree %d" % (N - k))
+        m = matrix_of_map(algebra.by_degree(k), algebra.by_degree(N - k),
+                          algebra.pairing, "duality map left degree %d" % (N - k))
         blocks[k] = m
         if m.rows != m.cols or rank(m) < m.cols:
             singular.append(k)
@@ -222,8 +217,7 @@ def duality_map(algebra):
                 "duality map is not an isomorphism on H^%d (rank %d of %d)"
                 % (k, got, h))
 
-    return DualityMap(formal_dim=N, blocks=blocks,
-                      cochain_perfect=not singular,
+    return DualityMap(blocks=blocks, cochain_perfect=not singular,
                       singular_degrees=tuple(singular))
 
 
@@ -261,18 +255,15 @@ class DualSectionComplex(CochainComplex):
             "dual differential left its degree slice at %d" % n)
 
 
-def _du_tensor_matrix(algebra, eqm, dual, n):
-    """Matrix of Du (x) 1 from the (n, 1) slice of A (x) sV to the dual."""
-    top = algebra.top_index
-
-    def image(pair):
-        i, m = pair
-        j = m.index(1)
-        row = ((l, algebra.product(i, l).get(top, ZERO)) for l in range(algebra.size))
-        return {(l, j): v for l, v in row if v}
-
-    return matrix_of_map(eqm.slice_basis(n, 1), dual.by_degree(n - algebra.top_degree),
-                         image, "Du (x) 1 left its degree slice at %d" % n)
+def _du_tensor_matrix(eqm, dual, n):
+    """Matrix of Du (x) 1 from the (n, 1) slice of A (x) sV to the dual
+    complex built from eqm, built once per n and kept in the dual's memo."""
+    pairing = dual.algebra.pairing
+    return dual.memo(
+        ("du", n), matrix_of_map, eqm.slice_basis(n, 1),
+        dual.by_degree(n - dual.algebra.top_degree),
+        lambda pair: {(l, pair[1].index(1)): v for l, v in pairing(pair[0]).items()},
+        "Du (x) 1 left its degree slice at %d" % n)
 
 
 def build_dual_complex(algebra, eqm):
@@ -334,9 +325,9 @@ def build_dual_complex(algebra, eqm):
     N = algebra.top_degree
     sgn_n = -1 if N % 2 else 1
     checked = 0
-    du_n1 = _du_tensor_matrix(algebra, eqm, dual, lo + N - 1)
+    du_n1 = _du_tensor_matrix(eqm, dual, lo + N - 1)
     for n in range(lo + N - 1, hi + N + 1):
-        du_n, du_n1 = du_n1, _du_tensor_matrix(algebra, eqm, dual, n + 1)
+        du_n, du_n1 = du_n1, _du_tensor_matrix(eqm, dual, n + 1)
         if not is_chain_map(du_n1, eqm.d_matrix(n, 1), dual.d_matrix(n - N), du_n,
                             sgn_n):
             raise SignIdentityFailure(
@@ -358,7 +349,7 @@ def verify_duality_quasi_iso(algebra, eqm, dual):
             raise DualMismatch(
                 "degree %d: section complex gives %d, dual complex gives %d"
                 % (n, h_sec, h_dual))
-        got = induced_rank(_du_tensor_matrix(algebra, eqm, dual, n),
+        got = induced_rank(_du_tensor_matrix(eqm, dual, n),
                            eqm.d_matrix(n, 1), dual.d_matrix(n - N - 1))
         if got != h_sec:
             raise DualMismatch(

@@ -70,6 +70,26 @@ def dense_rref(grid, rows, cols):
     return grid, tuple(pivots), len(pivots)
 
 
+def dense_product(a, b):
+    """Textbook dense product oracle: a * b as a grid of Fractions."""
+    ga, gb = dense(a), dense(b)
+    return [[sum((ga[i][k] * gb[k][j] for k in range(a.cols)), Q(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def dense_kernel(grid, rows, cols):
+    """Basis of the right kernel, read off the dense RREF oracle."""
+    red, pivots, _ = dense_rref(grid, rows, cols)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [Q(0)] * cols
+        vec[free] = Q(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -red[i][free]
+        basis.append(vec)
+    return basis
+
+
 def from_dense(grid, rows, cols):
     entries = {}
     for r in range(rows):
@@ -84,6 +104,9 @@ def identity(n, scale=ONE):
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
+# mostly zeros, so empty rows and columns are common
+small_fractions = st.sampled_from((Q(0), Q(0), Q(0), ONE, Q(-1, 2), Q(2, 3),
+                                   Q(-3, 4), Q(5)))
 
 
 @st.composite
@@ -236,6 +259,15 @@ class TestSparseMatrix:
         assert a != SparseMatrix(2, 2, {(0, 1): Q(4)})
         assert a != SparseMatrix(2, 3, {(0, 1): Q(5)})
 
+    def test_equal_values_written_differently_are_equal(self):
+        a = SparseMatrix(2, 2, {(0, 0): Q(2, 4), (1, 1): 3})
+        b = SparseMatrix(2, 2, {(0, 0): Q(1, 2), (1, 1): Q(6, 2), (1, 0): 0})
+        assert a == b and hash(a) == hash(b)
+        # a product is brought to lowest terms
+        c = SparseMatrix(1, 1, {(0, 0): Q(2, 3)}).mul(SparseMatrix(1, 1, {(0, 0): Q(3, 2)}))
+        assert c == identity(1) and hash(c) == hash(identity(1))
+        assert SparseMatrix(1, 2, {(0, 0): 4, (0, 1): Q(6)}) != identity(1)
+
 
 @lru_cache(maxsize=None)
 def quotient_extension(name):
@@ -332,15 +364,36 @@ class TestRref:
         assert rref(m)[1:] == ((0, 2), 2)
 
     def test_rank_forms_no_fraction_and_no_matrix(self, monkeypatch):
+        # the kernels read the integer form; of them only induced_rank
+        # builds a matrix, its block
         m = SparseMatrix(2, 3, {(0, 0): Q(1, 2), (0, 2): Q(-7, 3),
                                 (1, 0): Q(3), (1, 1): Q(5, 4)})
+        d_in = from_dense([[Q(7, 3)], [Q(-28, 5)], [Q(1, 2)]], 3, 1)
+        half = identity(3, Q(1, 2)), identity(2, Q(1, 2))
+        f, d_out = identity(3, Q(2, 3)), SparseMatrix(1, 3, {(0, 1): Q(1, 3)})
+        built = []
 
         def refuse(*args):
-            raise AssertionError("built by rank")
+            raise AssertionError("built by a kernel")
+
+        real = SparseMatrix._of_ints
+
+        def counting(cls, *args):
+            built.append(args)
+            return real(*args)
 
         monkeypatch.setattr(exactq, "Fraction", refuse)
-        monkeypatch.setattr(exactq, "SparseMatrix", refuse)
+        monkeypatch.setattr(SparseMatrix, "__init__", refuse)
+        monkeypatch.setattr(SparseMatrix, "_of_ints", classmethod(counting))
         assert rank(m) == 2
+        assert product_is_zero(m, d_in)
+        assert not product_is_zero(m, half[0])
+        assert cohomology_dim(m, d_in) == 0
+        assert is_chain_map(half[1], m, m, half[0])
+        assert not is_chain_map(half[1], m, m, half[0], sign=-1)
+        assert built == []
+        assert induced_rank(f, d_out, d_in) == 2
+        assert len(built) == 1
 
     @given(matrices())
     @settings(max_examples=120, deadline=None)
@@ -528,23 +581,6 @@ class TestRankMemo:
         with pytest.raises(CompositionNotZero):
             cohomology_dim(d_out, d_in)
 
-    def test_composite_check_and_rank_share_the_rows(self, monkeypatch):
-        # d_out's rows are formed once for the composite test and the
-        # forward pass; d_in's columns once, and its rank is memoised
-        formed = []
-        real = exactq._integer_rows
-
-        def counting(*args, **kwargs):
-            formed.append(1)
-            return real(*args, **kwargs)
-
-        d_out = from_dense([[1, 1, 0], [0, 0, 1]], 2, 3)
-        d_in = from_dense([[1], [-1], [0]], 3, 1)
-        assert rank(d_in) == 1
-        monkeypatch.setattr(exactq, "_integer_rows", counting)
-        assert cohomology_dim(d_out, d_in) == 0
-        assert d_out._rank == 2 and len(formed) == 2
-
 
 def count_cohomology_dim(monkeypatch):
     """Patch exactq.cohomology_dim to record the pair of matrices of every
@@ -605,6 +641,27 @@ class TestQuotientRank:
     def test_empty_everything(self):
         assert induced_rank(SparseMatrix(3, 0), SparseMatrix(0, 0),
                             SparseMatrix(3, 0)) == 0
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fractional_maps_match_the_dense_oracle(self, data):
+        # dim(f(ker d_out) + im target_d_in) - rank(target_d_in), from the
+        # dense RREF; no square needs to commute for that count
+        n, r, m, p = (data.draw(st.integers(0, 4)) for _ in range(4))
+
+        def drawn(rows, cols):
+            return [[data.draw(small_fractions) for _ in range(cols)]
+                    for _ in range(rows)]
+
+        g_out, g_f, g_t = drawn(r, n), drawn(m, n), drawn(m, p)
+        images = [[sum((g_f[i][c] * z[c] for c in range(n)), Q(0)) for i in range(m)]
+                  for z in dense_kernel(g_out, r, n)]
+        columns = images + [[g_t[i][j] for i in range(m)] for j in range(p)]
+        spanned = [[col[i] for col in columns] for i in range(m)]
+        want = (dense_rref(spanned, m, len(columns))[2]
+                - dense_rref(g_t, m, p)[2])
+        assert induced_rank(from_dense(g_f, m, n), from_dense(g_out, r, n),
+                            from_dense(g_t, m, p)) == want
 
     @given(complexes())
     @settings(max_examples=60, deadline=None)
@@ -709,8 +766,12 @@ class TestProductIsZero:
     @given(rational_pairs())
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_the_fraction_product(self, pair):
+        # mul and product_is_zero share one integer product; the dense
+        # oracle is independent of it
         a, b = pair
-        assert product_is_zero(a, b) == a.mul(b).is_zero()
+        want = dense_product(a, b)
+        assert a.mul(b) == from_dense(want, a.rows, b.cols)
+        assert product_is_zero(a, b) == (not any(map(any, want)))
 
     @given(complexes())
     @settings(max_examples=60, deadline=None)
@@ -739,6 +800,13 @@ class TestIsChainMap:
         assert is_chain_map(f_next, d, d, f, sign=-1)
         assert not is_chain_map(f_next, d, d, f, sign=1)
         assert not is_chain_map(f_next, d, d, f)
+
+    def test_sides_over_different_denominators(self):
+        # (2/3) * (3/2) d and d * 1 are both d, over denominators 6 and 1
+        d = from_dense([[1, 2], [0, 5]], 2, 2)
+        d32 = from_dense([[Q(3, 2), 3], [0, Q(15, 2)]], 2, 2)
+        assert is_chain_map(identity(2, Q(2, 3)), d32, d, identity(2))
+        assert not is_chain_map(identity(2, Q(2, 3)), d, d, identity(2))
 
     def test_non_commuting_square_is_rejected(self):
         d_src = from_dense([[1, 0]], 1, 2)

@@ -177,6 +177,16 @@ def test_only_freeloop_reads_the_loop_differential():
     assert readers == ["freeloop"]
 
 
+def test_only_exactq_reads_the_integer_form():
+    """A matrix is stored as integers over one denominator; other modules
+    read it through the Fraction interface, so the format is known in
+    exactq alone."""
+    readers = [p.stem for p in PACKAGE
+               if {"ints", "den"} & {node.attr for node in ast.walk(ast.parse(
+                   p.read_text(encoding="utf-8"))) if isinstance(node, ast.Attribute)}]
+    assert readers == ["exactq"]
+
+
 def underscore_parameters(source):
     """(line, function, parameter) of each parameter of a function or
     method whose name starts with an underscore."""

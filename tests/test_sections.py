@@ -426,6 +426,15 @@ class TestDualComplex:
             dual = build_dual_complex(alg, eqm)
             assert verify_duality_quasi_iso(alg, eqm, dual) > 0, name
 
+    def test_quasi_iso_check_reuses_the_du_tensor_matrices(self):
+        # Du (x) 1 is built once per degree, by the square identity check
+        _, alg, _, eqm = setup("s2xs3")
+        dual = build_dual_complex(alg, eqm)
+        built = {key: id(m) for key, m in dual._cache.items() if key[0] == "du"}
+        assert len(built) == dual.lemma_slices + 1
+        verify_duality_quasi_iso(alg, eqm, dual)
+        assert {key: id(m) for key, m in dual._cache.items() if key[0] == "du"} == built
+
     def test_cleared_delta_is_detected(self):
         _, alg, _, eqm = setup("s2")
         dual = build_dual_complex(alg, eqm)
