@@ -196,7 +196,7 @@ def cmd_hodge(model, args, report, checks):
 
 def cmd_quotient(model, args, report, checks):
     algebra = _checked(model, report, checks).algebra
-    dims = [len(algebra.by_degree(k)) for k in range(model.formal_dim + 1)]
+    dims = [len(algebra.basis(k)) for k in range(model.formal_dim + 1)]
     report.add_table("quotient_dims", dims, start=0)
     report.notes.append("classes: %s" % " | ".join(algebra.labels))
 

@@ -10,10 +10,12 @@ One integer product, row by row, serves `SparseMatrix.mul`,
 `product_is_zero` and `is_chain_map`.  Every exact coefficient sum, here
 and in the modules above, goes through one accumulate step, `add_term`,
 which drops a key whose sum is zero.  The five complexes subclass
-`CochainComplex`, whose `memo` caches their slices and their `betti`,
-kept per (n, k); slices are built with `matrix_of_map`, commuting squares
-checked with `is_chain_map` and ranks on cohomology taken with
-`induced_rank`, one rank identity that needs the square below to commute.
+`CochainComplex`: each is its slice bases plus `image`, the differential
+of one basis element, and `CochainComplex` builds every slice from them
+with `matrix_of_map` and keeps slices, bases and `betti` per (n, k) in
+its `memo`.  Commuting squares are checked with `is_chain_map` and ranks
+on cohomology taken with `induced_rank`, one rank identity that needs the
+square below to commute.
 Every choice a routine makes, such as the pivot rows of `echelon`, is a
 function of the input alone, so identical inputs give bit-identical
 outputs.
@@ -49,9 +51,9 @@ class SparseMatrix:
     raises TypeError, since it would enter as a binary approximation.
     The matrix is stored in lowest terms: entry (r, c) is ints[(r, c)] /
     den, with nonzero ints and den the lcm of the entry denominators, so
-    equal matrices have equal `ints` and `den`.  `entries`, `entry`,
-    `columns` and `apply` form Fractions on demand.  `_rank` is None until
-    rank() first computes it; only the integer is kept.
+    equal matrices have equal `ints` and `den`.  `entries`, `columns` and
+    `apply` form Fractions on demand.  `_rank` is None until rank() first
+    computes it; only the integer is kept.
     """
 
     __slots__ = ("rows", "cols", "ints", "den", "_rank")
@@ -103,27 +105,17 @@ class SparseMatrix:
         """{(row, col): nonzero Fraction}, a new dict on each read."""
         return {rc: Fraction(v, self.den) for rc, v in self.ints.items()}
 
-    def entry(self, r, c):
-        return Fraction(self.ints.get((r, c), 0), self.den)
-
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
 
-    def is_zero(self):
-        return not self.ints
-
     def mul(self, other):
         """Matrix product self * other: `_product` over the product of the
         denominators, brought to lowest terms."""
-        ints = dict(_product(self, other))
-        den = self.den * other.den
-        if den > 1 and (g := gcd(den, *ints.values())) > 1:
-            den //= g
-            ints = {rc: v // g for rc, v in ints.items()}
-        return SparseMatrix._of_ints(self.rows, other.cols, ints, den)
+        return _lowest_terms(self.rows, other.cols, dict(_product(self, other)),
+                             self.den * other.den)
 
     def apply(self, vec):
         """Apply to a sparse column vector {col: value} -> {row: value}."""
@@ -140,6 +132,15 @@ class SparseMatrix:
 
     def __repr__(self):
         return "SparseMatrix(%d, %d, %d nonzero)" % (self.rows, self.cols, len(self.ints))
+
+
+def _lowest_terms(rows, cols, ints, den):
+    """The matrix ints / den, for nonzero ints inside the shape and den > 0,
+    with the common factor of den and the ints divided out."""
+    if den > 1 and (g := gcd(den, *ints.values())) > 1:
+        den //= g
+        ints = {rc: v // g for rc, v in ints.items()}
+    return SparseMatrix._of_ints(rows, cols, ints, den)
 
 
 def _product(a, b):
@@ -251,9 +252,10 @@ def rref(m):
     The forward pass is `echelon`, the one that `rank` runs too.
     Back-substitution, last pivot row first, clears the pivot columns of
     each row by the same integer rule, the content leaving the row and its
-    pivot entry together.  Output entries are Fraction(v, pivot entry),
-    the only Fractions formed.  The RREF is unique, so the output is that
-    of Fraction elimination; only the time differs.
+    pivot entry together.  Row i is its integer row over its pivot entry;
+    the rows are put over the lcm of the pivot entries and brought to
+    lowest terms, and no Fraction is formed.  The RREF is unique, so the
+    output is that of Fraction elimination; only the time differs.
     """
     pivot_rows = echelon(m)
     # A later pivot row is reduced before it clears an earlier one, and
@@ -273,13 +275,14 @@ def rref(m):
                     del row[c2]
             if s != 1 and (g := gcd(*row.values())) > 1:
                 pivot_rows[own] = row = {c2: v2 // g for c2, v2 in row.items()}
-    entries = {}
+    den = lcm(*(row[p] for p, row in pivot_rows.items()))
+    ints = {}
     for i, (p, row) in enumerate(pivot_rows.items()):
-        pv = row.pop(p)
+        scale = den // row.pop(p)
         for c, v in row.items():
-            entries[(i, c)] = Fraction(v, pv)
-        entries[(i, p)] = ONE
-    return SparseMatrix(m.rows, m.cols, entries), tuple(pivot_rows), len(pivot_rows)
+            ints[(i, c)] = v * scale
+        ints[(i, p)] = den
+    return _lowest_terms(m.rows, m.cols, ints, den), tuple(pivot_rows), len(pivot_rows)
 
 
 def rank(m):
@@ -300,10 +303,10 @@ def kernel_basis(m):
     red, pivots, _ = rref(m)
     pivot_set = set(pivots)
     basis = {f: {f: ONE} for f in range(m.cols) if f not in pivot_set}
-    for (r, c), v in red.entries.items():
+    for (r, c), v in red.ints.items():
         vec = basis.get(c)
         if vec is not None:
-            vec[pivots[r]] = -v
+            vec[pivots[r]] = Fraction(-v, red.den)
     return list(basis.values())
 
 
@@ -362,12 +365,16 @@ def is_chain_map(f_next, d_src, d_tgt, f, sign=1):
 
 
 class CochainComplex:
-    """A cochain complex built slice by slice.
+    """A cochain complex built slice by slice from two things.
 
-    A subclass holds a dict `_cache` and builds, in `slice_matrix(n, k)`,
-    the differential from degree n to n+1, restricted to word length k
-    where it has one.  An empty degree-n slice, as below degree 0 of a
-    model, gives a matrix with no columns, so it needs no special case.
+    A subclass holds a dict `_cache` and defines `_basis(n, k)`, the
+    ordered basis of degree n restricted to word length k where it has
+    one, and `image(x)`, the differential of the basis element x as
+    {basis element of degree n+1: coeff}.  `slice_matrix(n, k)` is then
+    the differential from degree n to n+1; the model overrides it with
+    the generic path of `gca`.  An empty degree-n slice, as below degree
+    0 of a model, gives a matrix with no columns, so it needs no special
+    case.
     """
 
     def memo(self, key, build, *args):
@@ -377,6 +384,16 @@ class CochainComplex:
         if got is None:
             got = self._cache[key] = build(*args)
         return got
+
+    def basis(self, n, k=None):
+        """The slice basis, built once and then kept in `_cache`."""
+        return self.memo(("basis", n, k), self._basis, n, k)
+
+    def slice_matrix(self, n, k):
+        return matrix_of_map(
+            self.basis(n, k), self.basis(n + 1, k), self.image,
+            "%s differential left its slice: degree %d, word length %s"
+            % (type(self).__name__, n, k))
 
     def d_matrix(self, n, k=None):
         """The slice matrix, built once and then kept in `_cache`."""

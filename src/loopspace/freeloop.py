@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import DifferentialSquareNonzero, HodgeSumMismatch
-from .exactq import CochainComplex, ONE, add_term, matrix_of_map
+from .exactq import CochainComplex, ONE, add_term
 from . import gca
 from .gca import Generator, DerivationSpec
 from .sullivan import RankTable
@@ -39,17 +39,18 @@ from .sullivan import RankTable
 class FreeLoopModel(CochainComplex):
     """(LV (x) L sV, D), its slices built from the two factors.
 
-    A column of a slice matrix is D(b*t) = d(b)*t + (-1)^|b| b*D(t), with
-    one base-length `normalize_product` per term of D(t).  `_d_base`
-    keeps d(b) for each base monomial b, with the parity of |b|, and
-    `_d_susp` keeps D(t) for each suspended monomial t as (b', t', coeff,
-    -coeff) terms, filled by `d_suspended`, which the extended complex of
-    sections reads too.  Both live as long as the model: caches the size
-    of the two factors, not one entry per loop monomial.  Split and
-    unsplit slices alike are built column by column over their own basis.
+    `image(bt)`, a column of a slice matrix, is D(b*t) = d(b)*t +
+    (-1)^|b| b*D(t), with one base-length `normalize_product` per term of
+    D(t).  `_d_base` keeps d(b) for each base monomial b, with the parity
+    of |b|, and `_d_susp` keeps D(t) for each suspended monomial t as
+    (b', t', coeff, -coeff) terms, filled by `d_suspended`, which the
+    extended complex of sections reads too.  Both live as long as the
+    model: caches the size of the two factors, not one entry per loop
+    monomial.  Split and unsplit slices alike are built column by column
+    over their own basis.
 
-    `slice_basis(n, k)` lists the loop monomials (b, t) of degree n and
-    word length k in ascending order, each pair holding the tuples cached
+    `basis(n, k)` lists the loop monomials (b, t) of degree n and word
+    length k in ascending order, each pair holding the tuples cached
     by `gca.basis_of_degree` and `gca.word_length_slices`; the unsplit
     basis (k None) merges the split slices' own pairs.  `slices(n_max)`
     lists the populated (n, k): every complex over this one, the extended
@@ -63,13 +64,10 @@ class FreeLoopModel(CochainComplex):
     _d_base: dict = field(default_factory=dict, repr=False, compare=False)
     _d_susp: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def slice_basis(self, n, word_length=None):
-        return self.memo(("basis", n, word_length), self._slice_basis, n, word_length)
-
-    def _slice_basis(self, n, k):
+    def _basis(self, n, k):
         if k is None:
             return tuple(sorted(chain.from_iterable(
-                self.slice_basis(n, j) for j in range(n + 1))))
+                self.basis(n, j) for j in range(n + 1))))
         base_gens = self.base.generators
         sgens = self.generators[len(base_gens):]
         parts = []
@@ -85,9 +83,9 @@ class FreeLoopModel(CochainComplex):
     def slices(self, n_max):
         """The (n, k), k <= n <= n_max, whose slice basis is not empty."""
         return [(n, k) for n in range(n_max + 1) for k in range(n + 1)
-                if self.slice_basis(n, k)]
+                if self.basis(n, k)]
 
-    def _column(self, bt):
+    def image(self, bt):
         """D(b*t) = d(b)*t + (-1)^|b| b*D(t), as {(b', t'): coeff}."""
         base = self.base
         b, t = bt
@@ -120,15 +118,6 @@ class FreeLoopModel(CochainComplex):
                 (m[:nb], m[nb:], c, -c) for m, c in full.items())
         return dt
 
-    def slice_matrix(self, n, k):
-        return matrix_of_map(
-            self.slice_basis(n, k), self.slice_basis(n + 1, k), self._column,
-            "derivation image left the degree/word-length slice")
-
-
-def _lift_monomial(mono, nb):
-    return tuple(mono) + (0,) * nb
-
 
 def build_free_loop_model(model):
     """Construct the free loop model and verify D * D = 0 exactly."""
@@ -141,7 +130,7 @@ def build_free_loop_model(model):
     lifted = {}
     for i in range(nb):
         img = model.differential.images.get(i, {})
-        lifted[i] = {_lift_monomial(m, nb): c for m, c in img.items()}
+        lifted[i] = {m + (0,) * nb: c for m, c in img.items()}
 
     susp_images = {}
     for i in range(nb):
@@ -182,11 +171,6 @@ class HodgeTable:
 
     def row_sum(self, n):
         return sum(self.row(n).values())
-
-    def column(self, k):
-        """Word-length k dimensions by degree, as a RankTable."""
-        entries = {n: v for (n, kk), v in self.entries.items() if kk == k}
-        return RankTable("hodge_k%d" % k, entries, self.trusted_up_to)
 
 
 def hodge_betti_table(flm, n_max, jobs=1):

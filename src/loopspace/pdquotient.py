@@ -35,17 +35,17 @@ class FiniteCdga(CochainComplex):
     """A finite-dimensional cdga by structure constants.
 
     Basis indices are global, sorted by (degree, slice position); the unit
-    is a_0 and the fundamental class is the last index.  products maps
-    (i, j) to {k: alpha_ij^k}, diff maps i to {j: beta_i^j}; absent keys
-    mean zero.
+    is a_0 and the fundamental class a_{size-1}, the last index.  products
+    maps (i, j) to {k: alpha_ij^k}, diff maps i to {j: beta_i^j}; absent
+    keys mean zero.  As a cochain complex its degree-n basis is the
+    indices of degree n and `image(i)` is d a_i; the word length is
+    ignored.
     """
     name: str
     degrees: tuple
     labels: tuple
     products: dict
     diff: dict
-    unit_index: int
-    top_index: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -54,16 +54,15 @@ class FiniteCdga(CochainComplex):
 
     @property
     def top_degree(self):
-        return self.degrees[self.top_index]
+        return self.degrees[-1]
 
-    def by_degree(self, k):
-        return self.memo(("deg", k), lambda: tuple(
-            i for i, d in enumerate(self.degrees) if d == k))
+    def _basis(self, n, k):
+        return tuple(i for i, d in enumerate(self.degrees) if d == n)
 
     def product(self, i, j):
         return self.products.get((i, j), {})
 
-    def differential(self, i):
+    def image(self, i):
         return self.diff.get(i, {})
 
     def pairing(self, i):
@@ -73,16 +72,11 @@ class FiniteCdga(CochainComplex):
 
     def _pairing_table(self):
         table = {}
+        top = self.size - 1
         for (i, l), coeffs in self.products.items():
-            if v := coeffs.get(self.top_index):
+            if v := coeffs.get(top):
                 table.setdefault(i, {})[l] = v
         return table
-
-    def slice_matrix(self, n, k):
-        """Differential from the degree-n slice to degree n+1, local coords."""
-        return matrix_of_map(
-            self.by_degree(n), self.by_degree(n + 1), self.differential,
-            "quotient differential left degree %d" % (n + 1))
 
 
 @dataclass
@@ -108,7 +102,7 @@ class QuotientMap:
     def matrix(self, model, algebra, k):
         """rho on degree k, from the monomial basis to the degree-k slice
         of A in local coordinates; it has no rows above the top degree."""
-        return matrix_of_map(model.basis(k), algebra.by_degree(k),
+        return matrix_of_map(model.basis(k), algebra.basis(k),
                              lambda m: self.image.get(m, {}),
                              "projection left degree %d" % k)
 
@@ -152,8 +146,7 @@ def build_quotient(model, pd_report):
     reps.append(dict(omega_elem))
 
     algebra = FiniteCdga(name=model.name, degrees=tuple(degrees),
-                         labels=tuple(labels), products={}, diff={},
-                         unit_index=0, top_index=len(degrees) - 1)
+                         labels=tuple(labels), products={}, diff={})
     qmap = QuotientMap(image=image)
 
     for i, rep_i in enumerate(reps):
@@ -179,12 +172,11 @@ def structure_identities(algebra):
     """
     n = algebra.size
     deg = algebra.degrees
-    u = algebra.unit_index
     counts = {"unit": 0, "commutativity": 0, "d_squared": 0,
               "associativity": 0, "leibniz": 0}
 
     for j in range(n):
-        if algebra.product(u, j) != {j: ONE}:
+        if algebra.product(0, j) != {j: ONE}:
             raise IdentityViolation("unit axiom fails at a_%d" % j)
         counts["unit"] += 1
 
@@ -200,8 +192,8 @@ def structure_identities(algebra):
 
     for i in range(n):
         acc = {}
-        for j, v in algebra.differential(i).items():
-            gca.elem_add_into(acc, algebra.differential(j), v)
+        for j, v in algebra.image(i).items():
+            gca.elem_add_into(acc, algebra.image(j), v)
         if acc:
             raise IdentityViolation("d*d nonzero on a_%d" % i)
         counts["d_squared"] += 1
@@ -226,12 +218,12 @@ def structure_identities(algebra):
         for j in range(n):
             left = {}
             for r, v in algebra.product(i, j).items():
-                gca.elem_add_into(left, algebra.differential(r), v)
+                gca.elem_add_into(left, algebra.image(r), v)
             right = {}
-            for t, v in algebra.differential(i).items():
+            for t, v in algebra.image(i).items():
                 gca.elem_add_into(right, algebra.product(t, j), v)
             sign = -1 if deg[i] % 2 else 1
-            for l, v in algebra.differential(j).items():
+            for l, v in algebra.image(j).items():
                 gca.elem_add_into(right, algebra.product(i, l), sign * v)
             if left != right:
                 raise IdentityViolation(

@@ -48,22 +48,25 @@ class ExtendedQuotientModel(CochainComplex):
     """A (x) L sV with the projected loop differential.
 
     Basis elements of a slice are pairs (i, m): class a_i tensored with a
-    monomial m in the suspended generators, ordered by (i, m).  Dbar is
-    (rho (x) 1) o D: Dbar(1 (x) t) reads D(t) from the loop model and
-    projects its base factors by rho, and Dbar(a_i (x) t) follows from it.
-    rho(b) of a base monomial is read from the table qmap.image; only
+    monomial m in the suspended generators `sgens` of the loop model,
+    ordered by (i, m).  Dbar is (rho (x) 1) o D, and `image(pair)` is Dbar
+    of one pair: Dbar(1 (x) t) reads D(t) from the loop model and projects
+    its base factors by rho, and Dbar(a_i (x) t) follows from it.  rho(b)
+    of a base monomial is read from the table qmap.image; only
     Dbar(1 (x) t) is memoised, once per suspended monomial t.
     """
     algebra: object
     qmap: object
     flm: object
-    sgens: tuple
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def slice_basis(self, n, k=None):
-        return self.memo(("basis", n, k), lambda: tuple(
-            (i, m) for i, p in enumerate(self.algebra.degrees) if p <= n
-            for m in gca.slice_basis(self.sgens, n - p, k)))
+    @property
+    def sgens(self):
+        return self.flm.generators[len(self.flm.base.generators):]
+
+    def _basis(self, n, k):
+        return tuple((i, m) for i, p in enumerate(self.algebra.degrees) if p <= n
+                     for m in gca.slice_basis(self.sgens, n - p, k))
 
     def dbar_on_svmono(self, t):
         """Dbar(1 (x) t) = sum c rho(b') (x) t' over the terms b' t' of D(t),
@@ -77,9 +80,10 @@ class ExtendedQuotientModel(CochainComplex):
                 add_term(out, (ai, t2), c * v)
         return out
 
-    def dbar_pair(self, i, m):
-        """Dbar(a_i (x) m) as {(class, sv monomial): coeff}."""
-        out = {(j, m): c for j, c in self.algebra.differential(i).items()}
+    def image(self, pair):
+        """Dbar(a_i (x) m) for pair (i, m), as {(class, sv monomial): coeff}."""
+        i, m = pair
+        out = {(j, m): c for j, c in self.algebra.image(i).items()}
         odd = self.algebra.degrees[i] % 2
         for (ai, m2), c in self.dbar_on_svmono(m).items():
             c = -c if odd else c
@@ -87,17 +91,11 @@ class ExtendedQuotientModel(CochainComplex):
                 add_term(out, (k, m2), c * a)
         return out
 
-    def slice_matrix(self, n, k):
-        return matrix_of_map(
-            self.slice_basis(n, k), self.slice_basis(n + 1, k),
-            lambda pair: self.dbar_pair(*pair),
-            "extended differential left its slice at degree %d" % n)
-
     def rho_tensor_matrix(self, n, k=None):
         """Matrix of rho (x) 1 from the loop slice (n, k) to this one."""
         image = self.qmap.image
         return self.memo(("rho", n, k), lambda: matrix_of_map(
-            self.flm.slice_basis(n, k), self.slice_basis(n, k),
+            self.flm.basis(n, k), self.basis(n, k),
             lambda bt: {(ai, bt[1]): v for ai, v in image.get(bt[0], {}).items()},
             "projection left the slice at degree %d" % n))
 
@@ -119,8 +117,7 @@ def extend_to_quotient_loop(model, algebra, qmap, flm=None, check_to=None):
                tuple(int(i == j) for i in range(nb)))):
         raise InternalCheckFailure(
             "loop differential of a suspension has word length != 1")
-    eqm = ExtendedQuotientModel(algebra=algebra, qmap=qmap, flm=flm,
-                                sgens=flm.generators[nb:])
+    eqm = ExtendedQuotientModel(algebra=algebra, qmap=qmap, flm=flm)
 
     top = check_to if check_to is not None else algebra.top_degree + 2
     for n, k in flm.slices(top):
@@ -194,7 +191,7 @@ def duality_map(algebra):
     blocks = {}
     singular = []
     for k in range(N + 1):
-        m = matrix_of_map(algebra.by_degree(k), algebra.by_degree(N - k),
+        m = matrix_of_map(algebra.basis(k), algebra.basis(N - k),
                           algebra.pairing, "duality map left degree %d" % (N - k))
         blocks[k] = m
         if m.rows != m.cols or rank(m) < m.cols:
@@ -203,7 +200,7 @@ def duality_map(algebra):
     dual_d = {q: dual_diff_matrix(algebra, q) for q in range(N + 2)}
     sgn = -1 if N % 2 else 1
     for k in range(N + 1):
-        nxt = blocks.get(k + 1, SparseMatrix(len(algebra.by_degree(N - k - 1)), 0))
+        nxt = blocks.get(k + 1, SparseMatrix(len(algebra.basis(N - k - 1)), 0))
         if not is_chain_map(nxt, algebra.d_matrix(k), dual_d[N - k], blocks[k], sgn):
             raise ChainMapFailure(
                 "duality map fails the chain property at degree %d" % k)
@@ -225,34 +222,30 @@ def duality_map(algebra):
 class DualSectionComplex(CochainComplex):
     """A-dual (x) sV with the forced differential delta.
 
-    Basis pairs (i, j) stand for a_i' (x) sv_j in degree |sv_j| - |a_i|.
-    lemma_slices counts the slices on which build_dual_complex verified
-    the square identity.
+    Basis pairs (i, j) stand for a_i' (x) sv_j in degree |sv_j| - |a_i|,
+    every class i with every suspended generator j, and `image(pair)` is
+    delta of one pair, read from the table `delta`; the word length is
+    ignored.  lemma_slices counts the slices on which build_dual_complex
+    verified the square identity.
     """
     algebra: object
     sgens: tuple
-    pairs: tuple
     delta: dict
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     lemma_slices: int = 0
 
-    def degree_of(self, pair):
-        i, j = pair
-        return self.sgens[j].degree - self.algebra.degrees[i]
-
     def degree_range(self):
-        degs = [self.degree_of(p) for p in self.pairs]
-        return min(degs), max(degs)
+        svs = [g.degree for g in self.sgens]
+        degs = self.algebra.degrees
+        return min(svs) - max(degs), max(svs) - min(degs)
 
-    def by_degree(self, n):
-        return self.memo(("deg", n), lambda: tuple(
-            p for p in self.pairs if self.degree_of(p) == n))
+    def _basis(self, n, k):
+        degs = self.algebra.degrees
+        return tuple((i, j) for i in range(self.algebra.size)
+                     for j, g in enumerate(self.sgens) if g.degree - degs[i] == n)
 
-    def slice_matrix(self, n, k):
-        return matrix_of_map(
-            self.by_degree(n), self.by_degree(n + 1),
-            lambda p: self.delta.get(p, {}),
-            "dual differential left its degree slice at %d" % n)
+    def image(self, pair):
+        return self.delta.get(pair, {})
 
 
 def _du_tensor_matrix(eqm, dual, n):
@@ -260,8 +253,8 @@ def _du_tensor_matrix(eqm, dual, n):
     complex built from eqm, built once per n and kept in the dual's memo."""
     pairing = dual.algebra.pairing
     return dual.memo(
-        ("du", n), matrix_of_map, eqm.slice_basis(n, 1),
-        dual.by_degree(n - dual.algebra.top_degree),
+        ("du", n), matrix_of_map, eqm.basis(n, 1),
+        dual.basis(n - dual.algebra.top_degree),
         lambda pair: {(l, pair[1].index(1)): v for l, v in pairing(pair[0]).items()},
         "Du (x) 1 left its degree slice at %d" % n)
 
@@ -312,9 +305,7 @@ def build_dual_complex(algebra, eqm):
             if out:
                 delta[(jc, sv)] = out
 
-    pairs = tuple((i, j) for i in range(size) for j in range(nb))
-    dual = DualSectionComplex(algebra=algebra, sgens=sgens,
-                              pairs=pairs, delta=delta)
+    dual = DualSectionComplex(algebra=algebra, sgens=sgens, delta=delta)
 
     lo, hi = dual.degree_range()
     for n in range(lo - 1, hi + 1):
@@ -491,18 +482,10 @@ class TheoremReport:
     def cochain_perfect(self):
         return self.dmap.cochain_perfect
 
-    @property
-    def singular_degrees(self):
-        return self.dmap.singular_degrees
-
     @cached_property
     def dual(self):
         self.dmap  # Du's chain property and cohomology iso come first
         return build_dual_complex(self.algebra, self.eqm)
-
-    @property
-    def lemma_slices(self):
-        return self.dual.lemma_slices
 
     @cached_property
     def duality_degrees(self):

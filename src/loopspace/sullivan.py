@@ -57,7 +57,7 @@ class SullivanModel(CochainComplex):
     completeness: int | None   # None means complete
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def basis(self, n):
+    def _basis(self, n, k):
         return gca.basis_of_degree(self.generators, n)
 
     def slice_matrix(self, n, k):

@@ -42,7 +42,8 @@ FLAG = Path(__file__).parent.parent / "perfbench" / "models" / "flag.model"
 
 
 def dense(m):
-    return [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+    entries = m.entries
+    return [[entries.get((r, c), Q(0)) for c in range(m.cols)] for r in range(m.rows)]
 
 
 def dense_rref(grid, rows, cols):
@@ -211,8 +212,8 @@ class TestSparseMatrix:
     def test_construction_strips_zeros(self):
         m = SparseMatrix(2, 2, {(0, 0): Q(0), (1, 1): Q(3)})
         assert m.entries == {(1, 1): Q(3)}
-        assert m.entry(0, 0) == 0
-        assert not m.is_zero()
+        assert (0, 0) not in m.entries
+        assert m.entries
 
     def test_out_of_range_entry_rejected(self):
         with pytest.raises(ValueError):
@@ -317,9 +318,9 @@ class TestAddTerm:
     @settings(max_examples=100, deadline=None)
     def test_dbar_pair_stores_no_zero(self, name, n, k, data):
         eqm = quotient_extension(name)
-        basis = eqm.slice_basis(n, k)
+        basis = eqm.basis(n, k)
         if basis:
-            assert all(eqm.dbar_pair(*data.draw(st.sampled_from(basis))).values())
+            assert all(eqm.image(data.draw(st.sampled_from(basis))).values())
 
 
 class TestRref:
@@ -341,7 +342,7 @@ class TestRref:
 
     def test_zero_matrix(self):
         red, pivots, rk = rref(SparseMatrix(3, 4))
-        assert red.is_zero() and pivots == () and rk == 0
+        assert not red.entries and pivots == () and rk == 0
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (3, 4)])
     def test_empty_matrix_has_rank_zero_without_elimination(
@@ -394,6 +395,32 @@ class TestRref:
         assert built == []
         assert induced_rank(f, d_out, d_in) == 2
         assert len(built) == 1
+
+    def test_rref_forms_no_fraction_and_the_kernel_one_per_entry(self, monkeypatch):
+        # rref puts its integer rows over one denominator in lowest terms;
+        # kernel_basis forms each pivot entry of a kernel vector once
+        grid = [[2, 0, Q(-7, 3), Q(1, 2)], [6, 3, Q(5, 4), 0]]
+        m = from_dense(grid, 2, 4)
+        want = from_dense(dense_rref(grid, 2, 4)[0], 2, 4)
+        want_kernel = dense_kernel(grid, 2, 4)
+        formed = []
+        real = exactq.Fraction
+
+        def counting(*args):
+            formed.append(args)
+            return real(*args)
+
+        def refuse(*args):
+            raise AssertionError("built through the constructor")
+
+        monkeypatch.setattr(exactq, "Fraction", counting)
+        monkeypatch.setattr(SparseMatrix, "__init__", refuse)
+        assert rref(m) == (want, (0, 1), 2)
+        assert formed == []
+        kernel = kernel_basis(m)
+        assert [[v.get(c, 0) for c in range(4)] for v in kernel] == want_kernel
+        assert all(type(x) is real for v in kernel for x in v.values())
+        assert len(formed) == sum(len(v) - 1 for v in kernel) == 4
 
     @given(matrices())
     @settings(max_examples=120, deadline=None)
@@ -740,7 +767,7 @@ class TestMatrixOfMap:
     def test_empty_dom(self):
         m = matrix_of_map([], ["x", "y", "z"], lambda _: {}, "unused")
         assert (m.rows, m.cols) == (3, 0)
-        assert m.is_zero()
+        assert not m.entries
 
 
 class TestProductIsZero:
@@ -777,7 +804,7 @@ class TestProductIsZero:
     @settings(max_examples=60, deadline=None)
     def test_consecutive_differentials_compose_to_zero(self, data):
         d_out, d_in = data
-        assert d_out.mul(d_in).is_zero()
+        assert not d_out.mul(d_in).entries
         assert product_is_zero(d_out, d_in)
 
 

@@ -4,12 +4,12 @@ and no test hook hides in the product.
 The project ships no linter, so this walks the syntax tree of every module
 under src/loopspace and of every test module and fails on an imported name
 that is never read.  The package's __init__.py is left out: its imports are
-what it re-exports.  It also fails on a top-level function of the package
-that nothing in the package refers to outside its own definition; a
-re-export in __init__.py counts as a reference.  No function of the
-package takes a parameter whose name starts with an underscore, the shape
-of a hook only tests pass, and every option of the command line shows
-its help.
+what it re-exports.  It also fails on a top-level function, or a method or
+property of a top-level class, of the package that nothing in the package
+refers to outside its own definition; a re-export in __init__.py counts as
+a reference.  No function of the package takes a parameter whose name
+starts with an underscore, the shape of a hook only tests pass, and every
+option of the command line shows its help.
 """
 
 import argparse
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from loopspace.cli import build_parser
+from test_traced_names import traced_names
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "loopspace").glob("*.py"))
@@ -66,22 +67,45 @@ def names_in(node):
     return names
 
 
-def dead_helpers(sources):
-    """(module, name) of each top-level function that no module refers to
-    outside its own body.  sources maps module name to source text; the
-    functions of "__init__" are not checked, its imports are references."""
-    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def dead_helpers(sources, exempt):
+    """(module, name) of each top-level function, and (module,
+    "Class.name") of each method or property of a top-level class, that no
+    module refers to outside its own body.  sources maps module name to
+    source text; the functions of "__init__" are not checked, its imports
+    are references.  A string in a `CHECKS` assignment is a reference, as
+    the checks are attributes read by those names; dunder methods and the
+    names in exempt ("name" or "Class.name") are not checked."""
     referenced = set()
     defined = []
-    for mod, tree in trees.items():
-        for stmt in tree.body:
-            names = names_in(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.discard(stmt.name)
-                if mod != "__init__":
-                    defined.append((mod, stmt.name))
-            referenced |= names
-    return sorted((mod, name) for mod, name in defined if name not in referenced)
+    for mod, src in sources.items():
+        for stmt in ast.parse(src).body:
+            # (node, its qualified name if it is a checked definition, else None)
+            if isinstance(stmt, FUNCTIONS):
+                members = [(stmt, stmt.name)]
+            elif isinstance(stmt, ast.ClassDef):
+                members = [(f, None) for f in stmt.bases + stmt.decorator_list]
+                for f in stmt.body:
+                    checked = (isinstance(f, FUNCTIONS)
+                               and not f.name.startswith("__"))
+                    members.append((f, stmt.name + "." + f.name if checked else None))
+            else:
+                members = [(stmt, None)]
+                if any(isinstance(t, ast.Name) and t.id == "CHECKS"
+                       for t in getattr(stmt, "targets", ())):
+                    referenced |= {c.value for c in ast.walk(stmt)
+                                   if isinstance(c, ast.Constant)}
+            for node, qualname in members:
+                names = names_in(node)
+                if qualname is not None:
+                    names.discard(node.name)
+                    if mod != "__init__":
+                        defined.append((mod, qualname, node.name))
+                referenced |= names
+    return sorted((mod, qualname) for mod, qualname, name in defined
+                  if name not in referenced and qualname not in exempt)
 
 
 def test_checker_finds_dead_helpers():
@@ -93,12 +117,50 @@ def test_checker_finds_dead_helpers():
         "c": "from . import b\n\nb.via_attribute()\n",
         "__init__": "from .b import exported\n\ndef public():\n    pass\n",
     }
-    assert dead_helpers(sources) == [("a", "dead")]
+    assert dead_helpers(sources, ()) == [("a", "K.m"), ("a", "dead")]
+
+
+def test_checker_finds_dead_methods():
+    sources = {
+        "a": ("class K(Base):\n"
+              "    def __len__(self):\n        return self.size\n\n"
+              "    @property\n    def size(self):\n        return 0\n\n"
+              "    def again(self):\n        return self.again()\n\n"
+              "    def checked(self):\n        pass\n\n"
+              "    def traced(self):\n        pass\n\n"
+              "    def dead(self):\n        pass\n\n"
+              "class Base:\n    def read(self):\n        pass\n"),
+        "b": ("from .a import K\n\n"
+              "CHECKS = ((\"one\", \"checked\"),)\n\n"
+              "def use(k):\n    return getattr(k, CHECKS[0][1]), k.read\n\n"
+              "use(K())\n"),
+    }
+    assert dead_helpers(sources, ("K.traced",)) == [
+        ("a", "K.again"), ("a", "K.dead")]
 
 
 def test_no_dead_helpers():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert dead_helpers(sources) == []
+    exempt = {name for _, name in traced_names()}
+    assert dead_helpers(sources, exempt) == []
+
+
+def class_methods(sources):
+    """(module, class, name) of each function defined in the body of a
+    top-level class."""
+    return sorted((mod, stmt.name, f.name) for mod, src in sources.items()
+                  for stmt in ast.parse(src).body if isinstance(stmt, ast.ClassDef)
+                  for f in stmt.body if isinstance(f, FUNCTIONS))
+
+
+def test_one_class_builds_the_slices():
+    """A complex is its bases and `image`; CochainComplex builds every
+    slice from them, and only the model keeps the generic Leibniz path."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    methods = class_methods(sources)
+    assert [(mod, cls) for mod, cls, name in methods if name == "slice_matrix"] == [
+        ("exactq", "CochainComplex"), ("sullivan", "SullivanModel")]
+    assert [m for m in methods if m[2] in ("by_degree", "slice_basis")] == []
 
 
 def callers(sources, name):
@@ -149,7 +211,7 @@ def test_one_place_computes_the_koszul_sign_of_a_product():
     sign convention lives in one place."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "normalize_product") == [
-        ("freeloop", "_column"), ("gca", "apply_derivation"), ("gca", "elem_mul")]
+        ("freeloop", "image"), ("gca", "apply_derivation"), ("gca", "elem_mul")]
 
 
 def test_three_walkers_share_the_populated_slices():

@@ -53,10 +53,9 @@ def quotient(name):
 
 
 def nontrivial_products(algebra):
-    """Products not forced by the unit, as a plain dict."""
-    u = algebra.unit_index
+    """Products not forced by the unit a_0, as a plain dict."""
     return {ij: alpha for ij, alpha in algebra.products.items()
-            if u not in ij}
+            if 0 not in ij}
 
 
 class TestQuotientStructures:
@@ -125,7 +124,7 @@ class TestQuotientStructures:
             model, alg, qmap = quotient(name)
             omega = check_poincare_duality(model).fundamental_class
             out = qmap.apply(omega)
-            assert out == {alg.top_index: ONE}, name
+            assert out == {alg.size - 1: ONE}, name
 
     def test_apply_above_formal_dim_is_zero(self):
         model, alg, qmap = quotient("s2")
@@ -140,7 +139,7 @@ class TestQuotientStructures:
         cross = {(1, 1, 0, 0): ONE}
         assert qmap.apply(xsq) == {}
         assert qmap.apply(usq) == {}
-        assert qmap.apply(cross) == {alg.top_index: ONE}
+        assert qmap.apply(cross) == {alg.size - 1: ONE}
 
 
 class TestStructureIdentities:
@@ -201,8 +200,6 @@ class TestStructureIdentities:
                 (1, 3): {4: ONE}, (3, 1): {4: ONE},
             },
             diff={},
-            unit_index=0,
-            top_index=4,
         )
         with pytest.raises(IdentityViolation, match="associativity"):
             structure_identities(alg)
@@ -219,10 +216,10 @@ class TestDifferentialMatrix:
             products={(0, 0): {0: ONE}, (0, 1): {1: ONE}, (0, 2): {2: ONE},
                       (1, 0): {1: ONE}, (2, 0): {2: ONE}, (1, 1): {2: ONE}},
             diff={1: {2: ONE}},
-            unit_index=0,
-            top_index=2,
         )
-        with pytest.raises(InternalCheckFailure, match="left degree 3") as err:
+        with pytest.raises(InternalCheckFailure, match=(
+                "FiniteCdga differential left its slice: degree 2, "
+                "word length None")) as err:
             alg.d_matrix(2)
         assert exit_code_for(err.value) == 4
 
@@ -354,7 +351,7 @@ class TestProjectionTable:
         assert dropped == list(model.s_pivots(N - 1))
         assert all(own_class(m) for m in by_degree.get(N - 1, {}))
         basis_N = model.basis(N)
-        assert by_degree[N] == {basis_N[c]: {alg.top_index: v} for c, v in lam.items()}
+        assert by_degree[N] == {basis_N[c]: {alg.size - 1: v} for c, v in lam.items()}
 
 
 class TestIncompleteness:

@@ -21,9 +21,10 @@ from loopspace.errors import (
     InternalCheckFailure,
     SingularDuality,
     ValidationFailure,
+    exit_code_for,
 )
 from loopspace.exactq import SparseMatrix, add_term, cohomology_dim, matrix_of_map
-from loopspace.freeloop import build_free_loop_model
+from loopspace.freeloop import FreeLoopModel, build_free_loop_model
 from loopspace.pdquotient import FiniteCdga, build_quotient
 from loopspace.sections import (
     DualSectionComplex,
@@ -70,7 +71,7 @@ def sv_images(eqm):
 
 
 def five_complexes(name):
-    """(complex, slice basis, word lengths, degrees) for each complex of a
+    """(complex, word lengths, degrees) for each complex of a
     model: the model, its loop model, the quotient, the extended complex
     and the dual complex."""
     model, algebra, _, eqm = setup(name)
@@ -78,11 +79,11 @@ def five_complexes(name):
     lo, hi = dual.degree_range()
     graded = [None, 0, 1, 2]
     return [
-        (model, lambda n, k: model.basis(n), [None], range(-1, 9)),
-        (eqm.flm, eqm.flm.slice_basis, graded, range(-1, 9)),
-        (algebra, lambda n, k: algebra.by_degree(n), [None], range(-1, 9)),
-        (eqm, eqm.slice_basis, graded, range(-1, 9)),
-        (dual, lambda n, k: dual.by_degree(n), [None], range(lo - 2, hi + 1)),
+        (model, [None], range(-1, 9)),
+        (eqm.flm, graded, range(-1, 9)),
+        (algebra, [None], range(-1, 9)),
+        (eqm, graded, range(-1, 9)),
+        (dual, [None], range(lo - 2, hi + 1)),
     ]
 
 
@@ -111,24 +112,41 @@ def bump_first_square(monkeypatch, cx, cls, slices):
 class TestCochainComplexes:
     @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
     def test_each_slice_is_built_once(self, name):
-        for cx, basis, ks, degrees in five_complexes(name):
+        for cx, ks, degrees in five_complexes(name):
             for n in degrees:
                 for k in ks:
                     d = cx.d_matrix(n, k)
                     assert cx.d_matrix(n, k) is d, (type(cx).__name__, n, k)
-                    assert (d.rows, d.cols) == (len(basis(n + 1, k)), len(basis(n, k)))
+                    assert cx.basis(n, k) is cx.basis(n, k), (type(cx).__name__, n, k)
+                    assert (d.rows, d.cols) == (len(cx.basis(n + 1, k)),
+                                                len(cx.basis(n, k)))
+
+    @pytest.mark.parametrize("cls, k", [
+        (FreeLoopModel, 1), (FiniteCdga, None), (ExtendedQuotientModel, 1),
+        (DualSectionComplex, None)], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_an_image_outside_the_next_slice_is_an_internal_failure(
+            self, monkeypatch, cls, k):
+        cx = next(c for c, _, _ in five_complexes("cp2") if type(c) is cls)
+        n = next(n for n in range(-9, 9) if cx.basis(n, k))
+        monkeypatch.setattr(cls, "image", lambda self, x: {"outside": ONE})
+        with pytest.raises(InternalCheckFailure) as err:
+            cx.slice_matrix(n, k)
+        assert exit_code_for(err.value) == 4
+        assert str(err.value) == (
+            "%s differential left its slice: degree %d, word length %s"
+            % (cls.__name__, n, k))
 
     @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
     def test_below_degree_zero_has_no_columns(self, name):
-        for cx, basis, ks, _ in five_complexes(name)[:4]:
+        for cx, ks, _ in five_complexes(name)[:4]:
             for k in ks:
                 d = cx.d_matrix(-1, k)
-                assert (d.rows, d.cols) == (len(basis(0, k)), 0)
-                assert d.is_zero()
+                assert (d.rows, d.cols) == (len(cx.basis(0, k)), 0)
+                assert not d.entries
 
     @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
     def test_betti_is_the_cohomology_of_its_two_slices(self, name):
-        for cx, _, ks, degrees in five_complexes(name):
+        for cx, ks, degrees in five_complexes(name):
             for n in degrees:
                 for k in ks:
                     assert cx.betti(n, k) == cohomology_dim(
@@ -167,8 +185,8 @@ class TestExtendedComplex:
     def test_slice_basis_ordering(self):
         _, alg, _, eqm = setup("s2")
         # degree 2, word length 1: a_0 (x) sy and a_1=x would need degree 0
-        assert eqm.slice_basis(2, 1) == ((0, (0, 1)),)
-        assert eqm.slice_basis(3, 1) == ((1, (1, 0)),)
+        assert eqm.basis(2, 1) == ((0, (0, 1)),)
+        assert eqm.basis(3, 1) == ((1, (1, 0)),)
         assert eqm.betti(1, 1) == 1   # the class 1 (x) sx
 
     def test_extension_checks_pass_on_corpus(self):
@@ -191,7 +209,7 @@ class TestExtendedComplex:
         slices = verify_rho_tensor_quasi_iso(eqm, 6)
         recount = sum(
             1 for n in range(7) for k in range(n + 1)
-            if eqm.flm.slice_basis(n, k) or eqm.slice_basis(n, k))
+            if eqm.flm.basis(n, k) or eqm.basis(n, k))
         assert slices == len(eqm.flm.slices(6)) == recount == 18
 
     @pytest.mark.parametrize("name", CORPUS + (
@@ -204,7 +222,7 @@ class TestExtendedComplex:
         walk = set(eqm.flm.slices(top))
         off = [(n, k) for n in range(top + 1) for k in range(n + 2)
                if (n, k) not in walk]
-        assert off and not any(eqm.slice_basis(n, k) for n, k in off)
+        assert off and not any(eqm.basis(n, k) for n, k in off)
 
     def test_dbar_of_a_suspended_monomial_is_built_once(self, monkeypatch):
         built = []
@@ -249,7 +267,7 @@ def leibniz_dbar(eqm, dbar_sv, i, m):
     """
     algebra, sgens = eqm.algebra, eqm.sgens
     degs, nb = algebra.degrees, len(sgens)
-    out = {(r, m): c for r, c in algebra.differential(i).items()}
+    out = {(r, m): c for r, c in algebra.image(i).items()}
     p = 0
     for j, e in enumerate(m):
         if not e:
@@ -280,7 +298,7 @@ class TestExtendedDifferential:
         for n in range(-1, top + 2):
             for k in [*range(n + 3), None]:
                 want = matrix_of_map(
-                    eqm.slice_basis(n, k), eqm.slice_basis(n + 1, k),
+                    eqm.basis(n, k), eqm.basis(n + 1, k),
                     lambda pair: leibniz_dbar(eqm, dbar_sv, *pair),
                     "Leibniz image left its slice at degree %d" % n)
                 assert eqm.d_matrix(n, k).entries == want.entries, (n, k)
@@ -292,7 +310,7 @@ class TestExtendedDifferential:
         model = get_model("s2xs3")
         algebra, qmap = build_quotient(model, check_poincare_duality(model))
         k, row, col = cell
-        basis, classes = model.basis(k), algebra.by_degree(k)
+        basis, classes = model.basis(k), algebra.basis(k)
         assert row < len(classes) and col < len(basis)
         add_term(qmap.image.setdefault(basis[col], {}), classes[row], ONE)
         with pytest.raises(ChainMapFailure):
@@ -355,8 +373,6 @@ class TestDualityMap:
                 (1, 0): {1: ONE}, (2, 0): {2: ONE},
             },
             diff={},
-            unit_index=0,
-            top_index=2,
         )
         with pytest.raises(SingularDuality):
             duality_map(alg)
@@ -375,8 +391,6 @@ class TestDualityMap:
                 (1, 2): {3: ONE}, (2, 1): {3: ONE},
             },
             diff={1: {2: ONE}},
-            unit_index=0,
-            top_index=3,
         )
         with pytest.raises(ChainMapFailure):
             duality_map(alg)
@@ -518,7 +532,7 @@ class TestVerifyTheorems:
             rep = verify_theorems(model)
             assert rep.model_name == model.name
             assert rep.n_max == max(model.formal_dim + 8, model.formal_dim + 2)
-            assert rep.lemma_slices > 0
+            assert rep.dual.lemma_slices > 0
             assert rep.rho_tensor_slices > 0
             assert rep.duality_degrees > 0
             assert len(rep.compared) == 8
@@ -531,7 +545,7 @@ class TestVerifyTheorems:
     def test_s2xs3_report_details(self):
         rep = verify_theorems(get_model("s2xs3"))
         assert rep.formal_dim == 5
-        assert rep.singular_degrees == (1, 2, 3, 4)
+        assert rep.dmap.singular_degrees == (1, 2, 3, 4)
         assert rep.compared[1] == (2, 2, 2, 2)
         assert rep.low_degree == {1: 1, 2: 1, 3: 0, 4: 3, 5: 1}
         assert rep.identity_counts["commutativity"] == 36
@@ -550,7 +564,7 @@ class TestVerifyTheorems:
     def test_fault_injection_is_caught(self, corrupt_quotient):
         def non_unit(algebra):
             for (i, j) in sorted(algebra.products):
-                if i != j and i != algebra.unit_index and j != algebra.unit_index:
+                if i != j and i != 0 and j != 0:
                     return i, j
             raise AssertionError("nothing to corrupt")
 
