@@ -9,8 +9,6 @@ and the ranks of the rational homotopy of the identity component of the
 self-equivalences, each value cross-checked by an independent route.
 """
 
-from importlib import resources
-
 from .errors import (ParseError, UnknownGenerator, DegreeMismatch,
                      OddExponent, ValidationFailure, NotPoincareDuality,
                      IncompleteModel, MathMismatch, QuasiIsoFailure,
@@ -37,11 +35,13 @@ __all__ = [n for n in dir() if not n.startswith("_")]
 
 def corpus_path(name):
     """Filesystem path of a bundled model, e.g. corpus_path('s2')."""
+    from importlib import resources     # the command line never needs it
     return resources.files("loopspace").joinpath("models", name + ".model")
 
 
 def corpus_models():
     """Names of the bundled models, sorted."""
+    from importlib import resources
     folder = resources.files("loopspace").joinpath("models")
     return sorted(p.name[:-len(".model")] for p in folder.iterdir()
                   if p.name.endswith(".model"))

@@ -24,10 +24,8 @@ is computed in one process.  A K below 1 is still a usage error.
 """
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .errors import (ParseError, ValidationFailure, MathMismatch,
                      InternalCheckFailure, exit_code_for)
@@ -37,17 +35,20 @@ from .freeloop import loop_betti, growth_report
 from .sections import VERIFY_CHECKS, window, verify_theorems
 
 
-@dataclass
 class Report:
-    model: str
-    command: str
-    max_degree: int | None
-    trusted_up_to: int | None
-    tables: dict = field(default_factory=dict)
-    verdicts: list = field(default_factory=list)
-    exit_code: int = 0
-    error: str | None = None
-    notes: list = field(default_factory=list)
+    """What one command printed: its tables, verdicts and notes, filled in
+    as the checks run, then the exit code and the error, if any."""
+
+    def __init__(self, model, command, max_degree, trusted_up_to):
+        self.model = model
+        self.command = command
+        self.max_degree = max_degree
+        self.trusted_up_to = trusted_up_to
+        self.tables = {}
+        self.verdicts = []
+        self.notes = []
+        self.exit_code = 0
+        self.error = None
 
     def add_table(self, label, values, start=0, trusted_up_to=None):
         self.tables[label] = {"start": start, "trusted_up_to": trusted_up_to,
@@ -71,6 +72,7 @@ class Report:
         return d
 
     def to_json(self):
+        import json     # only --format json needs it; kept off the start-up path
         return json.dumps(self.as_dict(), sort_keys=True,
                           separators=(",", ":")) + "\n"
 

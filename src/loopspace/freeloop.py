@@ -24,9 +24,9 @@ length k, its pairs in ascending order, that of b + t.  Only this module
 knows the layout; sections unpacks the pairs and reads D(t).
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import DifferentialSquareNonzero, HodgeSumMismatch
 from .exactq import CochainComplex, ONE, add_term
@@ -35,9 +35,10 @@ from .gca import Generator, DerivationSpec
 from .sullivan import RankTable
 
 
-@dataclass
 class FreeLoopModel(CochainComplex):
-    """(LV (x) L sV, D), its slices built from the two factors.
+    """(LV (x) L sV, D), its slices built from the two factors: base is
+    the SullivanModel, generators its generators then the suspended ones,
+    and suspension the degree -1 derivation s with s(v) = sv, s(sv) = 0.
 
     `image(bt)`, a column of a slice matrix, is D(b*t) = d(b)*t +
     (-1)^|b| b*D(t), with one base-length `normalize_product` per term of
@@ -56,13 +57,13 @@ class FreeLoopModel(CochainComplex):
     lists the populated (n, k): every complex over this one, the extended
     complex included, is empty outside them.
     """
-    base: object                    # SullivanModel
-    generators: tuple               # base generators then suspended ones
-    loop_differential: DerivationSpec
-    suspension: DerivationSpec
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _d_base: dict = field(default_factory=dict, repr=False, compare=False)
-    _d_susp: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __init__(self, base, generators, loop_differential, suspension):
+        self.base = base
+        self.generators = generators
+        self.loop_differential = loop_differential
+        self.suspension = suspension
+        self._cache, self._d_base, self._d_susp = {}, {}, {}
 
     def _basis(self, n, k):
         if k is None:
@@ -156,8 +157,7 @@ def build_free_loop_model(model):
                          loop_differential=loop_d, suspension=suspension)
 
 
-@dataclass
-class HodgeTable:
+class HodgeTable(NamedTuple):
     """dim H^n restricted to word length k, for every populated slice."""
     entries: dict      # (n, k) -> int
     n_max: int
@@ -222,8 +222,7 @@ def _root_decimal(s, n, places=6):
     return "%d.%0*d" % (scaled // 10 ** places, places, scaled % 10 ** places)
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     partial_sums: list   # s_n for n = 0..T
     ratios: list         # Fraction s_{n+1}/s_n for each n with s_n > 0
     roots: list          # (n, "d.dddddd") for s_n^(1/n), n >= 1, s_n > 0

@@ -23,7 +23,6 @@ Monomial order: total degree first, then ascending lexicographic order on
 exponent tuples.  basis_of_degree enumerates in exactly that order.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -39,8 +38,7 @@ class Generator(NamedTuple):
     partner: int | None = None  # for suspended: index of the base generator
 
 
-@dataclass
-class DerivationSpec:
+class DerivationSpec(NamedTuple):
     """A derivation given by its degree shift and generator images.
 
     images maps generator index -> element dict.  An absent index means the

@@ -21,7 +21,7 @@ zero, or, in degree N, to lambda times the fundamental class, so rho of
 an element is a sum of table rows and no matrix stands behind it.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (IncompleteModel, IdentityViolation, QuasiIsoFailure,
                      ChainMapFailure)
@@ -30,7 +30,6 @@ from .exactq import (CochainComplex, ONE, induced_rank, is_chain_map,
 from . import gca
 
 
-@dataclass
 class FiniteCdga(CochainComplex):
     """A finite-dimensional cdga by structure constants.
 
@@ -41,12 +40,14 @@ class FiniteCdga(CochainComplex):
     indices of degree n and `image(i)` is d a_i; the word length is
     ignored.
     """
-    name: str
-    degrees: tuple
-    labels: tuple
-    products: dict
-    diff: dict
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __init__(self, name, degrees, labels, products, diff):
+        self.name = name
+        self.degrees = degrees
+        self.labels = labels
+        self.products = products
+        self.diff = diff
+        self._cache = {}
 
     @property
     def size(self):
@@ -79,8 +80,7 @@ class FiniteCdga(CochainComplex):
         return table
 
 
-@dataclass
-class QuotientMap:
+class QuotientMap(NamedTuple):
     """The projection rho : LV -> A as a table of monomial images.
 
     image[m] is rho(m) as {global class index: coeff}, held only where it

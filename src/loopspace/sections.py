@@ -26,8 +26,8 @@ against an independent computation with derivations of the base model
 component of the self-equivalences).
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SignIdentityFailure, DualMismatch, TheoremMismatch,
@@ -43,22 +43,23 @@ from .freeloop import build_free_loop_model, hodge_betti_table, loop_betti
 from .pdquotient import build_quotient, structure_identities, verify_quasi_iso
 
 
-@dataclass
 class ExtendedQuotientModel(CochainComplex):
     """A (x) L sV with the projected loop differential.
 
-    Basis elements of a slice are pairs (i, m): class a_i tensored with a
-    monomial m in the suspended generators `sgens` of the loop model,
-    ordered by (i, m).  Dbar is (rho (x) 1) o D, and `image(pair)` is Dbar
+    Basis elements of a slice are pairs (i, m): class a_i of `algebra`
+    tensored with a monomial m in the suspended generators `sgens` of the
+    loop model `flm`, ordered by (i, m).  Dbar is (rho (x) 1) o D, and `image(pair)` is Dbar
     of one pair: Dbar(1 (x) t) reads D(t) from the loop model and projects
     its base factors by rho, and Dbar(a_i (x) t) follows from it.  rho(b)
     of a base monomial is read from the table qmap.image; only
     Dbar(1 (x) t) is memoised, once per suspended monomial t.
     """
-    algebra: object
-    qmap: object
-    flm: object
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __init__(self, algebra, qmap, flm):
+        self.algebra = algebra
+        self.qmap = qmap
+        self.flm = flm
+        self._cache = {}
 
     @property
     def sgens(self):
@@ -153,8 +154,7 @@ def verify_rho_tensor_quasi_iso(eqm, n_max):
     return len(slices)
 
 
-@dataclass
-class DualityMap:
+class DualityMap(NamedTuple):
     """Du : A^k -> (A^{N-k})-dual, Du(a_i) = sum_j alpha_ij^top a_j'.
 
     blocks[k] is the degree-k matrix (rows: degree N-k classes, columns:
@@ -218,7 +218,6 @@ def duality_map(algebra):
                       singular_degrees=tuple(singular))
 
 
-@dataclass
 class DualSectionComplex(CochainComplex):
     """A-dual (x) sV with the forced differential delta.
 
@@ -226,13 +225,15 @@ class DualSectionComplex(CochainComplex):
     every class i with every suspended generator j, and `image(pair)` is
     delta of one pair, read from the table `delta`; the word length is
     ignored.  lemma_slices counts the slices on which build_dual_complex
-    verified the square identity.
+    verified the square identity; it is 0 until then.
     """
-    algebra: object
-    sgens: tuple
-    delta: dict
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    lemma_slices: int = 0
+
+    def __init__(self, algebra, sgens, delta):
+        self.algebra = algebra
+        self.sgens = sgens
+        self.delta = delta
+        self._cache = {}
+        self.lemma_slices = 0
 
     def degree_range(self):
         svs = [g.degree for g in self.sgens]

@@ -19,8 +19,8 @@ for n <= c - 1 because suspensions drop degree by one.
 """
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (ParseError, UnknownGenerator, DegreeMismatch, OddExponent,
                      NotPoincareDuality, InternalCheckFailure, TopClassCollapse)
@@ -30,8 +30,7 @@ from . import gca
 from .gca import Generator, DerivationSpec
 
 
-@dataclass
-class RankTable:
+class RankTable(NamedTuple):
     """Integer table indexed by degree, with an honesty marker.
 
     Entries above trusted_up_to were computed from a truncated model and
@@ -48,14 +47,18 @@ class RankTable:
         return [self.entries.get(n, 0) for n in range(n_max + 1)]
 
 
-@dataclass
 class SullivanModel(CochainComplex):
-    name: str
-    generators: tuple          # base Generators, canonical order
-    differential: DerivationSpec   # degree +1, images over base generators
-    formal_dim: int
-    completeness: int | None   # None means complete
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    """(LV, d): the base Generators in canonical order, d as a degree +1
+    DerivationSpec over them, the formal dimension N, and completeness,
+    the degree the generator list is complete to, None if complete."""
+
+    def __init__(self, name, generators, differential, formal_dim, completeness):
+        self.name = name
+        self.generators = generators
+        self.differential = differential
+        self.formal_dim = formal_dim
+        self.completeness = completeness
+        self._cache = {}
 
     def _basis(self, n, k):
         return gca.basis_of_degree(self.generators, n)
@@ -288,8 +291,7 @@ def parse_model(text, name_hint="(unnamed)"):
     return model
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: list  # of (name, passed, detail)
 
     @property
@@ -346,8 +348,7 @@ def _vector_to_element(basis, vec):
     return {basis[i]: c for i, c in vec.items() if c}
 
 
-@dataclass
-class PoincareReport:
+class PoincareReport(NamedTuple):
     formal_dim: int
     window: int
     fundamental_class: dict    # element dict of degree N
@@ -436,9 +437,6 @@ def check_poincare_duality(model, n_max=None):
 
     omega_elem = _vector_to_element(basis_N, omega)
     return PoincareReport(
-        formal_dim=N, window=window,
-        fundamental_class=omega_elem,
+        formal_dim=N, window=window, fundamental_class=omega_elem,
         fundamental_render=gca.render_element(gens, omega_elem),
-        pairing_ranks=pairing_ranks,
-        top_functional=lam,
-        betti=betti)
+        pairing_ranks=pairing_ranks, top_functional=lam, betti=betti)

@@ -1,19 +1,24 @@
 """No module imports a name it never uses, no helper outlives its callers,
-and no test hook hides in the product.
+no test hook hides in the product, and the command line starts light.
 
 The project ships no linter, so this walks the syntax tree of every module
 under src/loopspace and of every test module and fails on an imported name
 that is never read.  The package's __init__.py is left out: its imports are
-what it re-exports.  It also fails on a top-level function, or a method or
-property of a top-level class, of the package that nothing in the package
-refers to outside its own definition; a re-export in __init__.py counts as
-a reference.  No function of the package takes a parameter whose name
-starts with an underscore, the shape of a hook only tests pass, and every
-option of the command line shows its help.
+what it re-exports.  It also fails on a top-level function of the package
+that nothing in the package refers to outside its own definition, and on a
+method or property of a top-level class that nothing reads as an
+attribute; a re-export in __init__.py counts as a reference.  No function
+of the package takes a parameter whose name starts with an underscore, the
+shape of a hook only tests pass, and every option of the command line
+shows its help.  A fresh interpreter that imports loopspace.cli loads none
+of the modules only rare paths need.
 """
 
 import argparse
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,18 +72,27 @@ def names_in(node):
     return names
 
 
+def attributes_read(node):
+    """Every name a syntax tree reads as an attribute, x.name."""
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def dead_helpers(sources, exempt):
-    """(module, name) of each top-level function, and (module,
-    "Class.name") of each method or property of a top-level class, that no
-    module refers to outside its own body.  sources maps module name to
-    source text; the functions of "__init__" are not checked, its imports
-    are references.  A string in a `CHECKS` assignment is a reference, as
-    the checks are attributes read by those names; dunder methods and the
-    names in exempt ("name" or "Class.name") are not checked."""
-    referenced = set()
+    """(module, name) of each top-level function that no module refers to
+    outside its own body, and (module, "Class.name") of each method or
+    property of a top-level class that no module reads as an attribute
+    outside its own body.  sources maps module name to source text; the
+    functions of "__init__" are not checked, its imports are references.
+    A string in a `CHECKS` assignment counts as an attribute read, as the
+    checks are read by those names; dunder methods and the names in exempt
+    ("name" or "Class.name") are not checked.  A variable that shares a
+    method's name is no reference to the method."""
+    referenced = set()      # names read as variables, attributes or imports
+    attributes = set()      # names read as attributes, and the CHECKS strings
     defined = []
     for mod, src in sources.items():
         for stmt in ast.parse(src).body:
@@ -95,17 +109,20 @@ def dead_helpers(sources, exempt):
                 members = [(stmt, None)]
                 if any(isinstance(t, ast.Name) and t.id == "CHECKS"
                        for t in getattr(stmt, "targets", ())):
-                    referenced |= {c.value for c in ast.walk(stmt)
+                    attributes |= {c.value for c in ast.walk(stmt)
                                    if isinstance(c, ast.Constant)}
             for node, qualname in members:
-                names = names_in(node)
+                names, attrs = names_in(node), attributes_read(node)
                 if qualname is not None:
                     names.discard(node.name)
+                    attrs.discard(node.name)
                     if mod != "__init__":
                         defined.append((mod, qualname, node.name))
                 referenced |= names
+                attributes |= attrs
     return sorted((mod, qualname) for mod, qualname, name in defined
-                  if name not in referenced and qualname not in exempt)
+                  if name not in (attributes if "." in qualname else referenced)
+                  and qualname not in exempt)
 
 
 def test_checker_finds_dead_helpers():
@@ -129,20 +146,38 @@ def test_checker_finds_dead_methods():
               "    def checked(self):\n        pass\n\n"
               "    def traced(self):\n        pass\n\n"
               "    def dead(self):\n        pass\n\n"
+              "    def column(self):\n        pass\n\n"
               "class Base:\n    def read(self):\n        pass\n"),
         "b": ("from .a import K\n\n"
               "CHECKS = ((\"one\", \"checked\"),)\n\n"
               "def use(k):\n    return getattr(k, CHECKS[0][1]), k.read\n\n"
-              "use(K())\n"),
+              "def apply(rows):\n    column = {}\n    for r in rows:\n"
+              "        column[r] = 1\n    return column\n\n"
+              "use(K())\napply(())\n"),
     }
     assert dead_helpers(sources, ("K.traced",)) == [
-        ("a", "K.again"), ("a", "K.dead")]
+        ("a", "K.again"), ("a", "K.column"), ("a", "K.dead")]
 
 
 def test_no_dead_helpers():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     exempt = {name for _, name in traced_names()}
     assert dead_helpers(sources, exempt) == []
+
+
+def test_cli_import_loads_no_rare_path_module():
+    """python -m loopspace.cli imports no dataclasses (nor the inspect it
+    pulls in), no json, which only --format json needs, and no
+    importlib.resources, which only the corpus helpers need.  -S keeps
+    site's own start-up imports from hiding one."""
+    rare = ("dataclasses", "inspect", "json", "importlib.resources")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, loopspace.cli\n"
+         "print(' '.join(m for m in %r if m in sys.modules))" % (rare,)],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert loaded == []
 
 
 def class_methods(sources):

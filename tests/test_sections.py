@@ -40,7 +40,7 @@ from loopspace.sections import (
     VERIFY_CHECKS,
     verify_theorems,
 )
-from loopspace.sullivan import check_poincare_duality, parse_model
+from loopspace.sullivan import SullivanModel, check_poincare_duality, parse_model
 
 Q = Fraction
 ONE = Q(1)
@@ -135,6 +135,29 @@ class TestCochainComplexes:
         assert str(err.value) == (
             "%s differential left its slice: degree %d, word length %s"
             % (cls.__name__, n, k))
+
+    @pytest.mark.parametrize("cls, parameters", [
+        (SullivanModel, ("name", "generators", "differential", "formal_dim",
+                         "completeness")),
+        (FiniteCdga, ("name", "degrees", "labels", "products", "diff")),
+        (FreeLoopModel, ("base", "generators", "loop_differential", "suspension")),
+        (ExtendedQuotientModel, ("algebra", "qmap", "flm")),
+        (DualSectionComplex, ("algebra", "sgens", "delta"))],
+        ids=lambda v: getattr(v, "__name__", None))
+    def test_a_constructor_takes_exactly_its_parameters(self, cls, parameters):
+        """In this order, by position or keyword; an unknown keyword or a
+        missing argument is a TypeError, and each new complex starts with
+        an empty cache of its own."""
+        cx = next(c for c, _, _ in five_complexes("cp2") if type(c) is cls)
+        fields = {p: getattr(cx, p) for p in parameters}
+        built = cls(*fields.values())
+        assert all(getattr(built, p) is v for p, v in fields.items())
+        assert built._cache == {} and built._cache is not cls(**fields)._cache
+        with pytest.raises(TypeError):
+            cls(**fields, degre=1)
+        for missing in parameters:
+            with pytest.raises(TypeError):
+                cls(**{p: v for p, v in fields.items() if p != missing})
 
     @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
     def test_below_degree_zero_has_no_columns(self, name):
