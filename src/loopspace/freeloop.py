@@ -194,7 +194,7 @@ def loop_betti(flm, n_max, hodge=None):
                 raise HodgeSumMismatch(
                     "degree %d: word-length pieces sum to %d, full slice gives %d"
                     % (n, hodge.row_sum(n), entries[n]))
-    return RankTable("loop_betti", entries, flm.base.trusted_loop(n_max))
+    return RankTable(entries, flm.base.trusted_loop(n_max))
 
 
 def integer_nth_root(x, n):

@@ -52,7 +52,10 @@ class ExtendedQuotientModel(CochainComplex):
     of one pair: Dbar(1 (x) t) reads D(t) from the loop model and projects
     its base factors by rho, and Dbar(a_i (x) t) follows from it.  rho(b)
     of a base monomial is read from the table qmap.image; only
-    Dbar(1 (x) t) is memoised, once per suspended monomial t.
+    Dbar(1 (x) t) is memoised, once per suspended monomial t.  Building
+    it tests no slice: verify_rho_tensor_quasi_iso tests every square, and
+    the word-length one slices that the dual complex and the aut ranks
+    read are tested by cohomology_dim and by the square identity.
     """
 
     def __init__(self, algebra, qmap, flm):
@@ -101,15 +104,10 @@ class ExtendedQuotientModel(CochainComplex):
             "projection left the slice at degree %d" % n))
 
 
-def extend_to_quotient_loop(model, algebra, qmap, flm=None, check_to=None):
-    """Push the loop differential through the quotient and verify it.
-
-    Checks that the loop differential of each suspension has word length
-    one, then, on each populated slice up to check_to (default: top degree
-    of A plus two): Dbar composed with itself vanishes, and rho (x) 1
-    intertwines the two differentials.  Every other slice of A (x) L sV is
-    empty, so both checks hold there with no column to test.
-    """
+def extend_to_quotient_loop(model, algebra, qmap, flm=None):
+    """Push the loop differential through the quotient: check that each
+    D(sv) has word length one and build A (x) L sV.  No slice is built or
+    tested here; verify_rho_tensor_quasi_iso walks them."""
     if flm is None:
         flm = build_free_loop_model(model)
     nb = len(model.generators)
@@ -118,35 +116,33 @@ def extend_to_quotient_loop(model, algebra, qmap, flm=None, check_to=None):
                tuple(int(i == j) for i in range(nb)))):
         raise InternalCheckFailure(
             "loop differential of a suspension has word length != 1")
-    eqm = ExtendedQuotientModel(algebra=algebra, qmap=qmap, flm=flm)
-
-    top = check_to if check_to is not None else algebra.top_degree + 2
-    for n, k in flm.slices(top):
-        d0 = eqm.d_matrix(n, k)
-        if not product_is_zero(eqm.d_matrix(n + 1, k), d0):
-            raise DifferentialSquareNonzero(
-                "Dbar*Dbar nonzero on slice (%d, %d)" % (n, k))
-        if not is_chain_map(eqm.rho_tensor_matrix(n + 1, k), flm.d_matrix(n, k),
-                            d0, eqm.rho_tensor_matrix(n, k)):
-            raise ChainMapFailure(
-                "rho (x) 1 fails to commute with the differentials "
-                "on slice (%d, %d)" % (n, k))
-    return eqm
+    return ExtendedQuotientModel(algebra=algebra, qmap=qmap, flm=flm)
 
 
 def verify_rho_tensor_quasi_iso(eqm, n_max):
-    """Check rho (x) 1 induces isomorphisms on every (degree, word) slice."""
+    """The one walk over the loop side.  On each populated (n, k) up to
+    n_max, in order: Dbar*Dbar = 0, rho (x) 1 commutes with the two
+    differentials, the two Betti numbers agree and the induced map has
+    that rank, so every matrix a rank reads has had its squares tested
+    first.  Other slices of A (x) L sV are empty.  Returns the slice count."""
     flm = eqm.flm
     slices = flm.slices(n_max)
     for n, k in slices:
-        h_loop = flm.betti(n, k)
-        h_ext = eqm.betti(n, k)
+        d_ext = eqm.d_matrix(n, k)
+        if not product_is_zero(eqm.d_matrix(n + 1, k), d_ext):
+            raise DifferentialSquareNonzero(
+                "Dbar*Dbar nonzero on slice (%d, %d)" % (n, k))
+        d_loop, rho = flm.d_matrix(n, k), eqm.rho_tensor_matrix(n, k)
+        if not is_chain_map(eqm.rho_tensor_matrix(n + 1, k), d_loop, d_ext, rho):
+            raise ChainMapFailure(
+                "rho (x) 1 fails to commute with the differentials "
+                "on slice (%d, %d)" % (n, k))
+        h_loop, h_ext = flm.betti(n, k), eqm.betti(n, k)
         if h_loop != h_ext:
             raise QuasiIsoFailure(
                 n, "slice (%d, %d): loop model gives %d, quotient gives %d"
                 % (n, k, h_loop, h_ext))
-        got = induced_rank(eqm.rho_tensor_matrix(n, k), flm.d_matrix(n, k),
-                           eqm.d_matrix(n - 1, k))
+        got = induced_rank(rho, d_loop, eqm.d_matrix(n - 1, k))
         if got != h_loop:
             raise QuasiIsoFailure(
                 n, "slice (%d, %d): induced map has rank %d, expected %d"
@@ -367,7 +363,7 @@ def aut_rank_table(eqm, n_aut_max, dual=None):
         entries[n] = dim
     c = model.completeness
     trusted = n_aut_max if c is None else min(n_aut_max, c - 1 - N)
-    return RankTable("aut_ranks", entries, trusted)
+    return RankTable(entries, trusted)
 
 
 def low_degree_section_classes(eqm):
@@ -424,7 +420,7 @@ def derivation_oracle(model, m_max):
         entries[m] = cohomology_dim(mats[m], mats[m + 1])
     c = model.completeness
     trusted = m_max if c is None else min(m_max, c - model.formal_dim)
-    return RankTable("derivation_ranks", entries, trusted)
+    return RankTable(entries, trusted)
 
 
 class TheoremReport:
@@ -432,8 +428,9 @@ class TheoremReport:
     verifies, each built once, on first use.
 
     Building an object verifies it: every constructor below raises on the
-    first identity that fails.  The quotient is the one exception; a run
-    that uses it certifies it first with the structure_identities check.
+    first identity that fails.  The quotient and eqm are the exceptions:
+    structure_identities certifies the quotient, and rho_tensor_slices
+    tests the squares of eqm (see ExtendedQuotientModel).
     """
 
     def __init__(self, model, n_max):
@@ -468,8 +465,7 @@ class TheoremReport:
 
     @cached_property
     def eqm(self):
-        return extend_to_quotient_loop(self.model, *self.quotient, self.flm,
-                                       check_to=self.n_max)
+        return extend_to_quotient_loop(self.model, *self.quotient, self.flm)
 
     @cached_property
     def rho_tensor_slices(self):

@@ -36,7 +36,6 @@ class RankTable(NamedTuple):
     Entries above trusted_up_to were computed from a truncated model and
     may change if more generators exist; reports flag them with '?'.
     """
-    label: str
     entries: dict
     trusted_up_to: int
 
@@ -336,7 +335,7 @@ def validate(model):
 def cohomology_table(model, n_max):
     """dim H^n for 0 <= n <= n_max, exact."""
     entries = {n: model.betti(n) for n in range(n_max + 1)}
-    return RankTable("base_betti", entries, model.trusted_base(n_max))
+    return RankTable(entries, model.trusted_base(n_max))
 
 
 def cocycle_representatives(model, n):

@@ -553,6 +553,16 @@ class TestThinShell:
                         _COMMANDS[command][1], got)
         assert shown == got
 
+    @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
+    def test_aut_ranks_builds_no_loop_slice(self, name):
+        # the rho (x) 1 square belongs to verify's loop_extension_quasi_iso
+        # walk; aut-ranks reads only the word-length one extended slices
+        report = verify_theorems(loopspace.load_corpus_model(name), None,
+                                 _COMMANDS["aut-ranks"][1])
+        assert not [key for key in report.flm._cache if key[0] == "d"]
+        assert not [key for key in report.eqm._cache if key[0] == "rho"]
+        assert report.eqm._cache
+
 
 def scaled(rhs, c):
     """A differential's right-hand side with every term multiplied by c."""

@@ -326,7 +326,7 @@ class TestIntegerRoots:
 
 class TestGrowth:
     def synthetic(self, values):
-        return RankTable("loop_betti", dict(enumerate(values)), len(values) - 1)
+        return RankTable(dict(enumerate(values)), len(values) - 1)
 
     def test_s3_window_10_inconclusive(self):
         rep = growth_report(loop_betti(loop("s3"), 10))

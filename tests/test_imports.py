@@ -249,13 +249,21 @@ def test_one_place_computes_the_koszul_sign_of_a_product():
         ("freeloop", "image"), ("gca", "apply_derivation"), ("gca", "elem_mul")]
 
 
-def test_three_walkers_share_the_populated_slices():
-    """The Hodge table, the extension checks and the rho (x) 1 quasi-iso
-    walk the same (n, k), the ones the loop model lists."""
+def test_two_walkers_share_the_populated_slices():
+    """The Hodge table and the rho (x) 1 quasi-iso walk the same (n, k),
+    the ones the loop model lists; building the extended complex walks
+    none."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "slices") == [
         ("freeloop", "hodge_betti_table"),
-        ("sections", "extend_to_quotient_loop"),
+        ("sections", "verify_rho_tensor_quasi_iso")]
+
+
+def test_only_the_loop_side_walk_builds_rho_tensor_one():
+    """The rho (x) 1 squares and induced ranks are taken in the one walk
+    over the loop side, so no other path builds its matrices."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "rho_tensor_matrix") == [
         ("sections", "verify_rho_tensor_quasi_iso")]
 
 

@@ -213,10 +213,11 @@ class TestExtendedComplex:
         assert eqm.betti(1, 1) == 1   # the class 1 (x) sx
 
     def test_extension_checks_pass_on_corpus(self):
-        # extend_to_quotient_loop raises if Dbar^2 != 0 or rho (x) 1 fails
-        # to intertwine; reaching here is the assertion
+        # the walk raises if Dbar^2 != 0 or rho (x) 1 fails to intertwine
+        # on a slice; reaching here is the assertion
         for name in CORPUS:
-            setup(name)
+            _, algebra, _, eqm = setup(name)
+            assert verify_rho_tensor_quasi_iso(eqm, algebra.top_degree + 2) > 0
 
     def test_tampered_diff_breaks_the_intertwining(self):
         model = get_model("s2xs3")
@@ -224,7 +225,8 @@ class TestExtendedComplex:
         algebra.diff[3] = {4: Q(2)}   # d y = 2 x^2 in A only
         algebra._cache.clear()
         with pytest.raises(ChainMapFailure):
-            extend_to_quotient_loop(model, algebra, qmap)
+            verify_rho_tensor_quasi_iso(extend_to_quotient_loop(model, algebra, qmap),
+                                        algebra.top_degree + 2)
 
     def test_rho_tensor_quasi_iso_slice_counts(self):
         _, _, _, eqm = setup("s2")
@@ -337,8 +339,8 @@ class TestExtendedDifferential:
         assert row < len(classes) and col < len(basis)
         add_term(qmap.image.setdefault(basis[col], {}), classes[row], ONE)
         with pytest.raises(ChainMapFailure):
-            extend_to_quotient_loop(model, algebra, qmap,
-                                    check_to=model.formal_dim + 4)
+            verify_rho_tensor_quasi_iso(extend_to_quotient_loop(model, algebra, qmap),
+                                        model.formal_dim + 4)
 
     def test_suspension_image_of_word_length_two_is_refused(self):
         model = get_model("s2")
@@ -541,7 +543,7 @@ class TestRankTables:
         text = ("dim 4\ncomplete-to 6\ngen x 2\ngen y 5\nd y = x^3\n")
         model = parse_model(text, "trunc")
         algebra, qmap = build_quotient(model, check_poincare_duality(model, 6))
-        eqm = extend_to_quotient_loop(model, algebra, qmap, check_to=6)
+        eqm = extend_to_quotient_loop(model, algebra, qmap)
         aut = aut_rank_table(eqm, 5)
         assert aut.trusted_up_to == 1    # c - 1 - N = 6 - 1 - 4
         oracle = derivation_oracle(model, 5)
@@ -621,7 +623,7 @@ class TestVerifyTheorems:
             [(n, k) for n in range(top + 1) for k in range(n + 2)])
         with pytest.raises(DifferentialSquareNonzero,
                            match=r"^Dbar\*Dbar nonzero on slice \(%d, %d\)$" % (n, k)):
-            extend_to_quotient_loop(model, algebra, qmap)
+            verify_rho_tensor_quasi_iso(extend_to_quotient_loop(model, algebra, qmap), top)
 
     def test_bumped_dual_square_still_raises(self, monkeypatch):
         _, algebra, _, eqm = setup("cp2")
