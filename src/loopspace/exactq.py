@@ -1,20 +1,27 @@
 """Exact rational sparse linear algebra.
 
-Every scalar at an interface is a `fractions.Fraction`, and no floating
-point value ever enters a computation.  A matrix is stored once, immutable
-and in lowest terms, as nonzero integers over one positive denominator:
-the form every kernel reads.  `rank` and the pivot columns come from the
-fraction-free forward pass `echelon` alone and form no Fraction; only
-`kernel_basis` asks `rref` for the back-substitution and the unique RREF.
-One integer product, row by row, serves `SparseMatrix.mul`,
-`product_is_zero` and `is_chain_map`.  Every exact coefficient sum, here
-and in the modules above, goes through one accumulate step, `add_term`,
-which drops a key whose sum is zero.  The five complexes subclass
-`CochainComplex`: each is its slice bases plus `image`, the differential
-of one basis element, and `CochainComplex` builds every slice from them
-with `matrix_of_map` and keeps slices, bases and `betti` per (n, k) in
-its `memo`.  Commuting squares are checked with `is_chain_map` and ranks
-on cohomology taken with `induced_rank`, one rank identity that needs the
+No floating point value ever enters a computation.  A matrix is stored
+once, immutable and in lowest terms, as nonzero integers over one positive
+denominator: the form every kernel reads.  `rank` and the pivot columns
+come from the fraction-free forward pass `echelon` alone and form no
+Fraction; only `kernel_basis` asks `rref` for the back-substitution and
+the unique RREF.  One integer product, row by row, serves
+`SparseMatrix.mul`, `product_is_zero` and `is_chain_map`.  Every exact
+coefficient sum, here and in the modules above, goes through one
+accumulate step, `add_term`, which drops a key whose sum is zero.
+
+Fractions live at the interfaces: `SparseMatrix(rows, cols, entries)`
+takes exact rationals, and `entries`, the kernel vectors and the tables
+of a model, a quotient or the dual complex hold Fractions.  Ints live in
+the matrices and the kernels, and in the slices of the loop model and
+the extended complex, whose coefficients have a `denominator` known
+before any column is built: those slices and the rho (x) 1 matrices
+between them (`tensor_one_matrix`) form no Fraction.  The five complexes
+subclass `CochainComplex`: each is its slice bases plus `image`, the
+differential of one basis element, and `CochainComplex` builds every
+slice from them and keeps slices, bases and `betti` per (n, k) in its
+`memo`.  Commuting squares are checked with `is_chain_map` and ranks on
+cohomology taken with `induced_rank`, one rank identity that needs the
 square below to commute.
 Every choice a routine makes, such as the pivot rows of `echelon`, is a
 function of the input alone, so identical inputs give bit-identical
@@ -32,8 +39,8 @@ ONE = Fraction(1)
 
 
 def add_term(acc, key, v):
-    """acc[key] += v for a Fraction v, dropping the key when the sum is
-    zero, so an accumulated dict never holds a zero coefficient."""
+    """acc[key] += v for a Fraction or an int v, dropping the key when the
+    sum is zero, so an accumulated dict never holds a zero coefficient."""
     old = acc.get(key)
     if old is not None:
         v = old + v
@@ -134,6 +141,19 @@ class SparseMatrix:
         return "SparseMatrix(%d, %d, %d nonzero)" % (self.rows, self.cols, len(self.ints))
 
 
+_INDEX = []
+
+
+def _indices(n):
+    """A list whose item i is i, for every i < n.  The row and column
+    numbers of the matrices built from it share one int object each, not
+    one per matrix, which keeps the slice caches smaller.  It only grows
+    and item i never changes, so sharing it changes no result."""
+    if len(_INDEX) < n:
+        _INDEX.extend(range(len(_INDEX), n))
+    return _INDEX
+
+
 def _lowest_terms(rows, cols, ints, den):
     """The matrix ints / den, for nonzero ints inside the shape and den > 0,
     with the common factor of den and the ints divided out."""
@@ -141,6 +161,18 @@ def _lowest_terms(rows, cols, ints, den):
         den //= g
         ints = {rc: v // g for rc, v in ints.items()}
     return SparseMatrix._of_ints(rows, cols, ints, den)
+
+
+def common_denominator(coefficients):
+    """The lcm of the denominators of exact rationals, 1 for none; reads
+    each denominator and forms no Fraction."""
+    return lcm(1, *(c.denominator for c in coefficients))
+
+
+def scaled(elem, den):
+    """{key: c * den} as ints, for an element {key: exact rational c} whose
+    denominators divide den; forms no Fraction."""
+    return {key: c.numerator * (den // c.denominator) for key, c in elem.items()}
 
 
 def _product(a, b):
@@ -334,6 +366,11 @@ def cohomology_dim(d_out, d_in):
     if not product_is_zero(d_out, d_in):
         raise CompositionNotZero(
             "composite of consecutive differentials is nonzero")
+    return _cohomology_dim_of_zero_composite(d_out, d_in)
+
+
+def _cohomology_dim_of_zero_composite(d_out, d_in):
+    """cohomology_dim for a pair whose composite is already known to be 0."""
     dim = (d_out.cols - rank(d_out)) - rank(d_in)
     if dim < 0:
         raise CompositionNotZero("negative cohomology dimension, rank bookkeeping broke")
@@ -369,13 +406,24 @@ class CochainComplex:
 
     A subclass holds a dict `_cache` and defines `_basis(n, k)`, the
     ordered basis of degree n restricted to word length k where it has
-    one, and `image(x)`, the differential of the basis element x as
-    {basis element of degree n+1: coeff}.  `slice_matrix(n, k)` is then
-    the differential from degree n to n+1; the model overrides it with
-    the generic path of `gca`.  An empty degree-n slice, as below degree
-    0 of a model, gives a matrix with no columns, so it needs no special
-    case.
+    one, and `image(x)`, the differential of the basis element x.
+    `slice_matrix(n, k)` is then the differential from degree n to n+1;
+    the model overrides it with the generic path of `gca`.  An empty
+    degree-n slice, as below degree 0 of a model, gives a matrix with no
+    columns, so it needs no special case.
+
+    With `denominator` None, image(x) is {basis element of degree n+1:
+    Fraction}, and `matrix_of_map` finds its rows.  A complex of tensors
+    sets `denominator` to an int that every coefficient, times it, turns
+    into an int.  Its basis lists pairs (left, right), those with one left
+    factor contiguous; `_basis` lays out `layout(n, k)`, {left: (offset,
+    {right: position})}, in the same pass, and image(x) is {(left, right):
+    nonzero int} over the denominator.  The row of (left, right) is its
+    offset plus its position, so no dict over the codomain is built, and
+    the ints go to the matrix as they are.
     """
+
+    denominator = None
 
     def memo(self, key, build, *args):
         """`_cache[key]`, from build(*args) the first time it is asked for;
@@ -389,15 +437,42 @@ class CochainComplex:
         """The slice basis, built once and then kept in `_cache`."""
         return self.memo(("basis", n, k), self._basis, n, k)
 
+    def layout(self, n, k=None):
+        """{left: (offset, {right: position})} of slice (n, k) of a complex
+        of tensors, kept in `_cache` by `_basis` beside the basis."""
+        self.basis(n, k)
+        return self._cache[("layout", n, k)]
+
     def slice_matrix(self, n, k):
-        return matrix_of_map(
-            self.basis(n, k), self.basis(n + 1, k), self.image,
-            "%s differential left its slice: degree %d, word length %s"
-            % (type(self).__name__, n, k))
+        dom, cod = self.basis(n, k), self.basis(n + 1, k)
+        failure = ("%s differential left its slice: degree %d, word length %s"
+                   % (type(self).__name__, n, k))
+        if self.denominator is None:
+            return matrix_of_map(dom, cod, self.image, failure)
+        layout, row = self.layout(n + 1, k), _indices(len(cod))
+        ints = {}
+        for x, c in zip(dom, _indices(len(dom))):
+            col = self.image(x)
+            try:
+                for (left, right), v in col.items():
+                    offset, positions = layout[left]
+                    ints[row[offset + positions[right]], c] = v
+            except (KeyError, TypeError, ValueError):
+                raise InternalCheckFailure(failure) from None
+        return _lowest_terms(len(cod), len(dom), ints, self.denominator)
 
     def d_matrix(self, n, k=None):
         """The slice matrix, built once and then kept in `_cache`."""
         return self.memo(("d", n, k), self.slice_matrix, n, k)
+
+    def square_is_zero(self, n, k, d_next, d):
+        """Whether d_next * d == 0, for d_next and d the slices d(n + 1, k)
+        and d(n, k) already in hand.  A pass is kept in `_cache`, so that
+        betti(n + 1, k) does not test the same composite again."""
+        if not product_is_zero(d_next, d):
+            return False
+        self._cache[("d*d", n, k)] = True
+        return True
 
     def betti(self, n, k=None):
         """dim H^n of the slice, from the two differentials around it,
@@ -405,7 +480,34 @@ class CochainComplex:
         return self.memo(("betti", n, k), self._betti, n, k)
 
     def _betti(self, n, k):
-        return cohomology_dim(self.d_matrix(n, k), self.d_matrix(n - 1, k))
+        d_out, d_in = self.d_matrix(n, k), self.d_matrix(n - 1, k)
+        if ("d*d", n - 1, k) in self._cache:
+            return _cohomology_dim_of_zero_composite(d_out, d_in)
+        return cohomology_dim(d_out, d_in)
+
+
+def tensor_one_matrix(rows, cols, table, dom, cod, den, failure):
+    """Matrix of f (x) 1 from one slice of a complex of tensors to another,
+    rows x cols, for dom and cod their `CochainComplex.layout` and f the
+    table {left: {left': nonzero int}} over den > 0.
+
+    f (x) 1 is the block sum over the left factors of dom: each term c
+    left' of f(left) puts c on the diagonal of the block at (offset of
+    left', offset of left), as both blocks list the same right factors,
+    the one position table that both layouts share.  A left' outside cod,
+    or whose block lists other right factors, raises
+    InternalCheckFailure(failure).  No Fraction is formed.
+    """
+    ints, index = {}, _indices(max(rows, cols))
+    for left, (col, positions) in dom.items():
+        size = len(positions)
+        for target, v in table.get(left, {}).items():
+            row, same = cod.get(target, (0, None))
+            if same is not positions:
+                raise InternalCheckFailure(failure)
+            for rc in zip(index[row:row + size], index[col:col + size]):
+                ints[rc] = v
+    return _lowest_terms(rows, cols, ints, den)
 
 
 def induced_rank(f, d_out, target_d_in):

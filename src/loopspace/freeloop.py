@@ -21,15 +21,17 @@ so a column is d(b) paired with t plus one base-length product b*b' for
 each term b'*t' of D(t).  Slice (n, k) is the union over j of the degree
 n - j base monomials times the degree j suspended monomials of word
 length k, its pairs in ascending order, that of b + t.  Only this module
-knows the layout; sections unpacks the pairs and reads D(t).
+knows the layout; sections unpacks the pairs, reads D(t) and the
+layout's offsets.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
 from .errors import DifferentialSquareNonzero, HodgeSumMismatch
-from .exactq import CochainComplex, ONE, add_term
+from .exactq import CochainComplex, ONE, add_term, common_denominator, scaled
 from . import gca
 from .gca import Generator, DerivationSpec
 from .sullivan import RankTable
@@ -41,21 +43,28 @@ class FreeLoopModel(CochainComplex):
     and suspension the degree -1 derivation s with s(v) = sv, s(sv) = 0.
 
     `image(bt)`, a column of a slice matrix, is D(b*t) = d(b)*t +
-    (-1)^|b| b*D(t), with one base-length `normalize_product` per term of
-    D(t).  `_d_base` keeps d(b) for each base monomial b, with the parity
-    of |b|, and `_d_susp` keeps D(t) for each suspended monomial t as
-    (b', t', coeff, -coeff) terms, filled by `d_suspended`, which the
-    extended complex of sections reads too.  Both live as long as the
-    model: caches the size of the two factors, not one entry per loop
+    (-1)^|b| b*D(t).  Its coefficients are ints over `denominator`, L,
+    the lcm of the denominators in D: a coefficient of D(b*t) is one of d
+    times an integer from the exponents and the signs.  `_d_base` keeps,
+    for each base monomial b, the parity of |b|, d(b) * L and the
+    products b*b' met so far, each from one base-length
+    `normalize_product`; `_d_susp` keeps D(t) * L for each suspended
+    monomial t as (b', t', c) int terms, filled by `d_suspended`, which
+    the extended complex of sections reads too.  Both come from
+    `gca.apply_derivation` on d and D times L, and both live as long as
+    the model: caches the size of the two factors, not one entry per loop
     monomial.  Split and unsplit slices alike are built column by column
     over their own basis.
 
     `basis(n, k)` lists the loop monomials (b, t) of degree n and word
     length k in ascending order, each pair holding the tuples cached
     by `gca.basis_of_degree` and `gca.word_length_slices`; the unsplit
-    basis (k None) merges the split slices' own pairs.  `slices(n_max)`
-    lists the populated (n, k): every complex over this one, the extended
-    complex included, is empty outside them.
+    basis (k None) merges the split slices' own pairs.  The pairs of one
+    b are contiguous, in the order of T = `gca.slice_basis(suspended
+    generators, n - |b|, k)`, so `layout(n, k)` maps b to its offset and
+    to `gca.slice_positions` of T, and the row of (b, t) is offset(b) +
+    pos(t).  `slices(n_max)` lists the populated (n, k): every complex
+    over this one, the extended complex included, is empty outside them.
     """
 
     def __init__(self, base, generators, loop_differential, suspension):
@@ -65,21 +74,42 @@ class FreeLoopModel(CochainComplex):
         self.suspension = suspension
         self._cache, self._d_base, self._d_susp = {}, {}, {}
 
+    @cached_property
+    def denominator(self):
+        """L, the lcm of the coefficient denominators of D, read on first use."""
+        return common_denominator(c for img in self.loop_differential.images.values()
+                                  for c in img.values())
+
+    @cached_property
+    def _integral_differentials(self):
+        """d on the base generators and D on all of them, times L, as ints."""
+        L = self.denominator
+        return tuple(
+            DerivationSpec(1, {i: scaled(img, L) for i, img in spec.images.items()})
+            for spec in (self.base.differential, self.loop_differential))
+
     def _basis(self, n, k):
-        if k is None:
-            return tuple(sorted(chain.from_iterable(
-                self.basis(n, j) for j in range(n + 1))))
         base_gens = self.base.generators
         sgens = self.generators[len(base_gens):]
         parts = []
         for j in range(n + 1):
-            ts = gca.word_length_slices(sgens, j).get(k)
+            ts = gca.slice_basis(sgens, j, k)
             if ts:
-                parts.extend((b, ts) for b in gca.basis_of_degree(base_gens, n - j))
+                positions = gca.slice_positions(sgens, j, k)
+                parts.extend((b, ts, positions)
+                             for b in gca.basis_of_degree(base_gens, n - j))
         # each b has one degree, so the b are distinct and the sort never
         # compares two ts; within one b, ts is already in order
         parts.sort()
-        return tuple((b, t) for b, ts in parts for t in ts)
+        layout, offset = {}, 0
+        for b, ts, positions in parts:
+            layout[b] = (offset, positions)
+            offset += len(ts)
+        self._cache[("layout", n, k)] = layout
+        if k is None:
+            return tuple(sorted(chain.from_iterable(
+                self.basis(n, j) for j in range(n + 1))))
+        return tuple((b, t) for b, ts, _ in parts for t in ts)
 
     def slices(self, n_max):
         """The (n, k), k <= n <= n_max, whose slice basis is not empty."""
@@ -87,7 +117,7 @@ class FreeLoopModel(CochainComplex):
                 if self.basis(n, k)]
 
     def image(self, bt):
-        """D(b*t) = d(b)*t + (-1)^|b| b*D(t), as {(b', t'): coeff}."""
+        """D(b*t) = d(b)*t + (-1)^|b| b*D(t), as {(b', t'): int} over L."""
         base = self.base
         b, t = bt
         got = self._d_base.get(b)
@@ -95,28 +125,33 @@ class FreeLoopModel(CochainComplex):
             got = self._d_base[b] = (
                 gca.monomial_degree(base.generators, b) % 2,
                 tuple(gca.apply_derivation(
-                    base.generators, base.differential, {b: ONE}).items()))
-        odd, db = got
+                    base.generators, self._integral_differentials[0], {b: 1}).items()),
+                {})
+        odd, db, times = got
         dt = self._d_susp.get(t)
         if dt is None:
             dt = self.d_suspended(t)
         col = {(b2, t): c for b2, c in db}
-        for b1, t1, c, neg in dt:
-            p = gca.normalize_product(base.generators, b, b1)
-            if p is not None:
-                add_term(col, (p[1], t1), neg if (p[0] < 0) != odd else c)
+        for b1, t1, c in dt:
+            p = times.get(b1)
+            if p is None:
+                p = gca.normalize_product(base.generators, b, b1)
+                # b*b1 and whether its term takes -c, or () if it is 0
+                p = times[b1] = (p[1], (p[0] < 0) != odd) if p else ()
+            if p:
+                add_term(col, (p[0], t1), -c if p[1] else c)
         return col
 
     def d_suspended(self, t):
-        """D(t) for a suspended monomial t, as (b', t', coeff, -coeff) terms,
-        kept in `_d_susp`."""
+        """D(t) for a suspended monomial t, as (b', t', c) terms with c an
+        int over L, kept in `_d_susp`."""
         dt = self._d_susp.get(t)
         if dt is None:
             nb = len(self.base.generators)
             full = gca.apply_derivation(
-                self.generators, self.loop_differential, {(0,) * nb + t: ONE})
+                self.generators, self._integral_differentials[1], {(0,) * nb + t: 1})
             dt = self._d_susp[t] = tuple(
-                (m[:nb], m[nb:], c, -c) for m, c in full.items())
+                (m[:nb], m[nb:], c) for m, c in full.items())
         return dt
 
 

@@ -116,6 +116,13 @@ def slice_basis(gens, n, word_length=None):
     return word_length_slices(gens, n).get(word_length, ())
 
 
+@lru_cache(maxsize=None)
+def slice_positions(gens, n, word_length=None):
+    """{monomial: its index in slice_basis(gens, n, word_length)}, one
+    table per slice, shared by every layout that lists the slice."""
+    return {m: i for i, m in enumerate(slice_basis(gens, n, word_length))}
+
+
 def elem_add_into(acc, e, c=ONE):
     """acc += c * e, in place; elem_add_into({}, e, c) is c * e."""
     for m, v in e.items():

@@ -26,7 +26,9 @@ against an independent computation with derivations of the base model
 component of the self-equivalences).
 """
 
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
 from .errors import (ValidationFailure, DifferentialSquareNonzero,
@@ -34,8 +36,8 @@ from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SingularDuality, InternalCheckFailure, ChainMapFailure,
                      QuasiIsoFailure)
 from .exactq import (CochainComplex, SparseMatrix, ONE, add_term, rank,
-                     cohomology_dim, induced_rank, is_chain_map, matrix_of_map,
-                     product_is_zero)
+                     cohomology_dim, common_denominator, induced_rank,
+                     is_chain_map, matrix_of_map, scaled, tensor_one_matrix)
 from . import gca
 from .gca import DerivationSpec
 from .sullivan import RankTable, validate, check_poincare_duality
@@ -48,14 +50,24 @@ class ExtendedQuotientModel(CochainComplex):
 
     Basis elements of a slice are pairs (i, m): class a_i of `algebra`
     tensored with a monomial m in the suspended generators `sgens` of the
-    loop model `flm`, ordered by (i, m).  Dbar is (rho (x) 1) o D, and `image(pair)` is Dbar
-    of one pair: Dbar(1 (x) t) reads D(t) from the loop model and projects
-    its base factors by rho, and Dbar(a_i (x) t) follows from it.  rho(b)
-    of a base monomial is read from the table qmap.image; only
-    Dbar(1 (x) t) is memoised, once per suspended monomial t.  Building
-    it tests no slice: verify_rho_tensor_quasi_iso tests every square, and
-    the word-length one slices that the dual complex and the aut ranks
-    read are tested by cohomology_dim and by the square identity.
+    loop model `flm`, ordered by (i, m), so `layout(n, k)` maps i to its
+    offset and to `gca.slice_positions` of its monomials, as the loop
+    model's layout maps a base monomial.  Dbar is (rho (x) 1) o D, and
+    `image(pair)` is Dbar of one pair: Dbar(1 (x) t) reads D(t) from the
+    loop model and projects its base factors by rho, and Dbar(a_i (x) t)
+    follows from it.  Only Dbar(1 (x) t) is memoised, once per suspended
+    monomial t.  Building it tests no slice: verify_rho_tensor_quasi_iso
+    tests every square, and the word-length one slices that the dual
+    complex and the aut ranks read are tested by cohomology_dim and by
+    the square identity.
+
+    Its coefficients are ints over a denominator known in advance, from
+    tables made integral once, here.  rho(b) of a base monomial is read
+    from qmap.image times `rho_denominator`, R, the lcm of its
+    denominators, so Dbar(1 (x) t) is an int over `dbar_denominator`,
+    L R, with L the loop model's.  A structure constant lies in (1/P)Z,
+    so a product term of Dbar lies in (1/LRP)Z, and `denominator` is the
+    lcm of the denominators of d_A and L R P.
     """
 
     def __init__(self, algebra, qmap, flm):
@@ -63,45 +75,73 @@ class ExtendedQuotientModel(CochainComplex):
         self.qmap = qmap
         self.flm = flm
         self._cache = {}
+        self.rho_denominator = common_denominator(
+            c for img in qmap.image.values() for c in img.values())
+        self._rho = {b: scaled(img, self.rho_denominator)
+                     for b, img in qmap.image.items()}
+        self.dbar_denominator = flm.denominator * self.rho_denominator
+        self.denominator = lcm(
+            common_denominator(c for img in algebra.diff.values() for c in img.values()),
+            self.dbar_denominator * common_denominator(
+                c for img in algebra.products.values() for c in img.values()))
+        self._diff = {i: scaled(img, self.denominator)
+                      for i, img in algebra.diff.items()}
+        times = self.denominator // self.dbar_denominator
+        self._products = {ij: scaled(img, times) for ij, img in algebra.products.items()}
 
     @property
     def sgens(self):
         return self.flm.generators[len(self.flm.base.generators):]
 
     def _basis(self, n, k):
-        return tuple((i, m) for i, p in enumerate(self.algebra.degrees) if p <= n
-                     for m in gca.slice_basis(self.sgens, n - p, k))
+        sgens = self.sgens
+        layout, basis = {}, []
+        for i, p in enumerate(self.algebra.degrees):
+            ms = gca.slice_basis(sgens, n - p, k) if p <= n else ()
+            if ms:
+                layout[i] = (len(basis), gca.slice_positions(sgens, n - p, k))
+                basis.extend((i, m) for m in ms)
+        self._cache[("layout", n, k)] = layout
+        return tuple(basis)
 
     def dbar_on_svmono(self, t):
         """Dbar(1 (x) t) = sum c rho(b') (x) t' over the terms b' t' of D(t),
-        as {(class, sv monomial): coeff}, built once per t."""
+        as {(class, sv monomial): int} over `dbar_denominator`, built once
+        per t."""
         return self.memo(("dbar", t), self._dbar_on_svmono, t)
 
     def _dbar_on_svmono(self, t):
         out = {}
-        for b, t2, c, _ in self.flm.d_suspended(t):
-            for ai, v in self.qmap.image.get(b, {}).items():
+        rho = self._rho
+        for b, t2, c in self.flm.d_suspended(t):
+            for ai, v in rho.get(b, {}).items():
                 add_term(out, (ai, t2), c * v)
         return out
 
     def image(self, pair):
-        """Dbar(a_i (x) m) for pair (i, m), as {(class, sv monomial): coeff}."""
+        """Dbar(a_i (x) m) for pair (i, m), as {(class, sv monomial): int}
+        over `denominator`."""
         i, m = pair
-        out = {(j, m): c for j, c in self.algebra.image(i).items()}
+        out = {(j, m): c for j, c in self._diff.get(i, {}).items()}
         odd = self.algebra.degrees[i] % 2
+        products = self._products
         for (ai, m2), c in self.dbar_on_svmono(m).items():
             c = -c if odd else c
-            for k, a in self.algebra.product(i, ai).items():
+            for k, a in products.get((i, ai), {}).items():
                 add_term(out, (k, m2), c * a)
         return out
 
     def rho_tensor_matrix(self, n, k=None):
-        """Matrix of rho (x) 1 from the loop slice (n, k) to this one."""
-        image = self.qmap.image
-        return self.memo(("rho", n, k), lambda: matrix_of_map(
-            self.flm.basis(n, k), self.basis(n, k),
-            lambda bt: {(ai, bt[1]): v for ai, v in image.get(bt[0], {}).items()},
-            "projection left the slice at degree %d" % n))
+        """Matrix of rho (x) 1 from the loop slice (n, k) to this one, the
+        block sum over j of rho_{n-j} (x) 1: rho(b) of each base monomial
+        b, as ints over R, placed at the offsets of the two layouts."""
+        return self.memo(("rho", n, k), self._rho_tensor_matrix, n, k)
+
+    def _rho_tensor_matrix(self, n, k):
+        return tensor_one_matrix(
+            len(self.basis(n, k)), len(self.flm.basis(n, k)), self._rho,
+            self.flm.layout(n, k), self.layout(n, k), self.rho_denominator,
+            "projection left the slice at degree %d" % n)
 
 
 def extend_to_quotient_loop(model, algebra, qmap, flm=None):
@@ -112,7 +152,7 @@ def extend_to_quotient_loop(model, algebra, qmap, flm=None):
         flm = build_free_loop_model(model)
     nb = len(model.generators)
     if any(sum(t) != 1 for j in range(nb)
-           for _, t, _, _ in flm.d_suspended(
+           for _, t, _ in flm.d_suspended(
                tuple(int(i == j) for i in range(nb)))):
         raise InternalCheckFailure(
             "loop differential of a suspension has word length != 1")
@@ -129,7 +169,7 @@ def verify_rho_tensor_quasi_iso(eqm, n_max):
     slices = flm.slices(n_max)
     for n, k in slices:
         d_ext = eqm.d_matrix(n, k)
-        if not product_is_zero(eqm.d_matrix(n + 1, k), d_ext):
+        if not eqm.square_is_zero(n, k, eqm.d_matrix(n + 1, k), d_ext):
             raise DifferentialSquareNonzero(
                 "Dbar*Dbar nonzero on slice (%d, %d)" % (n, k))
         d_loop, rho = flm.d_matrix(n, k), eqm.rho_tensor_matrix(n, k)
@@ -286,7 +326,8 @@ def build_dual_complex(algebra, eqm):
         tmap = {}
         for (ai, t), c in eqm.dbar_on_svmono(
                 tuple(int(i == sv) for i in range(nb))).items():
-            tmap.setdefault(ai, []).append((t.index(1), c))
+            tmap.setdefault(ai, []).append(
+                (t.index(1), Fraction(c, eqm.dbar_denominator)))
         tmaps.append(tmap)
 
     delta = {}
@@ -306,7 +347,7 @@ def build_dual_complex(algebra, eqm):
 
     lo, hi = dual.degree_range()
     for n in range(lo - 1, hi + 1):
-        if not product_is_zero(dual.d_matrix(n + 1), dual.d_matrix(n)):
+        if not dual.square_is_zero(n, None, dual.d_matrix(n + 1), dual.d_matrix(n)):
             raise DifferentialSquareNonzero(
                 "delta*delta nonzero in degree %d of the dual complex" % n)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from loopspace import gca, load_corpus_model, sections
+from loopspace import exactq, gca, load_corpus_model, sections
 from loopspace.errors import (
     ChainMapFailure,
     DifferentialSquareNonzero,
@@ -638,3 +638,125 @@ class TestVerifyTheorems:
     def test_window_clamp(self):
         rep = verify_theorems(get_model("s2"), n_max=3)
         assert rep.n_max == 4  # clamped to formal_dim + 2
+
+
+def fraction_loop_image(flm, bt):
+    """D(b*t) = d(b)*t + (-1)^|b| b*D(t) in Fractions, from the model's
+    own differentials, as {(b', t'): coeff}: the oracle for the integer
+    columns of `FreeLoopModel.image`."""
+    base = flm.base
+    nb = len(base.generators)
+    b, t = bt
+    out = {(b2, t): c for b2, c in gca.apply_derivation(
+        base.generators, base.differential, {b: ONE}).items()}
+    odd = gca.monomial_degree(base.generators, b) % 2
+    for m, c in gca.apply_derivation(
+            flm.generators, flm.loop_differential, {(0,) * nb + t: ONE}).items():
+        p = gca.normalize_product(base.generators, b, m[:nb])
+        if p is not None:
+            add_term(out, (p[1], m[nb:]), -c if (p[0] < 0) != odd else c)
+    return out
+
+
+def fraction_dbar(eqm, pair):
+    """Dbar(a_i (x) m) in Fractions, from A's tables, qmap.image and D(m)."""
+    i, m = pair
+    algebra, flm = eqm.algebra, eqm.flm
+    nb = len(flm.base.generators)
+    dbar_m = {}
+    for mono, c in gca.apply_derivation(
+            flm.generators, flm.loop_differential, {(0,) * nb + m: ONE}).items():
+        for ai, v in eqm.qmap.image.get(mono[:nb], {}).items():
+            add_term(dbar_m, (ai, mono[nb:]), c * v)
+    out = {(j, m): c for j, c in algebra.image(i).items()}
+    odd = algebra.degrees[i] % 2
+    for (ai, m2), c in dbar_m.items():
+        for k, a in algebra.product(i, ai).items():
+            add_term(out, (k, m2), -c * a if odd else c * a)
+    return out
+
+
+class TestIntegerSlices:
+    """The loop, extended and rho (x) 1 slices are built in ints over a
+    denominator known in advance; a Fraction path kept here is the oracle."""
+
+    TOP = 12
+
+    def slices(self):
+        return [(n, k) for n in range(-1, self.TOP + 1)
+                for k in (None,) + tuple(range(n + 2))]
+
+    def test_nonintegral_fixture_has_denominators(self):
+        _, _, _, eqm = setup("nonintegral")
+        assert eqm.flm.denominator == 2
+        assert eqm.rho_denominator == 4
+        assert eqm.dbar_denominator == 8
+        assert eqm.denominator == 32
+
+    def test_nonintegral_fixture_passes_every_verdict(self):
+        got = []
+        verify_theorems(get_model("nonintegral"), 16, verdicts=got)
+        assert len(got) == 13 and all(ok for _, ok in got)
+
+    @pytest.mark.parametrize("name", ["nonintegral", "s2xs3_twisted", "cp2"])
+    def test_every_slice_equals_the_fraction_path(self, name):
+        _, _, qmap, eqm = setup(name)
+        flm = eqm.flm
+        nonzero = 0
+        for n, k in self.slices():
+            want = matrix_of_map(flm.basis(n, k), flm.basis(n + 1, k),
+                                 lambda bt: fraction_loop_image(flm, bt), "loop")
+            assert flm.d_matrix(n, k) == want, (n, k)
+            want = matrix_of_map(eqm.basis(n, k), eqm.basis(n + 1, k),
+                                 lambda pair: fraction_dbar(eqm, pair), "extended")
+            assert eqm.d_matrix(n, k) == want, (n, k)
+            want = matrix_of_map(
+                flm.basis(n, k), eqm.basis(n, k),
+                lambda bt: {(ai, bt[1]): v for ai, v in qmap.image.get(bt[0], {}).items()},
+                "rho")
+            assert eqm.rho_tensor_matrix(n, k) == want, (n, k)
+            nonzero += bool(want.entries)
+        assert nonzero > 20
+
+    def test_slices_form_no_fraction_and_call_no_constructor(self, monkeypatch):
+        _, _, _, eqm = setup("nonintegral")
+        flm = eqm.flm
+        formed = []
+        real_new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            formed.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("a slice went through SparseMatrix.__init__")
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        monkeypatch.setattr(SparseMatrix, "__init__", refuse)
+        built = [m for n, k in self.slices() for m in (
+            flm.d_matrix(n, k), eqm.d_matrix(n, k), eqm.rho_tensor_matrix(n, k))]
+        monkeypatch.undo()
+        assert formed == []
+        assert sum(len(m.entries) for m in built) > 1000
+
+    def test_each_composite_is_tested_once(self, monkeypatch):
+        # a Dbar*Dbar or delta*delta test passed in a walk is recorded on
+        # its complex, so betti does not test the pair again, and recording
+        # it fetches no slice
+        pairs, fetched = [], []
+        real_product, real_d = exactq.product_is_zero, ExtendedQuotientModel.d_matrix
+
+        def product_is_zero(a, b):
+            pairs.append((a, b))
+            return real_product(a, b)
+
+        def d_matrix(self, n, k=None):
+            fetched.append((n, k))
+            return real_d(self, n, k)
+
+        monkeypatch.setattr(exactq, "product_is_zero", product_is_zero)
+        monkeypatch.setattr(ExtendedQuotientModel, "d_matrix", d_matrix)
+        verify_theorems(get_model("s2cubed"), 11)
+        tested = [(id(a), id(b)) for a, b in pairs]
+        assert len(set(tested)) == len(tested) == 183
+        assert len(fetched) == 302
