@@ -17,10 +17,13 @@ the matrices and the kernels, and in the slices of the loop model and
 the extended complex, whose coefficients have a `denominator` known
 before any column is built: those slices and the rho (x) 1 matrices
 between them (`tensor_one_matrix`) form no Fraction.  The five complexes
-subclass `CochainComplex`: each is its slice bases plus `image`, the
-differential of one basis element, and `CochainComplex` builds every
-slice from them and keeps slices, bases and `betti` per (n, k) in its
-`memo`.  Commuting squares are checked with `is_chain_map` and ranks on
+subclass `CochainComplex`, which builds every slice and keeps slices,
+bases and `betti` per (n, k) in its `memo`.  Three are their slice
+bases plus `image`, the differential of one basis element.  The loop
+model and the extended complex are complexes of tensors, and a slice of
+one is `left_image` (x) 1, placed block by block as rho (x) 1 is, plus
+`twist`, the rest of the differential, summed in term by term.
+Commuting squares are checked with `is_chain_map` and ranks on
 cohomology taken with `induced_rank`, one rank identity that needs the
 square below to commute.
 Every choice a routine makes, such as the pivot rows of `echelon`, is a
@@ -29,6 +32,7 @@ outputs.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from numbers import Rational
 
@@ -177,23 +181,34 @@ def scaled(elem, den):
 
 def _product(a, b):
     """The integer product a.ints * b.ints as ((row, col), nonzero int)
-    pairs, computed row by row; a * b is it over a.den * b.den.
-    ValueError unless the product is defined."""
+    pairs, row by row; a * b is it over a.den * b.den.  The rows of b are
+    dicts, and the sum of each row of the product starts as a copy of the
+    first row of b that it meets, scaled only when its factor is not 1.
+    Every sum is formed before the first pair is yielded, so
+    `product_is_zero` stops reading at the first nonzero row but not
+    summing.  ValueError unless the product is defined."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch %dx%d * %dx%d"
                          % (a.rows, a.cols, b.rows, b.cols))
     b_rows = {}
     for (k, c), w in b.ints.items():
-        b_rows.setdefault(k, []).append((c, w))
-    terms = {}
+        row = b_rows.get(k)
+        if row is None:
+            b_rows[k] = {c: w}
+        else:
+            row[c] = w
+    sums = {}
     for (r, k), v in a.ints.items():
-        if k in b_rows:
-            terms.setdefault(r, []).append((v, b_rows[k]))
-    for r, row in terms.items():
-        acc = {}
-        for v, b_row in row:
-            for c, w in b_row:
+        b_row = b_rows.get(k)
+        if b_row is None:
+            continue
+        acc = sums.get(r)
+        if acc is None:
+            sums[r] = dict(b_row) if v == 1 else {c: v * w for c, w in b_row.items()}
+        else:
+            for c, w in b_row.items():
                 acc[c] = acc.get(c, 0) + v * w
+    for r, acc in sums.items():
         for c, x in acc.items():
             if x:
                 yield (r, c), x
@@ -222,28 +237,43 @@ def echelon(m):
     entry p > 0 included}, in pivot order.  No Fraction is formed.
 
     The rows are m.ints, m times its denominator, which moves no pivot.
-    The columns are visited left to right; of the not-yet-pivot rows with
-    a nonzero there the shortest is the pivot, lowest index on ties, to
-    keep fill-in down (Markowitz 1957).  A row with entry f there becomes
-    (p/g)*row - (f/g)*pivot row, g = gcd(p, f), then, if p/g is not 1, is
-    divided by the gcd of its entries (Bareiss 1968).  A nonzero scaling
-    keeps each row's support, so the pivots are those of Fraction
-    elimination.
+    The columns are visited left to right, each with the set of its
+    not-yet-pivot rows with a nonzero there, held in a list by column;
+    an empty column costs one test.  Of those rows the shortest is the
+    pivot, lowest index on ties, to keep fill-in down (Markowitz 1957),
+    and a lone such row is the pivot without a search.  A row with entry
+    f there becomes (p/g)*row - (f/g)*pivot row, g = gcd(p, f), then, if
+    p/g is not 1, is divided by the gcd of its entries (Bareiss 1968).
+    A pivot row with no other entry clears nothing else, so the other
+    rows just drop that column, unscaled.  A nonzero scaling keeps each
+    row's support, so the pivots are those of Fraction elimination.
     """
     rowdata = {}
-    colrows = {}
+    colrows = [None] * m.cols
     for (r, c), v in m.ints.items():
         rowdata.setdefault(r, {})[c] = v
-        colrows.setdefault(c, set()).add(r)
+        live = colrows[c]
+        if live is None:
+            colrows[c] = {r}
+        else:
+            live.add(r)
     pivot_rows = {}
-    for col in range(m.cols):
-        live = colrows.pop(col, None)
+    for col, live in enumerate(colrows):
         if not live:
             continue
-        pr = min(live, key=lambda r: (len(rowdata[r]), r))
-        live.discard(pr)
+        colrows[col] = None
+        if len(live) == 1:
+            pr = live.pop()
+        else:
+            pr = min(live, key=lambda r: (len(rowdata[r]), r))
+            live.discard(pr)
         prow = rowdata.pop(pr)
         pv = prow.pop(col)
+        if not prow:
+            for r in live:
+                del rowdata[r][col]
+            pivot_rows[col] = {col: abs(pv)}
+            continue
         for c in prow:
             colrows[c].discard(pr)
         if pv < 0:
@@ -402,24 +432,33 @@ def is_chain_map(f_next, d_src, d_tgt, f, sign=1):
 
 
 class CochainComplex:
-    """A cochain complex built slice by slice from two things.
+    """A cochain complex built slice by slice from its bases and its
+    differential.
 
     A subclass holds a dict `_cache` and defines `_basis(n, k)`, the
     ordered basis of degree n restricted to word length k where it has
-    one, and `image(x)`, the differential of the basis element x.
-    `slice_matrix(n, k)` is then the differential from degree n to n+1;
-    the model overrides it with the generic path of `gca`.  An empty
+    one.  `slice_matrix(n, k)` is then the differential from degree n to
+    n+1; the model overrides it with the generic path of `gca`.  An empty
     degree-n slice, as below degree 0 of a model, gives a matrix with no
     columns, so it needs no special case.
 
-    With `denominator` None, image(x) is {basis element of degree n+1:
-    Fraction}, and `matrix_of_map` finds its rows.  A complex of tensors
-    sets `denominator` to an int that every coefficient, times it, turns
-    into an int.  Its basis lists pairs (left, right), those with one left
-    factor contiguous; `_basis` lays out `layout(n, k)`, {left: (offset,
-    {right: position})}, in the same pass, and image(x) is {(left, right):
-    nonzero int} over the denominator.  The row of (left, right) is its
-    offset plus its position, so no dict over the codomain is built, and
+    With `denominator` None, the subclass defines `image(x)`, the
+    differential of the basis element x as {basis element of degree n+1:
+    Fraction}, and `matrix_of_map` finds its rows.
+
+    A complex of tensors sets `denominator` to an int that every
+    coefficient, times it, turns into an int.  Its basis lists pairs
+    (left, right), those with one left factor contiguous; `_basis` lays
+    out `layout(n, k)`, {left: (offset, {right: position})}, in the same
+    pass, and the row of (left, right) is its offset plus its position.
+    Its differential is d (x) 1 plus a twist, each over the denominator:
+    `left_image(left)` is d of a left factor, {left': nonzero int} or None
+    for zero, and `twist(x)` is the rest of the differential of the pair
+    x, a list of (left', right', int) terms.  The slice places
+    `left_image` (x) 1 on block diagonals with the placer of rho (x) 1,
+    as the codomain block of each left' lists the right factors of the
+    domain block of left, then sums each twist term into its entry,
+    dropping a sum that cancels.  No dict over the codomain is built, and
     the ints go to the matrix as they are.
     """
 
@@ -449,14 +488,13 @@ class CochainComplex:
                    % (type(self).__name__, n, k))
         if self.denominator is None:
             return matrix_of_map(dom, cod, self.image, failure)
-        layout, row = self.layout(n + 1, k), _indices(len(cod))
-        ints = {}
-        for x, c in zip(dom, _indices(len(dom))):
-            col = self.image(x)
+        layout, index = self.layout(n + 1, k), _indices(max(len(cod), len(dom)))
+        ints = _tensor_one(self.left_image, self.layout(n, k), layout, index, failure)
+        for x, c in zip(dom, index):
             try:
-                for (left, right), v in col.items():
+                for left, right, v in self.twist(x):
                     offset, positions = layout[left]
-                    ints[row[offset + positions[right]], c] = v
+                    add_term(ints, (index[offset + positions[right]], c), v)
             except (KeyError, TypeError, ValueError):
                 raise InternalCheckFailure(failure) from None
         return _lowest_terms(len(cod), len(dom), ints, self.denominator)
@@ -480,34 +518,54 @@ class CochainComplex:
         return self.memo(("betti", n, k), self._betti, n, k)
 
     def _betti(self, n, k):
+        """Unless the composite d(n) d(n - 1) already passed, it is tested
+        here.  For the loop model that test is redundant mathematically,
+        as D is a derivation and D D = 0 is checked on the generators, but
+        it is kept: it guards the slice assembly from left_image (x) 1 and
+        the twist at every degree a run reaches, beyond the degrees that
+        the tests compare with the generic path."""
         d_out, d_in = self.d_matrix(n, k), self.d_matrix(n - 1, k)
         if ("d*d", n - 1, k) in self._cache:
             return _cohomology_dim_of_zero_composite(d_out, d_in)
         return cohomology_dim(d_out, d_in)
 
 
-def tensor_one_matrix(rows, cols, table, dom, cod, den, failure):
-    """Matrix of f (x) 1 from one slice of a complex of tensors to another,
-    rows x cols, for dom and cod their `CochainComplex.layout` and f the
-    table {left: {left': nonzero int}} over den > 0.
+def _tensor_one(image, dom, cod, index, failure):
+    """The entries of f (x) 1 as {(row, col): int}, for dom and cod the
+    `CochainComplex.layout` of two slices of a complex of tensors,
+    image(left) f of one left factor, {left': nonzero int} or None for
+    zero, and index `_indices` of at least both slice sizes.
 
     f (x) 1 is the block sum over the left factors of dom: each term c
     left' of f(left) puts c on the diagonal of the block at (offset of
     left', offset of left), as both blocks list the same right factors,
-    the one position table that both layouts share.  A left' outside cod,
+    the one position table that both layouts share.  Distinct terms
+    fill distinct blocks, so no entry is summed.  A left' outside cod,
     or whose block lists other right factors, raises
-    InternalCheckFailure(failure).  No Fraction is formed.
+    InternalCheckFailure(failure).
     """
-    ints, index = {}, _indices(max(rows, cols))
+    ints = {}
     for left, (col, positions) in dom.items():
+        img = image(left)
+        if not img:
+            continue
         size = len(positions)
-        for target, v in table.get(left, {}).items():
+        cols = index[col:col + size]
+        for target, v in img.items():
             row, same = cod.get(target, (0, None))
             if same is not positions:
                 raise InternalCheckFailure(failure)
-            for rc in zip(index[row:row + size], index[col:col + size]):
-                ints[rc] = v
-    return _lowest_terms(rows, cols, ints, den)
+            ints.update(zip(zip(index[row:row + size], cols), repeat(v)))
+    return ints
+
+
+def tensor_one_matrix(rows, cols, image, dom, cod, den, failure):
+    """Matrix of f (x) 1 from one slice of a complex of tensors to another,
+    rows x cols, for dom and cod their layouts and image(left) f of one
+    left factor as ints over den > 0, placed by `_tensor_one`.  No
+    Fraction is formed."""
+    return _lowest_terms(rows, cols, _tensor_one(
+        image, dom, cod, _indices(max(rows, cols)), failure), den)
 
 
 def induced_rank(f, d_out, target_d_in):

@@ -17,12 +17,12 @@ t over the suspended ones, is the pair (b, t) of exponent tuples, and
 
     D(b*t) = d(b)*t + (-1)^|b| b*D(t),
 
-so a column is d(b) paired with t plus one base-length product b*b' for
-each term b'*t' of D(t).  Slice (n, k) is the union over j of the degree
-n - j base monomials times the degree j suspended monomials of word
-length k, its pairs in ascending order, that of b + t.  Only this module
-knows the layout; sections unpacks the pairs, reads D(t) and the
-layout's offsets.
+so a slice is d (x) 1 on the base factor, placed in blocks, plus a
+twist: one base-length product b*b' for each term b'*t' of D(t).  Slice
+(n, k) is the union over j of the degree n - j base monomials times the
+degree j suspended monomials of word length k, its pairs in ascending
+order, that of b + t.  Only this module knows the layout; sections
+unpacks the pairs, reads D(t) and the layout's offsets.
 """
 
 from fractions import Fraction
@@ -31,7 +31,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .errors import DifferentialSquareNonzero, HodgeSumMismatch
-from .exactq import CochainComplex, ONE, add_term, common_denominator, scaled
+from .exactq import CochainComplex, ONE, common_denominator, scaled
 from . import gca
 from .gca import Generator, DerivationSpec
 from .sullivan import RankTable
@@ -42,19 +42,21 @@ class FreeLoopModel(CochainComplex):
     the SullivanModel, generators its generators then the suspended ones,
     and suspension the degree -1 derivation s with s(v) = sv, s(sv) = 0.
 
-    `image(bt)`, a column of a slice matrix, is D(b*t) = d(b)*t +
-    (-1)^|b| b*D(t).  Its coefficients are ints over `denominator`, L,
-    the lcm of the denominators in D: a coefficient of D(b*t) is one of d
-    times an integer from the exponents and the signs.  `_d_base` keeps,
-    for each base monomial b, the parity of |b|, d(b) * L and the
-    products b*b' met so far, each from one base-length
-    `normalize_product`; `_d_susp` keeps D(t) * L for each suspended
-    monomial t as (b', t', c) int terms, filled by `d_suspended`, which
-    the extended complex of sections reads too.  Both come from
-    `gca.apply_derivation` on d and D times L, and both live as long as
-    the model: caches the size of the two factors, not one entry per loop
-    monomial.  Split and unsplit slices alike are built column by column
-    over their own basis.
+    D(b*t) = d(b)*t + (-1)^|b| b*D(t) is given to `CochainComplex` in two
+    parts: `left_image(b)`, d(b), which the slice places as d (x) 1 by
+    blocks, and `twist(bt)`, the terms of (-1)^|b| b*D(t) as a list.  The
+    coefficients are ints over `denominator`, L, the lcm of the
+    denominators in D: a coefficient of D(b*t) is one of d times an
+    integer from the exponents and the signs.  `_d_base` keeps, for each
+    base monomial b, the parity of |b|, d(b) * L and the products b*b'
+    met so far, each from one base-length `normalize_product`; `_d_susp`
+    keeps D(t) * L for each suspended monomial t as (b', t', c) int
+    terms, filled by `d_suspended`, which the extended complex of
+    sections reads too.  Both come from `gca.apply_derivation` on d and D
+    times L, and both live as long as the model: caches the size of the
+    two factors, not one entry per loop monomial.  Split and unsplit
+    slices alike are built over their own basis and layout, never one
+    from the others.
 
     `basis(n, k)` lists the loop monomials (b, t) of degree n and word
     length k in ascending order, each pair holding the tuples cached
@@ -116,31 +118,38 @@ class FreeLoopModel(CochainComplex):
         return [(n, k) for n in range(n_max + 1) for k in range(n + 1)
                 if self.basis(n, k)]
 
-    def image(self, bt):
-        """D(b*t) = d(b)*t + (-1)^|b| b*D(t), as {(b', t'): int} over L."""
-        base = self.base
+    def _factor(self, b):
+        """(parity of |b|, d(b) * L, the products memo) of a base monomial
+        b, kept in `_d_base`."""
+        base_gens = self.base.generators
+        got = self._d_base[b] = (
+            gca.monomial_degree(base_gens, b) % 2,
+            gca.apply_derivation(base_gens, self._integral_differentials[0], {b: 1}),
+            {})
+        return got
+
+    def left_image(self, b):
+        """d(b), as {b': int} over L."""
+        return (self._d_base.get(b) or self._factor(b))[1]
+
+    def twist(self, bt):
+        """(-1)^|b| b*D(t), the rest of D(b*t), as [(b', t', int)] over L,
+        with no two terms at one (b', t')."""
         b, t = bt
-        got = self._d_base.get(b)
-        if got is None:
-            got = self._d_base[b] = (
-                gca.monomial_degree(base.generators, b) % 2,
-                tuple(gca.apply_derivation(
-                    base.generators, self._integral_differentials[0], {b: 1}).items()),
-                {})
-        odd, db, times = got
+        odd, _, times = self._d_base.get(b) or self._factor(b)
         dt = self._d_susp.get(t)
         if dt is None:
             dt = self.d_suspended(t)
-        col = {(b2, t): c for b2, c in db}
+        out = []
         for b1, t1, c in dt:
             p = times.get(b1)
             if p is None:
-                p = gca.normalize_product(base.generators, b, b1)
+                p = gca.normalize_product(self.base.generators, b, b1)
                 # b*b1 and whether its term takes -c, or () if it is 0
                 p = times[b1] = (p[1], (p[0] < 0) != odd) if p else ()
             if p:
-                add_term(col, (p[0], t1), -c if p[1] else c)
-        return col
+                out.append((p[0], t1, -c if p[1] else c))
+        return out
 
     def d_suspended(self, t):
         """D(t) for a suspended monomial t, as (b', t', c) terms with c an

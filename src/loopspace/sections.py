@@ -52,14 +52,19 @@ class ExtendedQuotientModel(CochainComplex):
     tensored with a monomial m in the suspended generators `sgens` of the
     loop model `flm`, ordered by (i, m), so `layout(n, k)` maps i to its
     offset and to `gca.slice_positions` of its monomials, as the loop
-    model's layout maps a base monomial.  Dbar is (rho (x) 1) o D, and
-    `image(pair)` is Dbar of one pair: Dbar(1 (x) t) reads D(t) from the
-    loop model and projects its base factors by rho, and Dbar(a_i (x) t)
-    follows from it.  Only Dbar(1 (x) t) is memoised, once per suspended
-    monomial t.  Building it tests no slice: verify_rho_tensor_quasi_iso
-    tests every square, and the word-length one slices that the dual
-    complex and the aut ranks read are tested by cohomology_dim and by
-    the square identity.
+    model's layout maps a base monomial.  Dbar is (rho (x) 1) o D:
+    Dbar(1 (x) t) reads D(t) from the loop model and projects its base
+    factors by rho, and
+
+        Dbar(a_i (x) t) = d_A(a_i) (x) t + (-1)^|a_i| a_i * Dbar(1 (x) t),
+
+    given to `CochainComplex` as `left_image(i)`, d_A(a_i), placed as
+    d_A (x) 1 by blocks, and `twist(pair)`, the product terms as a list.
+    Only Dbar(1 (x) t) is memoised, once per suspended monomial t.
+    Building it tests no slice: verify_rho_tensor_quasi_iso tests every
+    square, and the word-length one slices that the dual complex and the
+    aut ranks read are tested by cohomology_dim and by the square
+    identity.
 
     Its coefficients are ints over a denominator known in advance, from
     tables made integral once, here.  rho(b) of a base monomial is read
@@ -118,17 +123,22 @@ class ExtendedQuotientModel(CochainComplex):
                 add_term(out, (ai, t2), c * v)
         return out
 
-    def image(self, pair):
-        """Dbar(a_i (x) m) for pair (i, m), as {(class, sv monomial): int}
-        over `denominator`."""
+    def left_image(self, i):
+        """d_A(a_i), as {class: int} over `denominator`."""
+        return self._diff.get(i)
+
+    def twist(self, pair):
+        """(-1)^|a_i| a_i * Dbar(1 (x) m), the rest of Dbar(a_i (x) m) for
+        pair (i, m), as [(class, sv monomial, int)] over `denominator`."""
         i, m = pair
-        out = {(j, m): c for j, c in self._diff.get(i, {}).items()}
         odd = self.algebra.degrees[i] % 2
         products = self._products
+        out = []
         for (ai, m2), c in self.dbar_on_svmono(m).items():
-            c = -c if odd else c
-            for k, a in products.get((i, ai), {}).items():
-                add_term(out, (k, m2), c * a)
+            prod = products.get((i, ai))
+            if prod:
+                c = -c if odd else c
+                out.extend((k, m2, c * a) for k, a in prod.items())
         return out
 
     def rho_tensor_matrix(self, n, k=None):
@@ -139,7 +149,7 @@ class ExtendedQuotientModel(CochainComplex):
 
     def _rho_tensor_matrix(self, n, k):
         return tensor_one_matrix(
-            len(self.basis(n, k)), len(self.flm.basis(n, k)), self._rho,
+            len(self.basis(n, k)), len(self.flm.basis(n, k)), self._rho.get,
             self.flm.layout(n, k), self.layout(n, k), self.rho_denominator,
             "projection left the slice at degree %d" % n)
 

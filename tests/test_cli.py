@@ -5,6 +5,7 @@ exactly and compare byte-for-byte where determinism matters.
 """
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopspace
-from loopspace.cli import _COMMANDS, main
+from loopspace import cli
+from loopspace.cli import _COMMANDS, build_parser, main
 from loopspace.sections import verify_theorems
 
 S2 = str(loopspace.corpus_path("s2"))
@@ -189,6 +191,26 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out == "[]\n"
+
+
+class TestCollector:
+    def test_a_verify_run_leaves_no_cyclic_garbage(self, monkeypatch):
+        """A verify run of S2xS2xS2 to degree 11 makes no reference
+        cycles, so running it with the cyclic collector off would leave
+        nothing for a later collection.  The parser is built beforehand,
+        as argparse's own objects refer to each other."""
+        parser = build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        model = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                             "models", "s2cubed.model")
+        gc.collect()
+        gc.disable()
+        try:
+            code, out = run(["verify", model, "--max-degree", "11"])
+            assert code == 0 and "verdict rank_triple_agreement: pass" in out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestValidateText:

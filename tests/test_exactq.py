@@ -32,7 +32,8 @@ from loopspace.exactq import (
 )
 from loopspace.errors import CompositionNotZero, InternalCheckFailure
 from loopspace.freeloop import build_free_loop_model, hodge_betti_table
-from loopspace.sections import TheoremReport, verify_rho_tensor_quasi_iso
+from loopspace.sections import (TheoremReport, verify_rho_tensor_quasi_iso,
+                                verify_theorems)
 from loopspace.sullivan import parse_model
 
 Q = Fraction
@@ -180,6 +181,26 @@ def rational_pairs(draw, max_dim=5):
     return matrix(n, k), matrix(k, m)
 
 
+@st.composite
+def permutation_like_matrices(draw, max_dim=14):
+    """Sparse matrices that take the forward pass's fast paths: a permuted
+    partial diagonal of nonzero entries, negative and non-unit ones
+    included, so that many columns have one live row and many pivot rows
+    no other entry, plus a few denser rows across it."""
+    rows = draw(st.integers(min_value=1, max_value=max_dim))
+    cols = draw(st.integers(min_value=1, max_value=max_dim))
+    row_order = draw(st.permutations(range(rows)))
+    col_order = draw(st.permutations(range(cols)))
+    pivots = st.sampled_from((1, -1, 2, -3, 6, Q(-1, 2), Q(5, 3)))
+    entries = {(row_order[i], col_order[i]): draw(pivots)
+               for i in range(draw(st.integers(0, min(rows, cols))))}
+    values = st.sampled_from((1, -1, -2, 3, Q(1, 2)))
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+        for c in draw(st.lists(st.integers(0, cols - 1), max_size=cols)):
+            entries[(r, c)] = draw(values)
+    return SparseMatrix(rows, cols, entries)
+
+
 def assert_reduced_entries(red, pivots):
     """Every entry a Fraction, and every pivot entry ONE."""
     assert all(type(v) is Fraction for v in red.entries.values())
@@ -190,7 +211,9 @@ def assert_forward_pass(m, pivots, rk):
     """The forward pass alone, on fresh copies of m so that no memoised
     rank answers, gives the oracle's pivot columns and rank."""
     copy = SparseMatrix(m.rows, m.cols, m.entries)
-    assert tuple(echelon(copy)) == pivots
+    rows = echelon(copy)
+    assert tuple(rows) == pivots
+    assert all(row[p] > 0 for p, row in rows.items())
     assert rank(SparseMatrix(m.rows, m.cols, m.entries)) == rk
 
 
@@ -317,10 +340,21 @@ class TestAddTerm:
            st.data())
     @settings(max_examples=100, deadline=None)
     def test_dbar_pair_stores_no_zero(self, name, n, k, data):
+        """Dbar of one pair, d_A (x) 1 plus the twist summed by add_term,
+        holds no zero, and neither does its column of the slice."""
         eqm = quotient_extension(name)
         basis = eqm.basis(n, k)
         if basis:
-            assert all(eqm.image(data.draw(st.sampled_from(basis))).values())
+            col = data.draw(st.integers(0, len(basis) - 1))
+            i, m = basis[col]
+            dbar = {(j, m): c for j, c in (eqm.left_image(i) or {}).items()}
+            for j, m2, c in eqm.twist(basis[col]):
+                add_term(dbar, (j, m2), c)
+            assert all(dbar.values())
+            cod = eqm.basis(n + 1, k)
+            column = {cod[r]: v for (r, c), v in eqm.d_matrix(n, k).entries.items()
+                      if c == col}
+            assert column == {key: Q(c, eqm.denominator) for key, c in dbar.items()}
 
 
 class TestRref:
@@ -484,6 +518,54 @@ class TestRref:
         assert dense(red) == [[ONE, Q(-14, 3), Q(0), Q(10)], [Q(0)] * 4]
         assert_reduced_entries(red, pivots)
         assert_forward_pass(m, (0,), 1)
+
+    def test_a_lone_pivot_entry_leaves_the_other_rows_unscaled(self):
+        # column 0 has two live rows; the shorter, row 0, has no other
+        # entry, so row 1 just drops column 0 and keeps its 5, and the
+        # pivot entry is made positive all the same
+        m = from_dense([[-2, 0], [3, 5]], 2, 2)
+        assert echelon(m) == {0: {0: 2}, 1: {1: 5}}
+        # column 0 has one live row, the pivot without a search
+        m = from_dense([[0, 1, 1], [-4, 2, 0]], 2, 3)
+        assert echelon(m) == {0: {0: 4, 1: -2}, 1: {1: 1, 2: 1}}
+        red, pivots, rk = rref(m)
+        assert (pivots, rk) == ((0, 1), 2)
+        assert dense(red) == [[ONE, Q(0), Q(1, 2)], [Q(0), ONE, ONE]]
+
+    @given(permutation_like_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_fast_paths_match_dense_oracle(self, m):
+        red, pivots, rk = rref(m)
+        ogrid, opivots, ork = dense_rref(dense(m), m.rows, m.cols)
+        assert (pivots, rk) == (opivots, ork)
+        assert dense(red) == ogrid
+        assert_reduced_entries(red, pivots)
+        assert_forward_pass(m, opivots, ork)
+
+    @given(permutation_like_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_fast_paths_match_sympy(self, m):
+        sympy = pytest.importorskip("sympy")
+        red, pivots, rk = rref(m)
+        sred, spivots = sympy.Matrix(dense(m)).rref()
+        assert (pivots, rk) == (tuple(spivots), len(spivots))
+        assert sympy.Matrix(dense(red)) == sred
+        assert_forward_pass(m, tuple(spivots), len(spivots))
+
+    def test_captured_inputs_keep_their_pivot_columns(self, monkeypatch):
+        """Every matrix that a verify run of s2xs3 and the Hodge table of
+        SU(3)/T^2 hand to the forward pass has the pivot columns of the
+        dense oracle, which are those of any column by column
+        elimination."""
+        captured, real = [], exactq.echelon
+        monkeypatch.setattr(exactq, "echelon", lambda m: captured.append(m) or real(m))
+        verify_theorems(load_corpus_model("s2xs3"), 12)
+        hodge_betti_table(build_free_loop_model(parse_model(FLAG.read_text())), 10)
+        monkeypatch.undo()
+        assert len(captured) > 200
+        for m in captured:
+            _, opivots, _ = dense_rref(dense(m), m.rows, m.cols)
+            assert tuple(echelon(m)) == opivots
 
     def test_loop_model_slices_match_dense_oracle(self):
         for m in loop_model_matrices():

@@ -241,12 +241,12 @@ def test_only_kernel_basis_asks_for_the_full_reduction():
 
 
 def test_one_place_computes_the_koszul_sign_of_a_product():
-    """Products, the Leibniz walk and the loop model's columns merge
+    """Products, the Leibniz walk and the loop model's twist merge
     monomials; every other differential is built from theirs, so the
     sign convention lives in one place."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "normalize_product") == [
-        ("freeloop", "image"), ("gca", "apply_derivation"), ("gca", "elem_mul")]
+        ("freeloop", "twist"), ("gca", "apply_derivation"), ("gca", "elem_mul")]
 
 
 def test_two_walkers_share_the_populated_slices():

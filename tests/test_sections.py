@@ -121,14 +121,20 @@ class TestCochainComplexes:
                     assert (d.rows, d.cols) == (len(cx.basis(n + 1, k)),
                                                 len(cx.basis(n, k)))
 
-    @pytest.mark.parametrize("cls, k", [
-        (FreeLoopModel, 1), (FiniteCdga, None), (ExtendedQuotientModel, 1),
-        (DualSectionComplex, None)], ids=lambda v: getattr(v, "__name__", str(v)))
+    @pytest.mark.parametrize("cls, k, method", [
+        (FreeLoopModel, 1, "left_image"), (FreeLoopModel, 1, "twist"),
+        (FiniteCdga, None, "image"), (ExtendedQuotientModel, 1, "left_image"),
+        (ExtendedQuotientModel, 1, "twist"), (DualSectionComplex, None, "image")],
+        ids=lambda v: getattr(v, "__name__", str(v)))
     def test_an_image_outside_the_next_slice_is_an_internal_failure(
-            self, monkeypatch, cls, k):
+            self, monkeypatch, cls, k, method):
+        """A complex of tensors fails the same way whether the stray term
+        comes from its left_image (x) 1 or from its twist."""
+        fault = {"image": {"outside": ONE}, "left_image": {"outside": 1},
+                 "twist": [("outside", "outside", 1)]}[method]
         cx = next(c for c, _, _ in five_complexes("cp2") if type(c) is cls)
         n = next(n for n in range(-9, 9) if cx.basis(n, k))
-        monkeypatch.setattr(cls, "image", lambda self, x: {"outside": ONE})
+        monkeypatch.setattr(cls, method, lambda self, x: fault)
         with pytest.raises(InternalCheckFailure) as err:
             cx.slice_matrix(n, k)
         assert exit_code_for(err.value) == 4
