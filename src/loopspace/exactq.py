@@ -5,7 +5,11 @@ once, immutable and in lowest terms, as nonzero integers over one positive
 denominator: the form every kernel reads.  `rank` and the pivot columns
 come from the fraction-free forward pass `echelon` alone and form no
 Fraction; only `kernel_basis` asks `rref` for the back-substitution and
-the unique RREF.  One integer product, row by row, serves
+the unique RREF.  `rank` runs the pass over the transpose and keeps its
+pivot columns, one byte per row, beside the rank; once d(n) d(n-1) == 0
+has been tested, d(n) is ranked without the columns that those of
+d(n-1) make redundant (clearing), and `induced_rank` leaves the same
+columns out of its block.  One integer product, row by row, serves
 `SparseMatrix.mul`, `product_is_zero` and `is_chain_map`.  Every exact
 coefficient sum, here and in the modules above, goes through one
 accumulate step, `add_term`, which drops a key whose sum is zero.
@@ -64,10 +68,14 @@ class SparseMatrix:
     den, with nonzero ints and den the lcm of the entry denominators, so
     equal matrices have equal `ints` and `den`.  `entries`, `columns` and
     `apply` form Fractions on demand.  `_rank` is None until rank() first
-    computes it; only the integer is kept.
+    computes it.  Beside it rank() keeps `_pivots`, one byte per row of
+    m, 1 on the pivot columns of its pass over the transpose: the rows on
+    which im m projects isomorphically.  `_cleared` is the `_pivots` of
+    the matrix below whose columns that pass left out, or None.  No pivot
+    row is kept.
     """
 
-    __slots__ = ("rows", "cols", "ints", "den", "_rank")
+    __slots__ = ("rows", "cols", "ints", "den", "_rank", "_pivots", "_cleared")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
@@ -92,14 +100,16 @@ class SparseMatrix:
             if den != 1:
                 for rc, v in ints.items():
                     ints[rc] = v.numerator * (den // v.denominator)
-        self.rows, self.cols, self.ints, self.den, self._rank = rows, cols, ints, den, None
+        self.rows, self.cols, self.ints, self.den = rows, cols, ints, den
+        self._rank = self._pivots = self._cleared = None
 
     @classmethod
     def _of_ints(cls, rows, cols, ints, den):
         """The matrix ints / den, for nonzero ints already in lowest terms
         and inside the shape; nothing is checked or converted."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.ints, m.den, m._rank = rows, cols, ints, den, None
+        m.rows, m.cols, m.ints, m.den = rows, cols, ints, den
+        m._rank = m._pivots = m._cleared = None
         return m
 
     @classmethod
@@ -232,11 +242,17 @@ def matrix_of_map(dom, cod, image, failure):
     return SparseMatrix(len(cod), len(dom), entries)
 
 
-def echelon(m):
+def echelon(m, cleared=None):
     """Forward elimination of m: {pivot column: its integer row, pivot
     entry p > 0 included}, in pivot order.  No Fraction is formed.
 
     The rows are m.ints, m times its denominator, which moves no pivot.
+    With `cleared` given, one byte per column of m, nonzero on the columns
+    to leave out, or empty for none, the pass runs over the transpose of m
+    instead, without those rows: its pivot columns are rows of m, and its
+    rank is that of m whenever each column left out is a combination of
+    the others.
+
     The columns are visited left to right, each with the set of its
     not-yet-pivot rows with a nonzero there, held in a list by column;
     an empty column costs one test.  Of those rows the shortest is the
@@ -246,17 +262,33 @@ def echelon(m):
     p/g is not 1, is divided by the gcd of its entries (Bareiss 1968).
     A pivot row with no other entry clears nothing else, so the other
     rows just drop that column, unscaled.  A nonzero scaling keeps each
-    row's support, so the pivots are those of Fraction elimination.
+    row's support, so the pivots are those of Fraction elimination: the
+    columns at which the rank of the columns so far rises, a function of
+    the row space alone.
     """
     rowdata = {}
-    colrows = [None] * m.cols
-    for (r, c), v in m.ints.items():
-        rowdata.setdefault(r, {})[c] = v
-        live = colrows[c]
-        if live is None:
-            colrows[c] = {r}
-        else:
-            live.add(r)
+    if cleared is None:
+        colrows = [None] * m.cols
+        for (r, c), v in m.ints.items():
+            rowdata.setdefault(r, {})[c] = v
+            live = colrows[c]
+            if live is None:
+                colrows[c] = {r}
+            else:
+                live.add(r)
+    else:
+        colrows = [None] * m.rows
+        if not cleared:
+            cleared = bytes(m.cols)
+        for (c, r), v in m.ints.items():
+            if cleared[r]:
+                continue
+            rowdata.setdefault(r, {})[c] = v
+            live = colrows[c]
+            if live is None:
+                colrows[c] = {r}
+            else:
+                live.add(r)
     pivot_rows = {}
     for col, live in enumerate(colrows):
         if not live:
@@ -347,12 +379,33 @@ def rref(m):
     return _lowest_terms(m.rows, m.cols, ints, den), tuple(pivot_rows), len(pivot_rows)
 
 
-def rank(m):
-    """Rank of m, from the forward pass alone, taken once per matrix object
-    and then remembered; a matrix with no entries has rank 0 without one.
-    No Fraction and no matrix is formed."""
+def rank(m, lower=None):
+    """Rank of m, from one forward pass over its transpose, taken once per
+    matrix object and then remembered with the pivot columns of that pass;
+    a matrix with no entries has rank 0 without one.  No Fraction and no
+    matrix is formed.
+
+    `lower` is a matrix already ranked, with m * lower == 0 already
+    tested; only `_cohomology_dim_of_zero_composite` passes one.  Its
+    pivot columns P are coordinates of the space between the two on which
+    im lower projects isomorphically, so for p in P some vector e_p + sum
+    over q not in P of c_q e_q lies in im lower, and m sends it to 0:
+    column p of m is a combination of the columns outside P.  The pass
+    then leaves the rows P of the transpose out (clearing, Chen & Kerber
+    2011), which changes neither the rank nor the pivot columns, as the
+    rows left still span im m."""
     if m._rank is None:
-        m._rank = len(echelon(m)) if m.ints else 0
+        if not m.ints:
+            m._rank, m._pivots = 0, b""
+            return 0
+        cleared = None if lower is None else lower._pivots
+        pivot_rows = echelon(m, cleared or b"")
+        pivots = bytearray(m.rows)
+        for p in pivot_rows:
+            pivots[p] = 1
+        m._rank, m._pivots = len(pivot_rows), bytes(pivots)
+        if cleared:
+            m._cleared = cleared
     return m._rank
 
 
@@ -400,8 +453,11 @@ def cohomology_dim(d_out, d_in):
 
 
 def _cohomology_dim_of_zero_composite(d_out, d_in):
-    """cohomology_dim for a pair whose composite is already known to be 0."""
-    dim = (d_out.cols - rank(d_out)) - rank(d_in)
+    """cohomology_dim for a pair whose composite is already known to be 0:
+    d_in is ranked first, and d_out then without the columns that the
+    pivots of d_in clear (see `rank`)."""
+    r_in = rank(d_in)
+    dim = (d_out.cols - rank(d_out, d_in)) - r_in
     if dim < 0:
         raise CompositionNotZero("negative cohomology dimension, rank bookkeeping broke")
     return dim
@@ -523,7 +579,10 @@ class CochainComplex:
         as D is a derivation and D D = 0 is checked on the generators, but
         it is kept: it guards the slice assembly from left_image (x) 1 and
         the twist at every degree a run reaches, beyond the degrees that
-        the tests compare with the generic path."""
+        the tests compare with the generic path.  Only after it passes is
+        d(n) ranked without the columns that the pivots of d(n - 1) clear
+        (see `rank`); a slice that an earlier reader ranked keeps the rank
+        it has."""
         d_out, d_in = self.d_matrix(n, k), self.d_matrix(n - 1, k)
         if ("d*d", n - 1, k) in self._cache:
             return _cohomology_dim_of_zero_composite(d_out, d_in)
@@ -577,13 +636,25 @@ def induced_rank(f, d_out, target_d_in):
     rank(block) - rank(d_out) - rank(target_d_in) is the rank of Z ->
     H^n(D), one elimination beside two memoised ranks.  It is the rank on
     H^n(C) when f sends boundaries into im target_d_in, that is when the
-    chain square one degree down commutes; every caller checks it first.
-    ValueError unless f has d_out's columns and target_d_in's rows.
+    chain square one degree down commutes; every caller checks it first:
+    `pdquotient.verify_quasi_iso` at degree n - 1 of its loop,
+    `sections.verify_rho_tensor_quasi_iso` on slice (n - 1, k) of its walk,
+    `sections.duality_map` in its chain-property loop and
+    `sections.verify_duality_quasi_iso` through `build_dual_complex`'s
+    square identity.  ValueError unless f has d_out's columns and
+    target_d_in's rows.
 
     The block is assembled from the three integer forms as they are:
     scaling d_out, f or target_d_in by a nonzero factor is a scaling of
     rows and columns of the block, as its upper right corner is zero, and
-    leaves its rank unchanged.
+    leaves its rank unchanged.  Its pass leaves out the columns that
+    ranking d_out and target_d_in cleared (see `rank`).  For p cleared
+    from d_out, some v_p = e_p + (columns outside the cleared set) is a
+    boundary of the slice below, the one that `betti` ranked d_out
+    against, and [d_out; f] v_p = [0; f(v_p)] lies in im target_d_in by
+    the square below; a column cleared from target_d_in is a combination
+    of its other columns.  Either way the column is a combination of the
+    columns kept, so the rank is that of the whole block.
     """
     if f.cols != d_out.cols or f.rows != target_d_in.rows:
         raise ValueError("f is %dx%d, expected %dx%d" % (
@@ -592,5 +663,10 @@ def induced_rank(f, d_out, target_d_in):
     ints = dict(d_out.ints)
     ints.update(((top + r, c), v) for (r, c), v in f.ints.items())
     ints.update(((top + r, left + c), v) for (r, c), v in target_d_in.ints.items())
+    out, below = d_out._cleared, target_d_in._cleared
+    cleared = b""
+    if out or below:
+        cleared = (out or bytes(left)) + (below or bytes(target_d_in.cols))
     block = SparseMatrix._of_ints(top + f.rows, left + target_d_in.cols, ints, 1)
-    return rank(block) - rank(d_out) - rank(target_d_in)
+    return ((len(echelon(block, cleared)) if ints else 0)
+            - rank(d_out) - rank(target_d_in))

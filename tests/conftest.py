@@ -49,9 +49,9 @@ def count_eliminations(monkeypatch):
         eliminated = []
         real = exactq.echelon
 
-        def counting(m):
+        def counting(m, *cleared):
             eliminated.append(m)
-            return real(m)
+            return real(m, *cleared)
 
         monkeypatch.setattr(exactq, "echelon", counting)
         return eliminated

@@ -72,6 +72,10 @@ def dense_rref(grid, rows, cols):
     return grid, tuple(pivots), len(pivots)
 
 
+def transpose(grid):
+    return [list(col) for col in zip(*grid)]
+
+
 def dense_product(a, b):
     """Textbook dense product oracle: a * b as a grid of Fractions."""
     ga, gb = dense(a), dense(b)
@@ -129,6 +133,29 @@ def complexes(draw, max_dim=4):
     n_in = draw(st.integers(min_value=0, max_value=max_dim))
     coeffs = [[draw(small_entries) for _ in range(n_in)] for _ in range(kernel.cols)]
     return d_out, kernel.mul(from_dense(coeffs, kernel.cols, n_in))
+
+
+def in_kernel(draw, d_out, n, values):
+    """A matrix of n columns drawn as combinations, with coefficients from
+    values, of a kernel basis of d_out, so that d_out times it is 0."""
+    kernel = SparseMatrix.from_columns(d_out.cols, kernel_basis(d_out))
+    coeffs = [[draw(values) for _ in range(n)] for _ in range(kernel.cols)]
+    return kernel.mul(from_dense(coeffs, kernel.cols, n))
+
+
+@st.composite
+def exact_chains(draw):
+    """(d2, d1, d0) with d2 * d1 == 0 and d1 * d0 == 0, in Fractions with
+    denominators; a dimension of 0 or 1 gives empty and single-row
+    matrices, and d2 is sometimes the zero matrix.  The middle spaces are
+    the larger, so that both composites often have ranks on both sides."""
+    dims = [draw(st.integers(min_value=0, max_value=top)) for top in (3, 6, 6, 3)]
+    zero = draw(st.integers(min_value=0, max_value=4)) == 0
+    grid = [[Q(0) if zero else draw(small_fractions) for _ in range(dims[2])]
+            for _ in range(dims[3])]
+    d2 = from_dense(grid, dims[3], dims[2])
+    d1 = in_kernel(draw, d2, dims[1], small_fractions)
+    return d2, d1, in_kernel(draw, d1, dims[0], small_fractions)
 
 
 @st.composite
@@ -556,16 +583,27 @@ class TestRref:
         """Every matrix that a verify run of s2xs3 and the Hodge table of
         SU(3)/T^2 hand to the forward pass has the pivot columns of the
         dense oracle, which are those of any column by column
-        elimination."""
+        elimination; so has the transpose, rows cleared or not, that the
+        pass ran over, and clearing them kept the rank."""
         captured, real = [], exactq.echelon
-        monkeypatch.setattr(exactq, "echelon", lambda m: captured.append(m) or real(m))
+        monkeypatch.setattr(exactq, "echelon",
+                            lambda m, *cleared: captured.append((m, *cleared))
+                            or real(m, *cleared))
         verify_theorems(load_corpus_model("s2xs3"), 12)
         hodge_betti_table(build_free_loop_model(parse_model(FLAG.read_text())), 10)
         monkeypatch.undo()
         assert len(captured) > 200
-        for m in captured:
-            _, opivots, _ = dense_rref(dense(m), m.rows, m.cols)
+        assert sum(bool(c) for _, *cs in captured for c in cs) > 50
+        for m, *cleared in captured:
+            _, opivots, ork = dense_rref(dense(m), m.rows, m.cols)
             assert tuple(echelon(m)) == opivots
+            if cleared:
+                skip = flagged(cleared[0])
+                kept = [row for c, row in enumerate(transpose(dense(m)))
+                        if c not in skip]
+                _, tpivots, tork = dense_rref(kept, len(kept), m.rows)
+                assert tuple(echelon(m, *cleared)) == tpivots
+                assert tork == ork
 
     def test_loop_model_slices_match_dense_oracle(self):
         for m in loop_model_matrices():
@@ -689,6 +727,97 @@ class TestRankMemo:
         assert len(reduced) == 2
         with pytest.raises(CompositionNotZero):
             cohomology_dim(d_out, d_in)
+
+
+def flagged(mask):
+    """The positions of the nonzero bytes of mask, in order."""
+    return tuple(i for i, f in enumerate(mask) if f)
+
+
+def fresh(m):
+    """A copy of m with no rank taken, so nothing is cleared from it."""
+    return SparseMatrix(m.rows, m.cols, m.entries)
+
+
+def oracle_rank(m):
+    return dense_rref(dense(m), m.rows, m.cols)[2]
+
+
+class TestClearing:
+    """Once d(n) d(n - 1) == 0 has tested true, rank d(n) is taken on the
+    transpose of d(n) without the rows that the pivot columns of d(n - 1)
+    clear; the oracles are the dense elimination and sympy on the whole
+    matrices."""
+
+    @given(exact_chains())
+    @settings(max_examples=150, deadline=None)
+    def test_cleared_ranks_match_dense_oracle(self, chain):
+        d2, d1, d0 = chain
+        h1 = cohomology_dim(d1, d0)
+        h2 = cohomology_dim(d2, d1)
+        for m in chain:
+            assert m._rank == oracle_rank(m)
+            _, tpivots, _ = dense_rref(transpose(dense(m)), m.cols, m.rows)
+            assert flagged(m._pivots) == tpivots
+        assert h1 == d1.cols - d1._rank - d0._rank
+        assert h2 == d2.cols - d2._rank - d1._rank
+        # d1's pivots, from a pass that d0 cleared, clear d2
+        assert d2._cleared is (d1._pivots if d1._rank and d2._rank else None)
+        assert d1._cleared is (d0._pivots if d0._rank and d1._rank else None)
+
+    @given(exact_chains())
+    @settings(max_examples=40, deadline=None)
+    def test_cleared_ranks_match_sympy(self, chain):
+        sympy = pytest.importorskip("sympy")
+        d2, d1, d0 = chain
+        cohomology_dim(d1, d0)
+        cohomology_dim(d2, d1)
+        for m in chain:
+            flat = [v for row in dense(m) for v in row]
+            assert m._rank == sympy.Matrix(m.rows, m.cols, flat).rank()
+
+    @given(exact_chains(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_induced_rank_with_cleared_block(self, chain, data):
+        # f = s + d1 h + h' d2 commutes with d1 one degree down, as s + h d1
+        # does there, and induces s on H(d2, d1): rank h2, or 0 for s = 0
+        d2, d1, d0 = chain
+        n = d2.cols
+
+        def drawn(rows, cols):
+            return from_dense([[data.draw(small_fractions) for _ in range(cols)]
+                               for _ in range(rows)], rows, cols)
+
+        s = data.draw(st.sampled_from((Q(0), ONE, Q(-1, 2), Q(3))))
+        h, h2 = drawn(d1.cols, n), drawn(n, d2.rows)
+        f = from_dense([[a + b + c for a, b, c in zip(*rows)] for rows in zip(
+            dense(identity(n, s)), dense(d1.mul(h)), dense(h2.mul(d2)))], n, n)
+        f_below = from_dense([[a + b for a, b in zip(*rows)] for rows in zip(
+            dense(identity(d1.cols, s)), dense(h.mul(d1)))], d1.cols, d1.cols)
+        assert is_chain_map(f, d1, d1, f_below)
+        cohomology_dim(d1, d0)
+        homology = cohomology_dim(d2, d1)
+        uncleared = induced_rank(fresh(f), fresh(d2), fresh(d1))
+        assert induced_rank(f, d2, d1) == uncleared == (homology if s else 0)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 3)])
+    def test_empty_and_zero_pairs_clear_nothing(self, shape, count_eliminations):
+        rows, cols = shape
+        eliminated = count_eliminations()
+        d_out, d_in = SparseMatrix(rows, cols), SparseMatrix(cols, 2)
+        assert cohomology_dim(d_out, d_in) == cols
+        assert eliminated == [] and d_out._cleared is None
+        assert d_out._pivots == d_in._pivots == b""
+
+    def test_single_row_is_cleared_to_its_rank(self, count_eliminations):
+        # d_in spans e0 + e1; column 0 of d_out = -(column 1) is left out
+        d_out = from_dense([[Q(1, 2), Q(-1, 2), Q(3)]], 1, 3)
+        d_in = from_dense([[Q(2, 3)], [Q(2, 3)], [0]], 3, 1)
+        eliminated = count_eliminations()
+        assert cohomology_dim(d_out, d_in) == 1
+        assert eliminated == [d_in, d_out]
+        assert d_in._pivots == b"\x01\x00\x00" and d_out._cleared is d_in._pivots
+        assert d_out._rank == 1 and d_out._pivots == b"\x01"
 
 
 def count_cohomology_dim(monkeypatch):

@@ -198,11 +198,11 @@ def test_one_class_builds_the_slices():
     assert [m for m in methods if m[2] in ("by_degree", "slice_basis")] == []
 
 
-def callers(sources, name):
+def callers(sources, name, min_args=0):
     """(module, function) of each function or method whose body calls
-    `name`, by name or as an attribute; a call inside a nested function
-    or lambda counts for the innermost named function around it, and a
-    call at module level for None."""
+    `name`, by name or as an attribute, with at least min_args arguments;
+    a call inside a nested function or lambda counts for the innermost
+    named function around it, and a call at module level for None."""
     found = set()
 
     def visit(node, mod, owner):
@@ -210,7 +210,8 @@ def callers(sources, name):
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(sub, mod, sub.name)
                 continue
-            if isinstance(sub, ast.Call):
+            if (isinstance(sub, ast.Call)
+                    and len(sub.args) + len(sub.keywords) >= min_args):
                 f = sub.func
                 if (isinstance(f, ast.Name) and f.id == name
                         or isinstance(f, ast.Attribute) and f.attr == name):
@@ -231,6 +232,8 @@ def test_checker_finds_callers():
     }
     assert callers(sources, "rref") == [
         ("a", "f"), ("a", "g"), ("b", None), ("b", "inner")]
+    assert callers(sources, "rref", 2) == []
+    assert callers({"c": "def f():\n    rank(m, lower=d)\n"}, "rank", 2) == [("c", "f")]
 
 
 def test_only_kernel_basis_asks_for_the_full_reduction():
@@ -238,6 +241,18 @@ def test_only_kernel_basis_asks_for_the_full_reduction():
     substitution behind them would be work whose result nobody reads."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "rref") == [("exactq", "kernel_basis")]
+
+
+def test_only_a_tested_composite_clears_a_rank():
+    """rank leaves out the columns that the matrix below clears, which is
+    exact only once m * lower == 0 has been tested; only the cohomology
+    dimension of such a pair passes it a lower matrix, and only rank and
+    induced_rank ask the forward pass to clear."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "rank", 2) == [
+        ("exactq", "_cohomology_dim_of_zero_composite")]
+    assert callers(sources, "echelon", 2) == [
+        ("exactq", "induced_rank"), ("exactq", "rank")]
 
 
 def test_one_place_computes_the_koszul_sign_of_a_product():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import loopspace
 from loopspace import exactq, gca, load_corpus_model, sections
 from loopspace.errors import (
     ChainMapFailure,
@@ -19,11 +20,13 @@ from loopspace.errors import (
     DualMismatch,
     IdentityViolation,
     InternalCheckFailure,
+    MathMismatch,
     SingularDuality,
     ValidationFailure,
     exit_code_for,
 )
-from loopspace.exactq import SparseMatrix, add_term, cohomology_dim, matrix_of_map
+from loopspace.exactq import (SparseMatrix, add_term, cohomology_dim, echelon,
+                              matrix_of_map)
 from loopspace.freeloop import FreeLoopModel, build_free_loop_model
 from loopspace.pdquotient import FiniteCdga, build_quotient
 from loopspace.sections import (
@@ -41,6 +44,7 @@ from loopspace.sections import (
     verify_theorems,
 )
 from loopspace.sullivan import SullivanModel, check_poincare_duality, parse_model
+from test_cli import run as run_cli
 
 Q = Fraction
 ONE = Q(1)
@@ -766,3 +770,88 @@ class TestIntegerSlices:
         tested = [(id(a), id(b)) for a, b in pairs]
         assert len(set(tested)) == len(tested) == 183
         assert len(fetched) == 302
+
+
+ALL_MODELS = CORPUS + ("cp2xs3", "flag", "hp2", "s2cubed",
+                       "nonintegral", "not_pd", "s2xs2", "s2xs3_twisted")
+
+
+def ranked_slices(name, n_max):
+    """(complex, key, matrix) of every slice that a verify run to n_max
+    ranked, with the model, the quotient, the loop model split and
+    unsplit, the extended and the dual complex; a run that stops on a
+    failed check keeps what it built."""
+    report = sections.TheoremReport(get_model(name), n_max)
+    try:
+        for _, obj in sections.CHECKS:
+            getattr(report, obj)
+    except (ValidationFailure, MathMismatch):
+        pass
+    built = dict(vars(report))
+    if "quotient" in built:
+        built["algebra"] = report.algebra
+    return [(type(cx).__name__, key, m) for cx in built.values()
+            if isinstance(cx, exactq.CochainComplex)
+            for key, m in cx._cache.items()
+            if key[0] == "d" and m._rank is not None]
+
+
+def record_slice(monkeypatch, cls, n, k):
+    """Patch cls so that every slice (n, k) it builds is appended to the
+    returned list."""
+    built, real = [], cls.slice_matrix
+
+    def recording(self, m, j):
+        d = real(self, m, j)
+        if (m, j) == (n, k):
+            built.append(d)
+        return d
+
+    monkeypatch.setattr(cls, "slice_matrix", recording)
+    return built
+
+
+class TestClearedRanks:
+    """A slice is ranked without the columns that the slice below clears,
+    once their composite has tested zero; the rank is the uncleared one."""
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_every_ranked_slice_has_its_uncleared_rank(self, name):
+        ranked = ranked_slices(name, 14)
+        assert ranked
+        for cx, key, m in ranked:
+            assert m._rank == len(echelon(m)), (cx, key)
+            assert (tuple(i for i, f in enumerate(m._pivots) if f)
+                    == tuple(echelon(m, b""))), (cx, key)
+
+    def test_four_complexes_rank_cleared_slices(self):
+        # the quotient's differential is nonzero in one degree at most on
+        # the shipped and bench models, so no rank of it is cleared
+        ranked = ranked_slices("cp2xs3", 14)
+        cleared = {cx for cx, _, m in ranked if m._cleared}
+        assert cleared == {"SullivanModel", "FreeLoopModel",
+                           "ExtendedQuotientModel", "DualSectionComplex"}
+
+    def test_bumped_loop_slice_raises_before_its_rank(self, monkeypatch):
+        flm = build_free_loop_model(get_model("cp2"))
+        n, k = bump_first_square(monkeypatch, flm, FreeLoopModel, flm.slices(9))
+        upper = record_slice(monkeypatch, FreeLoopModel, n + 1, k)
+        code, out = run_cli(["hodge", str(loopspace.corpus_path("cp2")),
+                             "--max-degree", "10"])
+        assert out.endswith("error: composite of consecutive differentials is "
+                            "nonzero\nexit-code: 4\n")
+        assert code == 4
+        assert len(upper) == 1 and upper[0]._rank is None
+
+    def test_bumped_extended_slice_raises_before_its_rank(self, monkeypatch):
+        _, algebra, _, eqm = setup("cp2")
+        top = algebra.top_degree + 2
+        n, k = bump_first_square(
+            monkeypatch, eqm, ExtendedQuotientModel,
+            [(n, k) for n in range(top + 1) for k in range(n + 2)])
+        upper = record_slice(monkeypatch, ExtendedQuotientModel, n + 1, k)
+        code, out = run_cli(["verify", str(loopspace.corpus_path("cp2"))])
+        assert out.endswith("error: Dbar*Dbar nonzero on slice (%d, %d)\n"
+                            "exit-code: 4\n" % (n, k))
+        assert code == 4
+        assert len(upper) == 1 and upper[0]._rank is None
