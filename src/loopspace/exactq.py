@@ -2,11 +2,11 @@
 
 No floating point value ever enters a computation.  A matrix is stored
 once, immutable and in lowest terms, as nonzero integers over one positive
-denominator: the form every kernel reads.  `rank` and the pivot columns
-come from the fraction-free forward pass `echelon` alone and form no
-Fraction; only `kernel_basis` asks `rref` for the back-substitution and
-the unique RREF.  `rank` runs the pass over the transpose and keeps its
-pivot columns, one byte per row, beside the rank; once d(n) d(n-1) == 0
+denominator: the form every kernel reads.  Every rank and pivot set
+comes from one fraction-free forward pass, `echelon`, over the transpose
+of the matrix it is given; only `kernel_basis` asks `rref` for the
+back-substitution and the unique RREF.  `rank` keeps the pivot columns
+of its pass, one byte per row, beside the rank; once d(n) d(n-1) == 0
 has been tested, d(n) is ranked without the columns that those of
 d(n-1) make redundant (clearing), and `induced_rank` leaves the same
 columns out of its block.  One integer product, row by row, serves
@@ -126,6 +126,11 @@ class SparseMatrix:
         """{(row, col): nonzero Fraction}, a new dict on each read."""
         return {rc: Fraction(v, self.den) for rc, v in self.ints.items()}
 
+    def transpose(self):
+        """The transpose, its ints in the order of this matrix's."""
+        return SparseMatrix._of_ints(self.cols, self.rows, {
+            (c, r): v for (r, c), v in self.ints.items()}, self.den)
+
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
         for (r, c), v in self.entries.items():
@@ -242,16 +247,16 @@ def matrix_of_map(dom, cod, image, failure):
     return SparseMatrix(len(cod), len(dom), entries)
 
 
-def echelon(m, cleared=None):
-    """Forward elimination of m: {pivot column: its integer row, pivot
-    entry p > 0 included}, in pivot order.  No Fraction is formed.
+def echelon(m, cleared=b""):
+    """Forward elimination of the transpose of m: {pivot column, a row of
+    m: its integer row, pivot entry p > 0 included}, in pivot order.  No
+    Fraction is formed.
 
-    The rows are m.ints, m times its denominator, which moves no pivot.
-    With `cleared` given, one byte per column of m, nonzero on the columns
-    to leave out, or empty for none, the pass runs over the transpose of m
-    instead, without those rows: its pivot columns are rows of m, and its
-    rank is that of m whenever each column left out is a combination of
-    the others.
+    The rows of the pass are the columns of m times its denominator,
+    which moves no pivot.  `cleared`, one byte per column of m, nonzero
+    on the columns to leave out, or empty for none, drops rows: the rank
+    is still that of m whenever each column left out is a combination
+    of the others.
 
     The columns are visited left to right, each with the set of its
     not-yet-pivot rows with a nonzero there, held in a list by column;
@@ -266,29 +271,18 @@ def echelon(m, cleared=None):
     columns at which the rank of the columns so far rises, a function of
     the row space alone.
     """
-    rowdata = {}
-    if cleared is None:
-        colrows = [None] * m.cols
-        for (r, c), v in m.ints.items():
-            rowdata.setdefault(r, {})[c] = v
-            live = colrows[c]
-            if live is None:
-                colrows[c] = {r}
-            else:
-                live.add(r)
-    else:
-        colrows = [None] * m.rows
-        if not cleared:
-            cleared = bytes(m.cols)
-        for (c, r), v in m.ints.items():
-            if cleared[r]:
-                continue
-            rowdata.setdefault(r, {})[c] = v
-            live = colrows[c]
-            if live is None:
-                colrows[c] = {r}
-            else:
-                live.add(r)
+    if not cleared:
+        cleared = bytes(m.cols)
+    rowdata, colrows = {}, [None] * m.rows
+    for (c, r), v in m.ints.items():
+        if cleared[r]:
+            continue
+        rowdata.setdefault(r, {})[c] = v
+        live = colrows[c]
+        if live is None:
+            colrows[c] = {r}
+        else:
+            live.add(r)
     pivot_rows = {}
     for col, live in enumerate(colrows):
         if not live:
@@ -343,7 +337,7 @@ def rref(m):
     reduced matrix, listed row by row, is the pivot row of the i-th pivot
     column, and rows past the rank are zero.
 
-    The forward pass is `echelon`, the one that `rank` runs too.
+    The forward pass is `echelon` of m.transpose(), over the rows of m.
     Back-substitution, last pivot row first, clears the pivot columns of
     each row by the same integer rule, the content leaving the row and its
     pivot entry together.  Row i is its integer row over its pivot entry;
@@ -351,7 +345,7 @@ def rref(m):
     lowest terms, and no Fraction is formed.  The RREF is unique, so the
     output is that of Fraction elimination; only the time differs.
     """
-    pivot_rows = echelon(m)
+    pivot_rows = echelon(m.transpose())
     # A later pivot row is reduced before it clears an earlier one, and
     # adds entries only in non-pivot columns.
     for own, row in reversed(pivot_rows.items()):
@@ -398,8 +392,8 @@ def rank(m, lower=None):
         if not m.ints:
             m._rank, m._pivots = 0, b""
             return 0
-        cleared = None if lower is None else lower._pivots
-        pivot_rows = echelon(m, cleared or b"")
+        cleared = b"" if lower is None else lower._pivots
+        pivot_rows = echelon(m, cleared)
         pivots = bytearray(m.rows)
         for p in pivot_rows:
             pivots[p] = 1
@@ -429,14 +423,14 @@ def representative_cocycles(d_out, d_in):
     """Kernel vectors of d_out that complete im(d_in) to a basis of ker.
 
     The result represents a basis of ker(d_out)/im(d_in), picked
-    deterministically: pivot columns of [boundaries | kernel basis]
-    restricted to the kernel block.
+    deterministically: of the boundaries and then the kernel basis,
+    stacked one row per vector, the pivots that fall in the kernel block.
     """
     z = kernel_basis(d_out)
     b = d_in.columns()
-    nb = len(b)
-    pivots = echelon(SparseMatrix.from_columns(d_out.cols, b + z))
-    return [z[p - nb] for p in pivots if p >= nb]
+    pivots = echelon(SparseMatrix(len(b) + len(z), d_out.cols, {
+        (i, r): v for i, vec in enumerate(b + z) for r, v in vec.items()}))
+    return [z[p - len(b)] for p in pivots if p >= len(b)]
 
 
 def cohomology_dim(d_out, d_in):
@@ -561,12 +555,12 @@ class CochainComplex:
 
     def square_is_zero(self, n, k, d_next, d):
         """Whether d_next * d == 0, for d_next and d the slices d(n + 1, k)
-        and d(n, k) already in hand.  A pass is kept in `_cache`, so that
-        betti(n + 1, k) does not test the same composite again."""
-        if not product_is_zero(d_next, d):
-            return False
-        self._cache[("d*d", n, k)] = True
-        return True
+        and d(n, k) already in hand, multiplied out once: a pass is kept in
+        `_cache`, where a walk's pass spares betti(n + 1, k) the product."""
+        key = ("d*d", n, k)
+        if key not in self._cache and product_is_zero(d_next, d):
+            self._cache[key] = True
+        return key in self._cache
 
     def betti(self, n, k=None):
         """dim H^n of the slice, from the two differentials around it,
@@ -574,19 +568,21 @@ class CochainComplex:
         return self.memo(("betti", n, k), self._betti, n, k)
 
     def _betti(self, n, k):
-        """Unless the composite d(n) d(n - 1) already passed, it is tested
-        here.  For the loop model that test is redundant mathematically,
-        as D is a derivation and D D = 0 is checked on the generators, but
-        it is kept: it guards the slice assembly from left_image (x) 1 and
-        the twist at every degree a run reaches, beyond the degrees that
-        the tests compare with the generic path.  Only after it passes is
-        d(n) ranked without the columns that the pivots of d(n - 1) clear
-        (see `rank`); a slice that an earlier reader ranked keeps the rank
-        it has."""
+        """d(n) d(n - 1) is tested through `square_is_zero`, and a nonzero
+        one raises, naming the complex and the slice (n - 1, k).  For the
+        loop model that test is redundant mathematically, as D is a
+        derivation and D D = 0 is checked on the generators, but it is
+        kept: it guards the slice assembly from left_image (x) 1 and the
+        twist at every degree a run reaches, beyond the degrees that the
+        tests compare with the generic path.  Only after it passes is d(n)
+        ranked without the columns that the pivots of d(n - 1) clear (see
+        `rank`); a slice that an earlier reader ranked keeps its rank."""
         d_out, d_in = self.d_matrix(n, k), self.d_matrix(n - 1, k)
-        if ("d*d", n - 1, k) in self._cache:
-            return _cohomology_dim_of_zero_composite(d_out, d_in)
-        return cohomology_dim(d_out, d_in)
+        if not self.square_is_zero(n - 1, k, d_out, d_in):
+            raise CompositionNotZero(
+                "%s slice (%d, %s): composite of consecutive differentials is "
+                "nonzero" % (type(self).__name__, n - 1, k))
+        return _cohomology_dim_of_zero_composite(d_out, d_in)
 
 
 def _tensor_one(image, dom, cod, index, failure):

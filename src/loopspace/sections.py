@@ -63,7 +63,7 @@ class ExtendedQuotientModel(CochainComplex):
     Only Dbar(1 (x) t) is memoised, once per suspended monomial t.
     Building it tests no slice: verify_rho_tensor_quasi_iso tests every
     square, and the word-length one slices that the dual complex and the
-    aut ranks read are tested by cohomology_dim and by the square
+    aut ranks read are tested by `betti` and by the square
     identity.
 
     Its coefficients are ints over a denominator known in advance, from

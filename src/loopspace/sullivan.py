@@ -67,10 +67,11 @@ class SullivanModel(CochainComplex):
         return gca.matrix_of_degree_slice(self.generators, self.differential, n)
 
     def s_pivots(self, n):
-        """Pivot columns of the degree-n differential, from its forward
-        elimination: the monomials spanning a complement S^n of the
-        degree-n cocycles."""
-        return self.memo(("pivots", n), lambda: tuple(echelon(self.d_matrix(n))))
+        """Pivot columns of the degree-n differential, from the forward pass
+        over the rows of d(n): the monomials spanning a complement S^n of
+        the degree-n cocycles."""
+        return self.memo(("pivots", n),
+                         lambda: tuple(echelon(self.d_matrix(n).transpose())))
 
     def trusted_base(self, n_max):
         c = self.completeness

@@ -235,10 +235,10 @@ def assert_reduced_entries(red, pivots):
 
 
 def assert_forward_pass(m, pivots, rk):
-    """The forward pass alone, on fresh copies of m so that no memoised
-    rank answers, gives the oracle's pivot columns and rank."""
+    """The forward pass alone, over the rows of fresh copies of m so that
+    no memoised rank answers, gives the oracle's pivot columns and rank."""
     copy = SparseMatrix(m.rows, m.cols, m.entries)
-    rows = echelon(copy)
+    rows = echelon(copy.transpose())
     assert tuple(rows) == pivots
     assert all(row[p] > 0 for p, row in rows.items())
     assert rank(SparseMatrix(m.rows, m.cols, m.entries)) == rk
@@ -409,7 +409,7 @@ class TestRref:
     def test_empty_matrix_has_rank_zero_without_elimination(
             self, shape, count_eliminations):
         m = SparseMatrix(*shape)
-        assert echelon(m) == {}
+        assert echelon(m.transpose()) == {}
         eliminated = count_eliminations()
         assert rank(m) == 0
         assert eliminated == []
@@ -419,7 +419,7 @@ class TestRref:
         # the first is (0, 0, 5/6), so the pivots are columns 0 and 2
         m = SparseMatrix(2, 3, {(0, 0): Q(1, 2), (0, 1): Q(1, 3),
                                 (1, 0): Q(3, 4), (1, 1): Q(1, 2), (1, 2): Q(5, 6)})
-        rows = echelon(SparseMatrix(2, 3, m.entries))
+        rows = echelon(SparseMatrix(2, 3, m.entries).transpose())
         assert tuple(rows) == (0, 2)
         assert all(type(v) is int for row in rows.values() for v in row.values())
         assert_forward_pass(m, (0, 2), 2)
@@ -551,10 +551,10 @@ class TestRref:
         # entry, so row 1 just drops column 0 and keeps its 5, and the
         # pivot entry is made positive all the same
         m = from_dense([[-2, 0], [3, 5]], 2, 2)
-        assert echelon(m) == {0: {0: 2}, 1: {1: 5}}
+        assert echelon(m.transpose()) == {0: {0: 2}, 1: {1: 5}}
         # column 0 has one live row, the pivot without a search
         m = from_dense([[0, 1, 1], [-4, 2, 0]], 2, 3)
-        assert echelon(m) == {0: {0: 4, 1: -2}, 1: {1: 1, 2: 1}}
+        assert echelon(m.transpose()) == {0: {0: 4, 1: -2}, 1: {1: 1, 2: 1}}
         red, pivots, rk = rref(m)
         assert (pivots, rk) == ((0, 1), 2)
         assert dense(red) == [[ONE, Q(0), Q(1, 2)], [Q(0), ONE, ONE]]
@@ -596,7 +596,7 @@ class TestRref:
         assert sum(bool(c) for _, *cs in captured for c in cs) > 50
         for m, *cleared in captured:
             _, opivots, ork = dense_rref(dense(m), m.rows, m.cols)
-            assert tuple(echelon(m)) == opivots
+            assert tuple(echelon(m.transpose())) == opivots
             if cleared:
                 skip = flagged(cleared[0])
                 kept = [row for c, row in enumerate(transpose(dense(m)))
@@ -622,8 +622,8 @@ class TestRref:
         perm = data.draw(st.permutations(range(rows)))
         shuffled = [grid[p] for p in perm]
         assert rref(from_dense(shuffled, rows, cols)) == rref(from_dense(grid, rows, cols))
-        assert (tuple(echelon(from_dense(shuffled, rows, cols)))
-                == tuple(echelon(from_dense(grid, rows, cols))))
+        assert (tuple(echelon(from_dense(shuffled, rows, cols).transpose()))
+                == tuple(echelon(from_dense(grid, rows, cols).transpose())))
 
     @given(matrices())
     @settings(max_examples=60, deadline=None)
@@ -821,16 +821,17 @@ class TestClearing:
 
 
 def count_cohomology_dim(monkeypatch):
-    """Patch exactq.cohomology_dim to record the pair of matrices of every
+    """Patch exactq._cohomology_dim_of_zero_composite, the step that every
+    cohomology dimension ends in, to record the pair of matrices of every
     call, by identity."""
     calls = []
-    real = exactq.cohomology_dim
+    real = exactq._cohomology_dim_of_zero_composite
 
     def counting(d_out, d_in):
         calls.append((id(d_out), id(d_in)))
         return real(d_out, d_in)
 
-    monkeypatch.setattr(exactq, "cohomology_dim", counting)
+    monkeypatch.setattr(exactq, "_cohomology_dim_of_zero_composite", counting)
     return calls
 
 

@@ -255,6 +255,16 @@ def test_only_a_tested_composite_clears_a_rank():
         ("exactq", "induced_rank"), ("exactq", "rank")]
 
 
+def test_no_complex_takes_an_untested_cohomology():
+    """A complex multiplies out each d(n) d(n - 1) once, through
+    `square_is_zero`, before `betti` ranks the pair; only the two callers
+    outside the complexes, whose pairs no walk tests, ask cohomology_dim
+    to test and rank them in one call."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "cohomology_dim") == [
+        ("sections", "derivation_oracle"), ("sections", "duality_map")]
+
+
 def test_one_place_computes_the_koszul_sign_of_a_product():
     """Products, the Leibniz walk and the loop model's twist merge
     monomials; every other differential is built from theirs, so the

@@ -838,8 +838,9 @@ class TestClearedRanks:
         upper = record_slice(monkeypatch, FreeLoopModel, n + 1, k)
         code, out = run_cli(["hodge", str(loopspace.corpus_path("cp2")),
                              "--max-degree", "10"])
-        assert out.endswith("error: composite of consecutive differentials is "
-                            "nonzero\nexit-code: 4\n")
+        assert out.endswith("error: FreeLoopModel slice (%d, %d): composite of "
+                            "consecutive differentials is nonzero\nexit-code: 4\n"
+                            % (n, k))
         assert code == 4
         assert len(upper) == 1 and upper[0]._rank is None
 

@@ -21,6 +21,7 @@ from loopspace.sullivan import (
     parse_model,
     validate,
 )
+from test_exactq import dense, dense_rref
 
 Q = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -327,3 +328,22 @@ class TestFundamentalClass:
             assert report.fundamental_class == {basis[monomial[0]]: Q(1)}
         else:
             assert omega == cocycle_representatives(model, N)[0]
+
+
+ALL_MODELS = (corpus_models() + sorted(p.stem for p in BENCH_MODELS.glob("*.model"))
+              + sorted(p.stem for p in FIXTURES.glob("*.model")))
+
+
+class TestComplementPivots:
+    """s_pivots(n) lists the monomials spanning the complement S^n of the
+    cocycles, which the quotient and the duality functional are built on:
+    the pivot columns of the dense oracle on d(n), on every base slice up
+    to N + 1."""
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_pivots_match_the_dense_oracle(self, name):
+        model = (fixture_model(name) if (FIXTURES / (name + ".model")).exists()
+                 else pd_model(name))
+        for n in range(model.formal_dim + 2):
+            d = model.d_matrix(n)
+            assert model.s_pivots(n) == dense_rref(dense(d), d.rows, d.cols)[1], n
