@@ -24,7 +24,7 @@ from .freeloop import (FreeLoopModel, HodgeTable, GrowthReport,
 from .pdquotient import (FiniteCdga, QuotientMap, build_quotient,
                          structure_identities, verify_quasi_iso)
 from .sections import (ExtendedQuotientModel, DualityMap, DualSectionComplex,
-                       TheoremReport, extend_to_quotient_loop,
+                       DerivationComplex, TheoremReport, extend_to_quotient_loop,
                        verify_rho_tensor_quasi_iso, duality_map,
                        build_dual_complex, verify_duality_quasi_iso,
                        aut_rank_table, low_degree_section_classes,

@@ -282,7 +282,7 @@ def main(argv=None):
         report.model = model.name
         command, checks = _COMMANDS[args.command]
         report.max_degree = window(model, args.max_degree, checks)
-        report.trusted_up_to = model.trusted_base(report.max_degree)
+        report.trusted_up_to = model.trusted(report.max_degree)
         command(model, args, report, checks)
     except (ParseError, ValidationFailure, MathMismatch,
             InternalCheckFailure) as e:

@@ -20,9 +20,9 @@ of a model, a quotient or the dual complex hold Fractions.  Ints live in
 the matrices and the kernels, and in the slices of the loop model and
 the extended complex, whose coefficients have a `denominator` known
 before any column is built: those slices and the rho (x) 1 matrices
-between them (`tensor_one_matrix`) form no Fraction.  The five complexes
+between them (`tensor_one_matrix`) form no Fraction.  The six complexes
 subclass `CochainComplex`, which builds every slice and keeps slices,
-bases and `betti` per (n, k) in its `memo`.  Three are their slice
+bases and `betti` per (n, k) in its `memo`.  Four are their slice
 bases plus `image`, the differential of one basis element.  The loop
 model and the extended complex are complexes of tensors, and a slice of
 one is `left_image` (x) 1, placed block by block as rho (x) 1 is, plus

@@ -225,7 +225,7 @@ def hodge_betti_table(flm, n_max, jobs=1):
     """
     entries = {(n, k): flm.betti(n, k) for n, k in flm.slices(n_max)}
     return HodgeTable(entries=entries, n_max=n_max,
-                      trusted_up_to=flm.base.trusted_loop(n_max))
+                      trusted_up_to=flm.base.trusted(n_max, 1))
 
 
 def loop_betti(flm, n_max, hodge=None):
@@ -238,7 +238,7 @@ def loop_betti(flm, n_max, hodge=None):
                 raise HodgeSumMismatch(
                     "degree %d: word-length pieces sum to %d, full slice gives %d"
                     % (n, hodge.row_sum(n), entries[n]))
-    return RankTable(entries, flm.base.trusted_loop(n_max))
+    return RankTable(entries, flm.base.trusted(n_max, 1))
 
 
 def integer_nth_root(x, n):

@@ -73,13 +73,20 @@ class SullivanModel(CochainComplex):
         return self.memo(("pivots", n),
                          lambda: tuple(echelon(self.d_matrix(n).transpose())))
 
-    def trusted_base(self, n_max):
-        c = self.completeness
-        return n_max if c is None else min(n_max, c)
+    @property
+    def default_window(self):
+        """Top degree computed when none is asked for: formal dimension + 8."""
+        return self.formal_dim + 8
 
-    def trusted_loop(self, n_max):
+    def trusted(self, n_max, lag=0):
+        """The trust rule: a table computed to n_max is reliable through
+        min(n_max, c - lag) for generators complete through degree c,
+        and through n_max for a complete model.  lag is 0 for the base
+        cohomology, 1 for the loop side, 1 + N for the aut table, whose
+        entry n is read at degree n + N, and N for the derivation table,
+        whose entry n + 1 matches aut entry n."""
         c = self.completeness
-        return n_max if c is None else min(n_max, c - 1)
+        return n_max if c is None else min(n_max, c - lag)
 
 
 _GEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -336,7 +343,7 @@ def validate(model):
 def cohomology_table(model, n_max):
     """dim H^n for 0 <= n <= n_max, exact."""
     entries = {n: model.betti(n) for n in range(n_max + 1)}
-    return RankTable(entries, model.trusted_base(n_max))
+    return RankTable(entries, model.trusted(n_max))
 
 
 def cocycle_representatives(model, n):
@@ -370,7 +377,7 @@ def check_poincare_duality(model, n_max=None):
     monomial cocycle on which lambda is nonzero, else the H^N representative.
     """
     N = model.formal_dim
-    window = n_max if n_max is not None else N + 8
+    window = n_max if n_max is not None else model.default_window
     window = max(window, N + 1)
     betti = cohomology_table(model, window)
 

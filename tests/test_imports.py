@@ -257,12 +257,12 @@ def test_only_a_tested_composite_clears_a_rank():
 
 def test_no_complex_takes_an_untested_cohomology():
     """A complex multiplies out each d(n) d(n - 1) once, through
-    `square_is_zero`, before `betti` ranks the pair; only the two callers
-    outside the complexes, whose pairs no walk tests, ask cohomology_dim
-    to test and rank them in one call."""
+    `square_is_zero`, before `betti` ranks the pair; the derivations of
+    the base model are a complex too, so only the duality map, whose dual
+    differentials are no complex's slices, asks cohomology_dim to test
+    and rank a pair in one call."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert callers(sources, "cohomology_dim") == [
-        ("sections", "derivation_oracle"), ("sections", "duality_map")]
+    assert callers(sources, "cohomology_dim") == [("sections", "duality_map")]
 
 
 def test_one_place_computes_the_koszul_sign_of_a_product():

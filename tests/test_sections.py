@@ -13,15 +13,18 @@ from pathlib import Path
 import pytest
 
 import loopspace
-from loopspace import exactq, gca, load_corpus_model, sections
+from loopspace import exactq, gca, load_corpus_model, sections, sullivan
 from loopspace.errors import (
     ChainMapFailure,
     DifferentialSquareNonzero,
     DualMismatch,
+    HodgeSumMismatch,
     IdentityViolation,
     InternalCheckFailure,
     MathMismatch,
     SingularDuality,
+    TheoremMismatch,
+    TopClassCollapse,
     ValidationFailure,
     exit_code_for,
 )
@@ -30,6 +33,7 @@ from loopspace.exactq import (SparseMatrix, add_term, cohomology_dim, echelon,
 from loopspace.freeloop import FreeLoopModel, build_free_loop_model
 from loopspace.pdquotient import FiniteCdga, build_quotient
 from loopspace.sections import (
+    DerivationComplex,
     DualSectionComplex,
     ExtendedQuotientModel,
     aut_rank_table,
@@ -74,10 +78,10 @@ def sv_images(eqm):
             for j in range(nb)]
 
 
-def five_complexes(name):
+def six_complexes(name):
     """(complex, word lengths, degrees) for each complex of a
-    model: the model, its loop model, the quotient, the extended complex
-    and the dual complex."""
+    model: the model, its loop model, the quotient, the extended complex,
+    the dual complex and the derivations of the model."""
     model, algebra, _, eqm = setup(name)
     dual = build_dual_complex(algebra, eqm)
     lo, hi = dual.degree_range()
@@ -88,6 +92,7 @@ def five_complexes(name):
         (algebra, [None], range(-1, 9)),
         (eqm, graded, range(-1, 9)),
         (dual, [None], range(lo - 2, hi + 1)),
+        (DerivationComplex(model), [None], range(-9, 1)),
     ]
 
 
@@ -116,7 +121,7 @@ def bump_first_square(monkeypatch, cx, cls, slices):
 class TestCochainComplexes:
     @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
     def test_each_slice_is_built_once(self, name):
-        for cx, ks, degrees in five_complexes(name):
+        for cx, ks, degrees in six_complexes(name):
             for n in degrees:
                 for k in ks:
                     d = cx.d_matrix(n, k)
@@ -128,7 +133,8 @@ class TestCochainComplexes:
     @pytest.mark.parametrize("cls, k, method", [
         (FreeLoopModel, 1, "left_image"), (FreeLoopModel, 1, "twist"),
         (FiniteCdga, None, "image"), (ExtendedQuotientModel, 1, "left_image"),
-        (ExtendedQuotientModel, 1, "twist"), (DualSectionComplex, None, "image")],
+        (ExtendedQuotientModel, 1, "twist"), (DualSectionComplex, None, "image"),
+        (DerivationComplex, None, "image")],
         ids=lambda v: getattr(v, "__name__", str(v)))
     def test_an_image_outside_the_next_slice_is_an_internal_failure(
             self, monkeypatch, cls, k, method):
@@ -136,7 +142,7 @@ class TestCochainComplexes:
         comes from its left_image (x) 1 or from its twist."""
         fault = {"image": {"outside": ONE}, "left_image": {"outside": 1},
                  "twist": [("outside", "outside", 1)]}[method]
-        cx = next(c for c, _, _ in five_complexes("cp2") if type(c) is cls)
+        cx = next(c for c, _, _ in six_complexes("cp2") if type(c) is cls)
         n = next(n for n in range(-9, 9) if cx.basis(n, k))
         monkeypatch.setattr(cls, method, lambda self, x: fault)
         with pytest.raises(InternalCheckFailure) as err:
@@ -152,13 +158,14 @@ class TestCochainComplexes:
         (FiniteCdga, ("name", "degrees", "labels", "products", "diff")),
         (FreeLoopModel, ("base", "generators", "loop_differential", "suspension")),
         (ExtendedQuotientModel, ("algebra", "qmap", "flm")),
-        (DualSectionComplex, ("algebra", "sgens", "delta"))],
+        (DualSectionComplex, ("algebra", "sgens", "delta")),
+        (DerivationComplex, ("model",))],
         ids=lambda v: getattr(v, "__name__", None))
     def test_a_constructor_takes_exactly_its_parameters(self, cls, parameters):
         """In this order, by position or keyword; an unknown keyword or a
         missing argument is a TypeError, and each new complex starts with
         an empty cache of its own."""
-        cx = next(c for c, _, _ in five_complexes("cp2") if type(c) is cls)
+        cx = next(c for c, _, _ in six_complexes("cp2") if type(c) is cls)
         fields = {p: getattr(cx, p) for p in parameters}
         built = cls(*fields.values())
         assert all(getattr(built, p) is v for p, v in fields.items())
@@ -171,7 +178,7 @@ class TestCochainComplexes:
 
     @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
     def test_below_degree_zero_has_no_columns(self, name):
-        for cx, ks, _ in five_complexes(name)[:4]:
+        for cx, ks, _ in six_complexes(name)[:4]:
             for k in ks:
                 d = cx.d_matrix(-1, k)
                 assert (d.rows, d.cols) == (len(cx.basis(0, k)), 0)
@@ -179,7 +186,7 @@ class TestCochainComplexes:
 
     @pytest.mark.parametrize("name", ["cp2", "s2xs3"])
     def test_betti_is_the_cohomology_of_its_two_slices(self, name):
-        for cx, ks, degrees in five_complexes(name):
+        for cx, ks, degrees in six_complexes(name):
             for n in degrees:
                 for k in ks:
                     assert cx.betti(n, k) == cohomology_dim(
@@ -493,6 +500,59 @@ class TestDualComplex:
             verify_duality_quasi_iso(alg, eqm, dual)
 
 
+def rho_derivation_differential(model, pd, algebra, qmap):
+    """D on Der(LV, A; rho) = Hom(V, A): {(j, i): D theta_{j,i}} with
+    theta_{j,i} the rho-derivation sending v_j to a_i and the other
+    generators to 0, and D theta = d_A o theta - (-1)^|theta| theta o d,
+    each as {(h, l): coefficient of a_l in (D theta)(v_h)}.  A
+    rho-derivation theta is rho o theta~ for the derivation theta~ of LV
+    sending v_j to a lift of a_i: its own monomial below the top degree,
+    the fundamental class in it."""
+    gens, d = model.generators, model.differential
+    top = algebra.size - 1
+    lift = {i: {m: ONE} for m, img in qmap.image.items()
+            for i, v in img.items() if i != top and v == ONE}
+    lift[top] = pd.fundamental_class
+    assert len(lift) == algebra.size
+    out = {}
+    for j in range(len(gens)):
+        for i, deg in enumerate(algebra.degrees):
+            deg -= gens[j].degree
+            spec = gca.DerivationSpec(deg, {t: lift[i] if t == j else {}
+                                            for t in range(len(gens))})
+            dtheta = {}
+            for h in range(len(gens)):
+                img = gca.elem_add_into({}, qmap.apply(gca.apply_derivation(
+                    gens, spec, d.images.get(h, {}))), ONE if deg % 2 else -ONE)
+                if h == j:
+                    gca.elem_add_into(img, algebra.image(i))
+                dtheta.update(((h, l), v) for l, v in img.items())
+            out[(j, i)] = dtheta
+    return out
+
+
+class TestRhoDerivations:
+    @pytest.mark.parametrize("name", CORPUS + (
+        "cp2xs3", "flag", "hp2", "s2cubed", "nonintegral", "s2xs2", "s2xs3_twisted"))
+    def test_dual_complex_is_the_dual_of_the_rho_derivations(self, name):
+        # delta(a_l' (x) sv_h) has coefficient (-1)^(|a_l| + |a_i|) times
+        # that of theta_{h,l} in D theta_{j,i} on a_i' (x) sv_j, support
+        # and sign, on every model that passes duality
+        model = get_model(name)
+        pd = check_poincare_duality(model)
+        algebra, qmap = build_quotient(model, pd)
+        dual = build_dual_complex(algebra, extend_to_quotient_loop(model, algebra, qmap))
+        D = rho_derivation_differential(model, pd, algebra, qmap)
+        degs = algebra.degrees
+        transposed = {}
+        for (j, i), dtheta in D.items():
+            for (h, l), v in dtheta.items():
+                transposed.setdefault((l, h), {})[(i, j)] = (
+                    -v if (degs[l] + degs[i]) % 2 else v)
+        assert dual.delta == transposed
+        assert dual.delta or name in ("s3", "su3")
+
+
 class TestRankTables:
     def test_aut_ranks(self):
         expected = {
@@ -506,10 +566,12 @@ class TestRankTables:
         }
         for name, nonzero in expected.items():
             _, alg, _, eqm = setup(name)
-            dual = build_dual_complex(alg, eqm)
-            table = aut_rank_table(eqm, 8, dual=dual)
+            table = aut_rank_table(eqm, 8)
             assert {n: v for n, v in table.entries.items() if v} == nonzero, name
             assert table.trusted_up_to == 8
+            dual = build_dual_complex(alg, eqm)
+            verify_duality_quasi_iso(alg, eqm, dual)
+            assert [dual.betti(n) for n in range(1, 9)] == table.as_array(8)[1:], name
 
     def test_low_degree_classes_reported_separately(self):
         _, _, _, eqm = setup("s2xs3")
@@ -541,13 +603,26 @@ class TestRankTables:
             for n in range(1, 7):
                 assert aut.get(n) == oracle.get(n + 1), (name, n)
 
-    def test_tampered_dual_cross_check_fires(self):
-        _, alg, _, eqm = setup("s2")
-        dual = build_dual_complex(alg, eqm)
-        dual.delta.clear()
-        dual._cache.clear()
+    def test_tampered_dual_cross_check_fires(self, monkeypatch):
+        # aut-ranks compares the aut ranks with the dual complex through
+        # the dual quasi-iso check, on its dual_complex_agreement line
+        real = sections.build_dual_complex
+
+        def tampered(algebra, eqm):
+            dual = real(algebra, eqm)
+            dual.delta.clear()
+            dual._cache.clear()
+            return dual
+
+        monkeypatch.setattr(sections, "build_dual_complex", tampered)
         with pytest.raises(DualMismatch):
-            aut_rank_table(eqm, 2, dual=dual)
+            verify_theorems(get_model("s2"), checks=("dual_complex_agreement",))
+        code, out = run_cli(["aut-ranks", str(loopspace.corpus_path("s2"))])
+        assert code == 3
+        assert out.endswith("verdict square_identity: pass\nerror: degree 2: "
+                            "section complex gives 0, dual complex gives 1\n"
+                            "exit-code: 3\n")
+        assert "dual_complex_agreement" not in out
 
     def test_trust_clamps_for_truncated_models(self):
         text = ("dim 4\ncomplete-to 6\ngen x 2\ngen y 5\nd y = x^3\n")
@@ -558,6 +633,63 @@ class TestRankTables:
         assert aut.trusted_up_to == 1    # c - 1 - N = 6 - 1 - 4
         oracle = derivation_oracle(model, 5)
         assert oracle.trusted_up_to == 2  # c - N
+
+
+def drop_theta_d(self, theta):
+    """DerivationComplex.image without its theta o d term: d o theta alone,
+    still a differential, with other homology."""
+    gi, mono = theta
+    model = self.model
+    return {(gi, m): v for m, v in gca.apply_derivation(
+        model.generators, model.differential, {mono: ONE}).items()}
+
+
+def zero_unsplit_loop_slice(n):
+    """FreeLoopModel.slice_matrix with the unsplit d(n) replaced by 0, a
+    fault that no split slice shows."""
+    real = FreeLoopModel.slice_matrix
+
+    def zeroed(self, m, k):
+        d = real(self, m, k)
+        return SparseMatrix(d.rows, d.cols) if (m, k) == (n, None) else d
+    return zeroed
+
+
+# One injected fault per row, each made by patching one function: the
+# check that must fail first on verify of S2, the patch, and the error's
+# class, exit code and message.  Without the patch TopClassCollapse cannot
+# fire, as omega is a cocycle outside S^N + B^N; the zero functional here
+# is the one way to reach it.
+FAULTS = [
+    ("poincare_duality", sullivan, "kernel_basis", lambda m: [{}],
+     TopClassCollapse, 4, "functional evaluates to 0 on the fundamental class"),
+    ("hodge_sum_consistency", FreeLoopModel, "slice_matrix",
+     zero_unsplit_loop_slice(3), HodgeSumMismatch, 4,
+     "degree 3: word-length pieces sum to 1, full slice gives 2"),
+    ("rank_triple_agreement", DerivationComplex, "image", drop_theta_d,
+     TheoremMismatch, 3, "rank disagreement at n=1: section 0, loop "
+     "word-length-one 0, derivation 1"),
+]
+
+
+class TestFaultTable:
+    @pytest.mark.parametrize("check, owner, name, fault, cls, code, message",
+                             FAULTS, ids=[row[0] for row in FAULTS])
+    def test_an_injected_fault_fails_its_verdict_first(
+            self, monkeypatch, check, owner, name, fault, cls, code, message):
+        monkeypatch.setattr(owner, name, fault)
+        passed = (("simply_connected", "minimal", "d_squared_zero")
+                  + VERIFY_CHECKS[:VERIFY_CHECKS.index(check)])
+        got = []
+        with pytest.raises(cls) as err:
+            verify_theorems(get_model("s2"), verdicts=got)
+        assert type(err.value) is cls and str(err.value) == message
+        assert exit_code_for(err.value) == code
+        assert got == [(p, True) for p in passed]
+        status, out = run_cli(["verify", str(loopspace.corpus_path("s2"))])
+        assert status == code
+        assert out.endswith("verdict %s: pass\nerror: %s\nexit-code: %d\n"
+                            % (passed[-1], message, code))
 
 
 class TestVerifyTheorems:
@@ -768,7 +900,9 @@ class TestIntegerSlices:
         monkeypatch.setattr(ExtendedQuotientModel, "d_matrix", d_matrix)
         verify_theorems(get_model("s2cubed"), 11)
         tested = [(id(a), id(b)) for a, b in pairs]
-        assert len(set(tested)) == len(tested) == 183
+        # 181: the six pairs of the derivation complex are among them, and
+        # no dual slice above the populated degrees is asked for
+        assert len(set(tested)) == len(tested) == 181
         assert len(fetched) == 302
 
 
