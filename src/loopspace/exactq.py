@@ -16,17 +16,19 @@ accumulate step, `add_term`, which drops a key whose sum is zero.
 
 Fractions live at the interfaces: `SparseMatrix(rows, cols, entries)`
 takes exact rationals, and `entries`, the kernel vectors and the tables
-of a model, a quotient or the dual complex hold Fractions.  Ints live in
-the matrices and the kernels, and in the slices of the loop model and
-the extended complex, whose coefficients have a `denominator` known
-before any column is built: those slices and the rho (x) 1 matrices
-between them (`tensor_one_matrix`) form no Fraction.  The six complexes
-subclass `CochainComplex`, which builds every slice and keeps slices,
-bases and `betti` per (n, k) in its `memo`.  Four are their slice
-bases plus `image`, the differential of one basis element.  The loop
-model and the extended complex are complexes of tensors, and a slice of
-one is `left_image` (x) 1, placed block by block as rho (x) 1 is, plus
-`twist`, the rest of the differential, summed in term by term.
+of a model or a quotient hold Fractions.  Ints live in the matrices and
+the kernels, and in the slices of the loop model, the extended complex
+and the dual complex, whose coefficients have a `denominator` known
+before any column is built: those slices and the rho (x) 1 and Du (x) 1
+matrices between them (`tensor_one_matrix`) form no Fraction.  The six
+complexes subclass `CochainComplex`, which builds every slice and keeps
+slices, bases and `betti` per (n, k) in its `memo`.  Two, the quotient
+and the derivations, are their slice bases plus `image`, the
+differential of one basis element, and the model keeps the generic path
+of `gca`.  The loop model, the extended and the dual complex are
+complexes of tensors, and a slice of one is `left_image` (x) 1, placed
+block by block as rho (x) 1 is, plus `twist`, the rest of the
+differential, summed in term by term.
 Commuting squares are checked with `is_chain_map` and ranks on
 cohomology taken with `induced_rank`, one rank identity that needs the
 square below to commute.
@@ -494,9 +496,11 @@ class CochainComplex:
 
     With `denominator` None, the subclass defines `image(x)`, the
     differential of the basis element x as {basis element of degree n+1:
-    Fraction}, and `matrix_of_map` finds its rows.
+    Fraction}, and `matrix_of_map` finds its rows: the quotient and the
+    derivations.
 
-    A complex of tensors sets `denominator` to an int that every
+    A complex of tensors, the loop model, the extended or the dual
+    complex, sets `denominator` to an int that every
     coefficient, times it, turns into an int.  Its basis lists pairs
     (left, right), those with one left factor contiguous; `_basis` lays
     out `layout(n, k)`, {left: (offset, {right: position})}, in the same

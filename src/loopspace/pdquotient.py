@@ -79,6 +79,18 @@ class FiniteCdga(CochainComplex):
                 table.setdefault(i, {})[l] = v
         return table
 
+    def codiff(self, j):
+        """d'(a_j') = -(-1)^{|a_j|} sum_r beta_r^j a_r' for d'(f) = -(-1)^{|f|}
+        f o d, as {r: coeff}, from one table built on first use."""
+        return self.memo(("codiff",), self._codiff_table).get(j, {})
+
+    def _codiff_table(self):
+        table = {}
+        for r, coeffs in self.diff.items():
+            for j, v in coeffs.items():
+                table.setdefault(j, {})[r] = v if self.degrees[j] % 2 else -v
+        return table
+
 
 class QuotientMap(NamedTuple):
     """The projection rho : LV -> A as a table of monomial images.

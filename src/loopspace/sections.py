@@ -17,7 +17,10 @@ Three chain-level objects are built on top of the quotient algebra A:
     basis vector.  This formula is forced by asking the evaluation pairing
     to be compatible with Dbar, and it makes Du (x) 1 a chain map up to
     (-1)^N whether or not Du is invertible; that square identity is
-    verified on every degree slice, exactly.
+    verified on every degree slice, exactly.  It is assembled as a complex
+    of tensors over the extended complex's integer tables: the beta part
+    is d' (x) 1, the alpha part the twist, and Du (x) 1 is placed by
+    blocks as rho (x) 1 is.
 
 The ranks of interest are dim H^{n+N}(A (x) sV).  verify_duality_quasi_iso
 checks them against the dual complex, with the rank Du (x) 1 induces, in
@@ -29,7 +32,6 @@ of the self-equivalences, Haefliger 1982), ranked like every other
 complex.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import NamedTuple
@@ -216,19 +218,6 @@ class DualityMap(NamedTuple):
     singular_degrees: tuple
 
 
-def dual_diff_matrix(algebra, q):
-    """Differential (A^q)-dual -> (A^{q-1})-dual of the dual complex.
-
-    With d'(f) = -(-1)^{|f|} f o d and |a_j'| = -q this comes out as
-    d'(a_j') = -(-1)^q sum_r beta_r^j a_r', the transpose of A's degree
-    q-1 differential times -(-1)^q.
-    """
-    d = algebra.d_matrix(q - 1)
-    sgn = 1 if q % 2 else -1
-    return SparseMatrix(d.cols, d.rows,
-                        {(c, r): sgn * v for (r, c), v in d.entries.items()})
-
-
 def duality_map(algebra):
     """Build Du and verify its chain property and cohomological strength.
 
@@ -246,7 +235,9 @@ def duality_map(algebra):
         if m.rows != m.cols or rank(m) < m.cols:
             singular.append(k)
 
-    dual_d = {q: dual_diff_matrix(algebra, q) for q in range(N + 2)}
+    dual_d = {q: matrix_of_map(algebra.basis(q), algebra.basis(q - 1), algebra.codiff,
+                               "dual differential left degree %d" % (q - 1))
+              for q in range(N + 2)}
     sgn = -1 if N % 2 else 1
     for k in range(N + 1):
         nxt = blocks.get(k + 1, SparseMatrix(len(algebra.basis(N - k - 1)), 0))
@@ -268,49 +259,78 @@ def duality_map(algebra):
 
 
 class DualSectionComplex(CochainComplex):
-    """A-dual (x) sV with the forced differential delta.
+    """A-dual (x) sV with the forced differential delta, a complex of
+    tensors over the tables of the extended complex `eqm`, in ints over
+    its `denominator`.
 
-    Basis pairs (i, j) stand for a_i' (x) sv_j in degree |sv_j| - |a_i|,
-    every class i with every suspended generator j, and `image(pair)` is
-    delta of one pair, read from the table `delta`; the word length is
-    ignored.  lemma_slices counts the slices on which build_dual_complex
-    verified the square identity; it is 0 until then.
+    Basis pairs (j, m) stand for a_j' (x) m in degree |m| - |a_j|, m a
+    suspended monomial of word length one, laid out by class as eqm lays
+    out its slices; the word length asked for is ignored.  delta is
+    `left_image` (x) 1 plus `twist`, and Du (x) 1 is read from
+    `FiniteCdga.pairing`, the table Du reads.  lemma_slices counts the
+    slices on which build_dual_complex verified the square identity.
     """
 
-    def __init__(self, algebra, sgens, delta):
-        self.algebra = algebra
-        self.sgens = sgens
-        self.delta = delta
+    def __init__(self, eqm):
+        self.eqm = eqm
         self._cache = {}
         self.lemma_slices = 0
+        algebra, den = eqm.algebra, eqm.denominator
+        self.denominator = den
+        self._codiff = [scaled(algebra.codiff(j), den) for j in range(algebra.size)]
+        self._pairing = [scaled(algebra.pairing(i), den) for i in range(algebra.size)]
 
     def degree_range(self):
-        svs = [g.degree for g in self.sgens]
-        degs = self.algebra.degrees
+        svs = [g.degree for g in self.eqm.sgens]
+        degs = self.eqm.algebra.degrees
         return min(svs) - max(degs), max(svs) - min(degs)
 
     def _basis(self, n, k):
-        degs = self.algebra.degrees
-        return tuple((i, j) for i in range(self.algebra.size)
-                     for j, g in enumerate(self.sgens) if g.degree - degs[i] == n)
+        sgens = self.eqm.sgens
+        layout, basis = {}, []
+        for j, p in enumerate(self.eqm.algebra.degrees):
+            ms = gca.slice_basis(sgens, n + p, 1)
+            if ms:
+                layout[j] = (len(basis), gca.slice_positions(sgens, n + p, 1))
+                basis.extend((j, m) for m in ms)
+        self._cache[("layout", n, k)] = layout
+        return tuple(basis)
 
-    def image(self, pair):
-        return self.delta.get(pair, {})
+    def left_image(self, j):
+        """d'(a_j'), read from `FiniteCdga.codiff`, as {class: int} over
+        `denominator`."""
+        return self._codiff[j]
+
+    def twist(self, pair):
+        """(-1)^{|a_j|} sum alpha_il^j c a_l' (x) t over the terms c a_i (x)
+        t of Dbar(1 (x) m), the rest of delta(a_j' (x) m) for pair (j, m),
+        as [(class, sv monomial, int)] over `denominator`."""
+        j, m = pair
+        eqm = self.eqm
+        degs, products = eqm.algebra.degrees, eqm._products
+        sgn = -1 if degs[j] % 2 else 1
+        out = []
+        for (i, t), c in eqm.dbar_on_svmono(m).items():
+            for l in eqm.algebra.basis(degs[j] - degs[i]):
+                if a := products.get((i, l), {}).get(j):
+                    out.append((l, t, sgn * a * c))
+        return out
 
 
 def _du_tensor_matrix(eqm, dual, n):
-    """Matrix of Du (x) 1 from the (n, 1) slice of A (x) sV to the dual
-    complex built from eqm, built once per n and kept in the dual's memo."""
-    pairing = dual.algebra.pairing
-    return dual.memo(
-        ("du", n), matrix_of_map, eqm.basis(n, 1),
-        dual.basis(n - dual.algebra.top_degree),
-        lambda pair: {(l, pair[1].index(1)): v for l, v in pairing(pair[0]).items()},
-        "Du (x) 1 left its degree slice at %d" % n)
+    """Matrix of Du (x) 1 from the (n, 1) slice of A (x) sV to degree n - N
+    of the dual complex, the block sum of Du(a_i) = sum_l alpha_il^top a_l'
+    placed by the two layouts as rho (x) 1 is; built once per n and kept in
+    the dual's memo."""
+    m = n - eqm.algebra.top_degree
+    return dual.memo(("du", n), lambda: tensor_one_matrix(
+        len(dual.basis(m)), len(eqm.basis(n, 1)), dual._pairing.__getitem__,
+        eqm.layout(n, 1), dual.layout(m), dual.denominator,
+        "Du (x) 1 left its degree slice at %d" % n))
 
 
 def build_dual_complex(algebra, eqm):
-    """Assemble (A-dual (x) sV, delta) and verify it exactly.
+    """Assemble (A-dual (x) sV, delta) on eqm's tables and verify it exactly.
 
     Checks delta o delta = 0 on every degree, then the square identity
 
@@ -319,45 +339,7 @@ def build_dual_complex(algebra, eqm):
     on every degree slice of A (x) sV.  The identity holds whether or not
     Du is invertible; a failure raises SignIdentityFailure.
     """
-    sgens = eqm.sgens
-    nb = len(sgens)
-    size = algebra.size
-    degs = algebra.degrees
-
-    alpha_into = {}
-    for (i, l), coeffs in algebra.products.items():
-        for k, v in coeffs.items():
-            alpha_into.setdefault(k, []).append((i, l, v))
-    beta_into = {}
-    for r, coeffs in algebra.diff.items():
-        for j, v in coeffs.items():
-            beta_into.setdefault(j, []).append((r, v))
-
-    # Dbar(1 (x) sv) regrouped by class: {class: [(j2, coeff) for sv_j2]}
-    tmaps = []
-    for sv in range(nb):
-        tmap = {}
-        for (ai, t), c in eqm.dbar_on_svmono(
-                tuple(int(i == sv) for i in range(nb))).items():
-            tmap.setdefault(ai, []).append(
-                (t.index(1), Fraction(c, eqm.dbar_denominator)))
-        tmaps.append(tmap)
-
-    delta = {}
-    for jc in range(size):
-        sgn = -1 if degs[jc] % 2 else 1
-        for sv, tmap in enumerate(tmaps):
-            out = {}
-            for (i, l, a) in alpha_into.get(jc, ()):
-                for j2, c in tmap.get(i, ()):
-                    add_term(out, (l, j2), sgn * a * c)
-            for r, b in beta_into.get(jc, ()):
-                add_term(out, (r, sv), -sgn * b)
-            if out:
-                delta[(jc, sv)] = out
-
-    dual = DualSectionComplex(algebra=algebra, sgens=sgens, delta=delta)
-
+    dual = DualSectionComplex(eqm)
     lo, hi = dual.degree_range()
     for n in range(lo - 1, hi + 1):
         if not dual.square_is_zero(n, None, dual.d_matrix(n + 1), dual.d_matrix(n)):

@@ -189,12 +189,17 @@ def class_methods(sources):
 
 
 def test_one_class_builds_the_slices():
-    """A complex is its bases and `image`; CochainComplex builds every
-    slice from them, and only the model keeps the generic Leibniz path."""
+    """A complex is its bases and either `image` or, for a complex of
+    tensors, `left_image` and `twist`; CochainComplex builds every slice
+    from them, and only the model keeps the generic Leibniz path.  The
+    loop model, the extended and the dual complex are complexes of
+    tensors, so only the quotient and the derivations define `image`."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     methods = class_methods(sources)
     assert [(mod, cls) for mod, cls, name in methods if name == "slice_matrix"] == [
         ("exactq", "CochainComplex"), ("sullivan", "SullivanModel")]
+    assert [(mod, cls) for mod, cls, name in methods if name == "image"] == [
+        ("pdquotient", "FiniteCdga"), ("sections", "DerivationComplex")]
     assert [m for m in methods if m[2] in ("by_degree", "slice_basis")] == []
 
 
@@ -290,6 +295,16 @@ def test_only_the_loop_side_walk_builds_rho_tensor_one():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "rho_tensor_matrix") == [
         ("sections", "verify_rho_tensor_quasi_iso")]
+
+
+def test_two_maps_are_placed_by_blocks():
+    """rho (x) 1 and Du (x) 1 are f (x) 1 between two complexes of
+    tensors, and both are placed block by block from a table of f, so
+    neither looks a row up in a dict over the codomain."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "tensor_one_matrix") == [
+        ("sections", "_du_tensor_matrix"), ("sections", "_rho_tensor_matrix")]
+    assert ("sections", "_du_tensor_matrix") not in callers(sources, "matrix_of_map")
 
 
 def test_only_the_quasi_iso_check_builds_matrices_of_rho():

@@ -22,6 +22,7 @@ from loopspace.errors import (
     IdentityViolation,
     InternalCheckFailure,
     MathMismatch,
+    SignIdentityFailure,
     SingularDuality,
     TheoremMismatch,
     TopClassCollapse,
@@ -133,8 +134,8 @@ class TestCochainComplexes:
     @pytest.mark.parametrize("cls, k, method", [
         (FreeLoopModel, 1, "left_image"), (FreeLoopModel, 1, "twist"),
         (FiniteCdga, None, "image"), (ExtendedQuotientModel, 1, "left_image"),
-        (ExtendedQuotientModel, 1, "twist"), (DualSectionComplex, None, "image"),
-        (DerivationComplex, None, "image")],
+        (ExtendedQuotientModel, 1, "twist"), (DualSectionComplex, None, "left_image"),
+        (DualSectionComplex, None, "twist"), (DerivationComplex, None, "image")],
         ids=lambda v: getattr(v, "__name__", str(v)))
     def test_an_image_outside_the_next_slice_is_an_internal_failure(
             self, monkeypatch, cls, k, method):
@@ -158,7 +159,7 @@ class TestCochainComplexes:
         (FiniteCdga, ("name", "degrees", "labels", "products", "diff")),
         (FreeLoopModel, ("base", "generators", "loop_differential", "suspension")),
         (ExtendedQuotientModel, ("algebra", "qmap", "flm")),
-        (DualSectionComplex, ("algebra", "sgens", "delta")),
+        (DualSectionComplex, ("eqm",)),
         (DerivationComplex, ("model",))],
         ids=lambda v: getattr(v, "__name__", None))
     def test_a_constructor_takes_exactly_its_parameters(self, cls, parameters):
@@ -438,12 +439,34 @@ class TestDualityMap:
             duality_map(alg)
 
 
+def delta_of(dual):
+    """delta read back from the slices of the dual complex over its degree
+    range, as {(class, generator): {(class, generator): Fraction}}, a
+    suspended monomial of word length one named by its generator."""
+    lo, hi = dual.degree_range()
+    out = {}
+    for n in range(lo, hi + 1):
+        dom, cod = dual.basis(n), dual.basis(n + 1)
+        for (r, c), v in dual.d_matrix(n).entries.items():
+            (j, m), (l, t) = dom[c], cod[r]
+            out.setdefault((j, m.index(1)), {})[(l, t.index(1))] = v
+    return out
+
+
+def silence(dual):
+    """Give a built dual complex the zero differential: its left_image and
+    twist return nothing, and its slices are dropped."""
+    dual.left_image = lambda j: None
+    dual.twist = lambda pair: ()
+    dual._cache.clear()
+
+
 class TestDualComplex:
     def test_s2_delta(self):
         _, alg, _, eqm = setup("s2")
         dual = build_dual_complex(alg, eqm)
         # delta(x' (x) sy) = -2 1' (x) sx, nothing else
-        assert dual.delta == {(1, 1): {(0, 0): Q(-2)}}
+        assert delta_of(dual) == {(1, 1): {(0, 0): Q(-2)}}
         assert dual.degree_range() == (-1, 2)
         assert dual.lemma_slices == 5
 
@@ -451,14 +474,14 @@ class TestDualComplex:
         _, alg, _, eqm = setup("cp2")
         dual = build_dual_complex(alg, eqm)
         # delta((x^2)' (x) sy) = -3 1' (x) sx
-        assert dual.delta == {(2, 1): {(0, 0): Q(-3)}}
+        assert delta_of(dual) == {(2, 1): {(0, 0): Q(-3)}}
 
     def test_s2xs3_delta_handles_the_singular_block(self):
         _, alg, _, eqm = setup("s2xs3")
         dual = build_dual_complex(alg, eqm)
         # five nonzero values, all derived by hand from the expansion
         # formula; (4, j) are the (x^2)' rows where Du is not invertible
-        assert dual.delta == {
+        assert delta_of(dual) == {
             (1, 1): {(0, 0): Q(-2)},
             (4, 0): {(3, 0): Q(-1)},
             (4, 1): {(1, 0): Q(-2), (3, 1): Q(-1)},
@@ -494,8 +517,7 @@ class TestDualComplex:
     def test_cleared_delta_is_detected(self):
         _, alg, _, eqm = setup("s2")
         dual = build_dual_complex(alg, eqm)
-        dual.delta.clear()
-        dual._cache.clear()
+        silence(dual)
         with pytest.raises(DualMismatch):
             verify_duality_quasi_iso(alg, eqm, dual)
 
@@ -549,8 +571,9 @@ class TestRhoDerivations:
             for (h, l), v in dtheta.items():
                 transposed.setdefault((l, h), {})[(i, j)] = (
                     -v if (degs[l] + degs[i]) % 2 else v)
-        assert dual.delta == transposed
-        assert dual.delta or name in ("s3", "su3")
+        delta = delta_of(dual)
+        assert delta == transposed
+        assert delta or name in ("s3", "su3")
 
 
 class TestRankTables:
@@ -610,8 +633,7 @@ class TestRankTables:
 
         def tampered(algebra, eqm):
             dual = real(algebra, eqm)
-            dual.delta.clear()
-            dual._cache.clear()
+            silence(dual)
             return dual
 
         monkeypatch.setattr(sections, "build_dual_complex", tampered)
@@ -655,14 +677,37 @@ def zero_unsplit_loop_slice(n):
     return zeroed
 
 
+def negated_dual_twist():
+    """DualSectionComplex.twist with every term negated: on S2, where d_A
+    is 0, delta becomes -delta, which still squares to 0."""
+    real = DualSectionComplex.twist
+
+    def negated(self, pair):
+        return [(l, t, -v) for l, t, v in real(self, pair)]
+    return negated
+
+
+def zero_du_tensor(eqm, dual, n):
+    """A zero Du (x) 1 of the right shape: both sides of the square
+    identity vanish, and only the rank it induces is wrong."""
+    return SparseMatrix(len(dual.basis(n - eqm.algebra.top_degree)), len(eqm.basis(n, 1)))
+
+
 # One injected fault per row, each made by patching one function: the
 # check that must fail first on verify of S2, the patch, and the error's
 # class, exit code and message.  Without the patch TopClassCollapse cannot
 # fire, as omega is a cocycle outside S^N + B^N; the zero functional here
-# is the one way to reach it.
+# is the one way to reach it.  duality_cohomology_iso has no row: it is
+# carried by the same object as duality_chain_property, so a
+# SingularDuality stops the run before the chain property's pass is
+# recorded.
 FAULTS = [
     ("poincare_duality", sullivan, "kernel_basis", lambda m: [{}],
      TopClassCollapse, 4, "functional evaluates to 0 on the fundamental class"),
+    ("square_identity", DualSectionComplex, "twist", negated_dual_twist(),
+     SignIdentityFailure, 3, "square identity fails on the degree 2 slice"),
+    ("dual_complex_quasi_iso", sections, "_du_tensor_matrix", zero_du_tensor,
+     DualMismatch, 3, "degree 1: induced duality map has rank 0, expected 1"),
     ("hodge_sum_consistency", FreeLoopModel, "slice_matrix",
      zero_unsplit_loop_slice(3), HodgeSumMismatch, 4,
      "degree 3: word-length pieces sum to 1, full slice gives 2"),
@@ -819,8 +864,9 @@ def fraction_dbar(eqm, pair):
 
 
 class TestIntegerSlices:
-    """The loop, extended and rho (x) 1 slices are built in ints over a
-    denominator known in advance; a Fraction path kept here is the oracle."""
+    """The loop, extended and dual slices, rho (x) 1 and Du (x) 1 are built
+    in ints over a denominator known in advance; a Fraction path kept here
+    is the oracle."""
 
     TOP = 12
 
@@ -861,8 +907,11 @@ class TestIntegerSlices:
         assert nonzero > 20
 
     def test_slices_form_no_fraction_and_call_no_constructor(self, monkeypatch):
-        _, _, _, eqm = setup("nonintegral")
+        _, algebra, _, eqm = setup("nonintegral")
         flm = eqm.flm
+        dual = DualSectionComplex(eqm)
+        lo, hi = dual.degree_range()
+        N = algebra.top_degree
         formed = []
         real_new = Fraction.__new__
 
@@ -877,9 +926,12 @@ class TestIntegerSlices:
         monkeypatch.setattr(SparseMatrix, "__init__", refuse)
         built = [m for n, k in self.slices() for m in (
             flm.d_matrix(n, k), eqm.d_matrix(n, k), eqm.rho_tensor_matrix(n, k))]
+        dual_built = [m for n in range(lo - 1, hi + 2) for m in (
+            dual.d_matrix(n), sections._du_tensor_matrix(eqm, dual, n + N))]
         monkeypatch.undo()
         assert formed == []
         assert sum(len(m.entries) for m in built) > 1000
+        assert sum(len(m.entries) for m in dual_built) > 50
 
     def test_each_composite_is_tested_once(self, monkeypatch):
         # a Dbar*Dbar or delta*delta test passed in a walk is recorded on
