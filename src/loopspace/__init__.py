@@ -23,7 +23,7 @@ from .freeloop import (FreeLoopModel, HodgeTable, GrowthReport,
                        growth_report, integer_nth_root)
 from .pdquotient import (FiniteCdga, QuotientMap, build_quotient,
                          structure_identities, verify_quasi_iso)
-from .sections import (ExtendedQuotientModel, DualityMap, DualSectionComplex,
+from .sections import (ExtendedQuotientModel, DualSectionComplex,
                        DerivationComplex, TheoremReport, extend_to_quotient_loop,
                        verify_rho_tensor_quasi_iso, duality_map,
                        build_dual_complex, verify_duality_quasi_iso,

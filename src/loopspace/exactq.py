@@ -20,13 +20,14 @@ of a model or a quotient hold Fractions.  Ints live in the matrices and
 the kernels, and in the slices of the loop model, the extended complex
 and the dual complex, whose coefficients have a `denominator` known
 before any column is built: those slices and the rho (x) 1 and Du (x) 1
-matrices between them (`tensor_one_matrix`) form no Fraction.  The six
-complexes subclass `CochainComplex`, which builds every slice and keeps
-slices, bases and `betti` per (n, k) in its `memo`.  Two, the quotient
-and the derivations, are their slice bases plus `image`, the
-differential of one basis element, and the model keeps the generic path
-of `gca`.  The loop model, the extended and the dual complex are
-complexes of tensors, and a slice of one is `left_image` (x) 1, placed
+matrices between them (`tensor_one_matrix`) form no Fraction.  Six
+classes of complex subclass `CochainComplex`, which builds every slice
+and keeps slices, bases and `betti` per (n, k) in its `memo`; the dual
+complex serves twice, at word length 0 as A-dual, the target of Du, and
+at 1.  Two, the quotient and the derivations, are their slice bases plus
+`image`, the differential of one basis element, and the model keeps the
+generic path of `gca`.  The loop model, the extended and the dual
+complex are complexes of tensors, and a slice of one is `left_image` (x) 1, placed
 block by block as rho (x) 1 is, plus `twist`, the rest of the
 differential, summed in term by term.
 Commuting squares are checked with `is_chain_map` and ranks on
@@ -639,10 +640,9 @@ def induced_rank(f, d_out, target_d_in):
     chain square one degree down commutes; every caller checks it first:
     `pdquotient.verify_quasi_iso` at degree n - 1 of its loop,
     `sections.verify_rho_tensor_quasi_iso` on slice (n - 1, k) of its walk,
-    `sections.duality_map` in its chain-property loop and
-    `sections.verify_duality_quasi_iso` through `build_dual_complex`'s
-    square identity.  ValueError unless f has d_out's columns and
-    target_d_in's rows.
+    and `sections.verify_duality_quasi_iso`, at either word length,
+    through the square identity of the dual complex's builder.  ValueError
+    unless f has d_out's columns and target_d_in's rows.
 
     The block is assembled from the three integer forms as they are:
     scaling d_out, f or target_d_in by a nonzero factor is a scaling of

@@ -1,14 +1,12 @@
 """Loop cohomology through the finite quotient, duality, and aut ranks.
 
-Three chain-level objects are built on top of the quotient algebra A:
+Two chain-level objects are built on top of the quotient algebra A:
 
   * the extended complex A (x) L sV with differential Dbar, the image of
     the loop differential under the projection rho (x) 1; its word-length
-    one slice A (x) sV carries the degrees that matter here;
-  * the duality map Du : A -> A-dual, Du(a)(b) = coefficient of the
-    fundamental class in a*b, a chain map of degree -N up to the sign
-    (-1)^N;
-  * the dual complex A-dual (x) sV with the differential
+    zero slice is A with d_A, and its word-length one slice A (x) sV
+    carries the degrees that matter here;
+  * the dual complex A-dual (x) sV, at word length 0 or 1, with
 
       delta(a_j' (x) sv) = (-1)^{|a_j|} [ sum_{i,l} alpha_il^j a_l' (x) t_i(v)
                                           - sum_r beta_r^j a_r' (x) sv ]
@@ -16,11 +14,16 @@ Three chain-level objects are built on top of the quotient algebra A:
     where Dbar(1 (x) sv) = sum_i a_i (x) t_i(v) and a' denotes the dual
     basis vector.  This formula is forced by asking the evaluation pairing
     to be compatible with Dbar, and it makes Du (x) 1 a chain map up to
-    (-1)^N whether or not Du is invertible; that square identity is
-    verified on every degree slice, exactly.  It is assembled as a complex
-    of tensors over the extended complex's integer tables: the beta part
-    is d' (x) 1, the alpha part the twist, and Du (x) 1 is placed by
-    blocks as rho (x) 1 is.
+    (-1)^N whether or not Du is invertible, for the duality map Du : A ->
+    A-dual, Du(a)(b) = coefficient of the fundamental class in a*b, of
+    degree -N; that square identity is verified on every degree slice,
+    exactly.  It is assembled as a complex of tensors over the extended
+    complex's integer tables: the beta part is d' (x) 1, the alpha part
+    the twist, and Du (x) 1 is placed by blocks as rho (x) 1 is.
+
+Word length 0 is Du on A: the only suspended monomial is the unit,
+Dbar(1 (x) 1) = 0 leaves the twist empty, the dual complex is A-dual with
+d', and the square identity is the chain property of Du.
 
 The ranks of interest are dim H^{n+N}(A (x) sV).  verify_duality_quasi_iso
 checks them against the dual complex, with the rank Du (x) 1 induces, in
@@ -34,20 +37,32 @@ complex.
 
 from functools import cached_property
 from math import lcm
-from typing import NamedTuple
 
 from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SignIdentityFailure, DualMismatch, TheoremMismatch,
                      SingularDuality, InternalCheckFailure, ChainMapFailure,
                      QuasiIsoFailure)
-from .exactq import (CochainComplex, SparseMatrix, ONE, add_term, rank,
-                     cohomology_dim, common_denominator, induced_rank,
-                     is_chain_map, matrix_of_map, scaled, tensor_one_matrix)
+from .exactq import (CochainComplex, ONE, add_term, rank, common_denominator,
+                     induced_rank, is_chain_map, scaled, tensor_one_matrix)
 from . import gca
 from .gca import DerivationSpec
 from .sullivan import RankTable, validate, check_poincare_duality
 from .freeloop import build_free_loop_model, hodge_betti_table, loop_betti
 from .pdquotient import build_quotient, structure_identities, verify_quasi_iso
+
+
+def _by_class(sgens, degrees, k):
+    """A slice basis of a complex of tensors over the classes of A, class
+    by class, and its layout: for class i, the pairs (i, m) with m a
+    monomial of degree degrees[i] and word length k in the suspended
+    generators sgens, at the offset layout[i] with `gca.slice_positions`."""
+    layout, basis = {}, []
+    for i, q in enumerate(degrees):
+        ms = gca.slice_basis(sgens, q, k) if q >= 0 else ()
+        if ms:
+            layout[i] = (len(basis), gca.slice_positions(sgens, q, k))
+            basis.extend((i, m) for m in ms)
+    return layout, tuple(basis)
 
 
 class ExtendedQuotientModel(CochainComplex):
@@ -67,9 +82,9 @@ class ExtendedQuotientModel(CochainComplex):
     d_A (x) 1 by blocks, and `twist(pair)`, the product terms as a list.
     Only Dbar(1 (x) t) is memoised, once per suspended monomial t.
     Building it tests no slice: verify_rho_tensor_quasi_iso tests every
-    square, and the word-length one slices that the dual complex and the
-    aut ranks read are tested by `betti` and by the square
-    identity.
+    square, and the word-length zero and one slices that the dual
+    complexes and the aut ranks read are tested by `betti` and by the
+    square identity.
 
     Its coefficients are ints over a denominator known in advance, from
     tables made integral once, here.  rho(b) of a base monomial is read
@@ -104,15 +119,9 @@ class ExtendedQuotientModel(CochainComplex):
         return self.flm.generators[len(self.flm.base.generators):]
 
     def _basis(self, n, k):
-        sgens = self.sgens
-        layout, basis = {}, []
-        for i, p in enumerate(self.algebra.degrees):
-            ms = gca.slice_basis(sgens, n - p, k) if p <= n else ()
-            if ms:
-                layout[i] = (len(basis), gca.slice_positions(sgens, n - p, k))
-                basis.extend((i, m) for m in ms)
+        layout, basis = _by_class(self.sgens, [n - p for p in self.algebra.degrees], k)
         self._cache[("layout", n, k)] = layout
-        return tuple(basis)
+        return basis
 
     def dbar_on_svmono(self, t):
         """Dbar(1 (x) t) = sum c rho(b') (x) t' over the terms b' t' of D(t),
@@ -205,74 +214,22 @@ def verify_rho_tensor_quasi_iso(eqm, n_max):
     return len(slices)
 
 
-class DualityMap(NamedTuple):
-    """Du : A^k -> (A^{N-k})-dual, Du(a_i) = sum_j alpha_ij^top a_j'.
-
-    blocks[k] is the degree-k matrix (rows: degree N-k classes, columns:
-    degree k classes).  cochain_perfect says every block is square and
-    invertible; the map always induces isomorphisms on cohomology for a
-    verified duality quotient, and that is checked separately.
-    """
-    blocks: dict
-    cochain_perfect: bool
-    singular_degrees: tuple
-
-
-def duality_map(algebra):
-    """Build Du and verify its chain property and cohomological strength.
-
-    Raises ChainMapFailure if d-dual o Du differs from (-1)^N Du o d, and
-    SingularDuality if Du fails to induce an isomorphism on some H^k.
-    Blocks may legitimately be non invertible at the cochain level.
-    """
-    N = algebra.top_degree
-    blocks = {}
-    singular = []
-    for k in range(N + 1):
-        m = matrix_of_map(algebra.basis(k), algebra.basis(N - k),
-                          algebra.pairing, "duality map left degree %d" % (N - k))
-        blocks[k] = m
-        if m.rows != m.cols or rank(m) < m.cols:
-            singular.append(k)
-
-    dual_d = {q: matrix_of_map(algebra.basis(q), algebra.basis(q - 1), algebra.codiff,
-                               "dual differential left degree %d" % (q - 1))
-              for q in range(N + 2)}
-    sgn = -1 if N % 2 else 1
-    for k in range(N + 1):
-        nxt = blocks.get(k + 1, SparseMatrix(len(algebra.basis(N - k - 1)), 0))
-        if not is_chain_map(nxt, algebra.d_matrix(k), dual_d[N - k], blocks[k], sgn):
-            raise ChainMapFailure(
-                "duality map fails the chain property at degree %d" % k)
-
-    for k in range(N + 1):
-        h = algebra.betti(k)
-        h_dual = cohomology_dim(dual_d[N - k], dual_d[N - k + 1])
-        got = induced_rank(blocks[k], algebra.d_matrix(k), dual_d[N - k + 1])
-        if h_dual != h or got != h:
-            raise SingularDuality(
-                "duality map is not an isomorphism on H^%d (rank %d of %d)"
-                % (k, got, h))
-
-    return DualityMap(blocks=blocks, cochain_perfect=not singular,
-                      singular_degrees=tuple(singular))
-
-
 class DualSectionComplex(CochainComplex):
-    """A-dual (x) sV with the forced differential delta, a complex of
-    tensors over the tables of the extended complex `eqm`, in ints over
-    its `denominator`.
+    """A-dual (x) sV at word length 0 or 1 with the forced differential
+    delta, a complex of tensors over the tables of the extended complex
+    `eqm`, in ints over its `denominator`.
 
     Basis pairs (j, m) stand for a_j' (x) m in degree |m| - |a_j|, m a
-    suspended monomial of word length one, laid out by class as eqm lays
+    suspended monomial of `word_length`, laid out by class as eqm lays
     out its slices; the word length asked for is ignored.  delta is
     `left_image` (x) 1 plus `twist`, and Du (x) 1 is read from
     `FiniteCdga.pairing`, the table Du reads.  lemma_slices counts the
-    slices on which build_dual_complex verified the square identity.
+    slices on which the square identity was verified.
     """
 
-    def __init__(self, eqm):
+    def __init__(self, eqm, word_length):
         self.eqm = eqm
+        self.word_length = word_length
         self._cache = {}
         self.lemma_slices = 0
         algebra, den = eqm.algebra, eqm.denominator
@@ -281,20 +238,16 @@ class DualSectionComplex(CochainComplex):
         self._pairing = [scaled(algebra.pairing(i), den) for i in range(algebra.size)]
 
     def degree_range(self):
-        svs = [g.degree for g in self.eqm.sgens]
+        svs = [g.degree for g in self.eqm.sgens] if self.word_length else [0]
         degs = self.eqm.algebra.degrees
         return min(svs) - max(degs), max(svs) - min(degs)
 
     def _basis(self, n, k):
-        sgens = self.eqm.sgens
-        layout, basis = {}, []
-        for j, p in enumerate(self.eqm.algebra.degrees):
-            ms = gca.slice_basis(sgens, n + p, 1)
-            if ms:
-                layout[j] = (len(basis), gca.slice_positions(sgens, n + p, 1))
-                basis.extend((j, m) for m in ms)
+        eqm = self.eqm
+        layout, basis = _by_class(
+            eqm.sgens, [n + p for p in eqm.algebra.degrees], self.word_length)
         self._cache[("layout", n, k)] = layout
-        return tuple(basis)
+        return basis
 
     def left_image(self, j):
         """d'(a_j'), read from `FiniteCdga.codiff`, as {class: int} over
@@ -316,69 +269,95 @@ class DualSectionComplex(CochainComplex):
                     out.append((l, t, sgn * a * c))
         return out
 
+    @property
+    def singular_degrees(self):
+        """The degrees n where the block of Du (x) 1 from eqm's slice is not
+        square or not of full rank, though it may induce an isomorphism."""
+        N = self.eqm.algebra.top_degree
+        lo, hi = self.degree_range()
+        return tuple(n for n in range(lo + N, hi + N + 1)
+                     if (du := _du_tensor_matrix(self.eqm, self, n)).rows != du.cols
+                     or rank(du) < du.cols)
+
 
 def _du_tensor_matrix(eqm, dual, n):
-    """Matrix of Du (x) 1 from the (n, 1) slice of A (x) sV to degree n - N
-    of the dual complex, the block sum of Du(a_i) = sum_l alpha_il^top a_l'
-    placed by the two layouts as rho (x) 1 is; built once per n and kept in
-    the dual's memo."""
-    m = n - eqm.algebra.top_degree
+    """Matrix of Du (x) 1 from the slice of A (x) L sV at degree n and the
+    dual's word length to degree n - N of the dual complex, the block sum
+    of Du(a_i) = sum_l alpha_il^top a_l' placed by the two layouts as rho
+    (x) 1 is; built once per n and kept in the dual's memo."""
+    m, k = n - eqm.algebra.top_degree, dual.word_length
     return dual.memo(("du", n), lambda: tensor_one_matrix(
-        len(dual.basis(m)), len(eqm.basis(n, 1)), dual._pairing.__getitem__,
-        eqm.layout(n, 1), dual.layout(m), dual.denominator,
+        len(dual.basis(m)), len(eqm.basis(n, k)), dual._pairing.__getitem__,
+        eqm.layout(n, k), dual.layout(m), dual.denominator,
         "Du (x) 1 left its degree slice at %d" % n))
 
 
-def build_dual_complex(algebra, eqm):
-    """Assemble (A-dual (x) sV, delta) on eqm's tables and verify it exactly.
+# A failed duality check by word length: the error and message of the
+# square identity, then the quasi-iso's error and its messages for a
+# Betti number and for an induced rank that differ.
+_SINGULAR = "duality map is not an isomorphism on H^%(n)d (rank %(got)d of %(h)d)"
+_DUALITY_FAILURES = {
+    0: (ChainMapFailure, "duality map fails the chain property at degree %(n)d",
+        SingularDuality, _SINGULAR, _SINGULAR),
+    1: (SignIdentityFailure, "square identity fails on the degree %(n)d slice",
+        DualMismatch,
+        "degree %(n)d: section complex gives %(h)d, dual complex gives %(h_dual)d",
+        "degree %(n)d: induced duality map has rank %(got)d, expected %(h)d"),
+}
 
-    Checks delta o delta = 0 on every degree, then the square identity
+
+def _dual_complex(eqm, word_length):
+    """The dual complex at word_length on eqm's tables, verified exactly:
+    delta o delta = 0 in every degree, then the square identity
 
         delta o (Du (x) 1) = (-1)^N (Du (x) 1) o Dbar
 
-    on every degree slice of A (x) sV.  The identity holds whether or not
-    Du is invertible; a failure raises SignIdentityFailure.
-    """
-    dual = DualSectionComplex(eqm)
+    on every degree slice of eqm at that word length."""
+    dual = DualSectionComplex(eqm, word_length)
     lo, hi = dual.degree_range()
     for n in range(lo - 1, hi + 1):
         if not dual.square_is_zero(n, None, dual.d_matrix(n + 1), dual.d_matrix(n)):
             raise DifferentialSquareNonzero(
                 "delta*delta nonzero in degree %d of the dual complex" % n)
 
-    N = algebra.top_degree
+    N = eqm.algebra.top_degree
     sgn_n = -1 if N % 2 else 1
-    checked = 0
+    error, message = _DUALITY_FAILURES[word_length][:2]
     du_n1 = _du_tensor_matrix(eqm, dual, lo + N - 1)
     for n in range(lo + N - 1, hi + N + 1):
         du_n, du_n1 = du_n1, _du_tensor_matrix(eqm, dual, n + 1)
-        if not is_chain_map(du_n1, eqm.d_matrix(n, 1), dual.d_matrix(n - N), du_n,
-                            sgn_n):
-            raise SignIdentityFailure(
-                "square identity fails on the degree %d slice" % n)
-        checked += 1
-
-    dual.lemma_slices = checked
+        if not is_chain_map(du_n1, eqm.d_matrix(n, word_length),
+                            dual.d_matrix(n - N), du_n, sgn_n):
+            raise error(message % {"n": n})
+    dual.lemma_slices = hi - lo + 2
     return dual
 
 
-def verify_duality_quasi_iso(algebra, eqm, dual):
-    """Check Du (x) 1 induces isomorphisms H^n(A (x) sV) -> H^{n-N}(dual)."""
-    N = algebra.top_degree
+def duality_map(eqm):
+    """Du on A, the dual complex at word length 0, with its chain property
+    verified; its blocks may be singular at the cochain level."""
+    return _dual_complex(eqm, 0)
+
+
+def build_dual_complex(eqm):
+    """(A-dual (x) sV, delta), with its square identity verified."""
+    return _dual_complex(eqm, 1)
+
+
+def verify_duality_quasi_iso(eqm, dual):
+    """Check Du (x) 1 induces isomorphisms H^n -> H^{n-N}(dual) from eqm
+    at the dual's word length, in every degree where either complex is
+    populated.  Returns the number of degrees compared."""
+    N, k = eqm.algebra.top_degree, dual.word_length
+    error, betti_message, rank_message = _DUALITY_FAILURES[k][2:]
     lo, hi = dual.degree_range()
     for n in range(lo + N, hi + N + 1):
-        h_sec = eqm.betti(n, 1)
-        h_dual = dual.betti(n - N)
-        if h_sec != h_dual:
-            raise DualMismatch(
-                "degree %d: section complex gives %d, dual complex gives %d"
-                % (n, h_sec, h_dual))
+        h, h_dual = eqm.betti(n, k), dual.betti(n - N)
         got = induced_rank(_du_tensor_matrix(eqm, dual, n),
-                           eqm.d_matrix(n, 1), dual.d_matrix(n - N - 1))
-        if got != h_sec:
-            raise DualMismatch(
-                "degree %d: induced duality map has rank %d, expected %d"
-                % (n, got, h_sec))
+                           eqm.d_matrix(n, k), dual.d_matrix(n - N - 1))
+        if h_dual != h or got != h:
+            raise error((betti_message if h_dual != h else rank_message)
+                        % {"n": n, "h": h, "h_dual": h_dual, "got": got})
     return hi - lo + 1
 
 
@@ -452,7 +431,8 @@ class TheoremReport:
     tests the squares of eqm (see ExtendedQuotientModel).  So are the rank
     tables aut, low_degree and oracle: duality_degrees compares the slices
     that aut reads with the dual complex, and `compared` checks aut and
-    oracle against the loop side.
+    oracle against the loop side.  dmap and dual are the dual complex at
+    word lengths 0 and 1, dmap_degrees and duality_degrees their quasi-isos.
     """
 
     def __init__(self, model, n_max):
@@ -495,20 +475,24 @@ class TheoremReport:
 
     @cached_property
     def dmap(self):
-        return duality_map(self.algebra)
+        return duality_map(self.eqm)
+
+    @cached_property
+    def dmap_degrees(self):
+        return verify_duality_quasi_iso(self.eqm, self.dmap)
 
     @property
     def cochain_perfect(self):
-        return self.dmap.cochain_perfect
+        return not self.dmap.singular_degrees
 
     @cached_property
     def dual(self):
-        self.dmap  # Du's chain property and cohomology iso come first
-        return build_dual_complex(self.algebra, self.eqm)
+        self.dmap_degrees  # Du's chain property and cohomology iso come first
+        return build_dual_complex(self.eqm)
 
     @cached_property
     def duality_degrees(self):
-        return verify_duality_quasi_iso(self.algebra, self.eqm, self.dual)
+        return verify_duality_quasi_iso(self.eqm, self.dual)
 
     @cached_property
     def aut(self):
@@ -548,18 +532,17 @@ class TheoremReport:
 
 
 # The checks in the order they run, each with the TheoremReport object
-# whose construction carries it out.  duality_map verifies the chain
-# property and then the isomorphism on cohomology, and
-# verify_duality_quasi_iso compares the section and dual complexes in
-# every populated degree, the aut ranks' included, and takes the rank
-# Du (x) 1 induces; so each of the two objects serves two checks.
+# whose construction carries it out.  verify_duality_quasi_iso compares
+# the section and dual complexes in every populated degree, the aut
+# ranks' included, and takes the rank Du (x) 1 induces, so
+# duality_degrees alone serves two checks.
 CHECKS = (
     ("poincare_duality", "pd_report"),
     ("structure_identities", "identity_counts"),
     ("quotient_quasi_iso", "quasi_iso"),
     ("loop_extension_quasi_iso", "rho_tensor_slices"),
     ("duality_chain_property", "dmap"),
-    ("duality_cohomology_iso", "dmap"),
+    ("duality_cohomology_iso", "dmap_degrees"),
     ("square_identity", "dual"),
     ("dual_complex_quasi_iso", "duality_degrees"),
     ("dual_complex_agreement", "duality_degrees"),

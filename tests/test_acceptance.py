@@ -153,9 +153,9 @@ def test_criterion_6_sign_identities():
                 "leibniz",
             ):
                 assert counts[family] > 0, "%s checked nothing for %s" % (name, family)
-            duality_map(algebra)
+            duality_map(eqm)
             try:
-                dual = build_dual_complex(algebra, eqm)
+                dual = build_dual_complex(eqm)
             except SignIdentityFailure:
                 sign_failures += 1
                 continue

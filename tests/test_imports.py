@@ -263,11 +263,11 @@ def test_only_a_tested_composite_clears_a_rank():
 def test_no_complex_takes_an_untested_cohomology():
     """A complex multiplies out each d(n) d(n - 1) once, through
     `square_is_zero`, before `betti` ranks the pair; the derivations of
-    the base model are a complex too, so only the duality map, whose dual
-    differentials are no complex's slices, asks cohomology_dim to test
-    and rank a pair in one call."""
+    the base model and Du on A, the dual complex at word length zero, are
+    complexes too, so every cohomology is some complex's `betti` and no
+    one asks cohomology_dim to test and rank a pair in one call."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert callers(sources, "cohomology_dim") == [("sections", "duality_map")]
+    assert callers(sources, "cohomology_dim") == []
 
 
 def test_one_place_computes_the_koszul_sign_of_a_product():
@@ -298,13 +298,14 @@ def test_only_the_loop_side_walk_builds_rho_tensor_one():
 
 
 def test_two_maps_are_placed_by_blocks():
-    """rho (x) 1 and Du (x) 1 are f (x) 1 between two complexes of
-    tensors, and both are placed block by block from a table of f, so
-    neither looks a row up in a dict over the codomain."""
+    """rho (x) 1 and Du (x) 1, on A as on A (x) sV, are f (x) 1 between
+    two complexes of tensors, and both are placed block by block from a
+    table of f, so neither looks a row up in a dict over the codomain; no
+    function of sections builds a matrix through matrix_of_map."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "tensor_one_matrix") == [
         ("sections", "_du_tensor_matrix"), ("sections", "_rho_tensor_matrix")]
-    assert ("sections", "_du_tensor_matrix") not in callers(sources, "matrix_of_map")
+    assert [c for c in callers(sources, "matrix_of_map") if c[0] == "sections"] == []
 
 
 def test_only_the_quasi_iso_check_builds_matrices_of_rho():

@@ -32,7 +32,7 @@ from loopspace.errors import (
 from loopspace.exactq import (SparseMatrix, add_term, cohomology_dim, echelon,
                               matrix_of_map)
 from loopspace.freeloop import FreeLoopModel, build_free_loop_model
-from loopspace.pdquotient import FiniteCdga, build_quotient
+from loopspace.pdquotient import FiniteCdga, QuotientMap, build_quotient
 from loopspace.sections import (
     DerivationComplex,
     DualSectionComplex,
@@ -84,7 +84,7 @@ def six_complexes(name):
     model: the model, its loop model, the quotient, the extended complex,
     the dual complex and the derivations of the model."""
     model, algebra, _, eqm = setup(name)
-    dual = build_dual_complex(algebra, eqm)
+    dual = build_dual_complex(eqm)
     lo, hi = dual.degree_range()
     graded = [None, 0, 1, 2]
     return [
@@ -159,7 +159,7 @@ class TestCochainComplexes:
         (FiniteCdga, ("name", "degrees", "labels", "products", "diff")),
         (FreeLoopModel, ("base", "generators", "loop_differential", "suspension")),
         (ExtendedQuotientModel, ("algebra", "qmap", "flm")),
-        (DualSectionComplex, ("eqm",)),
+        (DualSectionComplex, ("eqm", "word_length")),
         (DerivationComplex, ("model",))],
         ids=lambda v: getattr(v, "__name__", None))
     def test_a_constructor_takes_exactly_its_parameters(self, cls, parameters):
@@ -371,38 +371,51 @@ class TestExtendedDifferential:
             extend_to_quotient_loop(model, algebra, qmap, flm)
 
 
+def du_block(dm, k):
+    """The degree-k block of Du, from the word-length 0 dual complex dm:
+    Du (x) 1 from the slice (k, 0) of A (x) L sV, which is A in degree k,
+    to the degree N - k classes of A-dual."""
+    return sections._du_tensor_matrix(dm.eqm, dm, k)
+
+
+def bare_extension(alg):
+    """A (x) L sV for a hand-built algebra A, over the loop model of S2
+    with an empty projection: its word-length 0 slices are A with d_A."""
+    return ExtendedQuotientModel(alg, QuotientMap({}),
+                                 build_free_loop_model(get_model("s2")))
+
+
 class TestDualityMap:
     def test_s2_blocks(self):
-        _, alg, _, _ = setup("s2")
-        dm = duality_map(alg)
-        assert dm.cochain_perfect
+        _, _, _, eqm = setup("s2")
+        dm = duality_map(eqm)
         assert dm.singular_degrees == ()
-        assert dm.blocks[0].entries == {(0, 0): ONE}
-        assert dm.blocks[2].entries == {(0, 0): ONE}
-        assert dm.blocks[1].entries == {}
+        assert du_block(dm, 0).entries == {(0, 0): ONE}
+        assert du_block(dm, 2).entries == {(0, 0): ONE}
+        assert du_block(dm, 1).entries == {}
 
     def test_s2xs2_swap_pairing(self):
-        _, alg, _, _ = setup("s2xs2")
-        dm = duality_map(alg)
-        assert dm.cochain_perfect
+        _, _, _, eqm = setup("s2xs2")
+        dm = duality_map(eqm)
+        assert not dm.singular_degrees
         # classes u, x pair against each other, not themselves
-        assert dm.blocks[2].entries == {(1, 0): ONE, (0, 1): ONE}
+        assert du_block(dm, 2).entries == {(1, 0): ONE, (0, 1): ONE}
 
     def test_s2xs3_is_singular_at_the_cochain_level(self):
-        _, alg, _, _ = setup("s2xs3")
-        dm = duality_map(alg)
-        assert not dm.cochain_perfect
+        _, _, _, eqm = setup("s2xs3")
+        dm = duality_map(eqm)
         assert dm.singular_degrees == (1, 2, 3, 4)
         # Du(y) = 0: x*y died in the quotient, so y pairs with nothing,
-        # yet Du still induces isomorphisms on cohomology (no raise above)
-        assert dm.blocks[3].rows == 1 and dm.blocks[3].cols == 2
-        assert dm.blocks[3].entries == {(0, 0): ONE}
+        # yet Du still induces isomorphisms on cohomology (no raise here)
+        verify_duality_quasi_iso(eqm, dm)
+        assert du_block(dm, 3).rows == 1 and du_block(dm, 3).cols == 2
+        assert du_block(dm, 3).entries == {(0, 0): ONE}
 
     def test_su3_blocks_carry_the_koszul_sign(self):
-        _, alg, _, _ = setup("su3")
-        dm = duality_map(alg)
-        assert dm.blocks[3].entries == {(0, 0): ONE}    # Du(x3) = x5'
-        assert dm.blocks[5].entries == {(0, 0): Q(-1)}  # Du(x5) = -x3'
+        _, _, _, eqm = setup("su3")
+        dm = duality_map(eqm)
+        assert du_block(dm, 3).entries == {(0, 0): ONE}    # Du(x3) = x5'
+        assert du_block(dm, 5).entries == {(0, 0): Q(-1)}  # Du(x5) = -x3'
 
     def test_cohomologically_singular_map_rejected(self):
         # a "duality" algebra where the middle class pairs to zero: the
@@ -417,8 +430,10 @@ class TestDualityMap:
             },
             diff={},
         )
+        eqm = bare_extension(alg)
+        dm = duality_map(eqm)
         with pytest.raises(SingularDuality):
-            duality_map(alg)
+            verify_duality_quasi_iso(eqm, dm)
 
     def test_inconsistent_structure_breaks_the_chain_property(self):
         # x with d(x) = y, x*y = top, but x*x = 0: Leibniz fails, and the
@@ -436,7 +451,7 @@ class TestDualityMap:
             diff={1: {2: ONE}},
         )
         with pytest.raises(ChainMapFailure):
-            duality_map(alg)
+            duality_map(bare_extension(alg))
 
 
 def delta_of(dual):
@@ -464,7 +479,7 @@ def silence(dual):
 class TestDualComplex:
     def test_s2_delta(self):
         _, alg, _, eqm = setup("s2")
-        dual = build_dual_complex(alg, eqm)
+        dual = build_dual_complex(eqm)
         # delta(x' (x) sy) = -2 1' (x) sx, nothing else
         assert delta_of(dual) == {(1, 1): {(0, 0): Q(-2)}}
         assert dual.degree_range() == (-1, 2)
@@ -472,13 +487,13 @@ class TestDualComplex:
 
     def test_cp2_delta(self):
         _, alg, _, eqm = setup("cp2")
-        dual = build_dual_complex(alg, eqm)
+        dual = build_dual_complex(eqm)
         # delta((x^2)' (x) sy) = -3 1' (x) sx
         assert delta_of(dual) == {(2, 1): {(0, 0): Q(-3)}}
 
     def test_s2xs3_delta_handles_the_singular_block(self):
         _, alg, _, eqm = setup("s2xs3")
-        dual = build_dual_complex(alg, eqm)
+        dual = build_dual_complex(eqm)
         # five nonzero values, all derived by hand from the expansion
         # formula; (4, j) are the (x^2)' rows where Du is not invertible
         assert delta_of(dual) == {
@@ -496,30 +511,30 @@ class TestDualComplex:
         # any slice; it must pass everywhere, including the singular case
         for name in CORPUS + ("s2xs2",):
             _, alg, _, eqm = setup(name)
-            dual = build_dual_complex(alg, eqm)
+            dual = build_dual_complex(eqm)
             assert dual.lemma_slices > 0, name
 
     def test_duality_quasi_iso_on_corpus(self):
         for name in CORPUS:
             _, alg, _, eqm = setup(name)
-            dual = build_dual_complex(alg, eqm)
-            assert verify_duality_quasi_iso(alg, eqm, dual) > 0, name
+            dual = build_dual_complex(eqm)
+            assert verify_duality_quasi_iso(eqm, dual) > 0, name
 
     def test_quasi_iso_check_reuses_the_du_tensor_matrices(self):
         # Du (x) 1 is built once per degree, by the square identity check
         _, alg, _, eqm = setup("s2xs3")
-        dual = build_dual_complex(alg, eqm)
+        dual = build_dual_complex(eqm)
         built = {key: id(m) for key, m in dual._cache.items() if key[0] == "du"}
         assert len(built) == dual.lemma_slices + 1
-        verify_duality_quasi_iso(alg, eqm, dual)
+        verify_duality_quasi_iso(eqm, dual)
         assert {key: id(m) for key, m in dual._cache.items() if key[0] == "du"} == built
 
     def test_cleared_delta_is_detected(self):
         _, alg, _, eqm = setup("s2")
-        dual = build_dual_complex(alg, eqm)
+        dual = build_dual_complex(eqm)
         silence(dual)
         with pytest.raises(DualMismatch):
-            verify_duality_quasi_iso(alg, eqm, dual)
+            verify_duality_quasi_iso(eqm, dual)
 
 
 def rho_derivation_differential(model, pd, algebra, qmap):
@@ -563,7 +578,7 @@ class TestRhoDerivations:
         model = get_model(name)
         pd = check_poincare_duality(model)
         algebra, qmap = build_quotient(model, pd)
-        dual = build_dual_complex(algebra, extend_to_quotient_loop(model, algebra, qmap))
+        dual = build_dual_complex(extend_to_quotient_loop(model, algebra, qmap))
         D = rho_derivation_differential(model, pd, algebra, qmap)
         degs = algebra.degrees
         transposed = {}
@@ -592,8 +607,8 @@ class TestRankTables:
             table = aut_rank_table(eqm, 8)
             assert {n: v for n, v in table.entries.items() if v} == nonzero, name
             assert table.trusted_up_to == 8
-            dual = build_dual_complex(alg, eqm)
-            verify_duality_quasi_iso(alg, eqm, dual)
+            dual = build_dual_complex(eqm)
+            verify_duality_quasi_iso(eqm, dual)
             assert [dual.betti(n) for n in range(1, 9)] == table.as_array(8)[1:], name
 
     def test_low_degree_classes_reported_separately(self):
@@ -631,8 +646,8 @@ class TestRankTables:
         # the dual quasi-iso check, on its dual_complex_agreement line
         real = sections.build_dual_complex
 
-        def tampered(algebra, eqm):
-            dual = real(algebra, eqm)
+        def tampered(eqm):
+            dual = real(eqm)
             silence(dual)
             return dual
 
@@ -687,26 +702,33 @@ def negated_dual_twist():
     return negated
 
 
-def zero_du_tensor(eqm, dual, n):
-    """A zero Du (x) 1 of the right shape: both sides of the square
-    identity vanish, and only the rank it induces is wrong."""
-    return SparseMatrix(len(dual.basis(n - eqm.algebra.top_degree)), len(eqm.basis(n, 1)))
+def zero_du_tensor():
+    """sections._du_tensor_matrix with Du (x) 1 at word length one zero,
+    of the right shape: both sides of the square identity vanish, and
+    only the rank it induces is wrong.  Du on A, word length zero, is
+    left as it is."""
+    real = sections._du_tensor_matrix
+
+    def zero(eqm, dual, n):
+        du = real(eqm, dual, n)
+        return SparseMatrix(du.rows, du.cols) if dual.word_length else du
+    return zero
 
 
 # One injected fault per row, each made by patching one function: the
 # check that must fail first on verify of S2, the patch, and the error's
 # class, exit code and message.  Without the patch TopClassCollapse cannot
 # fire, as omega is a cocycle outside S^N + B^N; the zero functional here
-# is the one way to reach it.  duality_cohomology_iso has no row: it is
-# carried by the same object as duality_chain_property, so a
-# SingularDuality stops the run before the chain property's pass is
-# recorded.
+# is the one way to reach it.  A zero pairing makes Du = 0, which keeps
+# the chain property and fails the isomorphism on H^0.
 FAULTS = [
     ("poincare_duality", sullivan, "kernel_basis", lambda m: [{}],
      TopClassCollapse, 4, "functional evaluates to 0 on the fundamental class"),
+    ("duality_cohomology_iso", FiniteCdga, "pairing", lambda self, i: {},
+     SingularDuality, 3, "duality map is not an isomorphism on H^0 (rank 0 of 1)"),
     ("square_identity", DualSectionComplex, "twist", negated_dual_twist(),
      SignIdentityFailure, 3, "square identity fails on the degree 2 slice"),
-    ("dual_complex_quasi_iso", sections, "_du_tensor_matrix", zero_du_tensor,
+    ("dual_complex_quasi_iso", sections, "_du_tensor_matrix", zero_du_tensor(),
      DualMismatch, 3, "degree 1: induced duality map has rank 0, expected 1"),
     ("hodge_sum_consistency", FreeLoopModel, "slice_matrix",
      zero_unsplit_loop_slice(3), HodgeSumMismatch, 4,
@@ -814,13 +836,13 @@ class TestVerifyTheorems:
 
     def test_bumped_dual_square_still_raises(self, monkeypatch):
         _, algebra, _, eqm = setup("cp2")
-        dual = build_dual_complex(algebra, eqm)
+        dual = build_dual_complex(eqm)
         lo, hi = dual.degree_range()
         n, _ = bump_first_square(monkeypatch, dual, DualSectionComplex,
                                  [(n, None) for n in range(lo - 1, hi + 1)])
         with pytest.raises(DifferentialSquareNonzero, match=(
                 r"^delta\*delta nonzero in degree %d of the dual complex$" % n)):
-            build_dual_complex(algebra, eqm)
+            build_dual_complex(eqm)
 
     def test_window_clamp(self):
         rep = verify_theorems(get_model("s2"), n_max=3)
@@ -909,7 +931,7 @@ class TestIntegerSlices:
     def test_slices_form_no_fraction_and_call_no_constructor(self, monkeypatch):
         _, algebra, _, eqm = setup("nonintegral")
         flm = eqm.flm
-        dual = DualSectionComplex(eqm)
+        dual = DualSectionComplex(eqm, 1)
         lo, hi = dual.degree_range()
         N = algebra.top_degree
         formed = []
@@ -952,10 +974,12 @@ class TestIntegerSlices:
         monkeypatch.setattr(ExtendedQuotientModel, "d_matrix", d_matrix)
         verify_theorems(get_model("s2cubed"), 11)
         tested = [(id(a), id(b)) for a, b in pairs]
-        # 181: the six pairs of the derivation complex are among them, and
-        # no dual slice above the populated degrees is asked for
-        assert len(set(tested)) == len(tested) == 181
-        assert len(fetched) == 302
+        # 182: the six pairs of the derivation complex and the eight of Du
+        # on A, the dual complex at word length 0, are among them, and no
+        # dual slice above the populated degrees is asked for; 17 of the
+        # fetches are the slices (n, 0) that Du on A maps from
+        assert len(set(tested)) == len(tested) == 182
+        assert len(fetched) == 319
 
 
 ALL_MODELS = CORPUS + ("cp2xs3", "flag", "hp2", "s2cubed",
