@@ -26,10 +26,11 @@ and keeps slices, bases and `betti` per (n, k) in its `memo`; the dual
 complex serves twice, at word length 0 as A-dual, the target of Du, and
 at 1.  Two, the quotient and the derivations, are their slice bases plus
 `image`, the differential of one basis element, and the model keeps the
-generic path of `gca`.  The loop model, the extended and the dual
-complex are complexes of tensors, and a slice of one is `left_image` (x) 1, placed
-block by block as rho (x) 1 is, plus `twist`, the rest of the
-differential, summed in term by term.
+generic path of `gca`; no check builds the quotient's own slices, as the
+extended complex is the quotient at word length 0.  The loop model, the
+extended and the dual complex are complexes of tensors, and a slice of
+one is `left_image` (x) 1, placed block by block as rho (x) 1 is, plus
+`twist`, the rest of the differential, summed in term by term.
 Commuting squares are checked with `is_chain_map` and ranks on
 cohomology taken with `induced_rank`, one rank identity that needs the
 square below to commute.
@@ -637,12 +638,11 @@ def induced_rank(f, d_out, target_d_in):
     rank(block) - rank(d_out) - rank(target_d_in) is the rank of Z ->
     H^n(D), one elimination beside two memoised ranks.  It is the rank on
     H^n(C) when f sends boundaries into im target_d_in, that is when the
-    chain square one degree down commutes; every caller checks it first:
-    `pdquotient.verify_quasi_iso` at degree n - 1 of its loop,
-    `sections.verify_rho_tensor_quasi_iso` on slice (n - 1, k) of its walk,
-    and `sections.verify_duality_quasi_iso`, at either word length,
-    through the square identity of the dual complex's builder.  ValueError
-    unless f has d_out's columns and target_d_in's rows.
+    chain square one degree down commutes; both callers check it first,
+    at either word length: the rho (x) 1 walk of `sections` on slice
+    (n - 1, k), and `sections.verify_duality_quasi_iso` through the square
+    identity of the dual complex's builder.  ValueError unless f has
+    d_out's columns and target_d_in's rows.
 
     The block is assembled from the three integer forms as they are:
     scaling d_out, f or target_d_in by a nonzero factor is a scaling of

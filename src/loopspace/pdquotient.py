@@ -23,10 +23,8 @@ an element is a sum of table rows and no matrix stands behind it.
 
 from typing import NamedTuple
 
-from .errors import (IncompleteModel, IdentityViolation, QuasiIsoFailure,
-                     ChainMapFailure)
-from .exactq import (CochainComplex, ONE, induced_rank, is_chain_map,
-                     matrix_of_map)
+from .errors import IncompleteModel, IdentityViolation, QuasiIsoFailure
+from .exactq import CochainComplex, ONE
 from . import gca
 
 
@@ -110,13 +108,6 @@ class QuotientMap(NamedTuple):
         for m, c in elem.items():
             gca.elem_add_into(out, self.image.get(m, {}), c)
         return out
-
-    def matrix(self, model, algebra, k):
-        """rho on degree k, from the monomial basis to the degree-k slice
-        of A in local coordinates; it has no rows above the top degree."""
-        return matrix_of_map(model.basis(k), algebra.basis(k),
-                             lambda m: self.image.get(m, {}),
-                             "projection left degree %d" % k)
 
 
 def build_quotient(model, pd_report):
@@ -245,39 +236,15 @@ def structure_identities(algebra):
     return counts
 
 
-def verify_quasi_iso(model, algebra, qmap, n_max):
-    """Check the projection is a chain and algebra map inducing isos on H.
-
-    Compares dimensions, the rank of the induced map on cohomology, the
-    chain map identity rho d = d_A rho on every degree slice, and the
-    multiplicativity of rho on all monomial pairs up to the formal
-    dimension.  Returns per-degree dimensions; raises on any failure.
+def verify_quasi_iso(model, algebra, qmap):
+    """Check the projection is multiplicative on all monomial pairs up to
+    the formal dimension; returns the number of pairs, raises on the
+    first that fails.  That rho is a chain map inducing isomorphisms on
+    H is checked on the word-length zero slices of rho (x) 1, by the walk
+    of sections that checks rho (x) 1 on the others.
     """
     N = model.formal_dim
     gens = model.generators
-    dims = {}
-    rho_next = qmap.matrix(model, algebra, 0)
-    for n in range(n_max + 1):
-        h_model = model.betti(n)
-        h_alg = algebra.betti(n)
-        if h_model != h_alg:
-            raise QuasiIsoFailure(
-                n, "H^%d: model gives %d, quotient gives %d" % (n, h_model, h_alg))
-        dims[n] = h_model
-
-        rho_n, rho_next = rho_next, qmap.matrix(model, algebra, n + 1)
-        if n <= N:
-            got = induced_rank(rho_n, model.d_matrix(n), algebra.d_matrix(n - 1))
-            if got != h_model:
-                raise QuasiIsoFailure(
-                    n, "induced map on H^%d has rank %d, expected %d"
-                    % (n, got, h_model))
-
-        # chain map on the whole slice, not just cocycles
-        if not is_chain_map(rho_next, model.d_matrix(n), algebra.d_matrix(n), rho_n):
-            raise ChainMapFailure(
-                "projection fails to commute with d on degree %d" % n)
-
     pairs = 0
     for p in range(2, N - 1):
         for q in range(p, N - p + 1):
@@ -297,4 +264,4 @@ def verify_quasi_iso(model, algebra, qmap, n_max):
                             % (gca.render_monomial(gens, m1),
                                gca.render_monomial(gens, m2)))
                     pairs += 1
-    return {"dims": dims, "multiplicative_pairs": pairs}
+    return pairs

@@ -23,7 +23,9 @@ Two chain-level objects are built on top of the quotient algebra A:
 
 Word length 0 is Du on A: the only suspended monomial is the unit,
 Dbar(1 (x) 1) = 0 leaves the twist empty, the dual complex is A-dual with
-d', and the square identity is the chain property of Du.
+d', and the square identity is the chain property of Du.  Likewise rho
+(x) 1 at word length 0 is rho : LV -> A, so one walk over the loop side
+certifies both quasi-isomorphisms, rho and rho (x) 1, each slice once.
 
 The ranks of interest are dim H^{n+N}(A (x) sV).  verify_duality_quasi_iso
 checks them against the dual complex, with the rank Du (x) 1 induces, in
@@ -81,10 +83,9 @@ class ExtendedQuotientModel(CochainComplex):
     given to `CochainComplex` as `left_image(i)`, d_A(a_i), placed as
     d_A (x) 1 by blocks, and `twist(pair)`, the product terms as a list.
     Only Dbar(1 (x) t) is memoised, once per suspended monomial t.
-    Building it tests no slice: verify_rho_tensor_quasi_iso tests every
-    square, and the word-length zero and one slices that the dual
-    complexes and the aut ranks read are tested by `betti` and by the
-    square identity.
+    Building it tests no slice: the rho (x) 1 walk tests every square,
+    and the word-length zero and one slices that the dual complexes and
+    the aut ranks read are tested by `betti` and by the square identity.
 
     Its coefficients are ints over a denominator known in advance, from
     tables made integral once, here.  rho(b) of a base monomial is read
@@ -171,7 +172,7 @@ class ExtendedQuotientModel(CochainComplex):
 def extend_to_quotient_loop(model, algebra, qmap, flm=None):
     """Push the loop differential through the quotient: check that each
     D(sv) has word length one and build A (x) L sV.  No slice is built or
-    tested here; verify_rho_tensor_quasi_iso walks them."""
+    tested here; the rho (x) 1 walk does, at either word length."""
     if flm is None:
         flm = build_free_loop_model(model)
     nb = len(model.generators)
@@ -183,35 +184,53 @@ def extend_to_quotient_loop(model, algebra, qmap, flm=None):
     return ExtendedQuotientModel(algebra=algebra, qmap=qmap, flm=flm)
 
 
-def verify_rho_tensor_quasi_iso(eqm, n_max):
-    """The one walk over the loop side.  On each populated (n, k) up to
-    n_max, in order: Dbar*Dbar = 0, rho (x) 1 commutes with the two
-    differentials, the two Betti numbers agree and the induced map has
-    that rank, so every matrix a rank reads has had its squares tested
-    first.  Other slices of A (x) L sV are empty.  Returns the slice count."""
+# A failed rho (x) 1 check by word length, 0 or any k >= 1: the messages
+# of the square (ChainMapFailure), then of Betti numbers and of an
+# induced rank that differ (QuasiIsoFailure).
+_RHO_FAILURES = {
+    0: ("projection fails to commute with d on degree %(n)d",
+        "H^%(n)d: model gives %(h)d, quotient gives %(h_ext)d",
+        "induced map on H^%(n)d has rank %(got)d, expected %(h)d"),
+    1: ("rho (x) 1 fails to commute with the differentials on slice "
+        "(%(n)d, %(k)d)",
+        "slice (%(n)d, %(k)d): loop model gives %(h)d, quotient gives %(h_ext)d",
+        "slice (%(n)d, %(k)d): induced map has rank %(got)d, expected %(h)d"),
+}
+
+
+def _rho_quasi_iso(eqm, n_max, word_length):
+    """The walk over the populated (n, k) up to n_max with k = 0, rho
+    itself, for word_length 0, and k >= 1 for 1.  On each, in order:
+    Dbar*Dbar = 0, the Betti numbers agree (at k = 0, A's with LV's and
+    the loop model's), the induced map has that rank, and the rho (x) 1
+    square one degree up commutes; the square below was tested on the
+    slice before, or is trivial.  Returns the slice count."""
     flm = eqm.flm
-    slices = flm.slices(n_max)
+    chain, betti, induced = _RHO_FAILURES[word_length]
+    slices = [(n, k) for n, k in flm.slices(n_max) if min(k, 1) == word_length]
     for n, k in slices:
         d_ext = eqm.d_matrix(n, k)
         if not eqm.square_is_zero(n, k, eqm.d_matrix(n + 1, k), d_ext):
             raise DifferentialSquareNonzero(
                 "Dbar*Dbar nonzero on slice (%d, %d)" % (n, k))
+        h, h_ext = flm.betti(n, k), eqm.betti(n, k)
+        for h_other in (flm.base.betti(n), h) if k == 0 else (h,):
+            if h_other != h_ext:
+                raise QuasiIsoFailure(n, betti % {
+                    "n": n, "k": k, "h": h_other, "h_ext": h_ext})
         d_loop, rho = flm.d_matrix(n, k), eqm.rho_tensor_matrix(n, k)
-        if not is_chain_map(eqm.rho_tensor_matrix(n + 1, k), d_loop, d_ext, rho):
-            raise ChainMapFailure(
-                "rho (x) 1 fails to commute with the differentials "
-                "on slice (%d, %d)" % (n, k))
-        h_loop, h_ext = flm.betti(n, k), eqm.betti(n, k)
-        if h_loop != h_ext:
-            raise QuasiIsoFailure(
-                n, "slice (%d, %d): loop model gives %d, quotient gives %d"
-                % (n, k, h_loop, h_ext))
         got = induced_rank(rho, d_loop, eqm.d_matrix(n - 1, k))
-        if got != h_loop:
-            raise QuasiIsoFailure(
-                n, "slice (%d, %d): induced map has rank %d, expected %d"
-                % (n, k, got, h_loop))
+        if got != h:
+            raise QuasiIsoFailure(n, induced % {"n": n, "k": k, "h": h, "got": got})
+        if not is_chain_map(eqm.rho_tensor_matrix(n + 1, k), d_loop, d_ext, rho):
+            raise ChainMapFailure(chain % {"n": n, "k": k})
     return len(slices)
+
+
+def verify_rho_tensor_quasi_iso(eqm, n_max):
+    """Check rho (x) 1 on every populated (n, k) with k >= 1 up to n_max,
+    the slices the quotient's check leaves.  Returns the slice count."""
+    return _rho_quasi_iso(eqm, n_max, 1)
 
 
 class DualSectionComplex(CochainComplex):
@@ -315,7 +334,7 @@ def _dual_complex(eqm, word_length):
     on every degree slice of eqm at that word length."""
     dual = DualSectionComplex(eqm, word_length)
     lo, hi = dual.degree_range()
-    for n in range(lo - 1, hi + 1):
+    for n in range(lo - 1, hi):
         if not dual.square_is_zero(n, None, dual.d_matrix(n + 1), dual.d_matrix(n)):
             raise DifferentialSquareNonzero(
                 "delta*delta nonzero in degree %d of the dual complex" % n)
@@ -427,7 +446,8 @@ class TheoremReport:
 
     Building an object verifies it: every constructor below raises on the
     first identity that fails.  The quotient and eqm are the exceptions:
-    structure_identities certifies the quotient, and rho_tensor_slices
+    structure_identities certifies the quotient, and the rho (x) 1 walk,
+    its slices (n, 0) in quasi_iso and the others in rho_tensor_slices,
     tests the squares of eqm (see ExtendedQuotientModel).  So are the rank
     tables aut, low_degree and oracle: duality_degrees compares the slices
     that aut reads with the dual complex, and `compared` checks aut and
@@ -459,7 +479,8 @@ class TheoremReport:
 
     @cached_property
     def quasi_iso(self):
-        return verify_quasi_iso(self.model, *self.quotient, self.n_max)
+        _rho_quasi_iso(self.eqm, self.n_max, 0)
+        return verify_quasi_iso(self.model, *self.quotient)
 
     @cached_property
     def flm(self):
@@ -532,7 +553,9 @@ class TheoremReport:
 
 
 # The checks in the order they run, each with the TheoremReport object
-# whose construction carries it out.  verify_duality_quasi_iso compares
+# whose construction carries it out.  quasi_iso and rho_tensor_slices
+# walk the slices of rho (x) 1 at word length 0 and the others, each
+# once.  verify_duality_quasi_iso compares
 # the section and dual complexes in every populated degree, the aut
 # ranks' included, and takes the rank Du (x) 1 induces, so
 # duality_degrees alone serves two checks.

@@ -12,7 +12,7 @@ import json
 import time
 
 import loopspace
-from loopspace import load_corpus_model
+from loopspace import load_corpus_model, sections
 from loopspace.cli import main
 from loopspace.errors import NotPoincareDuality, SignIdentityFailure
 from loopspace.freeloop import build_free_loop_model, hodge_betti_table, loop_betti
@@ -129,14 +129,15 @@ def test_criterion_5_quotient_correctness():
 
         # the exterior algebra on one generator is already self-dual,
         # so nothing is collapsed
-        s3_model, s3, s3_qmap, _ = pipeline("s3")
+        _, s3, _, s3_eqm = pipeline("s3")
         assert s3.labels == ("1", "x")
         assert s3.degrees == (0, 3)
-        assert s3_qmap.matrix(s3_model, s3, 3).entries == {(0, 0): 1}
+        assert s3_eqm.rho_tensor_matrix(3, 0).entries == {(0, 0): 1}
 
         for name in loopspace.corpus_models():
-            model, algebra, qmap, _ = pipeline(name)
-            verify_quasi_iso(model, algebra, qmap, 12)
+            model, algebra, qmap, eqm = pipeline(name)
+            sections._rho_quasi_iso(eqm, 12, 0)
+            verify_quasi_iso(model, algebra, qmap)
 
 
 def test_criterion_6_sign_identities():

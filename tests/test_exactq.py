@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopspace import exactq, load_corpus_model
+from loopspace import exactq, load_corpus_model, sections
 from loopspace.exactq import (
     ONE,
     SparseMatrix,
@@ -589,7 +589,7 @@ class TestRref:
         monkeypatch.setattr(exactq, "echelon",
                             lambda m, *cleared: captured.append((m, *cleared))
                             or real(m, *cleared))
-        verify_theorems(load_corpus_model("s2xs3"), 12)
+        verify_theorems(load_corpus_model("s2xs3"), 13)
         hodge_betti_table(build_free_loop_model(parse_model(FLAG.read_text())), 10)
         monkeypatch.undo()
         assert len(captured) > 200
@@ -855,6 +855,7 @@ class TestBettiMemo:
         report = TheoremReport(load_corpus_model("cp2"), 8)
         flm, eqm = report.flm, report.eqm
         calls = count_cohomology_dim(monkeypatch)
+        sections._rho_quasi_iso(eqm, 5, 0)
         verify_rho_tensor_quasi_iso(eqm, 5)
         seen = len(calls)
         table = hodge_betti_table(flm, 8)

@@ -285,16 +285,26 @@ def test_two_walkers_share_the_populated_slices():
     none."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "slices") == [
-        ("freeloop", "hodge_betti_table"),
-        ("sections", "verify_rho_tensor_quasi_iso")]
+        ("freeloop", "hodge_betti_table"), ("sections", "_rho_quasi_iso")]
 
 
 def test_only_the_loop_side_walk_builds_rho_tensor_one():
     """The rho (x) 1 squares and induced ranks are taken in the one walk
     over the loop side, so no other path builds its matrices."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert callers(sources, "rho_tensor_matrix") == [
-        ("sections", "verify_rho_tensor_quasi_iso")]
+    assert callers(sources, "rho_tensor_matrix") == [("sections", "_rho_quasi_iso")]
+
+
+def test_two_walks_take_induced_ranks():
+    """rho on LV is the word-length zero slice of rho (x) 1, and Du on A
+    that of Du (x) 1, so the rho walk and the duality quasi-iso take
+    every induced rank; the quotient checks only that its projection is
+    multiplicative, with no matrix and no rank."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "induced_rank") == [
+        ("sections", "_rho_quasi_iso"), ("sections", "verify_duality_quasi_iso")]
+    assert [c for name in ("induced_rank", "is_chain_map", "betti")
+            for c in callers(sources, name) if c[0] == "pdquotient"] == []
 
 
 def test_two_maps_are_placed_by_blocks():
@@ -308,11 +318,13 @@ def test_two_maps_are_placed_by_blocks():
     assert [c for c in callers(sources, "matrix_of_map") if c[0] == "sections"] == []
 
 
-def test_only_the_quasi_iso_check_builds_matrices_of_rho():
+def test_rho_is_a_matrix_only_through_rho_tensor_matrix():
     """The projection is a table of monomial images; the extended complex
-    reads it row by row, and only verify_quasi_iso needs rho as matrices."""
+    reads it row by row, and rho on LV is the block of rho (x) 1 at word
+    length zero, so pdquotient builds no matrix of it."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert callers(sources, "matrix") == [("pdquotient", "verify_quasi_iso")]
+    assert callers(sources, "matrix") == []
+    assert [c for c in callers(sources, "matrix_of_map") if c[0] == "pdquotient"] == []
 
 
 def test_only_freeloop_reads_the_loop_differential():

@@ -22,6 +22,7 @@ from loopspace.errors import (
     IdentityViolation,
     InternalCheckFailure,
     MathMismatch,
+    QuasiIsoFailure,
     SignIdentityFailure,
     SingularDuality,
     TheoremMismatch,
@@ -249,7 +250,7 @@ class TestExtendedComplex:
     def test_rho_tensor_quasi_iso_slice_counts(self):
         _, _, _, eqm = setup("s2")
         # one populated (degree, word length) slice pair per nonempty basis
-        slices = verify_rho_tensor_quasi_iso(eqm, 6)
+        slices = sections._rho_quasi_iso(eqm, 6, 0) + verify_rho_tensor_quasi_iso(eqm, 6)
         recount = sum(
             1 for n in range(7) for k in range(n + 1)
             if eqm.flm.basis(n, k) or eqm.basis(n, k))
@@ -281,6 +282,32 @@ class TestExtendedComplex:
         assert len(built) == len(set(built)) == 455
         assert all(eqm.dbar_on_svmono(t) is eqm.dbar_on_svmono(t) for t in built)
         assert len(built) == 455
+
+
+class TestWordLengthZeroWalk:
+    """rho on LV is the word-length zero slice of rho (x) 1, and its walk
+    compares A's Betti number with two others, the base model's and the
+    loop model's at word length zero: each alone catches a fault."""
+
+    def test_a_wrong_base_betti_number_fails(self, monkeypatch):
+        model, _, _, eqm = setup("s2")
+        real = model.betti
+        monkeypatch.setattr(model, "betti", lambda n, k=None: real(n, k) + (n == 4))
+        with pytest.raises(QuasiIsoFailure,
+                           match=r"^H\^4: model gives 1, quotient gives 0$"):
+            sections._rho_quasi_iso(eqm, 6, 0)
+
+    def test_a_loop_slice_fault_at_word_length_zero_fails(self, monkeypatch):
+        # d y = x^2 loses its one term in the loop model, so y is a class
+        # of its slice (3, 0) that neither LV nor A has
+        model, _, _, eqm = setup("s2")
+        y = model.basis(3)[0]
+        real = FreeLoopModel.left_image
+        monkeypatch.setattr(FreeLoopModel, "left_image",
+                            lambda self, b: None if b == y else real(self, b))
+        with pytest.raises(QuasiIsoFailure,
+                           match=r"^H\^3: model gives 1, quotient gives 0$"):
+            sections._rho_quasi_iso(eqm, 6, 0)
 
 
 def reference_dbar_sv(eqm):
@@ -715,45 +742,80 @@ def zero_du_tensor():
     return zero
 
 
+def bumped_projection(degree):
+    """sections.build_quotient with 1 added to the cell of rho at the
+    first monomial and the first class of A of the degree, after A is
+    built from the table as it was: A keeps its axioms, and rho no longer
+    commutes with d where that monomial is a boundary."""
+    real = sections.build_quotient
+
+    def bumped(model, pd_report):
+        algebra, qmap = real(model, pd_report)
+        add_term(qmap.image.setdefault(model.basis(degree)[0], {}),
+                 algebra.basis(degree)[0], ONE)
+        return algebra, qmap
+    return bumped
+
+
+def negated_extended_twist():
+    """ExtendedQuotientModel.twist with every term negated: Dbar is then
+    d_A (x) 1 minus the twist, which on S2, where d_A is 0, still squares
+    to 0 and keeps every Betti number; the twist is empty at word length
+    0, so rho itself is untouched."""
+    real = ExtendedQuotientModel.twist
+
+    def negated(self, pair):
+        return [(i, t, -v) for i, t, v in real(self, pair)]
+    return negated
+
+
 # One injected fault per row, each made by patching one function: the
-# check that must fail first on verify of S2, the patch, and the error's
-# class, exit code and message.  Without the patch TopClassCollapse cannot
-# fire, as omega is a cocycle outside S^N + B^N; the zero functional here
-# is the one way to reach it.  A zero pairing makes Du = 0, which keeps
-# the chain property and fails the isomorphism on H^0.
+# check that must fail first on verify of the model, the patch, and the
+# error's class, exit code and message.  Without the patch
+# TopClassCollapse cannot fire, as omega is a cocycle outside S^N + B^N;
+# the zero functional here is the one way to reach it.  A zero pairing
+# makes Du = 0, which keeps the chain property and fails the isomorphism
+# on H^0.  On S2 every degree-preserving rho commutes with d, as d_A is 0
+# and d lands above the formal dimension, so the quotient's fault is on
+# S2xS3, where d y = x^2 stays in A.
 FAULTS = [
-    ("poincare_duality", sullivan, "kernel_basis", lambda m: [{}],
+    ("poincare_duality", "s2", sullivan, "kernel_basis", lambda m: [{}],
      TopClassCollapse, 4, "functional evaluates to 0 on the fundamental class"),
-    ("duality_cohomology_iso", FiniteCdga, "pairing", lambda self, i: {},
+    ("quotient_quasi_iso", "s2xs3", sections, "build_quotient", bumped_projection(4),
+     ChainMapFailure, 4, "projection fails to commute with d on degree 3"),
+    ("loop_extension_quasi_iso", "s2", ExtendedQuotientModel, "twist",
+     negated_extended_twist(), ChainMapFailure, 4,
+     "rho (x) 1 fails to commute with the differentials on slice (2, 1)"),
+    ("duality_cohomology_iso", "s2", FiniteCdga, "pairing", lambda self, i: {},
      SingularDuality, 3, "duality map is not an isomorphism on H^0 (rank 0 of 1)"),
-    ("square_identity", DualSectionComplex, "twist", negated_dual_twist(),
+    ("square_identity", "s2", DualSectionComplex, "twist", negated_dual_twist(),
      SignIdentityFailure, 3, "square identity fails on the degree 2 slice"),
-    ("dual_complex_quasi_iso", sections, "_du_tensor_matrix", zero_du_tensor(),
+    ("dual_complex_quasi_iso", "s2", sections, "_du_tensor_matrix", zero_du_tensor(),
      DualMismatch, 3, "degree 1: induced duality map has rank 0, expected 1"),
-    ("hodge_sum_consistency", FreeLoopModel, "slice_matrix",
+    ("hodge_sum_consistency", "s2", FreeLoopModel, "slice_matrix",
      zero_unsplit_loop_slice(3), HodgeSumMismatch, 4,
      "degree 3: word-length pieces sum to 1, full slice gives 2"),
-    ("rank_triple_agreement", DerivationComplex, "image", drop_theta_d,
+    ("rank_triple_agreement", "s2", DerivationComplex, "image", drop_theta_d,
      TheoremMismatch, 3, "rank disagreement at n=1: section 0, loop "
      "word-length-one 0, derivation 1"),
 ]
 
 
 class TestFaultTable:
-    @pytest.mark.parametrize("check, owner, name, fault, cls, code, message",
+    @pytest.mark.parametrize("check, model, owner, name, fault, cls, code, message",
                              FAULTS, ids=[row[0] for row in FAULTS])
     def test_an_injected_fault_fails_its_verdict_first(
-            self, monkeypatch, check, owner, name, fault, cls, code, message):
+            self, monkeypatch, check, model, owner, name, fault, cls, code, message):
         monkeypatch.setattr(owner, name, fault)
         passed = (("simply_connected", "minimal", "d_squared_zero")
                   + VERIFY_CHECKS[:VERIFY_CHECKS.index(check)])
         got = []
         with pytest.raises(cls) as err:
-            verify_theorems(get_model("s2"), verdicts=got)
+            verify_theorems(get_model(model), verdicts=got)
         assert type(err.value) is cls and str(err.value) == message
         assert exit_code_for(err.value) == code
         assert got == [(p, True) for p in passed]
-        status, out = run_cli(["verify", str(loopspace.corpus_path("s2"))])
+        status, out = run_cli(["verify", str(loopspace.corpus_path(model))])
         assert status == code
         assert out.endswith("verdict %s: pass\nerror: %s\nexit-code: %d\n"
                             % (passed[-1], message, code))
@@ -783,7 +845,14 @@ class TestVerifyTheorems:
         assert rep.compared[1] == (2, 2, 2, 2)
         assert rep.low_degree == {1: 1, 2: 1, 3: 0, 4: 3, 5: 1}
         assert rep.identity_counts["commutativity"] == 36
-        assert rep.quasi_iso["multiplicative_pairs"] == 3
+        assert rep.quasi_iso == 3
+
+    def test_no_check_builds_the_quotient_slices(self):
+        # A with d_A is the extended complex at word length 0, where the
+        # rho walk ranks it
+        rep = verify_theorems(get_model("s2xs3"))
+        assert rep.eqm.betti(3, 0) == 1
+        assert [key for key in rep.algebra._cache if key[0] in ("d", "betti")] == []
 
     def test_fixture_product_passes(self):
         rep = verify_theorems(get_model("s2xs2"), n_max=10)
@@ -974,11 +1043,11 @@ class TestIntegerSlices:
         monkeypatch.setattr(ExtendedQuotientModel, "d_matrix", d_matrix)
         verify_theorems(get_model("s2cubed"), 11)
         tested = [(id(a), id(b)) for a, b in pairs]
-        # 182: the six pairs of the derivation complex and the eight of Du
+        # 168: the six pairs of the derivation complex and the seven of Du
         # on A, the dual complex at word length 0, are among them, and no
         # dual slice above the populated degrees is asked for; 17 of the
         # fetches are the slices (n, 0) that Du on A maps from
-        assert len(set(tested)) == len(tested) == 182
+        assert len(set(tested)) == len(tested) == 168
         assert len(fetched) == 319
 
 
