@@ -9,7 +9,8 @@ shifted generator sv for each v, |sv| = |v| - 1, and
 with s the degree -1 derivation sending v to sv and sv to 0.  D preserves
 the number of suspended factors in a monomial, so each cohomology group
 splits by that word length; the pieces are computed slice by slice and
-cross-checked against the full slice.
+cross-checked against the full slice.  Word length 0 is (LV, d) itself,
+the constant loops, so its slices and ranks are the base model's own.
 
 The model is the tensor product of its factors LV and L sV, and its slices
 are built from them.  A loop monomial b*t, b over the base generators and
@@ -54,9 +55,12 @@ class FreeLoopModel(CochainComplex):
     terms, filled by `d_suspended`, which the extended complex of
     sections reads too.  Both come from `gca.apply_derivation` on d and D
     times L, and both live as long as the model: caches the size of the
-    two factors, not one entry per loop monomial.  Split and unsplit
-    slices alike are built over their own basis and layout, never one
-    from the others.
+    two factors, not one entry per loop monomial.  The slices of word
+    length k >= 1 and the unsplit ones are built over their own basis
+    and layout, never one from the others; at word length 0, LV, the
+    `d_matrix` and `betti` are the base model's, each built and ranked
+    once, while the basis and layout stay for rho (x) 1 and the unsplit
+    basis.
 
     `basis(n, k)` lists the loop monomials (b, t) of degree n and word
     length k in ascending order, each pair holding the tuples cached
@@ -65,8 +69,10 @@ class FreeLoopModel(CochainComplex):
     b are contiguous, in the order of T = `gca.slice_basis(suspended
     generators, n - |b|, k)`, so `layout(n, k)` maps b to its offset and
     to `gca.slice_positions` of T, and the row of (b, t) is offset(b) +
-    pos(t).  `slices(n_max)` lists the populated (n, k): every complex
-    over this one, the extended complex included, is empty outside them.
+    pos(t).  `slices(n_max)` lists the populated (n, k), read from the
+    bases of the two factors: every complex over this one, the extended
+    complex included, is empty outside them.  `sgens` holds the
+    suspended generators, shared with the extended complex.
     """
 
     def __init__(self, base, generators, loop_differential, suspension):
@@ -74,6 +80,7 @@ class FreeLoopModel(CochainComplex):
         self.generators = generators
         self.loop_differential = loop_differential
         self.suspension = suspension
+        self.sgens = generators[len(base.generators):]
         self._cache, self._d_base, self._d_susp = {}, {}, {}
 
     @cached_property
@@ -91,15 +98,13 @@ class FreeLoopModel(CochainComplex):
             for spec in (self.base.differential, self.loop_differential))
 
     def _basis(self, n, k):
-        base_gens = self.base.generators
-        sgens = self.generators[len(base_gens):]
         parts = []
         for j in range(n + 1):
-            ts = gca.slice_basis(sgens, j, k)
+            ts = gca.slice_basis(self.sgens, j, k)
             if ts:
-                positions = gca.slice_positions(sgens, j, k)
+                positions = gca.slice_positions(self.sgens, j, k)
                 parts.extend((b, ts, positions)
-                             for b in gca.basis_of_degree(base_gens, n - j))
+                             for b in gca.basis_of_degree(self.base.generators, n - j))
         # each b has one degree, so the b are distinct and the sort never
         # compares two ts; within one b, ts is already in order
         parts.sort()
@@ -114,9 +119,22 @@ class FreeLoopModel(CochainComplex):
         return tuple((b, t) for b, ts, _ in parts for t in ts)
 
     def slices(self, n_max):
-        """The (n, k), k <= n <= n_max, whose slice basis is not empty."""
-        return [(n, k) for n in range(n_max + 1) for k in range(n + 1)
-                if self.basis(n, k)]
+        """The (n, k), k <= n <= n_max, whose slice basis is not empty, in
+        order: n = j + d for a degree j with suspended monomials of word
+        length k and a degree d with base monomials, read from the two
+        factors' cached bases, so no loop basis is built."""
+        base = [d for d in range(n_max + 1) if gca.basis_of_degree(self.base.generators, d)]
+        return sorted({(j + d, k) for j in range(n_max + 1)
+                       for k in gca.word_length_slices(self.sgens, j)
+                       for d in base if j + d <= n_max})
+
+    def d_matrix(self, n, k=None):
+        """The slice matrix; at word length 0, LV, the base model's own."""
+        return self.base.d_matrix(n) if k == 0 else super().d_matrix(n, k)
+
+    def betti(self, n, k=None):
+        """dim H^n of the slice; at word length 0, LV, the base model's."""
+        return self.base.betti(n) if k == 0 else super().betti(n, k)
 
     def _factor(self, b):
         """(parity of |b|, d(b) * L, the products memo) of a base monomial

@@ -859,9 +859,11 @@ class TestBettiMemo:
         verify_rho_tensor_quasi_iso(eqm, 5)
         seen = len(calls)
         table = hodge_betti_table(flm, 8)
+        # the slices (n, 0) are the base model's, ranked by the duality
+        # check that building eqm ran
         assert calls[seen:] == [
             (id(flm.d_matrix(n, k)), id(flm.d_matrix(n - 1, k)))
-            for n, k in table.entries if n > 5]
+            for n, k in table.entries if n > 5 and k]
         assert len(set(calls)) == len(calls)
 
 

@@ -307,6 +307,17 @@ def test_two_walks_take_induced_ranks():
             for c in callers(sources, name) if c[0] == "pdquotient"] == []
 
 
+def test_the_rho_walk_compares_one_betti_number():
+    """Word length 0 of the loop model is the base model, and freeloop
+    alone says so: the rho walk reads the loop model's Betti number at
+    every word length and nothing of `.base`, so at word length 0 it
+    compares A's with one other."""
+    tree = ast.parse((ROOT / "src" / "loopspace" / "sections.py").read_text(encoding="utf-8"))
+    walk = next(f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == "_rho_quasi_iso")
+    assert "base" not in attributes_read(walk)
+
+
 def test_two_maps_are_placed_by_blocks():
     """rho (x) 1 and Du (x) 1, on A as on A (x) sV, are f (x) 1 between
     two complexes of tensors, and both are placed block by block from a

@@ -14,6 +14,7 @@ import pytest
 
 import loopspace
 from loopspace import exactq, gca, load_corpus_model, sections, sullivan
+from loopspace.cli import _COMMANDS
 from loopspace.errors import (
     ChainMapFailure,
     DifferentialSquareNonzero,
@@ -286,8 +287,8 @@ class TestExtendedComplex:
 
 class TestWordLengthZeroWalk:
     """rho on LV is the word-length zero slice of rho (x) 1, and its walk
-    compares A's Betti number with two others, the base model's and the
-    loop model's at word length zero: each alone catches a fault."""
+    compares A's Betti number with one other, the loop model's at word
+    length zero, which is the base model's own."""
 
     def test_a_wrong_base_betti_number_fails(self, monkeypatch):
         model, _, _, eqm = setup("s2")
@@ -298,16 +299,23 @@ class TestWordLengthZeroWalk:
             sections._rho_quasi_iso(eqm, 6, 0)
 
     def test_a_loop_slice_fault_at_word_length_zero_fails(self, monkeypatch):
-        # d y = x^2 loses its one term in the loop model, so y is a class
-        # of its slice (3, 0) that neither LV nor A has
-        model, _, _, eqm = setup("s2")
+        # d y = x^2 loses its one term in the loop model's d (x) 1; the
+        # slice (3, 0) is LV's own, so the k = 0 walk passes, and the
+        # fault shows where y sits beside a suspended factor
+        model = get_model("s2")
         y = model.basis(3)[0]
         real = FreeLoopModel.left_image
         monkeypatch.setattr(FreeLoopModel, "left_image",
                             lambda self, b: None if b == y else real(self, b))
-        with pytest.raises(QuasiIsoFailure,
-                           match=r"^H\^3: model gives 1, quotient gives 0$"):
-            sections._rho_quasi_iso(eqm, 6, 0)
+        got = []
+        with pytest.raises(QuasiIsoFailure) as err:
+            verify_theorems(model, verdicts=got)
+        assert str(err.value) == "slice (4, 1): induced map has rank 0, expected 1"
+        assert exit_code_for(err.value) == 3
+        passed = (("simply_connected", "minimal", "d_squared_zero")
+                  + VERIFY_CHECKS[:VERIFY_CHECKS.index("loop_extension_quasi_iso")])
+        assert got == [(name, True) for name in passed]
+        assert passed[-1] == "quotient_quasi_iso"
 
 
 def reference_dbar_sv(eqm):
@@ -757,6 +765,16 @@ def bumped_projection(degree):
     return bumped
 
 
+def doubled_unit_product():
+    """FiniteCdga.product with 1 * a_1 = 2 a_1, every other pair read as
+    it is: a table that breaks the unit axiom of A and nothing before."""
+    real = FiniteCdga.product
+
+    def doubled(self, i, j):
+        return {1: 2} if (i, j) == (0, 1) else real(self, i, j)
+    return doubled
+
+
 def negated_extended_twist():
     """ExtendedQuotientModel.twist with every term negated: Dbar is then
     d_A (x) 1 minus the twist, which on S2, where d_A is 0, still squares
@@ -781,6 +799,8 @@ def negated_extended_twist():
 FAULTS = [
     ("poincare_duality", "s2", sullivan, "kernel_basis", lambda m: [{}],
      TopClassCollapse, 4, "functional evaluates to 0 on the fundamental class"),
+    ("structure_identities", "s2", FiniteCdga, "product", doubled_unit_product(),
+     IdentityViolation, 3, "unit axiom fails at a_1"),
     ("quotient_quasi_iso", "s2xs3", sections, "build_quotient", bumped_projection(4),
      ChainMapFailure, 4, "projection fails to commute with d on degree 3"),
     ("loop_extension_quasi_iso", "s2", ExtendedQuotientModel, "twist",
@@ -998,6 +1018,9 @@ class TestIntegerSlices:
         assert nonzero > 20
 
     def test_slices_form_no_fraction_and_call_no_constructor(self, monkeypatch):
+        # the loop slices (n, 0) are the base model's, built through the
+        # Fraction path by the duality check of setup to degree 14 >= TOP + 1,
+        # so here they are only read
         _, algebra, _, eqm = setup("nonintegral")
         flm = eqm.flm
         dual = DualSectionComplex(eqm, 1)
@@ -1043,16 +1066,46 @@ class TestIntegerSlices:
         monkeypatch.setattr(ExtendedQuotientModel, "d_matrix", d_matrix)
         verify_theorems(get_model("s2cubed"), 11)
         tested = [(id(a), id(b)) for a, b in pairs]
-        # 168: the six pairs of the derivation complex and the seven of Du
+        # 157: the six pairs of the derivation complex and the seven of Du
         # on A, the dual complex at word length 0, are among them, and no
-        # dual slice above the populated degrees is asked for; 17 of the
-        # fetches are the slices (n, 0) that Du on A maps from
-        assert len(set(tested)) == len(tested) == 168
+        # dual slice above the populated degrees is asked for; the loop
+        # model's pairs at word length 0 are the base model's, tested once
+        # by its betti; 17 of the fetches are the slices (n, 0) that Du on
+        # A maps from
+        assert len(set(tested)) == len(tested) == 157
         assert len(fetched) == 319
 
 
 ALL_MODELS = CORPUS + ("cp2xs3", "flag", "hp2", "s2cubed",
                        "nonintegral", "not_pd", "s2xs2", "s2xs3_twisted")
+
+
+class TestWordLengthZeroIsTheBase:
+    """Word length 0 of the loop model is (LV, d), the constant loops: its
+    slices and Betti numbers there are the base model's own objects, each
+    built, tested and ranked once."""
+
+    def test_verify_builds_no_loop_slice_at_word_length_zero(self):
+        rep = verify_theorems(get_model("s2cubed"), 11)
+        model, flm = rep.model, rep.flm
+        assert [key for key in flm._cache
+                if key[0] in ("d", "betti") and key[2] == 0] == []
+        assert all(flm.d_matrix(n, 0) is model.d_matrix(n) for n in range(-1, 13))
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_the_loop_basis_lists_the_base_basis_in_order(self, name):
+        # rho (x) 1 at word length 0 lays out its columns by the loop basis
+        # and is multiplied with the base model's slice
+        model = get_model(name)
+        flm = build_free_loop_model(model)
+        for n in range(model.default_window + 1):
+            assert [b for b, _ in flm.basis(n, 0)] == list(model.basis(n)), n
+
+    def test_quotient_builds_no_loop_basis_above_word_length_zero(self):
+        # the walk lists its slices from the two factors' bases
+        rep = verify_theorems(get_model("s2cubed"), checks=_COMMANDS["quotient"][1])
+        built = [key for key in rep.flm._cache if key[0] == "basis"]
+        assert built and [key for key in built if key[2] != 0] == []
 
 
 def ranked_slices(name, n_max):
