@@ -28,9 +28,10 @@ at 1.  Two, the quotient and the derivations, are their slice bases plus
 `image`, the differential of one basis element, and the model keeps the
 generic path of `gca`; no check builds the quotient's own slices, as the
 extended complex is the quotient at word length 0.  The loop model, the
-extended and the dual complex are complexes of tensors, and a slice of
-one is `left_image` (x) 1, placed block by block as rho (x) 1 is, plus
-`twist`, the rest of the differential, summed in term by term.
+extended and the dual complex are complexes of tensors, laid out by
+`TensorComplex` alone, and a slice of one is `left_image` (x) 1, placed
+block by block as rho (x) 1 is, plus `twist`, the rest of the
+differential, summed in term by term.
 Commuting squares are checked with `is_chain_map` and ranks on
 cohomology taken with `induced_rank`, one rank identity that needs the
 square below to commute.
@@ -40,7 +41,7 @@ outputs.
 """
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from numbers import Rational
 
@@ -499,23 +500,12 @@ class CochainComplex:
     With `denominator` None, the subclass defines `image(x)`, the
     differential of the basis element x as {basis element of degree n+1:
     Fraction}, and `matrix_of_map` finds its rows: the quotient and the
-    derivations.
-
-    A complex of tensors, the loop model, the extended or the dual
-    complex, sets `denominator` to an int that every
-    coefficient, times it, turns into an int.  Its basis lists pairs
-    (left, right), those with one left factor contiguous; `_basis` lays
-    out `layout(n, k)`, {left: (offset, {right: position})}, in the same
-    pass, and the row of (left, right) is its offset plus its position.
-    Its differential is d (x) 1 plus a twist, each over the denominator:
-    `left_image(left)` is d of a left factor, {left': nonzero int} or None
-    for zero, and `twist(x)` is the rest of the differential of the pair
-    x, a list of (left', right', int) terms.  The slice places
-    `left_image` (x) 1 on block diagonals with the placer of rho (x) 1,
-    as the codomain block of each left' lists the right factors of the
-    domain block of left, then sums each twist term into its entry,
-    dropping a sum that cancels.  No dict over the codomain is built, and
-    the ints go to the matrix as they are.
+    derivations.  A `TensorComplex` sets `denominator` to an int that
+    every coefficient, times it, turns into an int; its slice is
+    `left_image` (x) 1, placed by blocks with the placer of rho (x) 1,
+    plus each `twist` term summed into its entry, dropping a sum that
+    cancels.  No dict over the codomain is built, and the ints go to the
+    matrix as they are.
     """
 
     denominator = None
@@ -531,12 +521,6 @@ class CochainComplex:
     def basis(self, n, k=None):
         """The slice basis, built once and then kept in `_cache`."""
         return self.memo(("basis", n, k), self._basis, n, k)
-
-    def layout(self, n, k=None):
-        """{left: (offset, {right: position})} of slice (n, k) of a complex
-        of tensors, kept in `_cache` by `_basis` beside the basis."""
-        self.basis(n, k)
-        return self._cache[("layout", n, k)]
 
     def slice_matrix(self, n, k):
         dom, cod = self.basis(n, k), self.basis(n + 1, k)
@@ -591,9 +575,56 @@ class CochainComplex:
         return _cohomology_dim_of_zero_composite(d_out, d_in)
 
 
+class TensorComplex(CochainComplex):
+    """A complex of tensors left (x) right, laid out here for every
+    subclass: the loop model, the extended and the dual complex.  A
+    subclass gives `left_basis(p)`, the left factors of degree p in their
+    own order; `sgens`, the suspended generators, whose slices
+    `gca.slice_basis(sgens, q, k)` make the right factor, at the slice's
+    k or at `word_length` where that is set; and `left_image`, `twist`
+    and `denominator` for `slice_matrix`.
+
+    Slice (n, k) lists, left factor by left factor, the pairs (left, t)
+    with t in the right slice T of a degree q populated at the word
+    length and left of degree n - q.  `layout(n, k)` maps left to
+    (offset, positions), positions the table `gca.slice_positions` shares
+    for T: the row of (left, t) is offset + positions[t].  The unsplit
+    slice (k and `word_length` None) takes every q <= n, all of them for
+    left factors of degree >= 0, and merges the split slices' pairs.
+    """
+
+    word_length = None
+
+    def layout(self, n, k=None):
+        """{left: (offset, {right: position})}, kept beside the basis."""
+        self.basis(n, k)
+        return self._cache[("layout", n, k)]
+
+    def _basis(self, n, k):
+        from . import gca       # gca builds on this module
+        w = k if self.word_length is None else self.word_length
+        sgens, parts = self.sgens, []
+        for q in range(n + 1) if w is None else gca.word_length_degrees(sgens, w):
+            lefts = self.left_basis(n - q)
+            if lefts and (ts := gca.slice_basis(sgens, q, w)):
+                positions = gca.slice_positions(sgens, q, w)
+                parts.extend((left, ts, positions) for left in lefts)
+        # each left factor has one degree, so the sort never compares ts
+        parts.sort()
+        layout, offset = {}, 0
+        for left, ts, positions in parts:
+            layout[left] = (offset, positions)
+            offset += len(ts)
+        self._cache[("layout", n, k)] = layout
+        if w is None:
+            return tuple(sorted(chain.from_iterable(
+                self.basis(n, j) for j in range(n + 1))))
+        return tuple((left, t) for left, ts, _ in parts for t in ts)
+
+
 def _tensor_one(image, dom, cod, index, failure):
     """The entries of f (x) 1 as {(row, col): int}, for dom and cod the
-    `CochainComplex.layout` of two slices of a complex of tensors,
+    `TensorComplex.layout` of two slices of a complex of tensors,
     image(left) f of one left factor, {left': nonzero int} or None for
     zero, and index `_indices` of at least both slice sizes.
 

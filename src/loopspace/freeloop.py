@@ -22,28 +22,30 @@ so a slice is d (x) 1 on the base factor, placed in blocks, plus a
 twist: one base-length product b*b' for each term b'*t' of D(t).  Slice
 (n, k) is the union over j of the degree n - j base monomials times the
 degree j suspended monomials of word length k, its pairs in ascending
-order, that of b + t.  Only this module knows the layout; sections
-unpacks the pairs, reads D(t) and the layout's offsets.
+order, that of b + t, laid out by `exactq.TensorComplex`; sections
+unpacks the pairs and reads D(t).
 """
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import DifferentialSquareNonzero, HodgeSumMismatch
-from .exactq import CochainComplex, ONE, common_denominator, scaled
+from .exactq import ONE, TensorComplex, common_denominator, scaled
 from . import gca
 from .gca import Generator, DerivationSpec
 from .sullivan import RankTable
 
 
-class FreeLoopModel(CochainComplex):
-    """(LV (x) L sV, D), its slices built from the two factors: base is
-    the SullivanModel, generators its generators then the suspended ones,
-    and suspension the degree -1 derivation s with s(v) = sv, s(sv) = 0.
+class FreeLoopModel(TensorComplex):
+    """(LV (x) L sV, D), a complex of tensors: the left factors are the
+    monomials of base, the SullivanModel, and the right factor is L sV
+    on `sgens`, shared with the extended complex, so a pair (b, t) holds
+    the tuples of `gca.basis_of_degree` and `gca.word_length_slices`.
+    generators are base's then the suspended ones, and suspension the
+    degree -1 derivation s with s(v) = sv, s(sv) = 0.
 
-    D(b*t) = d(b)*t + (-1)^|b| b*D(t) is given to `CochainComplex` in two
+    D(b*t) = d(b)*t + (-1)^|b| b*D(t) is given to `TensorComplex` in two
     parts: `left_image(b)`, d(b), which the slice places as d (x) 1 by
     blocks, and `twist(bt)`, the terms of (-1)^|b| b*D(t) as a list.  The
     coefficients are ints over `denominator`, L, the lcm of the
@@ -55,24 +57,13 @@ class FreeLoopModel(CochainComplex):
     terms, filled by `d_suspended`, which the extended complex of
     sections reads too.  Both come from `gca.apply_derivation` on d and D
     times L, and both live as long as the model: caches the size of the
-    two factors, not one entry per loop monomial.  The slices of word
-    length k >= 1 and the unsplit ones are built over their own basis
-    and layout, never one from the others; at word length 0, LV, the
-    `d_matrix` and `betti` are the base model's, each built and ranked
-    once, while the basis and layout stay for rho (x) 1 and the unsplit
-    basis.
-
-    `basis(n, k)` lists the loop monomials (b, t) of degree n and word
-    length k in ascending order, each pair holding the tuples cached
-    by `gca.basis_of_degree` and `gca.word_length_slices`; the unsplit
-    basis (k None) merges the split slices' own pairs.  The pairs of one
-    b are contiguous, in the order of T = `gca.slice_basis(suspended
-    generators, n - |b|, k)`, so `layout(n, k)` maps b to its offset and
-    to `gca.slice_positions` of T, and the row of (b, t) is offset(b) +
-    pos(t).  `slices(n_max)` lists the populated (n, k), read from the
-    bases of the two factors: every complex over this one, the extended
-    complex included, is empty outside them.  `sgens` holds the
-    suspended generators, shared with the extended complex.
+    two factors, not one entry per loop monomial.  Each slice of word
+    length k >= 1, split or not, is built over its own basis and layout;
+    at word length 0, LV, the `d_matrix` and `betti` are the base
+    model's, built and ranked once, and the basis and layout stay for rho
+    (x) 1 and the unsplit basis.  `slices(n_max)` lists the populated (n,
+    k), read from the bases of the two factors: every complex over this
+    one, the extended complex included, is empty outside them.
     """
 
     def __init__(self, base, generators, loop_differential, suspension):
@@ -97,26 +88,9 @@ class FreeLoopModel(CochainComplex):
             DerivationSpec(1, {i: scaled(img, L) for i, img in spec.images.items()})
             for spec in (self.base.differential, self.loop_differential))
 
-    def _basis(self, n, k):
-        parts = []
-        for j in range(n + 1):
-            ts = gca.slice_basis(self.sgens, j, k)
-            if ts:
-                positions = gca.slice_positions(self.sgens, j, k)
-                parts.extend((b, ts, positions)
-                             for b in gca.basis_of_degree(self.base.generators, n - j))
-        # each b has one degree, so the b are distinct and the sort never
-        # compares two ts; within one b, ts is already in order
-        parts.sort()
-        layout, offset = {}, 0
-        for b, ts, positions in parts:
-            layout[b] = (offset, positions)
-            offset += len(ts)
-        self._cache[("layout", n, k)] = layout
-        if k is None:
-            return tuple(sorted(chain.from_iterable(
-                self.basis(n, j) for j in range(n + 1))))
-        return tuple((b, t) for b, ts, _ in parts for t in ts)
+    def left_basis(self, p):
+        """The base monomials of degree p."""
+        return gca.basis_of_degree(self.base.generators, p)
 
     def slices(self, n_max):
         """The (n, k), k <= n <= n_max, whose slice basis is not empty, in

@@ -123,6 +123,18 @@ def slice_positions(gens, n, word_length=None):
     return {m: i for i, m in enumerate(slice_basis(gens, n, word_length))}
 
 
+@lru_cache(maxsize=None)
+def word_length_degrees(gens, k):
+    """The degrees, ascending, of the monomials of k factors in gens, an odd
+    generator at most once: where slice_basis(gens, n, k) is not empty for
+    suspended gens, found without enumerating a slice."""
+    reach = {(0, 0)}                # (factors, degree) of the monomials so far
+    for g in gens:
+        reach = {(c + e, n + e * g.degree) for c, n in reach
+                 for e in range(min(k - c, 1 if g.degree % 2 else k) + 1)}
+    return tuple(sorted(n for c, n in reach if c == k))
+
+
 def elem_add_into(acc, e, c=ONE):
     """acc += c * e, in place; elem_add_into({}, e, c) is c * e."""
     for m, v in e.items():

@@ -47,8 +47,9 @@ from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SignIdentityFailure, DualMismatch, TheoremMismatch,
                      SingularDuality, InternalCheckFailure, ChainMapFailure,
                      QuasiIsoFailure)
-from .exactq import (CochainComplex, ONE, add_term, rank, common_denominator,
-                     induced_rank, is_chain_map, scaled, tensor_one_matrix)
+from .exactq import (CochainComplex, ONE, TensorComplex, add_term, rank,
+                     common_denominator, induced_rank, is_chain_map, scaled,
+                     tensor_one_matrix)
 from . import gca
 from .gca import DerivationSpec
 from .sullivan import RankTable, validate, check_poincare_duality
@@ -56,34 +57,18 @@ from .freeloop import build_free_loop_model, hodge_betti_table, loop_betti
 from .pdquotient import build_quotient, structure_identities, verify_quasi_iso
 
 
-def _by_class(sgens, degrees, k):
-    """A slice basis of a complex of tensors over the classes of A, class
-    by class, and its layout: for class i, the pairs (i, m) with m a
-    monomial of degree degrees[i] and word length k in the suspended
-    generators sgens, at the offset layout[i] with `gca.slice_positions`."""
-    layout, basis = {}, []
-    for i, q in enumerate(degrees):
-        ms = gca.slice_basis(sgens, q, k) if q >= 0 else ()
-        if ms:
-            layout[i] = (len(basis), gca.slice_positions(sgens, q, k))
-            basis.extend((i, m) for m in ms)
-    return layout, tuple(basis)
-
-
-class ExtendedQuotientModel(CochainComplex):
+class ExtendedQuotientModel(TensorComplex):
     """A (x) L sV with the projected loop differential.
 
-    Basis elements of a slice are pairs (i, m): class a_i of `algebra`
-    tensored with a monomial m in the suspended generators `sgens` of the
-    loop model `flm`, ordered by (i, m), so `layout(n, k)` maps i to its
-    offset and to `gca.slice_positions` of its monomials, as the loop
-    model's layout maps a base monomial.  Dbar is (rho (x) 1) o D:
+    A basis element is a pair (i, m), class a_i of `algebra` (x) a
+    monomial m in the loop model's suspended generators `sgens`, in the
+    order of (i, m).  Dbar is (rho (x) 1) o D:
     Dbar(1 (x) t) reads D(t) from the loop model and projects its base
     factors by rho, and
 
         Dbar(a_i (x) t) = d_A(a_i) (x) t + (-1)^|a_i| a_i * Dbar(1 (x) t),
 
-    given to `CochainComplex` as `left_image(i)`, d_A(a_i), placed as
+    given to `TensorComplex` as `left_image(i)`, d_A(a_i), placed as
     d_A (x) 1 by blocks, and `twist(pair)`, the product terms as a list.
     Only Dbar(1 (x) t) is memoised, once per suspended monomial t.
     Building it tests no slice: the rho (x) 1 walk tests every square,
@@ -119,10 +104,9 @@ class ExtendedQuotientModel(CochainComplex):
         times = self.denominator // self.dbar_denominator
         self._products = {ij: scaled(img, times) for ij, img in algebra.products.items()}
 
-    def _basis(self, n, k):
-        layout, basis = _by_class(self.sgens, [n - p for p in self.algebra.degrees], k)
-        self._cache[("layout", n, k)] = layout
-        return basis
+    def left_basis(self, p):
+        """The classes of A of degree p."""
+        return self.algebra.basis(p)
 
     def dbar_on_svmono(self, t):
         """Dbar(1 (x) t) = sum c rho(b') (x) t' over the terms b' t' of D(t),
@@ -232,14 +216,14 @@ def verify_rho_tensor_quasi_iso(eqm, n_max):
     return _rho_quasi_iso(eqm, n_max, 1)
 
 
-class DualSectionComplex(CochainComplex):
+class DualSectionComplex(TensorComplex):
     """A-dual (x) sV at word length 0 or 1 with the forced differential
     delta, a complex of tensors over the tables of the extended complex
     `eqm`, in ints over its `denominator`.
 
     Basis pairs (j, m) stand for a_j' (x) m in degree |m| - |a_j|, m a
-    suspended monomial of `word_length`, laid out by class as eqm lays
-    out its slices; the word length asked for is ignored.  delta is
+    suspended monomial of `word_length` whatever word length is asked
+    for, in the order of (j, m).  delta is
     `left_image` (x) 1 plus `twist`, and Du (x) 1 is read from
     `FiniteCdga.pairing`, the table Du reads.  lemma_slices counts the
     slices on which the square identity was verified.
@@ -247,6 +231,7 @@ class DualSectionComplex(CochainComplex):
 
     def __init__(self, eqm, word_length):
         self.eqm = eqm
+        self.sgens = eqm.sgens
         self.word_length = word_length
         self._cache = {}
         self.lemma_slices = 0
@@ -256,16 +241,13 @@ class DualSectionComplex(CochainComplex):
         self._pairing = [scaled(algebra.pairing(i), den) for i in range(algebra.size)]
 
     def degree_range(self):
-        svs = [g.degree for g in self.eqm.sgens] if self.word_length else [0]
+        svs = gca.word_length_degrees(self.sgens, self.word_length)
         degs = self.eqm.algebra.degrees
-        return min(svs) - max(degs), max(svs) - min(degs)
+        return svs[0] - max(degs), svs[-1] - min(degs)
 
-    def _basis(self, n, k):
-        eqm = self.eqm
-        layout, basis = _by_class(
-            eqm.sgens, [n + p for p in eqm.algebra.degrees], self.word_length)
-        self._cache[("layout", n, k)] = layout
-        return basis
+    def left_basis(self, p):
+        """The classes j of A with a_j' of degree p, |a_j| = -p."""
+        return self.eqm.algebra.basis(-p)
 
     def left_image(self, j):
         """d'(a_j'), read from `FiniteCdga.codiff`, as {class: int} over

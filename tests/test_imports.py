@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from loopspace.cli import build_parser
+from loopspace.exactq import TensorComplex
 from test_traced_names import traced_names
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -339,11 +340,35 @@ def test_rho_is_a_matrix_only_through_rho_tensor_matrix():
 
 
 def test_only_freeloop_reads_the_loop_differential():
-    """The tensor layout of a loop monomial is known in freeloop alone;
-    other modules read D(t) through `FreeLoopModel.d_suspended`."""
+    """D of the loop model is read in freeloop alone; other modules read
+    D(t) through `FreeLoopModel.d_suspended`, and `exactq.TensorComplex`
+    lays out the loop monomials."""
     readers = [p.stem for p in PACKAGE
                if "loop_differential" in names_in(ast.parse(p.read_text(encoding="utf-8")))]
     assert readers == ["freeloop"]
+
+
+def test_one_class_lays_out_the_complexes_of_tensors():
+    """A complex of tensors gives its left factors, its suspended
+    generators, `left_image`, `twist` and `denominator`, and
+    `exactq.TensorComplex` builds its bases and layouts from them, so no
+    other module looks up a position table or keeps a layout, and no
+    complex of tensors lays out a basis of its own."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "slice_positions") == [("exactq", "_basis")]
+    assert sorted({mod for mod, src in sources.items() for node in ast.walk(ast.parse(src))
+                   if isinstance(node, ast.Tuple) and node.elts
+                   and isinstance(node.elts[0], ast.Constant)
+                   and node.elts[0].value == "layout"}) == ["exactq"]
+    tensors, stack = [], [TensorComplex]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        tensors += subclasses
+        stack += subclasses
+    assert sorted(cls.__name__ for cls in tensors) == [
+        "DualSectionComplex", "ExtendedQuotientModel", "FreeLoopModel"]
+    assert [cls.__name__ for cls in tensors
+            if {"_basis", "basis", "layout"} & set(vars(cls))] == []
 
 
 def test_only_exactq_reads_the_integer_form():

@@ -38,7 +38,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_MODELS = Path(__file__).parent.parent / "perfbench" / "models"
 # every shipped, bench and fixture model with Poincare duality
 PD_MODELS = (corpus_models() + sorted(p.stem for p in BENCH_MODELS.glob("*.model"))
-             + ["s2xs2", "s2xs3_twisted"])
+             + ["massey", "s2xs2", "s2xs3_twisted"])
 
 
 def quotient(name):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import loopspace
-from loopspace import exactq, gca, load_corpus_model, sections, sullivan
+from loopspace import exactq, gca, sections, sullivan
 from loopspace.cli import _COMMANDS
 from loopspace.errors import (
     ChainMapFailure,
@@ -60,11 +60,16 @@ BENCH = Path(__file__).parent.parent / "perfbench" / "models"
 CORPUS = ("s2", "s3", "cp2", "cp3", "s2xs3", "su3")
 
 
-def get_model(name):
+def model_path(name):
+    """The file of a fixture, bench or shipped model."""
     for path in (FIXTURES / (name + ".model"), BENCH / (name + ".model")):
         if path.exists():
-            return parse_model(path.read_text(), name)
-    return load_corpus_model(name)
+            return path
+    return loopspace.corpus_path(name)
+
+
+def get_model(name):
+    return parse_model(model_path(name).read_text(encoding="utf-8"), name)
 
 
 def setup(name):
@@ -202,6 +207,55 @@ class TestCochainComplexes:
         assert [eqm.flm.betti(n) for n in range(6)] == [eqm.betti(n) for n in range(6)]
 
 
+PD_MODELS = CORPUS + ("cp2xs3", "flag", "hp2", "s2cubed", "massey", "nonintegral",
+                      "s2xs2", "s2xs3_twisted")
+
+
+def class_by_class(sgens, degrees, k):
+    """(basis, layout) of a slice over the classes of A, enumerated
+    directly: class i, in index order, with the monomials of degree
+    degrees[i] and word length k in sgens, at the running offset."""
+    basis, layout = [], {}
+    for i, q in enumerate(degrees):
+        ms = gca.slice_basis(sgens, q, k) if q >= 0 else ()
+        if ms:
+            layout[i] = (len(basis), {m: p for p, m in enumerate(ms)})
+            basis.extend((i, m) for m in ms)
+    return tuple(basis), layout
+
+
+def assert_shared_positions(sgens, basis, layout, k):
+    """Each class's position table is the one gca shares for its slice."""
+    for offset, positions in layout.values():
+        m = basis[offset][1]
+        assert positions is gca.slice_positions(
+            sgens, gca.monomial_degree(sgens, m), k)
+
+
+class TestTensorLayouts:
+    """The extended and the dual complex list their slices class by class,
+    each class with its suspended monomials, and lay them out at running
+    offsets; every position table is the one `gca.slice_positions` shares,
+    as rho (x) 1 and Du (x) 1 are placed by comparing those tables."""
+
+    @pytest.mark.parametrize("name", PD_MODELS)
+    def test_layouts_match_a_direct_enumeration(self, name):
+        model, algebra, _, eqm = setup(name)
+        degs, sgens = algebra.degrees, eqm.sgens
+        for k in (None, 0, 1, 2):
+            for n in range(-1, model.formal_dim + 4):
+                want = class_by_class(sgens, [n - p for p in degs], k)
+                assert (eqm.basis(n, k), eqm.layout(n, k)) == want, (n, k)
+                assert_shared_positions(sgens, eqm.basis(n, k), eqm.layout(n, k), k)
+        for k in (0, 1):
+            dual = DualSectionComplex(eqm, k)
+            lo, hi = dual.degree_range()
+            for m in range(lo - 2, hi + 2):
+                want = class_by_class(sgens, [m + p for p in degs], k)
+                assert (dual.basis(m), dual.layout(m)) == want, (m, k)
+                assert_shared_positions(sgens, dual.basis(m), dual.layout(m), k)
+
+
 class TestExtendedComplex:
     def test_s2_suspension_image(self):
         _, _, _, eqm = setup("s2")
@@ -258,7 +312,7 @@ class TestExtendedComplex:
         assert slices == len(eqm.flm.slices(6)) == recount == 18
 
     @pytest.mark.parametrize("name", CORPUS + (
-        "cp2xs3", "flag", "hp2", "s2cubed", "s2xs2", "s2xs3_twisted"))
+        "cp2xs3", "flag", "hp2", "s2cubed", "massey", "s2xs2", "s2xs3_twisted"))
     def test_extended_slices_are_empty_off_the_walk(self, name):
         # A^p != 0 only where the base has monomials of degree p, so the
         # loop model's populated slices cover the extended complex's
@@ -367,7 +421,7 @@ class TestExtendedDifferential:
     """Dbar read off the loop model's D(t) against the Leibniz formula."""
 
     @pytest.mark.parametrize("name", CORPUS + (
-        "cp2xs3", "flag", "hp2", "s2cubed", "s2xs2", "s2xs3_twisted"))
+        "cp2xs3", "flag", "hp2", "s2cubed", "massey", "s2xs2", "s2xs3_twisted"))
     def test_every_slice_matches_the_leibniz_formula(self, name):
         model, _, _, eqm = setup(name)
         dbar_sv = reference_dbar_sv(eqm)
@@ -605,7 +659,8 @@ def rho_derivation_differential(model, pd, algebra, qmap):
 
 class TestRhoDerivations:
     @pytest.mark.parametrize("name", CORPUS + (
-        "cp2xs3", "flag", "hp2", "s2cubed", "nonintegral", "s2xs2", "s2xs3_twisted"))
+        "cp2xs3", "flag", "hp2", "s2cubed", "massey", "nonintegral", "s2xs2",
+        "s2xs3_twisted"))
     def test_dual_complex_is_the_dual_of_the_rho_derivations(self, name):
         # delta(a_l' (x) sv_h) has coefficient (-1)^(|a_l| + |a_i|) times
         # that of theta_{h,l} in D theta_{j,i} on a_i' (x) sv_j, support
@@ -775,6 +830,17 @@ def doubled_unit_product():
     return doubled
 
 
+def negated_codiff():
+    """FiniteCdga.codiff with every coefficient negated: -d' still squares
+    to 0, and the chain property d' o Du = +-Du o d_A breaks wherever
+    Du o d_A != 0, as on the massey fixture."""
+    real = FiniteCdga.codiff
+
+    def negated(self, j):
+        return {r: -v for r, v in real(self, j).items()}
+    return negated
+
+
 def negated_extended_twist():
     """ExtendedQuotientModel.twist with every term negated: Dbar is then
     d_A (x) 1 minus the twist, which on S2, where d_A is 0, still squares
@@ -795,7 +861,8 @@ def negated_extended_twist():
 # makes Du = 0, which keeps the chain property and fails the isomorphism
 # on H^0.  On S2 every degree-preserving rho commutes with d, as d_A is 0
 # and d lands above the formal dimension, so the quotient's fault is on
-# S2xS3, where d y = x^2 stays in A.
+# S2xS3, where d y = x^2 stays in A.  A negated d' shows only where
+# Du o d_A != 0, which holds on no model but the non-formal massey fixture.
 FAULTS = [
     ("poincare_duality", "s2", sullivan, "kernel_basis", lambda m: [{}],
      TopClassCollapse, 4, "functional evaluates to 0 on the fundamental class"),
@@ -806,6 +873,8 @@ FAULTS = [
     ("loop_extension_quasi_iso", "s2", ExtendedQuotientModel, "twist",
      negated_extended_twist(), ChainMapFailure, 4,
      "rho (x) 1 fails to commute with the differentials on slice (2, 1)"),
+    ("duality_chain_property", "massey", FiniteCdga, "codiff", negated_codiff(),
+     ChainMapFailure, 4, "duality map fails the chain property at degree 3"),
     ("duality_cohomology_iso", "s2", FiniteCdga, "pairing", lambda self, i: {},
      SingularDuality, 3, "duality map is not an isomorphism on H^0 (rank 0 of 1)"),
     ("square_identity", "s2", DualSectionComplex, "twist", negated_dual_twist(),
@@ -835,7 +904,7 @@ class TestFaultTable:
         assert type(err.value) is cls and str(err.value) == message
         assert exit_code_for(err.value) == code
         assert got == [(p, True) for p in passed]
-        status, out = run_cli(["verify", str(loopspace.corpus_path(model))])
+        status, out = run_cli(["verify", str(model_path(model))])
         assert status == code
         assert out.endswith("verdict %s: pass\nerror: %s\nexit-code: %d\n"
                             % (passed[-1], message, code))
@@ -1076,7 +1145,7 @@ class TestIntegerSlices:
         assert len(fetched) == 319
 
 
-ALL_MODELS = CORPUS + ("cp2xs3", "flag", "hp2", "s2cubed",
+ALL_MODELS = CORPUS + ("cp2xs3", "flag", "hp2", "s2cubed", "massey",
                        "nonintegral", "not_pd", "s2xs2", "s2xs3_twisted")
 
 

@@ -28,7 +28,7 @@ TABLE = TESTS / "stdout_digests.txt"
 COMMANDS = ("validate", "betti", "hodge", "quotient", "aut-ranks", "verify")
 SHIPPED = ("s2", "s3", "cp2", "cp3", "s2xs3", "su3")
 BENCH = ("cp2xs3", "flag", "hp2", "s2cubed")
-FIXTURES = ("nonintegral", "not_pd", "s2xs2", "s2xs3_twisted")
+FIXTURES = ("massey", "nonintegral", "not_pd", "s2xs2", "s2xs3_twisted")
 
 
 def model_path(name):

@@ -26,7 +26,7 @@ from test_exactq import dense, dense_rref
 Q = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_MODELS = Path(__file__).parent.parent / "perfbench" / "models"
-PD_FIXTURES = ("s2xs2", "s2xs3_twisted")
+PD_FIXTURES = ("massey", "s2xs2", "s2xs3_twisted")
 
 S2_TEXT = """\
 model S2

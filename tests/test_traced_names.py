@@ -32,10 +32,12 @@ def test_traced_name_resolves(mod, name):
 
 def test_tracer_sees_inherited_slice_methods(monkeypatch):
     """The tracer wraps FreeLoopModel.d_matrix and
-    ExtendedQuotientModel.d_matrix with setattr on those classes, though
-    both inherit the method; a wrapper put there must see every call the
-    table builders make, and see it with positional slice arguments, as
-    the tracer reads them as (self, n, word_length)."""
+    ExtendedQuotientModel.d_matrix with setattr on those classes.  The
+    loop model defines the method itself, to hand word length 0 to the
+    base model, and the extended complex inherits it from CochainComplex
+    through TensorComplex; a wrapper put on either must see every call
+    the table builders make, and see it with positional slice arguments,
+    as the tracer reads them as (self, n, word_length)."""
     from loopspace import load_corpus_model
     from loopspace.freeloop import FreeLoopModel, hodge_betti_table, loop_betti
     from loopspace.sections import (ExtendedQuotientModel, TheoremReport,
