@@ -17,21 +17,17 @@ accumulate step, `add_term`, which drops a key whose sum is zero.
 Fractions live at the interfaces: `SparseMatrix(rows, cols, entries)`
 takes exact rationals, and `entries`, the kernel vectors and the tables
 of a model or a quotient hold Fractions.  Ints live in the matrices and
-the kernels, and in the slices of the loop model, the extended complex
-and the dual complex, whose coefficients have a `denominator` known
-before any column is built: those slices and the rho (x) 1 and Du (x) 1
-matrices between them (`tensor_one_matrix`) form no Fraction.  Six
-classes of complex subclass `CochainComplex`, which builds every slice
-and keeps slices, bases and `betti` per (n, k) in its `memo`; the dual
-complex serves twice, at word length 0 as A-dual, the target of Du, and
-at 1.  Two, the quotient and the derivations, are their slice bases plus
-`image`, the differential of one basis element, and the model keeps the
-generic path of `gca`; no check builds the quotient's own slices, as the
-extended complex is the quotient at word length 0.  The loop model, the
-extended and the dual complex are complexes of tensors, laid out by
-`TensorComplex` alone, and a slice of one is `left_image` (x) 1, placed
-block by block as rho (x) 1 is, plus `twist`, the rest of the
-differential, summed in term by term.
+the kernels, and in the slices of every complex of tensors, whose
+coefficients have a `denominator` known before any column is built:
+those slices and the rho (x) 1 and Du (x) 1 matrices between them
+(`tensor_one_matrix`) form no Fraction.  `CochainComplex` keeps slices,
+bases and `betti` per (n, k) in its `memo`, and two classes build
+slices: the model on the generic path of `gca`, the reference, and
+`TensorComplex` for the loop model, the extended and the dual complex
+(A-dual, the target of Du, at word length 0) and the derivations, as
+`left_image` (x) 1, placed block by block as rho (x) 1 is, plus
+`twist`.  The quotient is no complex: it is the extended complex at
+word length 0.
 Commuting squares are checked with `is_chain_map` and ranks on
 cohomology taken with `induced_rank`, one rank identity that needs the
 square below to commute.
@@ -492,23 +488,12 @@ class CochainComplex:
 
     A subclass holds a dict `_cache` and defines `_basis(n, k)`, the
     ordered basis of degree n restricted to word length k where it has
-    one.  `slice_matrix(n, k)` is then the differential from degree n to
-    n+1; the model overrides it with the generic path of `gca`.  An empty
-    degree-n slice, as below degree 0 of a model, gives a matrix with no
-    columns, so it needs no special case.
-
-    With `denominator` None, the subclass defines `image(x)`, the
-    differential of the basis element x as {basis element of degree n+1:
-    Fraction}, and `matrix_of_map` finds its rows: the quotient and the
-    derivations.  A `TensorComplex` sets `denominator` to an int that
-    every coefficient, times it, turns into an int; its slice is
-    `left_image` (x) 1, placed by blocks with the placer of rho (x) 1,
-    plus each `twist` term summed into its entry, dropping a sum that
-    cancels.  No dict over the codomain is built, and the ints go to the
-    matrix as they are.
+    one, and `slice_matrix(n, k)`, the differential from degree n to n+1:
+    the model builds it on the generic path of `gca`, a complex of
+    tensors in ints (`TensorComplex`).  An empty degree-n slice, as below
+    degree 0 of a model, gives a matrix with no columns, so it needs no
+    special case.
     """
-
-    denominator = None
 
     def memo(self, key, build, *args):
         """`_cache[key]`, from build(*args) the first time it is asked for;
@@ -521,23 +506,6 @@ class CochainComplex:
     def basis(self, n, k=None):
         """The slice basis, built once and then kept in `_cache`."""
         return self.memo(("basis", n, k), self._basis, n, k)
-
-    def slice_matrix(self, n, k):
-        dom, cod = self.basis(n, k), self.basis(n + 1, k)
-        failure = ("%s differential left its slice: degree %d, word length %s"
-                   % (type(self).__name__, n, k))
-        if self.denominator is None:
-            return matrix_of_map(dom, cod, self.image, failure)
-        layout, index = self.layout(n + 1, k), _indices(max(len(cod), len(dom)))
-        ints = _tensor_one(self.left_image, self.layout(n, k), layout, index, failure)
-        for x, c in zip(dom, index):
-            try:
-                for left, right, v in self.twist(x):
-                    offset, positions = layout[left]
-                    add_term(ints, (index[offset + positions[right]], c), v)
-            except (KeyError, TypeError, ValueError):
-                raise InternalCheckFailure(failure) from None
-        return _lowest_terms(len(cod), len(dom), ints, self.denominator)
 
     def d_matrix(self, n, k=None):
         """The slice matrix, built once and then kept in `_cache`."""
@@ -576,13 +544,14 @@ class CochainComplex:
 
 
 class TensorComplex(CochainComplex):
-    """A complex of tensors left (x) right, laid out here for every
-    subclass: the loop model, the extended and the dual complex.  A
-    subclass gives `left_basis(p)`, the left factors of degree p in their
-    own order; `sgens`, the suspended generators, whose slices
+    """A complex of tensors left (x) right, laid out and built here for
+    every subclass: the loop model, the extended and the dual complex and
+    the derivations.  A subclass gives `left_basis(p)`, the left factors
+    of degree p in their own order; `sgens`, whose slices
     `gca.slice_basis(sgens, q, k)` make the right factor, at the slice's
-    k or at `word_length` where that is set; and `left_image`, `twist`
-    and `denominator` for `slice_matrix`.
+    k or at `word_length` where that is set: the suspended generators, or
+    the duals v' of the derivations; and `left_image`, `twist` and
+    `denominator` for `slice_matrix`.
 
     Slice (n, k) lists, left factor by left factor, the pairs (left, t)
     with t in the right slice T of a degree q populated at the word
@@ -599,6 +568,25 @@ class TensorComplex(CochainComplex):
         """{left: (offset, {right: position})}, kept beside the basis."""
         self.basis(n, k)
         return self._cache[("layout", n, k)]
+
+    def slice_matrix(self, n, k):
+        """d from degree n to n+1: `left_image` (x) 1, placed by blocks with
+        the placer of rho (x) 1, plus each `twist` term summed into its
+        entry, dropping a sum that cancels, in ints over `denominator` and
+        with no dict over the codomain."""
+        dom, cod = self.basis(n, k), self.basis(n + 1, k)
+        failure = ("%s differential left its slice: degree %d, word length %s"
+                   % (type(self).__name__, n, k))
+        layout, index = self.layout(n + 1, k), _indices(max(len(cod), len(dom)))
+        ints = _tensor_one(self.left_image, self.layout(n, k), layout, index, failure)
+        for x, c in zip(dom, index):
+            try:
+                for left, right, v in self.twist(x):
+                    offset, positions = layout[left]
+                    add_term(ints, (index[offset + positions[right]], c), v)
+            except (KeyError, TypeError, ValueError):
+                raise InternalCheckFailure(failure) from None
+        return _lowest_terms(len(cod), len(dom), ints, self.denominator)
 
     def _basis(self, n, k):
         from . import gca       # gca builds on this module

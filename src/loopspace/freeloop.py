@@ -89,8 +89,8 @@ class FreeLoopModel(TensorComplex):
             for spec in (self.base.differential, self.loop_differential))
 
     def left_basis(self, p):
-        """The base monomials of degree p."""
-        return gca.basis_of_degree(self.base.generators, p)
+        """The base monomials of degree p, none below degree 0."""
+        return gca.basis_of_degree(self.base.generators, p) if p >= 0 else ()
 
     def slices(self, n_max):
         """The (n, k), k <= n <= n_max, whose slice basis is not empty, in

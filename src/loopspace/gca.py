@@ -21,6 +21,11 @@ Sign conventions, fixed once here and used everywhere downstream:
 
 Monomial order: total degree first, then ascending lexicographic order on
 exponent tuples.  basis_of_degree enumerates in exactly that order.
+
+A generator may have negative degree, as the duals v' of the derivation
+complex, of degree -|v| and of kind "suspended", whose factors the word
+length counts: basis_of_degree at -n lists what it lists at n over the
+degrees |v|, and the words of length one are the unit tuples.
 """
 
 from functools import lru_cache

@@ -21,22 +21,22 @@ zero, or, in degree N, to lambda times the fundamental class, so rho of
 an element is a sum of table rows and no matrix stands behind it.
 """
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import IncompleteModel, IdentityViolation, QuasiIsoFailure
-from .exactq import CochainComplex, ONE
+from .exactq import ONE
 from . import gca
 
 
-class FiniteCdga(CochainComplex):
+class FiniteCdga:
     """A finite-dimensional cdga by structure constants.
 
     Basis indices are global, sorted by (degree, slice position); the unit
     is a_0 and the fundamental class a_{size-1}, the last index.  products
     maps (i, j) to {k: alpha_ij^k}, diff maps i to {j: beta_i^j}; absent
-    keys mean zero.  As a cochain complex its degree-n basis is the
-    indices of degree n and `image(i)` is d a_i; the word length is
-    ignored.
+    keys mean zero, and `image(i)` is d a_i.  A is no complex of its own:
+    with d_A it is the extended complex of sections at word length 0.
     """
 
     def __init__(self, name, degrees, labels, products, diff):
@@ -45,7 +45,6 @@ class FiniteCdga(CochainComplex):
         self.labels = labels
         self.products = products
         self.diff = diff
-        self._cache = {}
 
     @property
     def size(self):
@@ -55,7 +54,8 @@ class FiniteCdga(CochainComplex):
     def top_degree(self):
         return self.degrees[-1]
 
-    def _basis(self, n, k):
+    def basis(self, n):
+        """The indices of degree n, in order."""
         return tuple(i for i, d in enumerate(self.degrees) if d == n)
 
     def product(self, i, j):
@@ -67,8 +67,9 @@ class FiniteCdga(CochainComplex):
     def pairing(self, i):
         """{l: alpha_il^top}, the nonzero coefficients of the fundamental
         class in the products a_i a_l, from one table built on first use."""
-        return self.memo(("pairing",), self._pairing_table).get(i, {})
+        return self._pairing_table.get(i, {})
 
+    @cached_property
     def _pairing_table(self):
         table = {}
         top = self.size - 1
@@ -80,8 +81,9 @@ class FiniteCdga(CochainComplex):
     def codiff(self, j):
         """d'(a_j') = -(-1)^{|a_j|} sum_r beta_r^j a_r' for d'(f) = -(-1)^{|f|}
         f o d, as {r: coeff}, from one table built on first use."""
-        return self.memo(("codiff",), self._codiff_table).get(j, {})
+        return self._codiff_table.get(j, {})
 
+    @cached_property
     def _codiff_table(self):
         table = {}
         for r, coeffs in self.diff.items():

@@ -36,8 +36,8 @@ every degree where either complex is populated.  TheoremReport.compared
 checks them against the word-length one loop cohomology and against the
 homology of `DerivationComplex`, the derivations of the base model (the
 classical description of the rational homotopy of the identity component
-of the self-equivalences, Haefliger 1982), ranked like every other
-complex.
+of the self-equivalences, Haefliger 1982), a complex of tensors laid out
+like the loop side, with a twist of its own.
 """
 
 from functools import cached_property
@@ -47,11 +47,10 @@ from .errors import (ValidationFailure, DifferentialSquareNonzero,
                      SignIdentityFailure, DualMismatch, TheoremMismatch,
                      SingularDuality, InternalCheckFailure, ChainMapFailure,
                      QuasiIsoFailure)
-from .exactq import (CochainComplex, ONE, TensorComplex, add_term, rank,
-                     common_denominator, induced_rank, is_chain_map, scaled,
-                     tensor_one_matrix)
+from .exactq import (TensorComplex, add_term, common_denominator, induced_rank,
+                     is_chain_map, rank, scaled, tensor_one_matrix)
 from . import gca
-from .gca import DerivationSpec
+from .gca import DerivationSpec, Generator
 from .sullivan import RankTable, validate, check_poincare_duality
 from .freeloop import build_free_loop_model, hodge_betti_table, loop_betti
 from .pdquotient import build_quotient, structure_identities, verify_quasi_iso
@@ -375,39 +374,44 @@ def low_degree_section_classes(eqm):
     return {n: eqm.betti(n, 1) for n in range(1, N + 1)}
 
 
-class DerivationComplex(CochainComplex):
-    """Der(LV), the derivations of the base model of negative degree, as
-    a cochain complex: level m, the derivations of degree -m, sits at
-    cochain degree -m.  Basis pairs (g, mono) stand for the derivation
-    sending generator g to the monomial mono, of degree |g| - m, and the
-    other generators to 0; `image(pair)` is d o theta - (-1)^m theta o d,
-    whose value on generator h is read at pairs (h, mono').
-    """
+class DerivationComplex(TensorComplex):
+    """Der(LV) = LV (x) V-dual: level m, the derivations of degree -m, at
+    cochain degree -m.  The pair (b, t) is theta, sending the generator v
+    of t, a unit tuple over `sgens`, the duals v' of degree -|v|, to b and
+    the others to 0.  D theta = d o theta - (-1)^|theta| theta o d is d
+    (x) 1 plus `twist`, in ints over `denominator`, both from the parsed d
+    through `gca.apply_derivation`, never from the loop model's twist."""
+
+    word_length = 1
 
     def __init__(self, model):
         self.model = model
         self._cache = {}
+        gens, images = model.generators, model.differential.images.items()
+        self.sgens = tuple(Generator(g.name + "'", -g.degree, "suspended", i)
+                           for i, g in enumerate(gens))
+        self._units = [tuple(int(g == h) for h in gens) for g in gens]
+        den = self.denominator = common_denominator(c for _, e in images for c in e.values())
+        self._d = DerivationSpec(1, {i: scaled(img, den) for i, img in images})
 
-    def _basis(self, n, k):
-        model = self.model
-        return tuple((gi, mono) for gi, g in enumerate(model.generators)
-                     for mono in model.basis(g.degree + n))
+    def left_basis(self, p):
+        """The base monomials of degree p, none below degree 0."""
+        return self.model.basis(p) if p >= 0 else ()
 
-    def image(self, theta):
-        gi, mono = theta
-        gens, d = self.model.generators, self.model.differential
-        m = gens[gi].degree - gca.monomial_degree(gens, mono)
-        spec = DerivationSpec(-m, {t: ({mono: ONE} if t == gi else {})
-                                   for t in range(len(gens))})
-        sgn = ONE if m % 2 else -ONE
-        out = {}
-        for hi in range(len(gens)):
-            img = gca.elem_add_into(
-                {}, gca.apply_derivation(gens, spec, d.images.get(hi, {})), sgn)
-            if hi == gi:
-                gca.elem_add_into(img, gca.apply_derivation(gens, d, {mono: ONE}))
-            out.update(((hi, mono2), v) for mono2, v in img.items())
-        return out
+    def left_image(self, b):
+        """d(b), as {b': int} over `denominator`."""
+        return gca.apply_derivation(self.model.generators, self._d, {b: 1})
+
+    def twist(self, pair):
+        """-(-1)^|theta| theta(d w) (x) w' over the generators w, for theta
+        of pair (b, t), as [(b', t', int)] over `denominator`."""
+        b, t = pair
+        gens, d, v = self.model.generators, self._d.images, t.index(1)
+        degree = gca.monomial_degree(gens, b) - gens[v].degree
+        theta = DerivationSpec(degree, {w: {b: 1} if w == v else {} for w in range(len(t))})
+        sign = 1 if degree % 2 else -1
+        return [(b2, unit, sign * c) for w, unit in enumerate(self._units)
+                for b2, c in gca.apply_derivation(gens, theta, d.get(w, {})).items()]
 
 
 def derivation_oracle(model, m_max):

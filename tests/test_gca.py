@@ -26,6 +26,7 @@ from loopspace.gca import (
     render_element,
     render_monomial,
     slice_basis,
+    word_length_degrees,
 )
 
 Q = Fraction
@@ -193,6 +194,24 @@ class TestBasis:
             for k, part in enumerate(slices):
                 assert part == tuple(m for m in basis
                                      if monomial_word_length(gens, m) == k)
+
+
+    def test_dual_generators_of_negative_degree(self):
+        # the duals v' of the derivation complex, of degree -|v| and of the
+        # kind the word length counts: at -n they list the exponent tuples
+        # of degree n, and their words of length one are the unit tuples
+        duals = tuple(Generator(g.name + "'", -g.degree, "suspended", i)
+                      for i, g in enumerate(GENS))
+        for n in range(13):
+            assert basis_of_degree(duals, -n) == basis_of_degree(GENS, n), n
+        assert basis_of_degree(duals, 1) == ()
+        units = [tuple(int(i == j) for i in range(len(GENS))) for j in range(len(GENS))]
+        degrees = word_length_degrees(duals, 1)
+        assert degrees == (-4, -3, -2)
+        found = [m for q in degrees for m in slice_basis(duals, q, 1)]
+        assert sorted(found) == sorted(units) and len(found) == len(units)
+        assert [m for q in range(-12, 1) for m in basis_of_degree(duals, q)
+                if monomial_word_length(duals, m) == 1] == found
 
 
 class TestElements:

@@ -24,7 +24,8 @@ from pathlib import Path
 import pytest
 
 from loopspace.cli import build_parser
-from loopspace.exactq import TensorComplex
+from loopspace.exactq import CochainComplex, TensorComplex
+from loopspace.pdquotient import FiniteCdga
 from test_traced_names import traced_names
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,18 +190,31 @@ def class_methods(sources):
                   for f in stmt.body if isinstance(f, FUNCTIONS))
 
 
-def test_one_class_builds_the_slices():
-    """A complex is its bases and either `image` or, for a complex of
-    tensors, `left_image` and `twist`; CochainComplex builds every slice
-    from them, and only the model keeps the generic Leibniz path.  The
-    loop model, the extended and the dual complex are complexes of
-    tensors, so only the quotient and the derivations define `image`."""
+def complex_classes():
+    """Every subclass of CochainComplex, at any depth."""
+    found, stack = [], [CochainComplex]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        found += subclasses
+        stack += subclasses
+    return found
+
+
+def test_two_classes_build_the_slices():
+    """Two slice builders: the model's generic Leibniz path of `gca`, the
+    reference, and TensorComplex's, from `left_image` and `twist`, for
+    the loop model, the extended and the dual complex and the
+    derivations.  No complex builds a slice from the differential of one
+    basis element, `image`, so only the generic path asks matrix_of_map
+    for a matrix, and the quotient is no complex: the extended complex is
+    the quotient at word length 0."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     methods = class_methods(sources)
     assert [(mod, cls) for mod, cls, name in methods if name == "slice_matrix"] == [
-        ("exactq", "CochainComplex"), ("sullivan", "SullivanModel")]
-    assert [(mod, cls) for mod, cls, name in methods if name == "image"] == [
-        ("pdquotient", "FiniteCdga"), ("sections", "DerivationComplex")]
+        ("exactq", "TensorComplex"), ("sullivan", "SullivanModel")]
+    assert [cls.__name__ for cls in complex_classes() if "image" in vars(cls)] == []
+    assert callers(sources, "matrix_of_map") == [("gca", "matrix_of_degree_slice")]
+    assert not issubclass(FiniteCdga, CochainComplex)
     assert [m for m in methods if m[2] in ("by_degree", "slice_basis")] == []
 
 
@@ -322,12 +336,10 @@ def test_the_rho_walk_compares_one_betti_number():
 def test_two_maps_are_placed_by_blocks():
     """rho (x) 1 and Du (x) 1, on A as on A (x) sV, are f (x) 1 between
     two complexes of tensors, and both are placed block by block from a
-    table of f, so neither looks a row up in a dict over the codomain; no
-    function of sections builds a matrix through matrix_of_map."""
+    table of f, so neither looks a row up in a dict over the codomain."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "tensor_one_matrix") == [
         ("sections", "_du_tensor_matrix"), ("sections", "_rho_tensor_matrix")]
-    assert [c for c in callers(sources, "matrix_of_map") if c[0] == "sections"] == []
 
 
 def test_rho_is_a_matrix_only_through_rho_tensor_matrix():
@@ -336,7 +348,6 @@ def test_rho_is_a_matrix_only_through_rho_tensor_matrix():
     length zero, so pdquotient builds no matrix of it."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "matrix") == []
-    assert [c for c in callers(sources, "matrix_of_map") if c[0] == "pdquotient"] == []
 
 
 def test_only_freeloop_reads_the_loop_differential():
@@ -349,8 +360,8 @@ def test_only_freeloop_reads_the_loop_differential():
 
 
 def test_one_class_lays_out_the_complexes_of_tensors():
-    """A complex of tensors gives its left factors, its suspended
-    generators, `left_image`, `twist` and `denominator`, and
+    """A complex of tensors gives its left factors, the generators of its
+    right factor, `left_image`, `twist` and `denominator`, and
     `exactq.TensorComplex` builds its bases and layouts from them, so no
     other module looks up a position table or keeps a layout, and no
     complex of tensors lays out a basis of its own."""
@@ -360,13 +371,11 @@ def test_one_class_lays_out_the_complexes_of_tensors():
                    if isinstance(node, ast.Tuple) and node.elts
                    and isinstance(node.elts[0], ast.Constant)
                    and node.elts[0].value == "layout"}) == ["exactq"]
-    tensors, stack = [], [TensorComplex]
-    while stack:
-        subclasses = stack.pop().__subclasses__()
-        tensors += subclasses
-        stack += subclasses
+    tensors = [cls for cls in complex_classes() if issubclass(cls, TensorComplex)
+               and cls is not TensorComplex]
     assert sorted(cls.__name__ for cls in tensors) == [
-        "DualSectionComplex", "ExtendedQuotientModel", "FreeLoopModel"]
+        "DerivationComplex", "DualSectionComplex", "ExtendedQuotientModel",
+        "FreeLoopModel"]
     assert [cls.__name__ for cls in tensors
             if {"_basis", "basis", "layout"} & set(vars(cls))] == []
 

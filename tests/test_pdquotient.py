@@ -225,20 +225,16 @@ class TestStructureIdentities:
 
 class TestDifferentialMatrix:
     def test_differential_leaving_its_degree_is_an_internal_failure(self):
-        # d sends the degree-2 class p to the degree-4 class r, not into
-        # degree 3: the matrix of d on degree 2 has no row for it
-        alg = FiniteCdga(
-            name="synthetic",
-            degrees=(0, 2, 4),
-            labels=("1", "p", "r"),
-            products={(0, 0): {0: ONE}, (0, 1): {1: ONE}, (0, 2): {2: ONE},
-                      (1, 0): {1: ONE}, (2, 0): {2: ONE}, (1, 1): {2: ONE}},
-            diff={1: {2: ONE}},
-        )
+        # d sends the degree-2 class x of CP2 to the degree-4 class x^2,
+        # not into degree 3: the quotient's slice of d on degree 2, the
+        # extended complex at word length 0, has no row for it
+        model, alg, qmap = quotient("cp2")
+        alg.diff[1] = {2: 1}
+        eqm = sections.extend_to_quotient_loop(model, alg, qmap)
         with pytest.raises(InternalCheckFailure, match=(
-                "FiniteCdga differential left its slice: degree 2, "
-                "word length None")) as err:
-            alg.d_matrix(2)
+                "ExtendedQuotientModel differential left its slice: degree 2, "
+                "word length 0")) as err:
+            eqm.d_matrix(2, 0)
         assert exit_code_for(err.value) == 4
 
 
@@ -249,9 +245,10 @@ class TestQuasiIso:
         for name, want in expected_pairs.items():
             model, alg, qmap = quotient(name)
             assert quasi_iso(model, alg, qmap, model.formal_dim + 4) == want, name
+            eqm = sections.extend_to_quotient_loop(model, alg, qmap)
             for n in range(model.formal_dim + 5):
                 dim = model.betti(n)
-                assert dim == alg.betti(n) if n <= model.formal_dim else dim == 0
+                assert dim == eqm.betti(n, 0) if n <= model.formal_dim else dim == 0
 
     def test_cp3_dims(self):
         model, alg, qmap = quotient("cp3")
@@ -264,14 +261,12 @@ class TestQuasiIso:
         # rescale the surviving differential: cohomology dimensions are
         # unchanged but rho no longer commutes with d
         alg.diff[3] = {4: Q(2)}
-        alg._cache.clear()
         with pytest.raises(ChainMapFailure):
             quasi_iso(model, alg, qmap, 6)
 
     def test_dimension_failure_detected(self):
         model, alg, qmap = quotient("s2xs3")
         alg.diff.clear()
-        alg._cache.clear()
         with pytest.raises(QuasiIsoFailure):
             quasi_iso(model, alg, qmap, 6)
 
