@@ -37,7 +37,7 @@ outputs.
 """
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd, lcm
 from numbers import Rational
 
@@ -67,8 +67,8 @@ class SparseMatrix:
     raises TypeError, since it would enter as a binary approximation.
     The matrix is stored in lowest terms: entry (r, c) is ints[(r, c)] /
     den, with nonzero ints and den the lcm of the entry denominators, so
-    equal matrices have equal `ints` and `den`.  `entries`, `columns` and
-    `apply` form Fractions on demand.  `_rank` is None until rank() first
+    equal matrices have equal `ints` and `den`.  `entries` and `columns`
+    form Fractions on demand.  `_rank` is None until rank() first
     computes it.  Beside it rank() keeps `_pivots`, one byte per row of
     m, 1 on the pivot columns of its pass over the transpose: the rows on
     which im m projects isomorphically.  `_cleared` is the `_pivots` of
@@ -113,15 +113,6 @@ class SparseMatrix:
         m._rank = m._pivots = m._cleared = None
         return m
 
-    @classmethod
-    def from_columns(cls, rows, columns):
-        """Build from a list of sparse column vectors ({row: value})."""
-        entries = {}
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                entries[(r, c)] = v
-        return cls(rows, len(columns), entries)
-
     @property
     def entries(self):
         """{(row, col): nonzero Fraction}, a new dict on each read."""
@@ -143,11 +134,6 @@ class SparseMatrix:
         denominators, brought to lowest terms."""
         return _lowest_terms(self.rows, other.cols, dict(_product(self, other)),
                              self.den * other.den)
-
-    def apply(self, vec):
-        """Apply to a sparse column vector {col: value} -> {row: value}."""
-        column = SparseMatrix.from_columns(self.cols, [vec])
-        return {r: v for (r, _), v in self.mul(column).entries.items()}
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
@@ -525,22 +511,26 @@ class CochainComplex:
         taken once per (n, k) and then kept in `_cache`."""
         return self.memo(("betti", n, k), self._betti, n, k)
 
-    def _betti(self, n, k):
-        """d(n) d(n - 1) is tested through `square_is_zero`, and a nonzero
-        one raises, naming the complex and the slice (n - 1, k).  For the
-        loop model that test is redundant mathematically, as D is a
-        derivation and D D = 0 is checked on the generators, but it is
-        kept: it guards the slice assembly from left_image (x) 1 and the
-        twist at every degree a run reaches, beyond the degrees that the
-        tests compare with the generic path.  Only after it passes is d(n)
-        ranked without the columns that the pivots of d(n - 1) clear (see
-        `rank`); a slice that an earlier reader ranked keeps its rank."""
+    def tested_pair(self, n, k=None):
+        """(d(n), d(n - 1)) of the slice once their composite has tested
+        zero through `square_is_zero`; a nonzero one raises, naming the
+        complex and the slice (n - 1, k).  For the loop model that test
+        is redundant mathematically, as D is a derivation and D D = 0 is
+        checked on the generators, but it guards the slice assembly from
+        left_image (x) 1 and the twist at every degree a run reaches,
+        beyond the degrees that the tests compare with the generic path."""
         d_out, d_in = self.d_matrix(n, k), self.d_matrix(n - 1, k)
         if not self.square_is_zero(n - 1, k, d_out, d_in):
             raise CompositionNotZero(
                 "%s slice (%d, %s): composite of consecutive differentials is "
                 "nonzero" % (type(self).__name__, n - 1, k))
-        return _cohomology_dim_of_zero_composite(d_out, d_in)
+        return d_out, d_in
+
+    def _betti(self, n, k):
+        """Only once `tested_pair` passes is d(n) ranked without the
+        columns that the pivots of d(n - 1) clear (see `rank`); a slice
+        that an earlier reader ranked keeps its rank."""
+        return _cohomology_dim_of_zero_composite(*self.tested_pair(n, k))
 
 
 class TensorComplex(CochainComplex):
@@ -557,9 +547,8 @@ class TensorComplex(CochainComplex):
     with t in the right slice T of a degree q populated at the word
     length and left of degree n - q.  `layout(n, k)` maps left to
     (offset, positions), positions the table `gca.slice_positions` shares
-    for T: the row of (left, t) is offset + positions[t].  The unsplit
-    slice (k and `word_length` None) takes every q <= n, all of them for
-    left factors of degree >= 0, and merges the split slices' pairs.
+    for T: the row of (left, t) is offset + positions[t].  Every slice has
+    a word length, its k or `word_length`: no slice merges word lengths.
     """
 
     word_length = None
@@ -592,7 +581,7 @@ class TensorComplex(CochainComplex):
         from . import gca       # gca builds on this module
         w = k if self.word_length is None else self.word_length
         sgens, parts = self.sgens, []
-        for q in range(n + 1) if w is None else gca.word_length_degrees(sgens, w):
+        for q in gca.word_length_degrees(sgens, w):
             lefts = self.left_basis(n - q)
             if lefts and (ts := gca.slice_basis(sgens, q, w)):
                 positions = gca.slice_positions(sgens, q, w)
@@ -604,9 +593,6 @@ class TensorComplex(CochainComplex):
             layout[left] = (offset, positions)
             offset += len(ts)
         self._cache[("layout", n, k)] = layout
-        if w is None:
-            return tuple(sorted(chain.from_iterable(
-                self.basis(n, j) for j in range(n + 1))))
         return tuple((left, t) for left, ts, _ in parts for t in ts)
 
 

@@ -8,8 +8,9 @@ shifted generator sv for each v, |sv| = |v| - 1, and
 
 with s the degree -1 derivation sending v to sv and sv to 0.  D preserves
 the number of suspended factors in a monomial, so each cohomology group
-splits by that word length; the pieces are computed slice by slice and
-cross-checked against the full slice.  Word length 0 is (LV, d) itself,
+splits by that word length; the pieces are computed slice by slice, and
+their sum is cross-checked against a second elimination of the same
+slices, over their rows.  Word length 0 is (LV, d) itself,
 the constant loops, so its slices and ranks are the base model's own.
 
 The model is the tensor product of its factors LV and L sV, and its slices
@@ -31,7 +32,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DifferentialSquareNonzero, HodgeSumMismatch
-from .exactq import ONE, TensorComplex, common_denominator, scaled
+from .exactq import ONE, TensorComplex, common_denominator, rank, scaled
 from . import gca
 from .gca import Generator, DerivationSpec
 from .sullivan import RankTable
@@ -57,13 +58,13 @@ class FreeLoopModel(TensorComplex):
     terms, filled by `d_suspended`, which the extended complex of
     sections reads too.  Both come from `gca.apply_derivation` on d and D
     times L, and both live as long as the model: caches the size of the
-    two factors, not one entry per loop monomial.  Each slice of word
-    length k >= 1, split or not, is built over its own basis and layout;
-    at word length 0, LV, the `d_matrix` and `betti` are the base
-    model's, built and ranked once, and the basis and layout stay for rho
-    (x) 1 and the unsplit basis.  `slices(n_max)` lists the populated (n,
-    k), read from the bases of the two factors: every complex over this
-    one, the extended complex included, is empty outside them.
+    two factors, not one entry per loop monomial.  Every slice has its
+    word length k, and each of word length k >= 1 is built over its own
+    basis and layout; at word length 0, LV, the `d_matrix` and `betti`
+    are the base model's, built and ranked once, and the basis and layout
+    stay for rho (x) 1.  `slices(n_max)` lists the populated (n, k), read
+    from the bases of the two factors: every complex over this one, the
+    extended complex included, is empty outside them.
     """
 
     def __init__(self, base, generators, loop_differential, suspension):
@@ -102,13 +103,18 @@ class FreeLoopModel(TensorComplex):
                        for k in gca.word_length_slices(self.sgens, j)
                        for d in base if j + d <= n_max})
 
-    def d_matrix(self, n, k=None):
+    def d_matrix(self, n, k):
         """The slice matrix; at word length 0, LV, the base model's own."""
         return self.base.d_matrix(n) if k == 0 else super().d_matrix(n, k)
 
-    def betti(self, n, k=None):
+    def betti(self, n, k):
         """dim H^n of the slice; at word length 0, LV, the base model's."""
         return self.base.betti(n) if k == 0 else super().betti(n, k)
+
+    def tested_pair(self, n, k):
+        """d(n, k) and d(n - 1, k), their composite tested; at word length
+        0, LV, the base model's pair, tested once."""
+        return self.base.tested_pair(n) if k == 0 else super().tested_pair(n, k)
 
     def _factor(self, b):
         """(parity of |b|, d(b) * L, the products memo) of a base monomial
@@ -221,14 +227,22 @@ def hodge_betti_table(flm, n_max, jobs=1):
 
 
 def loop_betti(flm, n_max, hodge=None):
-    """dim H^n of the whole loop model; checks the word-length split adds up."""
-    entries = {n: flm.betti(n) for n in range(n_max + 1)}
+    """dim H^n of the whole loop model, the sum over k of dim C^{n,k} -
+    rank d(n, k) - rank d(n - 1, k); given the `hodge` table, checks that
+    its word-length pieces add up to it.  Each populated slice d, its
+    square tested by `tested_pair`, is ranked by `rank(d.transpose())`:
+    a pass over its rows with nothing cleared, the other direction from
+    the cleared pass over its columns that `betti` takes."""
+    ranks = {nk: rank(flm.tested_pair(*nk)[0].transpose()) for nk in flm.slices(n_max)}
+    entries = dict.fromkeys(range(n_max + 1), 0)
+    for (n, k), r in ranks.items():
+        entries[n] += flm.d_matrix(n, k).cols - r - ranks.get((n - 1, k), 0)
     if hodge is not None:
         top = min(n_max, hodge.n_max)
         for n in range(top + 1):
             if hodge.row_sum(n) != entries[n]:
                 raise HodgeSumMismatch(
-                    "degree %d: word-length pieces sum to %d, full slice gives %d"
+                    "degree %d: word-length pieces sum to %d, the row pass gives %d"
                     % (n, hodge.row_sum(n), entries[n]))
     return RankTable(entries, flm.base.trusted(n_max, 1))
 

@@ -139,7 +139,7 @@ class ExtendedQuotientModel(TensorComplex):
                 out.extend((k, m2, c * a) for k, a in prod.items())
         return out
 
-    def rho_tensor_matrix(self, n, k=None):
+    def rho_tensor_matrix(self, n, k):
         """Matrix of rho (x) 1 from the loop slice (n, k) to this one, the
         block sum over j of rho_{n-j} (x) 1: rho(b) of each base monomial
         b, as ints over R, placed at the offsets of the two layouts."""

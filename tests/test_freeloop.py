@@ -233,7 +233,7 @@ class TestFactorisedSlices:
     @staticmethod
     def assert_slices_match(flm, top):
         for n in range(top + 1):
-            for k in (None,) + tuple(range(n + 2)):
+            for k in range(n + 2):
                 assert tuple(b + t for b, t in flm.basis(n, k)) == (
                     gca.slice_basis(flm.generators, n, k)), (n, k)
                 assert flm.d_matrix(n, k) == gca.matrix_of_degree_slice(
@@ -255,11 +255,6 @@ class TestFactorisedSlices:
         flm = build_free_loop_model(model)
         self.assert_slices_match(flm, 10 if model.name == "S2xS2xS2" else 12)
 
-    def test_unsplit_basis_shares_the_split_tuples(self):
-        flm = loop("s2xs3")
-        split = {id(m) for k in range(10) for m in flm.basis(9, k)}
-        assert {id(m) for m in flm.basis(9)} == split
-
     def test_pairs_hold_the_factor_tuples(self):
         flm = loop("s2xs3")
         nb = len(flm.base.generators)
@@ -268,7 +263,7 @@ class TestFactorisedSlices:
         factor |= {id(m) for n in range(10)
                    for ms in gca.word_length_slices(susp, n).values() for m in ms}
         assert all(id(b) in factor and id(t) in factor
-                   for b, t in flm.basis(9))
+                   for k in range(10) for b, t in flm.basis(9, k))
 
     @given(pure_models())
     @settings(max_examples=50, deadline=None)

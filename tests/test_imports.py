@@ -294,13 +294,23 @@ def test_one_place_computes_the_koszul_sign_of_a_product():
         ("freeloop", "twist"), ("gca", "apply_derivation"), ("gca", "elem_mul")]
 
 
-def test_two_walkers_share_the_populated_slices():
-    """The Hodge table and the rho (x) 1 quasi-iso walk the same (n, k),
-    the ones the loop model lists; building the extended complex walks
-    none."""
+def test_three_walkers_share_the_populated_slices():
+    """The Hodge table, the row pass of the loop Betti numbers and the
+    rho (x) 1 quasi-iso walk the same (n, k), the ones the loop model
+    lists; building the extended complex walks none."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "slices") == [
-        ("freeloop", "hodge_betti_table"), ("sections", "_rho_quasi_iso")]
+        ("freeloop", "hodge_betti_table"), ("freeloop", "loop_betti"),
+        ("sections", "_rho_quasi_iso")]
+
+
+def test_the_row_pass_reads_no_betti_number():
+    """loop_betti is a second elimination of the split slices, not a sum
+    of the Betti numbers that the Hodge table read off the first."""
+    tree = ast.parse((ROOT / "src" / "loopspace" / "freeloop.py").read_text(encoding="utf-8"))
+    walk = next(f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == "loop_betti")
+    assert "betti" not in attributes_read(walk)
 
 
 def test_only_the_loop_side_walk_builds_rho_tensor_one():

@@ -22,8 +22,7 @@ from loopspace.errors import (
     QuasiIsoFailure,
     exit_code_for,
 )
-from loopspace.exactq import (SparseMatrix, cohomology_dim, kernel_basis,
-                              matrix_of_map, rref)
+from loopspace.exactq import cohomology_dim, kernel_basis, matrix_of_map, rref
 from loopspace.pdquotient import (
     FiniteCdga,
     build_quotient,
@@ -31,6 +30,7 @@ from loopspace.pdquotient import (
     verify_quasi_iso,
 )
 from loopspace.sullivan import check_poincare_duality, parse_model
+from test_exactq import apply, from_columns
 
 Q = Fraction
 ONE = Q(1)
@@ -299,11 +299,11 @@ class TestIdealAcyclicity:
             rho_next = rho_matrix(model, alg, qmap, k + 1)
             cols = []
             for vec in kernels[k]:
-                img = model.d_matrix(k).apply(vec)
-                assert rho_next.apply(img) == {}, "ideal is not d-stable"
+                img = apply(model.d_matrix(k), vec)
+                assert apply(rho_next, img) == {}, "ideal is not d-stable"
                 cols.append({i: img[c] for i, c in enumerate(free[k + 1])
                              if c in img})
-            mats[k] = SparseMatrix.from_columns(len(kernels[k + 1]), cols)
+            mats[k] = from_columns(len(kernels[k + 1]), cols)
         return mats
 
     @pytest.mark.parametrize("name", ["s2", "cp2", "s2xs3", "su3", "s2xs2"])

@@ -9,11 +9,12 @@ and projective spaces, and the derivation homology tables.
 
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import loopspace
-from loopspace import exactq, gca, sections, sullivan
+from loopspace import exactq, freeloop, gca, sections, sullivan
 from loopspace.cli import _COMMANDS
 from loopspace.errors import (
     ChainMapFailure,
@@ -33,7 +34,7 @@ from loopspace.errors import (
 )
 from loopspace.exactq import (SparseMatrix, add_term, cohomology_dim, echelon,
                               matrix_of_map)
-from loopspace.freeloop import FreeLoopModel, build_free_loop_model
+from loopspace.freeloop import FreeLoopModel, build_free_loop_model, loop_betti
 from loopspace.pdquotient import FiniteCdga, QuotientMap, build_quotient
 from loopspace.sections import (
     DerivationComplex,
@@ -94,7 +95,7 @@ def five_complexes(name):
     model, _, _, eqm = setup(name)
     dual = build_dual_complex(eqm)
     lo, hi = dual.degree_range()
-    graded = [None, 0, 1, 2]
+    graded = [0, 1, 2]
     return [
         (model, [None], range(-1, 9)),
         (eqm.flm, graded, range(-1, 9)),
@@ -208,7 +209,8 @@ class TestCochainComplexes:
         model, _, _, eqm = setup("cp2")
         assert [model.betti(n) for n in range(6)] == [1, 0, 1, 0, 1, 0]
         assert [eqm.betti(n, 0) for n in range(6)] == [1, 0, 1, 0, 1, 0]
-        assert [eqm.flm.betti(n) for n in range(6)] == [eqm.betti(n) for n in range(6)]
+        assert [eqm.flm.betti(n, k) for n, k in eqm.flm.slices(5)] == [
+            eqm.betti(n, k) for n, k in eqm.flm.slices(5)]
 
 
 PD_MODELS = CORPUS + ("cp2xs3", "flag", "hp2", "s2cubed", "massey", "nonintegral",
@@ -246,7 +248,7 @@ class TestTensorLayouts:
     def test_layouts_match_a_direct_enumeration(self, name):
         model, algebra, _, eqm = setup(name)
         degs, sgens = algebra.degrees, eqm.sgens
-        for k in (None, 0, 1, 2):
+        for k in (0, 1, 2):
             for n in range(-1, model.formal_dim + 4):
                 want = class_by_class(sgens, [n - p for p in degs], k)
                 assert (eqm.basis(n, k), eqm.layout(n, k)) == want, (n, k)
@@ -448,7 +450,7 @@ class TestExtendedDifferential:
         assert sv_images(eqm) == dbar_sv
         top = 10 if name == "s2cubed" else model.formal_dim + 8
         for n in range(-1, top + 2):
-            for k in [*range(n + 3), None]:
+            for k in range(n + 3):
                 want = matrix_of_map(
                     eqm.basis(n, k), eqm.basis(n + 1, k),
                     lambda pair: leibniz_dbar(eqm, dbar_sv, *pair),
@@ -782,15 +784,29 @@ class TestRankTables:
         assert oracle.trusted_up_to == 2  # c - N
 
 
-def zero_unsplit_loop_slice(n):
-    """FreeLoopModel.slice_matrix with the unsplit d(n) replaced by 0, a
-    fault that no split slice shows."""
-    real = FreeLoopModel.slice_matrix
+def lowered_row_rank(rows, cols):
+    """freeloop.rank, which only the row pass of loop_betti calls, one
+    lower on the transposed slices of shape rows x cols; on S2xS3 at its
+    default window d(4, 2), 2 x 3 and of rank 2, is the only such slice."""
+    real = freeloop.rank
 
-    def zeroed(self, m, k):
-        d = real(self, m, k)
-        return SparseMatrix(d.rows, d.cols) if (m, k) == (n, None) else d
-    return zeroed
+    def lowered(m):
+        return real(m) - ((m.rows, m.cols) == (rows, cols))
+    return lowered
+
+
+def overcleared_loop_slice(n, k):
+    """CochainComplex._betti for the loop model with d(n, k) ranked, before
+    the real `_betti` reads it, with every column cleared, as if each were
+    a combination of the others: its cleared rank is 0."""
+    real = FreeLoopModel._betti
+
+    def overcleared(self, m, j):
+        if (m, j) == (n, k):
+            d = self.d_matrix(n, k)
+            exactq.rank(d, SimpleNamespace(_pivots=b"\x01" * d.cols))
+        return real(self, m, j)
+    return overcleared
 
 
 def negated_dual_twist():
@@ -904,9 +920,9 @@ FAULTS = [
     ("dual_complex_agreement", "aut-ranks", "s2", sections, "_du_tensor_matrix",
      zero_du_tensor(), DualMismatch, 3,
      "degree 1: induced duality map has rank 0, expected 1"),
-    ("hodge_sum_consistency", "verify", "s2", FreeLoopModel, "slice_matrix",
-     zero_unsplit_loop_slice(3), HodgeSumMismatch, 4,
-     "degree 3: word-length pieces sum to 1, full slice gives 2"),
+    ("hodge_sum_consistency", "verify", "s2xs3", freeloop, "rank",
+     lowered_row_rank(3, 2), HodgeSumMismatch, 4,
+     "degree 4: word-length pieces sum to 4, the row pass gives 5"),
     ("rank_triple_agreement", "verify", "s2", DerivationComplex, "twist",
      lambda self, pair: [], TheoremMismatch, 3, "rank disagreement at n=1: "
      "section 0, loop word-length-one 0, derivation 1"),
@@ -934,6 +950,18 @@ class TestFaultTable:
         assert status == code
         assert out.endswith("verdict %s: pass\nerror: %s\nexit-code: %d\n"
                             % (passed[-1], message, code))
+
+    def test_the_row_pass_shares_no_clearing_with_the_hodge_table(self, monkeypatch):
+        # the Hodge table ranks d(4, 1) of S2 with every column cleared;
+        # loop_betti ranks it again over its rows, clearing nothing
+        monkeypatch.setattr(FreeLoopModel, "_betti", overcleared_loop_slice(4, 1))
+        message = "degree 4: word-length pieces sum to 2, the row pass gives 1"
+        with pytest.raises(HodgeSumMismatch, match=message):
+            verify_theorems(get_model("s2"), checks=_COMMANDS["hodge"][1])
+        status, out = run_cli(["hodge", str(model_path("s2"))])
+        assert status == 4
+        assert out.endswith("verdict d_squared_zero: pass\nerror: %s\nexit-code: 4\n"
+                            % message)
 
 
 class TestVerifyTheorems:
@@ -1099,9 +1127,8 @@ class TestIntegerSlices:
 
     TOP = 12
 
-    def slices(self):
-        return [(n, k) for n in range(-1, self.TOP + 1)
-                for k in (None,) + tuple(range(n + 2))]
+    def slices(self, top):
+        return [(n, k) for n in range(-1, top + 1) for k in range(n + 2)]
 
     def test_nonintegral_fixture_has_denominators(self):
         _, _, _, eqm = setup("nonintegral")
@@ -1120,7 +1147,8 @@ class TestIntegerSlices:
         _, _, qmap, eqm = setup(name)
         flm = eqm.flm
         nonzero = 0
-        for n, k in self.slices():
+        # cp2 has 18 nonzero rho (x) 1 slices to degree 12, and 21 to 14
+        for n, k in self.slices(self.TOP + 2):
             want = matrix_of_map(flm.basis(n, k), flm.basis(n + 1, k),
                                  lambda bt: fraction_loop_image(flm, bt), "loop")
             assert flm.d_matrix(n, k) == want, (n, k)
@@ -1169,7 +1197,7 @@ class TestIntegerSlices:
 
         monkeypatch.setattr(Fraction, "__new__", counting)
         monkeypatch.setattr(SparseMatrix, "__init__", refuse)
-        built = [m for n, k in self.slices() for m in (
+        built = [m for n, k in self.slices(self.TOP) for m in (
             flm.d_matrix(n, k), eqm.d_matrix(n, k), eqm.rho_tensor_matrix(n, k))]
         dual_built = [m for n in range(lo - 1, hi + 2) for m in (
             dual.d_matrix(n), sections._du_tensor_matrix(eqm, dual, n + N))]
@@ -1199,13 +1227,13 @@ class TestIntegerSlices:
         monkeypatch.setattr(ExtendedQuotientModel, "d_matrix", d_matrix)
         verify_theorems(get_model("s2cubed"), 11)
         tested = [(id(a), id(b)) for a, b in pairs]
-        # 157: the six pairs of the derivation complex and the seven of Du
+        # 145: the six pairs of the derivation complex and the seven of Du
         # on A, the dual complex at word length 0, are among them, and no
         # dual slice above the populated degrees is asked for; the loop
         # model's pairs at word length 0 are the base model's, tested once
-        # by its betti; 17 of the fetches are the slices (n, 0) that Du on
-        # A maps from
-        assert len(set(tested)) == len(tested) == 157
+        # by its betti, and it has no unsplit pairs; 17 of the fetches are
+        # the slices (n, 0) that Du on A maps from
+        assert len(set(tested)) == len(tested) == 145
         assert len(fetched) == 319
 
 
@@ -1241,10 +1269,29 @@ class TestWordLengthZeroIsTheBase:
         assert built and [key for key in built if key[2] != 0] == []
 
 
+class TestEverySliceHasAWordLength:
+    """The loop model and the extended complex build only split slices:
+    each (n, k) has its word length, and the loop Betti numbers are
+    summed from them."""
+
+    @pytest.mark.parametrize("command", ["verify", "hodge", "betti"])
+    def test_no_cache_key_lacks_a_word_length(self, command):
+        rep = verify_theorems(get_model("s2cubed"), 11, checks=_COMMANDS[command][1])
+        if command == "betti":
+            loop_betti(rep.flm, 11)
+        built = [cx for cx in vars(rep).values()
+                 if isinstance(cx, (FreeLoopModel, ExtendedQuotientModel))]
+        assert len(built) == (2 if command == "verify" else 1)
+        for cx in built:
+            keys = [key for key in cx._cache if len(key) > 2]
+            assert keys and [key for key in keys if key[2] is None] == []
+
+
 def ranked_slices(name, n_max):
     """(complex, key, matrix) of every slice that a verify run to n_max
-    ranked, with the model, the loop model split and unsplit, the
-    extended and the dual complex; a run that stops on a failed check
+    ranked by its column pass, with the model, the loop model, the
+    extended and the dual complex; the row pass of loop_betti ranks
+    transposes that no cache keeps.  A run that stops on a failed check
     keeps what it built."""
     report = sections.TheoremReport(get_model(name), n_max)
     try:
@@ -1294,11 +1341,13 @@ class TestClearedRanks:
         assert cleared == {"SullivanModel", "FreeLoopModel",
                            "ExtendedQuotientModel", "DualSectionComplex"}
 
-    def test_bumped_loop_slice_raises_before_its_rank(self, monkeypatch):
+    @pytest.mark.parametrize("command", ["hodge", "betti"])
+    def test_bumped_loop_slice_raises_before_its_rank(self, monkeypatch, command):
+        # betti tests the squares in loop_betti, before its row pass
         flm = build_free_loop_model(get_model("cp2"))
         n, k = bump_first_square(monkeypatch, flm, FreeLoopModel, flm.slices(9))
         upper = record_slice(monkeypatch, FreeLoopModel, n + 1, k)
-        code, out = run_cli(["hodge", str(loopspace.corpus_path("cp2")),
+        code, out = run_cli([command, str(loopspace.corpus_path("cp2")),
                              "--max-degree", "10"])
         assert out.endswith("error: FreeLoopModel slice (%d, %d): composite of "
                             "consecutive differentials is nonzero\nexit-code: 4\n"

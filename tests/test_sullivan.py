@@ -13,7 +13,7 @@ from loopspace.errors import (
     ParseError,
     UnknownGenerator,
 )
-from loopspace.exactq import SparseMatrix, rank
+from loopspace.exactq import rank
 from loopspace.sullivan import (
     check_poincare_duality,
     cocycle_representatives,
@@ -21,7 +21,7 @@ from loopspace.sullivan import (
     parse_model,
     validate,
 )
-from test_exactq import dense, dense_rref
+from test_exactq import apply, dense, dense_rref, from_columns
 
 Q = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -309,7 +309,7 @@ class TestFundamentalClass:
         N = model.formal_dim
         basis = model.basis(N)
         omega = {basis.index(m): v for m, v in report.fundamental_class.items()}
-        assert model.d_matrix(N).apply(omega) == {}
+        assert apply(model.d_matrix(N), omega) == {}
         lam = report.top_functional
         assert sum((lam.get(c, 0) * v for c, v in omega.items()), Q(0)) == 1
 
@@ -317,7 +317,7 @@ class TestFundamentalClass:
         b_rank = rank(model.d_matrix(N - 1))
 
         def completes(vec):
-            return rank(SparseMatrix.from_columns(
+            return rank(from_columns(
                 len(basis), boundaries + [vec])) == b_rank + 1
 
         assert completes(omega)
