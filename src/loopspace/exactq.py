@@ -6,9 +6,9 @@ denominator: the form every kernel reads.  Every rank and pivot set
 comes from one fraction-free forward pass, `echelon`, over the transpose
 of the matrix it is given; only `kernel_basis` asks `rref` for the
 back-substitution and the unique RREF.  `rank` keeps the pivot columns
-of its pass, one byte per row, beside the rank; once d(n) d(n-1) == 0
-has been tested, d(n) is ranked without the columns that those of
-d(n-1) make redundant (clearing), and `induced_rank` leaves the same
+of its pass, one byte per row, beside the rank; once `tested_pair` has
+tested d(n) d(n-1) == 0, d(n) is ranked without the columns that those
+of d(n-1) make redundant (clearing), and `induced_rank` leaves the same
 columns out of its block.  One integer product, row by row, serves
 `SparseMatrix.mul`, `product_is_zero` and `is_chain_map`.  Every exact
 coefficient sum, here and in the modules above, goes through one
@@ -481,6 +481,8 @@ class CochainComplex:
     special case.
     """
 
+    word_length = None
+
     def memo(self, key, build, *args):
         """`_cache[key]`, from build(*args) the first time it is asked for;
         a bound method with its arguments makes a hit build no closure."""
@@ -497,33 +499,29 @@ class CochainComplex:
         """The slice matrix, built once and then kept in `_cache`."""
         return self.memo(("d", n, k), self.slice_matrix, n, k)
 
-    def square_is_zero(self, n, k, d_next, d):
-        """Whether d_next * d == 0, for d_next and d the slices d(n + 1, k)
-        and d(n, k) already in hand, multiplied out once: a pass is kept in
-        `_cache`, where a walk's pass spares betti(n + 1, k) the product."""
-        key = ("d*d", n, k)
-        if key not in self._cache and product_is_zero(d_next, d):
-            self._cache[key] = True
-        return key in self._cache
-
     def betti(self, n, k=None):
         """dim H^n of the slice, from the two differentials around it,
         taken once per (n, k) and then kept in `_cache`."""
         return self.memo(("betti", n, k), self._betti, n, k)
 
     def tested_pair(self, n, k=None):
-        """(d(n), d(n - 1)) of the slice once their composite has tested
-        zero through `square_is_zero`; a nonzero one raises, naming the
-        complex and the slice (n - 1, k).  For the loop model that test
-        is redundant mathematically, as D is a derivation and D D = 0 is
-        checked on the generators, but it guards the slice assembly from
-        left_image (x) 1 and the twist at every degree a run reaches,
-        beyond the degrees that the tests compare with the generic path."""
+        """(d(n), d(n - 1)) of the slice once their composite, multiplied
+        out once per (n, k), has tested zero: every complex's one d d test.
+        A nonzero one raises, naming the complex and the slice (n - 1, k),
+        or (n - 1, word_length) of a complex that fixes one.  For the loop
+        model that test is redundant mathematically, as D is a derivation
+        and D D = 0 is checked on the generators, but it guards the slice
+        assembly from left_image (x) 1 and the twist at every degree a run
+        reaches, beyond the degrees that the tests compare with the generic
+        path."""
         d_out, d_in = self.d_matrix(n, k), self.d_matrix(n - 1, k)
-        if not self.square_is_zero(n - 1, k, d_out, d_in):
+        key = ("d*d", n, k)
+        if not (key in self._cache or product_is_zero(d_out, d_in)):
+            w = k if self.word_length is None else self.word_length
             raise CompositionNotZero(
                 "%s slice (%d, %s): composite of consecutive differentials is "
-                "nonzero" % (type(self).__name__, n - 1, k))
+                "nonzero" % (type(self).__name__, n - 1, w))
+        self._cache[key] = True
         return d_out, d_in
 
     def _betti(self, n, k):
@@ -550,8 +548,6 @@ class TensorComplex(CochainComplex):
     for T: the row of (left, t) is offset + positions[t].  Every slice has
     a word length, its k or `word_length`: no slice merges word lengths.
     """
-
-    word_length = None
 
     def layout(self, n, k=None):
         """{left: (offset, {right: position})}, kept beside the basis."""
@@ -644,8 +640,8 @@ def induced_rank(f, d_out, target_d_in):
     H^n(D), one elimination beside two memoised ranks.  It is the rank on
     H^n(C) when f sends boundaries into im target_d_in, that is when the
     chain square one degree down commutes; both callers check it first,
-    at either word length: the rho (x) 1 walk of `sections` on slice
-    (n - 1, k), and `sections.verify_duality_quasi_iso` through the square
+    at either word length: the rho (x) 1 walk of `sections` on the same
+    slice, and `sections.verify_duality_quasi_iso` through the square
     identity of the dual complex's builder.  ValueError unless f has
     d_out's columns and target_d_in's rows.
 

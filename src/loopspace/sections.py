@@ -43,10 +43,9 @@ like the loop side, with a twist of its own.
 from functools import cached_property
 from math import lcm
 
-from .errors import (ValidationFailure, DifferentialSquareNonzero,
-                     SignIdentityFailure, DualMismatch, TheoremMismatch,
-                     SingularDuality, InternalCheckFailure, ChainMapFailure,
-                     QuasiIsoFailure)
+from .errors import (ValidationFailure, SignIdentityFailure, DualMismatch,
+                     TheoremMismatch, SingularDuality, InternalCheckFailure,
+                     ChainMapFailure, QuasiIsoFailure)
 from .exactq import (TensorComplex, add_term, common_denominator, induced_rank,
                      is_chain_map, rank, scaled, tensor_one_matrix)
 from . import gca
@@ -70,9 +69,9 @@ class ExtendedQuotientModel(TensorComplex):
     given to `TensorComplex` as `left_image(i)`, d_A(a_i), placed as
     d_A (x) 1 by blocks, and `twist(pair)`, the product terms as a list.
     Only Dbar(1 (x) t) is memoised, once per suspended monomial t.
-    Building it tests no slice: the rho (x) 1 walk tests every square,
-    and the word-length zero and one slices that the dual complexes and
-    the aut ranks read are tested by `betti` and by the square identity.
+    Building it tests no slice: `betti` tests each Dbar Dbar = 0 before it
+    ranks a slice, and the rho (x) 1 walk and the square identity check
+    the chain squares below the degrees that they compare.
 
     Its coefficients are ints over a denominator known in advance, from
     tables made integral once, here.  rho(b) of a base monomial is read
@@ -183,29 +182,26 @@ _RHO_FAILURES = {
 
 def _rho_quasi_iso(eqm, n_max, word_length):
     """The walk over the populated (n, k) up to n_max with k = 0, rho
-    itself, for word_length 0, and k >= 1 for 1.  On each, in order:
-    Dbar*Dbar = 0, the Betti numbers of A (x) L sV and the loop model
-    agree (at k = 0 the loop model's is LV's), the induced map has that
-    rank, and the rho (x) 1 square one degree up commutes; the square
-    below was tested on the slice before, or is trivial.  Returns the
-    slice count."""
+    itself, for word_length 0, and k >= 1 for 1.  On each, in order: the
+    rho (x) 1 square from n - 1 to n commutes, which the induced rank
+    needs; the Betti numbers of A (x) L sV and the loop model agree (at
+    k = 0 the loop model's is LV's), each `betti` testing its d d first;
+    and the induced map has that rank.  No slice matrix above n_max is
+    built.  Returns the slice count."""
     flm = eqm.flm
     chain, betti, induced = _RHO_FAILURES[word_length]
     slices = [(n, k) for n, k in flm.slices(n_max) if min(k, 1) == word_length]
     for n, k in slices:
-        d_ext = eqm.d_matrix(n, k)
-        if not eqm.square_is_zero(n, k, eqm.d_matrix(n + 1, k), d_ext):
-            raise DifferentialSquareNonzero(
-                "Dbar*Dbar nonzero on slice (%d, %d)" % (n, k))
+        rho, d_ext = eqm.rho_tensor_matrix(n, k), eqm.d_matrix(n - 1, k)
+        if not is_chain_map(rho, flm.d_matrix(n - 1, k), d_ext,
+                            eqm.rho_tensor_matrix(n - 1, k)):
+            raise ChainMapFailure(chain % {"n": n - 1, "k": k})
         h, h_ext = flm.betti(n, k), eqm.betti(n, k)
         if h != h_ext:
             raise QuasiIsoFailure(n, betti % {"n": n, "k": k, "h": h, "h_ext": h_ext})
-        d_loop, rho = flm.d_matrix(n, k), eqm.rho_tensor_matrix(n, k)
-        got = induced_rank(rho, d_loop, eqm.d_matrix(n - 1, k))
+        got = induced_rank(rho, flm.d_matrix(n, k), d_ext)
         if got != h:
             raise QuasiIsoFailure(n, induced % {"n": n, "k": k, "h": h, "got": got})
-        if not is_chain_map(eqm.rho_tensor_matrix(n + 1, k), d_loop, d_ext, rho):
-            raise ChainMapFailure(chain % {"n": n, "k": k})
     return len(slices)
 
 
@@ -225,7 +221,7 @@ class DualSectionComplex(TensorComplex):
     for, in the order of (j, m).  delta is
     `left_image` (x) 1 plus `twist`, and Du (x) 1 is read from
     `FiniteCdga.pairing`, the table Du reads.  lemma_slices counts the
-    slices on which the square identity was verified.
+    degrees that the quasi-iso compares, each square identity below them.
     """
 
     def __init__(self, eqm, word_length):
@@ -307,28 +303,27 @@ _DUALITY_FAILURES = {
 
 def _dual_complex(eqm, word_length):
     """The dual complex at word_length on eqm's tables, verified exactly:
-    delta o delta = 0 in every degree, then the square identity
+    delta o delta = 0 in every degree (`tested_pair`), then the square
+    identity below each degree n that `verify_duality_quasi_iso` compares
 
         delta o (Du (x) 1) = (-1)^N (Du (x) 1) o Dbar
 
-    on every degree slice of eqm at that word length."""
+    from degree n - 1 to n of eqm at that word length."""
     dual = DualSectionComplex(eqm, word_length)
     lo, hi = dual.degree_range()
-    for n in range(lo - 1, hi):
-        if not dual.square_is_zero(n, None, dual.d_matrix(n + 1), dual.d_matrix(n)):
-            raise DifferentialSquareNonzero(
-                "delta*delta nonzero in degree %d of the dual complex" % n)
+    for m in range(lo, hi + 1):
+        dual.tested_pair(m)
 
     N = eqm.algebra.top_degree
     sgn_n = -1 if N % 2 else 1
     error, message = _DUALITY_FAILURES[word_length][:2]
-    du_n1 = _du_tensor_matrix(eqm, dual, lo + N - 1)
-    for n in range(lo + N - 1, hi + N + 1):
-        du_n, du_n1 = du_n1, _du_tensor_matrix(eqm, dual, n + 1)
-        if not is_chain_map(du_n1, eqm.d_matrix(n, word_length),
-                            dual.d_matrix(n - N), du_n, sgn_n):
-            raise error(message % {"n": n})
-    dual.lemma_slices = hi - lo + 2
+    du = _du_tensor_matrix(eqm, dual, lo + N - 1)
+    for n in range(lo + N, hi + N + 1):
+        du_below, du = du, _du_tensor_matrix(eqm, dual, n)
+        if not is_chain_map(du, eqm.d_matrix(n - 1, word_length),
+                            dual.d_matrix(n - 1 - N), du_below, sgn_n):
+            raise error(message % {"n": n - 1})
+    dual.lemma_slices = hi - lo + 1
     return dual
 
 
@@ -433,11 +428,12 @@ class TheoremReport:
     first identity that fails.  The quotient and eqm are the exceptions:
     structure_identities certifies the quotient, and the rho (x) 1 walk,
     its slices (n, 0) in quasi_iso and the others in rho_tensor_slices,
-    tests the squares of eqm (see ExtendedQuotientModel).  So are the rank
-    tables aut, low_degree and oracle: duality_degrees compares the slices
-    that aut reads with the dual complex, and `compared` checks aut and
-    oracle against the loop side.  dmap and dual are the dual complex at
-    word lengths 0 and 1, dmap_degrees and duality_degrees their quasi-isos.
+    tests the squares of eqm through its `betti` (see ExtendedQuotientModel).
+    So are the rank tables aut, low_degree and oracle: duality_degrees
+    compares the slices that aut reads with the dual complex, and
+    `compared` checks aut and oracle against the loop side.  dmap and dual
+    are the dual complex at word lengths 0 and 1, dmap_degrees and
+    duality_degrees their quasi-isos.
     """
 
     def __init__(self, model, n_max):

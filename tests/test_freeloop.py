@@ -26,6 +26,7 @@ from loopspace.freeloop import (
     _root_decimal,
 )
 from loopspace.sullivan import RankTable, cohomology_table, parse_model
+from test_sections import get_model
 
 Q = Fraction
 TESTS = Path(__file__).resolve().parent
@@ -199,6 +200,35 @@ class TestClosedForms:
             expected |= {j * (4 * m - 2) + 2 * m - 1, j * (4 * m - 2) + 2 * m}
         assert betti.as_array(self.TOP) == [
             1 if n in expected else 0 for n in range(self.TOP + 1)]
+
+
+class TestKunneth:
+    """The loop model of a product is the tensor product of its factors'
+    loop models, degrees and word lengths adding (Kunneth), so the Hodge
+    table of a product model is the (n, k) convolution of its factors'
+    tables: a check of the split tables against models they were not
+    frozen from."""
+
+    TOP = 11
+
+    @pytest.mark.parametrize("product, factors", [
+        ("s2xs3", ("s2", "s3")), ("s2xs2", ("s2", "s2")),
+        ("cp2xs3", ("cp2", "s3")), ("s2cubed", ("s2", "s2", "s2"))],
+        ids=["s2xs3", "s2xs2", "cp2xs3", "s2cubed"])
+    def test_hodge_table_is_the_convolution_of_the_factors(self, product, factors):
+        expected = {(0, 0): 1}
+        for name in factors:
+            table = hodge_betti_table(build_free_loop_model(get_model(name)), self.TOP)
+            conv = {}
+            for (n, k), a in expected.items():
+                for (m, j), b in table.entries.items():
+                    if b and n + m <= self.TOP:
+                        conv[(n + m, k + j)] = conv.get((n + m, k + j), 0) + a * b
+            expected = conv
+        hodge = hodge_betti_table(build_free_loop_model(get_model(product)), self.TOP)
+        assert hodge.trusted_up_to == self.TOP
+        assert {nk: v for nk, v in hodge.entries.items() if v} == expected
+        assert any(k >= 2 for n, k in expected)
 
 
 @st.composite

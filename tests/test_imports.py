@@ -276,13 +276,24 @@ def test_only_a_tested_composite_clears_a_rank():
 
 
 def test_no_complex_takes_an_untested_cohomology():
-    """A complex multiplies out each d(n) d(n - 1) once, through
-    `square_is_zero`, before `betti` ranks the pair; the derivations of
-    the base model and Du on A, the dual complex at word length zero, are
+    """A complex multiplies out each d(n) d(n - 1) once, in its
+    `tested_pair`, before `betti` ranks the pair; the derivations of the
+    base model and Du on A, the dual complex at word length zero, are
     complexes too, so every cohomology is some complex's `betti` and no
     one asks cohomology_dim to test and rank a pair in one call."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "cohomology_dim") == []
+
+
+def test_one_method_tests_every_composite():
+    """Every d d test, its memo and its message live in
+    `CochainComplex.tested_pair`: the walks and the dual complex's
+    builder ask it, and `betti` runs it before any rank.  The one other
+    caller of the product test is cohomology_dim, which nothing in the
+    package calls (see above)."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "product_is_zero") == [
+        ("exactq", "cohomology_dim"), ("exactq", "tested_pair")]
 
 
 def test_one_place_computes_the_koszul_sign_of_a_product():

@@ -18,7 +18,7 @@ from loopspace import exactq, freeloop, gca, sections, sullivan
 from loopspace.cli import _COMMANDS
 from loopspace.errors import (
     ChainMapFailure,
-    DifferentialSquareNonzero,
+    CompositionNotZero,
     DualMismatch,
     HodgeSumMismatch,
     IdentityViolation,
@@ -355,10 +355,23 @@ class TestExtendedComplex:
 
         monkeypatch.setattr(ExtendedQuotientModel, "_dbar_on_svmono", counting)
         eqm = verify_theorems(get_model("s2cubed"), 11).eqm
-        # one build per distinct t; every later call reads the memo
-        assert len(built) == len(set(built)) == 455
+        # one build per distinct t; every later call reads the memo, and
+        # no t is read only by a slice above the window
+        assert len(built) == len(set(built)) == 364
         assert all(eqm.dbar_on_svmono(t) is eqm.dbar_on_svmono(t) for t in built)
-        assert len(built) == 455
+        assert len(built) == 364
+
+
+    def test_the_walk_builds_nothing_above_the_window(self):
+        # each slice's rho (x) 1 square is the one below it, and each
+        # d d test is its betti's, so no matrix above the window is built,
+        # and no basis above the codomain of the top slice
+        rep = verify_theorems(get_model("s2cubed"), 11)
+        for cache in (rep.eqm._cache, rep.flm._cache):
+            keys = [key for key in cache if key[0] in ("d", "rho", "basis", "layout")]
+            assert max(key[1] for key in keys) == 12
+            assert [key for key in keys
+                    if key[1] > (11 if key[0] in ("d", "rho") else 12)] == []
 
 
 class TestWordLengthZeroWalk:
@@ -594,7 +607,7 @@ class TestDualComplex:
         # delta(x' (x) sy) = -2 1' (x) sx, nothing else
         assert delta_of(dual) == {(1, 1): {(0, 0): Q(-2)}}
         assert dual.degree_range() == (-1, 2)
-        assert dual.lemma_slices == 5
+        assert dual.lemma_slices == 4
 
     def test_cp2_delta(self):
         _, alg, _, eqm = setup("cp2")
@@ -614,7 +627,7 @@ class TestDualComplex:
             (4, 2): {(3, 2): Q(-1)},
             (5, 1): {(2, 0): Q(2)},
         }
-        assert dual.lemma_slices == 8
+        assert dual.lemma_slices == 7
 
     def test_square_identity_verified_on_all_corpus_models(self):
         # build_dual_complex raises SignIdentityFailure when the square
@@ -1043,9 +1056,11 @@ class TestVerifyTheorems:
         n, k = bump_first_square(
             monkeypatch, eqm, ExtendedQuotientModel,
             [(n, k) for n in range(top + 1) for k in range(n + 2)])
-        with pytest.raises(DifferentialSquareNonzero,
-                           match=r"^Dbar\*Dbar nonzero on slice \(%d, %d\)$" % (n, k)):
+        with pytest.raises(CompositionNotZero, match=(
+                r"^ExtendedQuotientModel slice \(%d, %d\): composite of consecutive "
+                r"differentials is nonzero$" % (n, k))) as err:
             verify_rho_tensor_quasi_iso(extend_to_quotient_loop(model, algebra, qmap), top)
+        assert exit_code_for(err.value) == 4
 
     def test_bumped_dual_square_still_raises(self, monkeypatch):
         _, algebra, _, eqm = setup("cp2")
@@ -1053,9 +1068,27 @@ class TestVerifyTheorems:
         lo, hi = dual.degree_range()
         n, _ = bump_first_square(monkeypatch, dual, DualSectionComplex,
                                  [(n, None) for n in range(lo - 1, hi + 1)])
-        with pytest.raises(DifferentialSquareNonzero, match=(
-                r"^delta\*delta nonzero in degree %d of the dual complex$" % n)):
+        # the dual complex has one word length, which the message names
+        with pytest.raises(CompositionNotZero, match=(
+                r"^DualSectionComplex slice \(%d, 1\): composite of consecutive "
+                r"differentials is nonzero$" % n)) as err:
             build_dual_complex(eqm)
+        assert exit_code_for(err.value) == 4
+
+    def test_bumped_derivation_square_names_its_word_length(self, monkeypatch):
+        # the derivations are the word-length one slice over V-dual
+        model = get_model("cp2")
+        der = DerivationComplex(model)
+        n, _ = bump_first_square(monkeypatch, der, DerivationComplex,
+                                 [(n, None) for n in range(-6, -1)])
+        message = ("DerivationComplex slice (%d, 1): composite of consecutive "
+                   "differentials is nonzero" % n)
+        with pytest.raises(CompositionNotZero) as err:
+            derivation_oracle(model, 5)
+        assert str(err.value) == message
+        code, out = run_cli(["verify", str(loopspace.corpus_path("cp2"))])
+        assert out.endswith("error: %s\nexit-code: 4\n" % message)
+        assert code == 4
 
     def test_window_clamp(self):
         rep = verify_theorems(get_model("s2"), n_max=3)
@@ -1209,9 +1242,9 @@ class TestIntegerSlices:
         assert sum(len(m.entries) for m in der_built) > 10
 
     def test_each_composite_is_tested_once(self, monkeypatch):
-        # a Dbar*Dbar or delta*delta test passed in a walk is recorded on
-        # its complex, so betti does not test the pair again, and recording
-        # it fetches no slice
+        # every Dbar*Dbar and delta*delta test is tested_pair's, recorded
+        # on its complex, so betti does not test a pair that the dual
+        # complex's builder tested, and recording it fetches no slice
         pairs, fetched = [], []
         real_product, real_d = exactq.product_is_zero, ExtendedQuotientModel.d_matrix
 
@@ -1227,14 +1260,14 @@ class TestIntegerSlices:
         monkeypatch.setattr(ExtendedQuotientModel, "d_matrix", d_matrix)
         verify_theorems(get_model("s2cubed"), 11)
         tested = [(id(a), id(b)) for a, b in pairs]
-        # 145: the six pairs of the derivation complex and the seven of Du
+        # 137: the six pairs of the derivation complex and the seven of Du
         # on A, the dual complex at word length 0, are among them, and no
         # dual slice above the populated degrees is asked for; the loop
         # model's pairs at word length 0 are the base model's, tested once
-        # by its betti, and it has no unsplit pairs; 17 of the fetches are
-        # the slices (n, 0) that Du on A maps from
-        assert len(set(tested)) == len(tested) == 145
-        assert len(fetched) == 319
+        # by its betti, and it has no unsplit pairs; no pair above the
+        # window is tested
+        assert len(set(tested)) == len(tested) == 137
+        assert len(fetched) == 203
 
 
 ALL_MODELS = CORPUS + ("cp2xs3", "flag", "hp2", "s2cubed", "massey",
@@ -1363,7 +1396,8 @@ class TestClearedRanks:
             [(n, k) for n in range(top + 1) for k in range(n + 2)])
         upper = record_slice(monkeypatch, ExtendedQuotientModel, n + 1, k)
         code, out = run_cli(["verify", str(loopspace.corpus_path("cp2"))])
-        assert out.endswith("error: Dbar*Dbar nonzero on slice (%d, %d)\n"
+        assert out.endswith("error: ExtendedQuotientModel slice (%d, %d): composite "
+                            "of consecutive differentials is nonzero\n"
                             "exit-code: 4\n" % (n, k))
         assert code == 4
         assert len(upper) == 1 and upper[0]._rank is None
