@@ -11,9 +11,11 @@ failed, 4 an internal invariant broke (a bug in the tool, never the
 model's fault).
 
 Verdicts are printed as checks pass, and on failure every command lists
-the checks that passed before the error.  The checks come from one
-ordered sequence, sections.CHECKS, and run through one entry,
-sections.verify_theorems; each command names the ones it runs.
+the checks that passed before the error.  Every command, validate
+included, runs its checks through one entry, sections.verify_theorems:
+the three structural checks, then the ones it names from the ordered
+sequence sections.CHECKS.  validate also lists a failed duality check,
+with its degree.
 
 Table entries computed above the model's declared completeness are
 suffixed with '?' in text output; JSON carries the per-table
@@ -27,10 +29,9 @@ import argparse
 import os
 import sys
 
-from .errors import (ParseError, ValidationFailure, MathMismatch,
-                     InternalCheckFailure, exit_code_for)
-from .sullivan import (parse_model, validate, cohomology_table,
-                       check_poincare_duality)
+from .errors import (ParseError, ValidationFailure, NotPoincareDuality,
+                     MathMismatch, InternalCheckFailure, exit_code_for)
+from .sullivan import parse_model, cohomology_table
 from .freeloop import loop_betti, growth_report
 from .sections import VERIFY_CHECKS, window, verify_theorems
 
@@ -138,29 +139,24 @@ def _growth_tables(report, table):
     report.add_table("growth_verdict", [g.verdict])
 
 
-def cmd_validate(model, args, report, checks):
-    vrep = validate(model)
-    for name, ok, _ in vrep.checks:
-        report.add_verdict(name, ok)
-    if not vrep.passed:
-        report.exit_code = 1
-        return
-    n_max = report.max_degree
-    try:
-        pd = check_poincare_duality(model, n_max)
-    except ValidationFailure as e:
-        report.add_verdict("poincare_duality", False,
-                           degree=getattr(e, "degree", None))
-        report.error = str(e)
-        report.exit_code = 1
-        return
-    report.add_verdict("poincare_duality", True)
-    report.add_table("base_betti", pd.betti.as_array(n_max), start=0,
-                     trusted_up_to=pd.betti.trusted_up_to)
+def _duality_tables(report, pd):
+    report.add_table("base_betti", pd.betti.as_array(report.max_degree),
+                     start=0, trusted_up_to=pd.betti.trusted_up_to)
     report.notes.append("fundamental-class: %s" % pd.fundamental_render)
 
 
+def cmd_validate(model, args, report, checks):
+    """parse, structural checks, base Betti table, duality check"""
+    try:
+        run = _checked(model, report, checks)
+    except NotPoincareDuality as e:
+        report.add_verdict("poincare_duality", False, degree=e.degree)
+        raise
+    _duality_tables(report, run.pd_report)
+
+
 def cmd_betti(model, args, report, checks):
+    """free loop Betti numbers; --growth adds the growth classifier"""
     run = _checked(model, report, checks)
     n_max = report.max_degree
     base = cohomology_table(model, n_max)
@@ -193,10 +189,12 @@ def _aut_tables(report, run):
 
 
 def cmd_hodge(model, args, report, checks):
+    """word-length refinement of the loop Betti table"""
     _hodge_tables(report, _checked(model, report, checks), args)
 
 
 def cmd_quotient(model, args, report, checks):
+    """build the duality quotient, print its basis, check the quasi-iso"""
     algebra = _checked(model, report, checks).algebra
     dims = [len(algebra.basis(k)) for k in range(model.formal_dim + 1)]
     report.add_table("quotient_dims", dims, start=0)
@@ -204,22 +202,22 @@ def cmd_quotient(model, args, report, checks):
 
 
 def cmd_aut_ranks(model, args, report, checks):
+    """self-equivalence ranks via the dual complex"""
     run = _checked(model, report, checks)
     _aut_tables(report, run)
     report.trusted_up_to = run.aut.trusted_up_to
 
 
 def cmd_verify(model, args, report, checks):
+    """everything above plus the three-way rank comparison"""
     rep = _checked(model, report, checks)
     n_max, N = rep.n_max, rep.formal_dim
-    report.add_table("base_betti", rep.pd_report.betti.as_array(n_max),
-                     start=0, trusted_up_to=rep.pd_report.betti.trusted_up_to)
+    _duality_tables(report, rep.pd_report)
     report.add_table("derivation_ranks",
                      rep.oracle.as_array(n_max - N + 1)[1:], start=1,
                      trusted_up_to=rep.oracle.trusted_up_to)
     _aut_tables(report, rep)
     _hodge_tables(report, rep, args)
-    report.notes.append("fundamental-class: %s" % rep.pd_report.fundamental_render)
     report.notes.append("duality-cochain-invertible: %s"
                         % ("yes" if rep.cochain_perfect else "no"))
 
@@ -227,7 +225,7 @@ def cmd_verify(model, args, report, checks):
 # Each command with the checks it runs, by name from sections.CHECKS,
 # after validating the model.
 _COMMANDS = {
-    "validate": (cmd_validate, ()),
+    "validate": (cmd_validate, ("poincare_duality",)),
     "betti": (cmd_betti, ()),
     "hodge": (cmd_hodge, ("hodge_sum_consistency",)),
     "quotient": (cmd_quotient, ("poincare_duality", "structure_identities",

@@ -438,7 +438,6 @@ class TheoremReport:
 
     def __init__(self, model, n_max):
         self.model = model
-        self.model_name = model.name
         self.formal_dim = model.formal_dim
         self.n_max = n_max
 

@@ -201,6 +201,23 @@ class TestClosedForms:
         assert betti.as_array(self.TOP) == [
             1 if n in expected else 0 for n in range(self.TOP + 1)]
 
+    @pytest.mark.parametrize("top", [14, 26])
+    @pytest.mark.parametrize("name, d, n", [("cp2", 1, 2), ("cp3", 1, 3),
+                                            ("hp2", 2, 2)])
+    def test_projective_space_hodge_table(self, name, d, n, top):
+        # x of degree 2d, d y = x^(n+1), s = |sy|: the classes are 1,
+        # x^i sy^j for 1 <= i <= n and x^i sx sy^j for 0 <= i < n
+        hodge = hodge_betti_table(build_free_loop_model(get_model(name)), top)
+        s = 2 * d * (n + 1) - 2
+        expected = {(0, 0): 1}
+        for j in range(top // s + 1):
+            for i in range(1, n + 1):
+                expected[(2 * d * i + s * j, j)] = 1
+            for i in range(n):
+                expected[(2 * d * i + 2 * d - 1 + s * j, j + 1)] = 1
+        expected = {nk: v for nk, v in expected.items() if nk[0] <= top}
+        assert {nk: v for nk, v in hodge.entries.items() if v} == expected
+
 
 class TestKunneth:
     """The loop model of a product is the tensor product of its factors'

@@ -9,9 +9,9 @@ that nothing in the package refers to outside its own definition, and on a
 method or property of a top-level class that nothing reads as an
 attribute; a re-export in __init__.py counts as a reference.  No function
 of the package takes a parameter whose name starts with an underscore, the
-shape of a hook only tests pass, and every option of the command line
-shows its help.  A fresh interpreter that imports loopspace.cli loads none
-of the modules only rare paths need.
+shape of a hook only tests pass, and every command and option of the
+command line shows its help.  A fresh interpreter that imports
+loopspace.cli loads none of the modules only rare paths need.
 """
 
 import argparse
@@ -243,6 +243,15 @@ def callers(sources, name, min_args=0):
     return sorted(found, key=lambda mo: (mo[0], mo[1] or ""))
 
 
+def test_every_command_runs_its_checks_through_one_entry():
+    """The structural checks and the duality check run only as steps of
+    verify_theorems, so the CLI, validate included, has no path of its
+    own to a verdict."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "validate") == [("sections", "verify_theorems")]
+    assert callers(sources, "check_poincare_duality") == [("sections", "pd_report")]
+
+
 def test_checker_finds_callers():
     sources = {
         "a": ("def f(m):\n    return rref(m)\n\n"
@@ -440,8 +449,13 @@ def test_no_underscore_parameters(path):
 
 
 def test_every_cli_option_shows_its_help():
-    sub = next(a for a in build_parser()._actions
+    top = build_parser()
+    sub = next(a for a in top._actions
                if isinstance(a, argparse._SubParsersAction))
+    listed = " ".join(top.format_help().split())
+    for choice in sub._choices_actions:
+        assert choice.help and " ".join(choice.help.split()) in listed, choice.dest
+    assert [c.dest for c in sub._choices_actions] == list(sub.choices)
     for command, parser in sub.choices.items():
         shown = parser.format_help()
         for action in parser._actions:

@@ -7,6 +7,7 @@ rational homotopy of the identity self-equivalence component for spheres
 and projective spaces, and the derivation homology tables.
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -977,12 +978,51 @@ class TestFaultTable:
                             % message)
 
 
+# Input faults: each model fails exactly one structural check, which
+# stops every command before the checks it names.
+INPUT_FAULTS = [
+    ("simply_connected", "gen t 1\ngen z 3\n", "degree <= 1 generators: t"),
+    ("minimal", "gen x 2\ngen y 3\ngen w 4\nd y = w\n", "linear part in d of: y"),
+    ("d_squared_zero", "gen a 2\ngen b 3\ngen c 4\nd b = a^2\nd c = a*b\n",
+     "d*d nonzero on: c"),
+]
+
+
+class TestInputFaults:
+    @pytest.mark.parametrize("check, gens, detail", INPUT_FAULTS,
+                             ids=[row[0] for row in INPUT_FAULTS])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_a_structural_fault_stops_every_command(self, tmp_path, command,
+                                                    check, gens, detail):
+        text = "dim 4\ncomplete\n" + gens
+        message = "model is not a valid input: " + detail
+        verdicts = [(name, name != check)
+                    for name in ("simply_connected", "minimal", "d_squared_zero")]
+        got = []
+        with pytest.raises(ValidationFailure) as err:
+            verify_theorems(parse_model(text), checks=_COMMANDS[command][1],
+                            verdicts=got)
+        assert str(err.value) == message and exit_code_for(err.value) == 1
+        assert got == verdicts
+        path = tmp_path / "bad.model"
+        path.write_text(text)
+        status, out = run_cli([command, str(path)])
+        assert status == 1
+        assert out.endswith("".join("verdict %s: %s\n" % (name, "pass" if ok else "FAIL")
+                                    for name, ok in verdicts)
+                            + "error: %s\nexit-code: 1\n" % message)
+        status, out = run_cli([command, str(path), "--format", "json"])
+        doc = json.loads(out)
+        assert (status, doc["exit_code"], doc["error"]) == (1, 1, message)
+        assert [(v["check"], v["pass"]) for v in doc["verdicts"]] == verdicts
+
+
 class TestVerifyTheorems:
     def test_corpus_models_pass_end_to_end(self):
         for name in CORPUS:
             model = get_model(name)
             rep = verify_theorems(model)
-            assert rep.model_name == model.name
+            assert rep.model.name == model.name
             assert rep.n_max == max(model.formal_dim + 8, model.formal_dim + 2)
             assert rep.dual.lemma_slices > 0
             assert rep.rho_tensor_slices > 0
