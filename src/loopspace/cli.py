@@ -26,6 +26,7 @@ is computed in one process.  A K below 1 is still a usage error.
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -291,5 +292,17 @@ def main(argv=None):
     return report.exit_code
 
 
+def entry():
+    """Run main() as the whole process: the console script and
+    `python -m loopspace.cli`.  A run makes no reference cycles, so the
+    cyclic collector is off throughout, and the heap is frozen before
+    exit so that the interpreter's shutdown collection skips it.  main()
+    itself leaves gc alone."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

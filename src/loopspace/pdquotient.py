@@ -21,6 +21,7 @@ zero, or, in degree N, to lambda times the fundamental class, so rho of
 an element is a sum of table rows and no matrix stands behind it.
 """
 
+from bisect import bisect_right
 from functools import cached_property
 from typing import NamedTuple
 
@@ -203,11 +204,12 @@ def structure_identities(algebra):
             raise IdentityViolation("d*d nonzero on a_%d" % i)
         counts["d_squared"] += 1
 
+    # degrees are sorted, so the k with |a_k| <= N - |a_i| - |a_j| are
+    # the first bisect_right(deg, N - |a_i| - |a_j|) indices
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                if deg[i] + deg[j] + deg[k] > algebra.top_degree:
-                    continue
+            for k in range(bisect_right(deg, algebra.top_degree
+                                        - deg[i] - deg[j])):
                 left = {}
                 for r, v in algebra.product(i, j).items():
                     gca.elem_add_into(left, algebra.product(r, k), v)

@@ -22,6 +22,7 @@ import loopspace
 from loopspace import cli
 from loopspace.cli import _COMMANDS, build_parser, main
 from loopspace.sections import verify_theorems
+from test_stdout_digests import ROWS as DIGEST_ROWS, digest
 
 S2 = str(loopspace.corpus_path("s2"))
 S3 = str(loopspace.corpus_path("s3"))
@@ -194,23 +195,75 @@ class TestImport:
 
 
 class TestCollector:
-    def test_a_verify_run_leaves_no_cyclic_garbage(self, monkeypatch):
-        """A verify run of S2xS2xS2 to degree 11 makes no reference
-        cycles, so running it with the cyclic collector off would leave
-        nothing for a later collection.  The parser is built beforehand,
-        as argparse's own objects refer to each other."""
+    """cli.entry runs main() with the cyclic collector off and freezes the
+    heap before exit.  That is safe because a run makes no reference
+    cycles: every command on every model of the stdout digests, in text
+    and JSON, error exits included, leaves nothing for a later collection
+    and prints its recorded bytes.  The parser is built beforehand, as
+    argparse's own objects refer to each other."""
+
+    @pytest.mark.parametrize("command,name,fmt,code,sha", DIGEST_ROWS,
+                             ids=["%s-%s-%s" % row[:3] for row in DIGEST_ROWS])
+    def test_a_run_leaves_no_cyclic_garbage(self, monkeypatch, command, name,
+                                            fmt, code, sha):
         parser = build_parser()
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
-        model = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                             "models", "s2cubed.model")
         gc.collect()
         gc.disable()
         try:
-            code, out = run(["verify", model, "--max-degree", "11"])
-            assert code == 0 and "verdict rank_triple_agreement: pass" in out
+            assert digest(command, name, fmt) == (code, sha)
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_main_leaves_the_collector_alone(self):
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        assert run(["verify", S2])[0] == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    def test_entry_exits_with_the_collector_off_and_the_heap_frozen(
+            self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["loopspace", "validate", S2])
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                with pytest.raises(SystemExit) as exit_:
+                    cli.entry()
+            assert exit_.value.code == 0
+            assert not gc.isenabled()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+            gc.enable()
+
+
+class TestProcessEntry:
+    """`python -m loopspace.cli`, run through cli.entry, prints the bytes
+    and exits with the code of an in-process cli.main."""
+
+    @staticmethod
+    def run_module(args):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(loopspace.__file__)))
+        return subprocess.run([sys.executable, "-m", "loopspace.cli"] + args,
+                              env=env, capture_output=True)
+
+    @pytest.mark.parametrize("args,code", [
+        (["verify", S2], 0),
+        (["verify", fixture("not_pd.model")], 1),
+        (["verify", fixture("no_such.model")], 2),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_same_stdout_and_exit_code_as_main(self, args, code):
+        proc = self.run_module(args)
+        assert (proc.returncode, proc.stdout.decode("utf-8")) == run(args)
+        assert proc.returncode == code
+
+    def test_usage_error_exits_two_with_usage_on_stderr(self):
+        proc = self.run_module(["verify", S2, "--max-degree", "-1"])
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode("utf-8").startswith("usage: loopspace ")
+        assert b"--max-degree: must not be negative" in proc.stderr
 
 
 class TestValidateText:
