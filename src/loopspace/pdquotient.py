@@ -19,14 +19,19 @@ d a_i = sum_j beta_i^j a_j, both exact rationals.  The projection rho is
 a table of monomial images: each monomial goes to its own class, to
 zero, or, in degree N, to lambda times the fundamental class, so rho of
 an element is a sum of table rows and no matrix stands behind it.
+structure_identities checks the axioms and degrees of the tables, and
+verify_quasi_iso that rho is a quasi-isomorphism, on the word-length zero
+slices of the rho (x) 1 walk.  rho is multiplicative by construction: the
+table holds rho of the products of lifts, which are monomials below
+degree N - 1, and both sides vanish above degree N.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import IncompleteModel, IdentityViolation, QuasiIsoFailure
-from .exactq import ONE
+from .errors import ChainMapFailure, IncompleteModel, IdentityViolation, QuasiIsoFailure
+from .exactq import ONE, induced_rank, is_chain_map
 from . import gca
 
 
@@ -57,7 +62,11 @@ class FiniteCdga:
 
     def basis(self, n):
         """The indices of degree n, in order."""
-        return tuple(i for i, d in enumerate(self.degrees) if d == n)
+        return range(bisect_left(self.degrees, n), bisect_right(self.degrees, n))
+
+    def upto(self, d):
+        """The indices of degree <= d, in order."""
+        return range(bisect_right(self.degrees, d))
 
     def product(self, i, j):
         return self.products.get((i, j), {})
@@ -159,10 +168,8 @@ def build_quotient(model, pd_report):
         beta = qmap.apply(gca.apply_derivation(gens, model.differential, rep_i))
         if beta:
             algebra.diff[i] = beta
-        for j, rep_j in enumerate(reps):
-            if degrees[i] + degrees[j] > N:
-                continue
-            alpha = qmap.apply(gca.elem_mul(gens, rep_i, rep_j))
+        for j in algebra.upto(N - degrees[i]):
+            alpha = qmap.apply(gca.elem_mul(gens, rep_i, reps[j]))
             if alpha:
                 algebra.products[(i, j)] = alpha
 
@@ -170,16 +177,25 @@ def build_quotient(model, pd_report):
 
 
 def structure_identities(algebra):
-    """Exhaustively check the cdga axioms on the structure constants.
+    """Check the cdga axioms on the structure constants, exactly.
 
     Unit, graded commutativity, d * d = 0, associativity and the Leibniz
-    rule, all as exact identities over every index combination.  Returns
-    the number of checks per family; raises IdentityViolation otherwise.
+    rule, then the degrees: each term a_k of a_i a_j has |a_k| = |a_i| +
+    |a_j|, and each term a_j of d a_i has |a_j| = |a_i| + 1.  With those
+    degrees every product or differential that would land above the
+    formal dimension N is zero on both sides, so commutativity visits the
+    pairs with |a_i| + |a_j| <= N, Leibniz those with |a_i| + |a_j| <=
+    N - 1 and associativity the triples of degree <= N.  The degree check
+    runs last, so a table that breaks an axiom inside these bounds names
+    that axiom.  Returns the number of checks per family; raises
+    IdentityViolation on the first that fails.
     """
     n = algebra.size
     deg = algebra.degrees
+    N = algebra.top_degree
+    upto = algebra.upto
     counts = {"unit": 0, "commutativity": 0, "d_squared": 0,
-              "associativity": 0, "leibniz": 0}
+              "associativity": 0, "leibniz": 0, "degree": 0}
 
     for j in range(n):
         if algebra.product(0, j) != {j: ONE}:
@@ -187,7 +203,7 @@ def structure_identities(algebra):
         counts["unit"] += 1
 
     for i in range(n):
-        for j in range(n):
+        for j in upto(N - deg[i]):
             sign = -1 if (deg[i] % 2 and deg[j] % 2) else 1
             left = algebra.product(i, j)
             right = {k: sign * v for k, v in algebra.product(j, i).items()}
@@ -204,12 +220,9 @@ def structure_identities(algebra):
             raise IdentityViolation("d*d nonzero on a_%d" % i)
         counts["d_squared"] += 1
 
-    # degrees are sorted, so the k with |a_k| <= N - |a_i| - |a_j| are
-    # the first bisect_right(deg, N - |a_i| - |a_j|) indices
     for i in range(n):
         for j in range(n):
-            for k in range(bisect_right(deg, algebra.top_degree
-                                        - deg[i] - deg[j])):
+            for k in upto(N - deg[i] - deg[j]):
                 left = {}
                 for r, v in algebra.product(i, j).items():
                     gca.elem_add_into(left, algebra.product(r, k), v)
@@ -222,7 +235,7 @@ def structure_identities(algebra):
                 counts["associativity"] += 1
 
     for i in range(n):
-        for j in range(n):
+        for j in upto(N - 1 - deg[i]):
             left = {}
             for r, v in algebra.product(i, j).items():
                 gca.elem_add_into(left, algebra.image(r), v)
@@ -237,42 +250,62 @@ def structure_identities(algebra):
                     "Leibniz rule fails at (a_%d, a_%d)" % (i, j))
             counts["leibniz"] += 1
 
+    for (i, j), coeffs in algebra.products.items():
+        for k in coeffs:
+            if deg[k] != deg[i] + deg[j]:
+                raise IdentityViolation(
+                    "degree fails at a_%d * a_%d, term a_%d" % (i, j, k))
+            counts["degree"] += 1
+    for i, coeffs in algebra.diff.items():
+        for j in coeffs:
+            if deg[j] != deg[i] + 1:
+                raise IdentityViolation(
+                    "degree fails at d a_%d, term a_%d" % (i, j))
+            counts["degree"] += 1
+
     return counts
 
 
-def verify_quasi_iso(model, algebra, qmap):
-    """Check the projection is multiplicative on all monomial pairs up to
-    the formal dimension; returns the number of pairs, raises on the
-    first that fails.  That rho is a chain map inducing isomorphisms on
-    H is checked on the word-length zero slices of rho (x) 1, by the walk
-    of sections that checks rho (x) 1 on the others.
+# A failed rho (x) 1 check by word length, 0 or any k >= 1: the messages
+# of the square (ChainMapFailure), then of Betti numbers and of an
+# induced rank that differ (QuasiIsoFailure).
+_RHO_FAILURES = {
+    0: ("projection fails to commute with d on degree %(n)d",
+        "H^%(n)d: model gives %(h)d, quotient gives %(h_ext)d",
+        "induced map on H^%(n)d has rank %(got)d, expected %(h)d"),
+    1: ("rho (x) 1 fails to commute with the differentials on slice "
+        "(%(n)d, %(k)d)",
+        "slice (%(n)d, %(k)d): loop model gives %(h)d, quotient gives %(h_ext)d",
+        "slice (%(n)d, %(k)d): induced map has rank %(got)d, expected %(h)d"),
+}
 
-    The loop visits degrees p, q >= 2 with p + q <= N, monomials that are
-    their own lifts, so each table entry is the expression it recomputes;
-    on every other pair rho is multiplicative by construction (0 on both
-    sides above degree N, lambda(omega) = 1 on the unit pairs).  So it
-    fails only on a table edited after `build_quotient`, and is kept
-    while the benchmark's tracer names this function.
-    """
-    N = model.formal_dim
-    gens = model.generators
-    pairs = 0
-    for p in range(2, N - 1):
-        for q in range(p, N - p + 1):
-            for m1 in model.basis(p):
-                r1 = qmap.image.get(m1, {})
-                for m2 in model.basis(q):
-                    r2 = qmap.image.get(m2, {})
-                    via_model = qmap.apply(gca.elem_mul(gens, {m1: ONE}, {m2: ONE}))
-                    via_alg = {}
-                    for i, v in r1.items():
-                        for j, w in r2.items():
-                            gca.elem_add_into(via_alg, algebra.product(i, j),
-                                              v * w)
-                    if via_model != via_alg:
-                        raise QuasiIsoFailure(
-                            p + q, "projection is not multiplicative on %s * %s"
-                            % (gca.render_monomial(gens, m1),
-                               gca.render_monomial(gens, m2)))
-                    pairs += 1
-    return pairs
+
+def _rho_quasi_iso(eqm, n_max, word_length):
+    """The walk over the populated (n, k) up to n_max with k = 0, rho
+    itself, for word_length 0, and k >= 1 for 1.  On each, in order: the
+    rho (x) 1 square from n - 1 to n commutes, which the induced rank
+    needs; the Betti numbers of A (x) L sV and the loop model agree (at
+    k = 0 the loop model's is LV's), each `betti` testing its d d first;
+    and the induced map has that rank.  No slice matrix above n_max is
+    built.  Returns the slice count."""
+    flm = eqm.flm
+    chain, betti, induced = _RHO_FAILURES[word_length]
+    slices = [(n, k) for n, k in flm.slices(n_max) if min(k, 1) == word_length]
+    for n, k in slices:
+        rho, d_ext = eqm.rho_tensor_matrix(n, k), eqm.d_matrix(n - 1, k)
+        if not is_chain_map(rho, flm.d_matrix(n - 1, k), d_ext,
+                            eqm.rho_tensor_matrix(n - 1, k)):
+            raise ChainMapFailure(chain % {"n": n - 1, "k": k})
+        h, h_ext = flm.betti(n, k), eqm.betti(n, k)
+        if h != h_ext:
+            raise QuasiIsoFailure(n, betti % {"n": n, "k": k, "h": h, "h_ext": h_ext})
+        got = induced_rank(rho, flm.d_matrix(n, k), d_ext)
+        if got != h:
+            raise QuasiIsoFailure(n, induced % {"n": n, "k": k, "h": h, "got": got})
+    return len(slices)
+
+
+def verify_quasi_iso(eqm, n_max):
+    """Check rho : LV -> A through n_max on the word-length zero slices of
+    the extended complex eqm, A with d_A.  Returns the slice count."""
+    return _rho_quasi_iso(eqm, n_max, 0)

@@ -24,11 +24,12 @@ Two chain-level objects are built on top of the quotient algebra A:
 Word length 0 is Du on A: the only suspended monomial is the unit,
 Dbar(1 (x) 1) = 0 leaves the twist empty, the dual complex is A-dual with
 d', and the square identity is the chain property of Du.  Likewise rho
-(x) 1 at word length 0 is rho : LV -> A, so one walk over the loop side
-certifies both quasi-isomorphisms, rho and rho (x) 1, each slice once.
-The loop model at word length 0 is LV itself, its slices and Betti
-numbers the base model's, so there the walk compares A's Betti number
-with the one the base model ranked, once.
+(x) 1 at word length 0 is rho : LV -> A, so one walker of `pdquotient`
+certifies both quasi-isomorphisms, rho in `verify_quasi_iso` and rho (x)
+1 in `verify_rho_tensor_quasi_iso`, each slice once.  The loop model at
+word length 0 is LV itself, its slices and Betti numbers the base
+model's, so there the walk compares A's Betti number with the one the
+base model ranked, once.
 
 The ranks of interest are dim H^{n+N}(A (x) sV).  verify_duality_quasi_iso
 checks them against the dual complex, with the rank Du (x) 1 induces, in
@@ -45,14 +46,15 @@ from math import lcm
 
 from .errors import (ValidationFailure, SignIdentityFailure, DualMismatch,
                      TheoremMismatch, SingularDuality, InternalCheckFailure,
-                     ChainMapFailure, QuasiIsoFailure)
+                     ChainMapFailure)
 from .exactq import (TensorComplex, add_term, common_denominator, induced_rank,
                      is_chain_map, rank, scaled, tensor_one_matrix)
 from . import gca
 from .gca import DerivationSpec, Generator
 from .sullivan import RankTable, validate, check_poincare_duality
 from .freeloop import build_free_loop_model, hodge_betti_table, loop_betti
-from .pdquotient import build_quotient, structure_identities, verify_quasi_iso
+from .pdquotient import (build_quotient, structure_identities, verify_quasi_iso,
+                         _rho_quasi_iso)
 
 
 class ExtendedQuotientModel(TensorComplex):
@@ -166,48 +168,10 @@ def extend_to_quotient_loop(model, algebra, qmap, flm=None):
     return ExtendedQuotientModel(algebra=algebra, qmap=qmap, flm=flm)
 
 
-# A failed rho (x) 1 check by word length, 0 or any k >= 1: the messages
-# of the square (ChainMapFailure), then of Betti numbers and of an
-# induced rank that differ (QuasiIsoFailure).
-_RHO_FAILURES = {
-    0: ("projection fails to commute with d on degree %(n)d",
-        "H^%(n)d: model gives %(h)d, quotient gives %(h_ext)d",
-        "induced map on H^%(n)d has rank %(got)d, expected %(h)d"),
-    1: ("rho (x) 1 fails to commute with the differentials on slice "
-        "(%(n)d, %(k)d)",
-        "slice (%(n)d, %(k)d): loop model gives %(h)d, quotient gives %(h_ext)d",
-        "slice (%(n)d, %(k)d): induced map has rank %(got)d, expected %(h)d"),
-}
-
-
-def _rho_quasi_iso(eqm, n_max, word_length):
-    """The walk over the populated (n, k) up to n_max with k = 0, rho
-    itself, for word_length 0, and k >= 1 for 1.  On each, in order: the
-    rho (x) 1 square from n - 1 to n commutes, which the induced rank
-    needs; the Betti numbers of A (x) L sV and the loop model agree (at
-    k = 0 the loop model's is LV's), each `betti` testing its d d first;
-    and the induced map has that rank.  No slice matrix above n_max is
-    built.  Returns the slice count."""
-    flm = eqm.flm
-    chain, betti, induced = _RHO_FAILURES[word_length]
-    slices = [(n, k) for n, k in flm.slices(n_max) if min(k, 1) == word_length]
-    for n, k in slices:
-        rho, d_ext = eqm.rho_tensor_matrix(n, k), eqm.d_matrix(n - 1, k)
-        if not is_chain_map(rho, flm.d_matrix(n - 1, k), d_ext,
-                            eqm.rho_tensor_matrix(n - 1, k)):
-            raise ChainMapFailure(chain % {"n": n - 1, "k": k})
-        h, h_ext = flm.betti(n, k), eqm.betti(n, k)
-        if h != h_ext:
-            raise QuasiIsoFailure(n, betti % {"n": n, "k": k, "h": h, "h_ext": h_ext})
-        got = induced_rank(rho, flm.d_matrix(n, k), d_ext)
-        if got != h:
-            raise QuasiIsoFailure(n, induced % {"n": n, "k": k, "h": h, "got": got})
-    return len(slices)
-
-
 def verify_rho_tensor_quasi_iso(eqm, n_max):
     """Check rho (x) 1 on every populated (n, k) with k >= 1 up to n_max,
-    the slices the quotient's check leaves.  Returns the slice count."""
+    the slices that pdquotient.verify_quasi_iso leaves.  Returns the
+    slice count."""
     return _rho_quasi_iso(eqm, n_max, 1)
 
 
@@ -459,8 +423,7 @@ class TheoremReport:
 
     @cached_property
     def quasi_iso(self):
-        _rho_quasi_iso(self.eqm, self.n_max, 0)
-        return verify_quasi_iso(self.model, *self.quotient)
+        return verify_quasi_iso(self.eqm, self.n_max)
 
     @cached_property
     def flm(self):

@@ -12,7 +12,7 @@ import json
 import time
 
 import loopspace
-from loopspace import load_corpus_model, sections
+from loopspace import load_corpus_model
 from loopspace.cli import main
 from loopspace.errors import NotPoincareDuality, SignIdentityFailure
 from loopspace.freeloop import build_free_loop_model, hodge_betti_table, loop_betti
@@ -135,9 +135,7 @@ def test_criterion_5_quotient_correctness():
         assert s3_eqm.rho_tensor_matrix(3, 0).entries == {(0, 0): 1}
 
         for name in loopspace.corpus_models():
-            model, algebra, qmap, eqm = pipeline(name)
-            sections._rho_quasi_iso(eqm, 12, 0)
-            verify_quasi_iso(model, algebra, qmap)
+            verify_quasi_iso(pipeline(name)[3], 12)
 
 
 def test_criterion_6_sign_identities():
@@ -152,6 +150,7 @@ def test_criterion_6_sign_identities():
                 "d_squared",
                 "associativity",
                 "leibniz",
+                "degree",
             ):
                 assert counts[family] > 0, "%s checked nothing for %s" % (name, family)
             duality_map(eqm)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopspace import exactq, load_corpus_model, sections
+from loopspace import exactq, load_corpus_model
 from loopspace.exactq import (
     ONE,
     SparseMatrix,
@@ -32,6 +32,7 @@ from loopspace.exactq import (
 )
 from loopspace.errors import CompositionNotZero, InternalCheckFailure
 from loopspace.freeloop import build_free_loop_model, hodge_betti_table
+from loopspace.pdquotient import verify_quasi_iso
 from loopspace.sections import (TheoremReport, verify_rho_tensor_quasi_iso,
                                 verify_theorems)
 from loopspace.sullivan import parse_model
@@ -862,7 +863,7 @@ class TestBettiMemo:
         report = TheoremReport(load_corpus_model("cp2"), 8)
         flm, eqm = report.flm, report.eqm
         calls = count_cohomology_dim(monkeypatch)
-        sections._rho_quasi_iso(eqm, 5, 0)
+        verify_quasi_iso(eqm, 5)
         verify_rho_tensor_quasi_iso(eqm, 5)
         seen = len(calls)
         table = hodge_betti_table(flm, 8)

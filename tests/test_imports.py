@@ -321,7 +321,26 @@ def test_three_walkers_share_the_populated_slices():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "slices") == [
         ("freeloop", "hodge_betti_table"), ("freeloop", "loop_betti"),
-        ("sections", "_rho_quasi_iso")]
+        ("pdquotient", "_rho_quasi_iso")]
+
+
+def test_one_walker_checks_rho_at_every_word_length():
+    """rho is rho (x) 1 at word length 0, so the quotient's quasi-iso and
+    the loop extension's are two entries to one walker, each its own
+    span, and only the report's quotient_quasi_iso check runs the first."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "_rho_quasi_iso") == [
+        ("pdquotient", "verify_quasi_iso"), ("sections", "verify_rho_tensor_quasi_iso")]
+    assert callers(sources, "verify_quasi_iso") == [("sections", "quasi_iso")]
+
+
+def test_no_check_recomputes_a_table_entry():
+    """The product table of A is rho of the products of the lifts, built
+    once; the duality check multiplies cocycle representatives, and no
+    check multiplies in LV again to compare with the table."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert callers(sources, "elem_mul") == [
+        ("pdquotient", "build_quotient"), ("sullivan", "check_poincare_duality")]
 
 
 def test_the_row_pass_reads_no_betti_number():
@@ -337,19 +356,20 @@ def test_only_the_loop_side_walk_builds_rho_tensor_one():
     """The rho (x) 1 squares and induced ranks are taken in the one walk
     over the loop side, so no other path builds its matrices."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert callers(sources, "rho_tensor_matrix") == [("sections", "_rho_quasi_iso")]
+    assert callers(sources, "rho_tensor_matrix") == [("pdquotient", "_rho_quasi_iso")]
 
 
 def test_two_walks_take_induced_ranks():
     """rho on LV is the word-length zero slice of rho (x) 1, and Du on A
     that of Du (x) 1, so the rho walk and the duality quasi-iso take
-    every induced rank; the quotient checks only that its projection is
-    multiplicative, with no matrix and no rank."""
+    every induced rank; in the quotient's module only the rho walk ranks
+    or compares a map."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "induced_rank") == [
-        ("sections", "_rho_quasi_iso"), ("sections", "verify_duality_quasi_iso")]
-    assert [c for name in ("induced_rank", "is_chain_map", "betti")
-            for c in callers(sources, name) if c[0] == "pdquotient"] == []
+        ("pdquotient", "_rho_quasi_iso"), ("sections", "verify_duality_quasi_iso")]
+    assert {c for name in ("induced_rank", "is_chain_map", "betti")
+            for c in callers(sources, name) if c[0] == "pdquotient"} == {
+        ("pdquotient", "_rho_quasi_iso")}
 
 
 def test_the_rho_walk_compares_one_betti_number():
@@ -357,7 +377,7 @@ def test_the_rho_walk_compares_one_betti_number():
     alone says so: the rho walk reads the loop model's Betti number at
     every word length and nothing of `.base`, so at word length 0 it
     compares A's with one other."""
-    tree = ast.parse((ROOT / "src" / "loopspace" / "sections.py").read_text(encoding="utf-8"))
+    tree = ast.parse((ROOT / "src" / "loopspace" / "pdquotient.py").read_text(encoding="utf-8"))
     walk = next(f for f in tree.body
                 if isinstance(f, ast.FunctionDef) and f.name == "_rho_quasi_iso")
     assert "base" not in attributes_read(walk)

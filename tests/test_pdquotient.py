@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from loopspace import corpus_models, gca, load_corpus_model, sections
+from loopspace import corpus_models, corpus_path, gca, load_corpus_model, sections
 from loopspace.errors import (
     ChainMapFailure,
     IdentityViolation,
@@ -30,6 +30,7 @@ from loopspace.pdquotient import (
     verify_quasi_iso,
 )
 from loopspace.sullivan import check_poincare_duality, parse_model
+from test_cli import run as run_cli
 from test_exactq import apply, from_columns
 
 Q = Fraction
@@ -55,11 +56,9 @@ def quotient(name):
 
 def quasi_iso(model, alg, qmap, n_max):
     """The quotient_quasi_iso check as `TheoremReport.quasi_iso` runs it:
-    the word-length-0 walk of rho (x) 1 up to n_max, then the
-    multiplicativity of rho; returns the number of pairs."""
-    sections._rho_quasi_iso(sections.extend_to_quotient_loop(model, alg, qmap),
-                            n_max, 0)
-    return verify_quasi_iso(model, alg, qmap)
+    the word-length-0 walk of rho (x) 1 up to n_max; returns the number
+    of slices."""
+    return verify_quasi_iso(sections.extend_to_quotient_loop(model, alg, qmap), n_max)
 
 
 def rho_matrix(model, alg, qmap, k):
@@ -163,16 +162,18 @@ class TestQuotientStructures:
 class TestStructureIdentities:
     def test_counts_on_s2(self):
         _, alg, _ = quotient("s2")
+        # commutativity visits the pairs of degree <= N = 2, Leibniz those
+        # of degree <= 1, and each of the three product terms has its degree
         assert structure_identities(alg) == {
-            "unit": 2, "commutativity": 4, "d_squared": 2,
-            "associativity": 4, "leibniz": 4}
+            "unit": 2, "commutativity": 3, "d_squared": 2,
+            "associativity": 4, "leibniz": 1, "degree": 3}
 
     def test_every_family_checked_on_corpus(self):
         for name in ("s3", "cp2", "cp3", "s2xs3", "su3", "s2xs2"):
             _, alg, _ = quotient(name)
             counts = structure_identities(alg)
             assert set(counts) == {"unit", "commutativity", "d_squared",
-                                   "associativity", "leibniz"}
+                                   "associativity", "leibniz", "degree"}
             assert all(v > 0 for v in counts.values()), name
 
     def test_unit_violation(self):
@@ -199,6 +200,26 @@ class TestStructureIdentities:
         # d(x) = z keeps d*d zero but breaks Leibniz on x * x
         alg.diff[1] = {2: ONE}
         with pytest.raises(IdentityViolation, match="Leibniz"):
+            structure_identities(alg)
+
+    def test_product_above_the_formal_dimension_fails_the_degree_check(self):
+        # z * y = x * z = -(y * z): graded commutativity holds, and the
+        # product lands in degree 5, not 3 + 3 = 6 > N, where no pair loop
+        # looks; only the degree check sees it
+        _, alg, _ = quotient("s2xs3")
+        alg.products[(2, 3)] = {5: ONE}
+        alg.products[(3, 2)] = {5: -ONE}
+        with pytest.raises(IdentityViolation,
+                           match=r"^degree fails at a_2 \* a_3, term a_5$"):
+            structure_identities(alg)
+
+    def test_differential_off_its_degree_fails_the_degree_check(self):
+        # d x = x*z squares to zero and keeps the Leibniz rule on the
+        # pairs of degree <= N - 1, where every product with x*z is zero
+        _, alg, _ = quotient("s2xs3")
+        alg.diff[1] = {5: ONE}
+        with pytest.raises(IdentityViolation,
+                           match=r"^degree fails at d a_1, term a_5$"):
             structure_identities(alg)
 
     def test_associativity_violation_on_synthetic_algebra(self):
@@ -239,12 +260,15 @@ class TestDifferentialMatrix:
 
 
 class TestQuasiIso:
-    def test_dims_and_pairs_on_corpus(self):
-        expected_pairs = {"s2": 0, "s3": 0, "cp2": 1, "cp3": 2,
-                          "s2xs3": 3, "su3": 2, "s2xs2": 4}
-        for name, want in expected_pairs.items():
+    def test_dims_and_slices_on_corpus(self):
+        # one slice per degree up to the window where LV is populated
+        expected_slices = {"s2": 6, "s3": 2, "cp2": 7, "cp3": 8,
+                           "s2xs3": 9, "su3": 4, "s2xs2": 8}
+        for name, want in expected_slices.items():
             model, alg, qmap = quotient(name)
-            assert quasi_iso(model, alg, qmap, model.formal_dim + 4) == want, name
+            n_max = model.formal_dim + 4
+            assert quasi_iso(model, alg, qmap, n_max) == want, name
+            assert want == sum(1 for n in range(n_max + 1) if model.basis(n)), name
             eqm = sections.extend_to_quotient_loop(model, alg, qmap)
             for n in range(model.formal_dim + 5):
                 dim = model.betti(n)
@@ -270,12 +294,32 @@ class TestQuasiIso:
         with pytest.raises(QuasiIsoFailure):
             quasi_iso(model, alg, qmap, 6)
 
-    def test_multiplicativity_failure_detected(self):
-        model, alg, qmap = quotient("s2xs3")
-        # x * x = 2 x^2 passes every dimension and chain check
-        alg.products[(1, 1)] = {4: Q(2)}
-        with pytest.raises(QuasiIsoFailure, match="multiplicative"):
-            quasi_iso(model, alg, qmap, 6)
+    def test_multiplicativity_failure_detected(self, monkeypatch):
+        # x * x = 2 x^2 written over the built table keeps the axioms of
+        # A, and rho itself, at word length 0, reads no product; the
+        # twist of A (x) L sV does, so rho (x) 1 fails first
+        real = sections.build_quotient
+
+        def doubled_square(model, pd_report):
+            alg, qmap = real(model, pd_report)
+            alg.products[(1, 1)] = {4: Q(2)}
+            return alg, qmap
+
+        monkeypatch.setattr(sections, "build_quotient", doubled_square)
+        message = "rho (x) 1 fails to commute with the differentials on slice (4, 1)"
+        got = []
+        with pytest.raises(ChainMapFailure) as err:
+            sections.verify_theorems(quotient("s2xs3")[0], verdicts=got)
+        assert str(err.value) == message and exit_code_for(err.value) == 4
+        checks = sections.VERIFY_CHECKS
+        passed = (("simply_connected", "minimal", "d_squared_zero")
+                  + checks[:checks.index("loop_extension_quasi_iso")])
+        assert passed[-1] == "quotient_quasi_iso"
+        assert got == [(name, True) for name in passed]
+        status, out = run_cli(["verify", str(corpus_path("s2xs3"))])
+        assert status == 4
+        assert out.endswith("verdict quotient_quasi_iso: pass\nerror: %s\n"
+                            "exit-code: 4\n" % message)
 
 
 class TestIdealAcyclicity:

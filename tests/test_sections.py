@@ -36,7 +36,8 @@ from loopspace.errors import (
 from loopspace.exactq import (SparseMatrix, add_term, cohomology_dim, echelon,
                               matrix_of_map)
 from loopspace.freeloop import FreeLoopModel, build_free_loop_model, loop_betti
-from loopspace.pdquotient import FiniteCdga, QuotientMap, build_quotient
+from loopspace.pdquotient import (FiniteCdga, QuotientMap, build_quotient,
+                                  verify_quasi_iso)
 from loopspace.sections import (
     DerivationComplex,
     DualSectionComplex,
@@ -328,7 +329,7 @@ class TestExtendedComplex:
     def test_rho_tensor_quasi_iso_slice_counts(self):
         _, _, _, eqm = setup("s2")
         # one populated (degree, word length) slice pair per nonempty basis
-        slices = sections._rho_quasi_iso(eqm, 6, 0) + verify_rho_tensor_quasi_iso(eqm, 6)
+        slices = verify_quasi_iso(eqm, 6) + verify_rho_tensor_quasi_iso(eqm, 6)
         recount = sum(
             1 for n in range(7) for k in range(n + 1)
             if eqm.flm.basis(n, k) or eqm.basis(n, k))
@@ -386,7 +387,7 @@ class TestWordLengthZeroWalk:
         monkeypatch.setattr(model, "betti", lambda n, k=None: real(n, k) + (n == 4))
         with pytest.raises(QuasiIsoFailure,
                            match=r"^H\^4: model gives 1, quotient gives 0$"):
-            sections._rho_quasi_iso(eqm, 6, 0)
+            verify_quasi_iso(eqm, 6)
 
     def test_a_loop_slice_fault_at_word_length_zero_fails(self, monkeypatch):
         # d y = x^2 loses its one term in the loop model's d (x) 1; the
@@ -1040,8 +1041,9 @@ class TestVerifyTheorems:
         assert rep.dmap.singular_degrees == (1, 2, 3, 4)
         assert rep.compared[1] == (2, 2, 2, 2)
         assert rep.low_degree == {1: 1, 2: 1, 3: 0, 4: 3, 5: 1}
-        assert rep.identity_counts["commutativity"] == 36
-        assert rep.quasi_iso == 3
+        assert rep.identity_counts["commutativity"] == 16
+        # one word-length zero slice per populated degree up to n_max = 13
+        assert rep.quasi_iso == 13
 
     def test_no_check_builds_the_quotient_slices(self):
         # A with d_A is the extended complex at word length 0, where the
