@@ -177,15 +177,19 @@ def verify_rho_tensor_quasi_iso(eqm, n_max):
 
 class DualSectionComplex(TensorComplex):
     """A-dual (x) sV at word length 0 or 1 with the forced differential
-    delta, a complex of tensors over the tables of the extended complex
-    `eqm`, in ints over its `denominator`.
+    delta, a complex of tensors over the integer tables of the extended
+    complex `eqm`, in ints over its `denominator`.
 
     Basis pairs (j, m) stand for a_j' (x) m in degree |m| - |a_j|, m a
     suspended monomial of `word_length` whatever word length is asked
-    for, in the order of (j, m).  delta is
-    `left_image` (x) 1 plus `twist`, and Du (x) 1 is read from
-    `FiniteCdga.pairing`, the table Du reads.  lemma_slices counts the
-    degrees that the quasi-iso compares, each square identity below them.
+    for, in the order of (j, m).  delta is `left_image` (x) 1 plus
+    `twist`.  A is read in one pass over each of eqm's tables: d' from
+    `_diff`, and from `_products` one index {(i, j): {l: alpha_il^j}} of
+    the products by their factor a_i and term a_j, as ints over
+    `denominator` / `dbar_denominator`.  The twist reads that index, and
+    Du (x) 1 its entries at the fundamental class j = top, times
+    `dbar_denominator`.  lemma_slices counts the degrees that the
+    quasi-iso compares, each square identity below them.
     """
 
     def __init__(self, eqm, word_length):
@@ -194,10 +198,19 @@ class DualSectionComplex(TensorComplex):
         self.word_length = word_length
         self._cache = {}
         self.lemma_slices = 0
-        algebra, den = eqm.algebra, eqm.denominator
-        self.denominator = den
-        self._codiff = [scaled(algebra.codiff(j), den) for j in range(algebra.size)]
-        self._pairing = [scaled(algebra.pairing(i), den) for i in range(algebra.size)]
+        self.denominator = eqm.denominator
+        degs = eqm.algebra.degrees
+        self._codiff = {}
+        for r, img in eqm._diff.items():
+            for j, v in img.items():
+                self._codiff.setdefault(j, {})[r] = v if degs[j] % 2 else -v
+        self._index = {}
+        for (i, l), img in eqm._products.items():
+            for j, v in img.items():
+                self._index.setdefault((i, j), {})[l] = v
+        top, dbar = len(degs) - 1, eqm.dbar_denominator
+        self._du = {i: {l: v * dbar for l, v in img.items()}
+                    for (i, j), img in self._index.items() if j == top}
 
     def degree_range(self):
         svs = gca.word_length_degrees(self.sgens, self.word_length)
@@ -209,24 +222,19 @@ class DualSectionComplex(TensorComplex):
         return self.eqm.algebra.basis(-p)
 
     def left_image(self, j):
-        """d'(a_j'), read from `FiniteCdga.codiff`, as {class: int} over
-        `denominator`."""
-        return self._codiff[j]
+        """d'(a_j') = -(-1)^{|a_j|} sum_r beta_r^j a_r' for d'(f) = -(-1)^{|f|}
+        f o d, as {class: int} over `denominator`."""
+        return self._codiff.get(j)
 
     def twist(self, pair):
         """(-1)^{|a_j|} sum alpha_il^j c a_l' (x) t over the terms c a_i (x)
         t of Dbar(1 (x) m), the rest of delta(a_j' (x) m) for pair (j, m),
         as [(class, sv monomial, int)] over `denominator`."""
         j, m = pair
-        eqm = self.eqm
-        degs, products = eqm.algebra.degrees, eqm._products
-        sgn = -1 if degs[j] % 2 else 1
-        out = []
-        for (i, t), c in eqm.dbar_on_svmono(m).items():
-            for l in eqm.algebra.basis(degs[j] - degs[i]):
-                if a := products.get((i, l), {}).get(j):
-                    out.append((l, t, sgn * a * c))
-        return out
+        index = self._index
+        sgn = -1 if self.eqm.algebra.degrees[j] % 2 else 1
+        return [(l, t, sgn * a * c) for (i, t), c in self.eqm.dbar_on_svmono(m).items()
+                for l, a in index.get((i, j), {}).items()]
 
     @property
     def singular_degrees(self):
@@ -246,7 +254,7 @@ def _du_tensor_matrix(eqm, dual, n):
     (x) 1 is; built once per n and kept in the dual's memo."""
     m, k = n - eqm.algebra.top_degree, dual.word_length
     return dual.memo(("du", n), lambda: tensor_one_matrix(
-        len(dual.basis(m)), len(eqm.basis(n, k)), dual._pairing.__getitem__,
+        len(dual.basis(m)), len(eqm.basis(n, k)), dual._du.get,
         eqm.layout(n, k), dual.layout(m), dual.denominator,
         "Du (x) 1 left its degree slice at %d" % n))
 

@@ -352,6 +352,20 @@ def test_the_row_pass_reads_no_betti_number():
     assert "betti" not in attributes_read(walk)
 
 
+def test_the_dual_complex_reads_a_through_the_integer_tables():
+    """d', the twist and Du (x) 1 of the dual complex come from the
+    extended complex's integer tables, each in one pass: the class scales
+    no Fraction table, its twist scans no degree of A, and A keeps no
+    table of d' or Du of its own."""
+    tree = ast.parse((ROOT / "src" / "loopspace" / "sections.py").read_text(encoding="utf-8"))
+    dual = next(c for c in tree.body
+                if isinstance(c, ast.ClassDef) and c.name == "DualSectionComplex")
+    twist = next(f for f in dual.body if isinstance(f, FUNCTIONS) and f.name == "twist")
+    assert "scaled" not in names_in(dual)
+    assert "basis" not in names_in(twist)
+    assert not {"pairing", "_pairing_table", "codiff", "_codiff_table"} & set(vars(FiniteCdga))
+
+
 def test_only_the_loop_side_walk_builds_rho_tensor_one():
     """The rho (x) 1 squares and induced ranks are taken in the one walk
     over the loop side, so no other path builds its matrices."""

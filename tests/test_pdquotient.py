@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from loopspace import corpus_models, corpus_path, gca, load_corpus_model, sections
+from loopspace.cli import _COMMANDS
 from loopspace.errors import (
     ChainMapFailure,
     IdentityViolation,
@@ -242,6 +243,63 @@ class TestStructureIdentities:
         )
         with pytest.raises(IdentityViolation, match="associativity"):
             structure_identities(alg)
+
+
+def unsigned_product(gens, m1, m2, real=gca.normalize_product):
+    """gca.normalize_product without the Koszul sign of odd factors that
+    pass each other, a fault that only graded commutativity sees."""
+    p = real(gens, m1, m2)
+    return p and (1, p[1])
+
+
+def commuting_odd_classes(real=sections.build_quotient):
+    """sections.build_quotient with the s2xs3 edit of
+    test_commutativity_violation, x * z = -x*z beside z * x = x*z."""
+    def edited(model, pd_report):
+        algebra, qmap = real(model, pd_report)
+        algebra.products[(1, 2)] = {5: -ONE}
+        return algebra, qmap
+    return edited
+
+
+class TestTheTableCheckStays:
+    """structure_identities is the one check that sees a table fault that
+    every other check lets through: rho, Du, the dual complex and the
+    rank tables read A through its integer tables and agree with a wrong
+    sign of a product or one wrong constant."""
+
+    def test_a_product_without_the_koszul_sign_fails_commutativity(self, monkeypatch):
+        monkeypatch.setattr(gca, "normalize_product", unsigned_product)
+        got = []
+        with pytest.raises(IdentityViolation,
+                           match=r"^graded commutativity fails at \(a_1, a_2\)$"):
+            sections.verify_theorems(load_corpus_model("su3"), verdicts=got)
+        assert got == [(name, True) for name in (
+            "simply_connected", "minimal", "d_squared_zero", "poincare_duality")]
+
+    def test_without_the_table_check_that_fault_passes_with_the_same_ranks(
+            self, monkeypatch):
+        checks = tuple(c for c in sections.VERIFY_CHECKS if c != "structure_identities")
+        want = sections.verify_theorems(load_corpus_model("su3"), checks=checks)
+        monkeypatch.setattr(gca, "normalize_product", unsigned_product)
+        got = []
+        rep = sections.verify_theorems(load_corpus_model("su3"), checks=checks,
+                                       verdicts=got)
+        assert all(ok for _, ok in got) and len(got) == 3 + len(checks)
+        assert rep.algebra.products[(2, 1)] == rep.algebra.products[(1, 2)]
+        assert (rep.aut.entries, rep.compared) == (want.aut.entries, want.compared)
+
+    @pytest.mark.parametrize("command", ["quotient", "aut-ranks", "verify"])
+    def test_the_commutativity_edit_passes_every_other_check(self, monkeypatch,
+                                                             command):
+        monkeypatch.setattr(sections, "build_quotient", commuting_odd_classes())
+        checks = _COMMANDS[command][1]
+        with pytest.raises(IdentityViolation, match="commutativity"):
+            sections.verify_theorems(load_corpus_model("s2xs3"), checks=checks)
+        others = tuple(c for c in checks if c != "structure_identities")
+        got = []
+        sections.verify_theorems(load_corpus_model("s2xs3"), checks=others, verdicts=got)
+        assert got[3:] == [(name, True) for name in others]
 
 
 class TestDifferentialMatrix:

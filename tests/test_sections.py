@@ -834,16 +834,17 @@ def negated_dual_twist():
     return negated
 
 
-def zero_du_tensor():
-    """sections._du_tensor_matrix with Du (x) 1 at word length one zero,
-    of the right shape: both sides of the square identity vanish, and
-    only the rank it induces is wrong.  Du on A, word length zero, is
-    left as it is."""
+def zero_du_tensor(word_length):
+    """sections._du_tensor_matrix with Du (x) 1 zero at word_length, of the
+    right shape: both sides of the square identity, or of the chain
+    property of Du at word length zero, vanish, and only the rank it
+    induces is wrong.  Du (x) 1 at the other word length is left as it
+    is."""
     real = sections._du_tensor_matrix
 
     def zero(eqm, dual, n):
         du = real(eqm, dual, n)
-        return SparseMatrix(du.rows, du.cols) if dual.word_length else du
+        return SparseMatrix(du.rows, du.cols) if dual.word_length == word_length else du
     return zero
 
 
@@ -873,13 +874,14 @@ def doubled_unit_product():
 
 
 def negated_codiff():
-    """FiniteCdga.codiff with every coefficient negated: -d' still squares
-    to 0, and the chain property d' o Du = +-Du o d_A breaks wherever
-    Du o d_A != 0, as on the massey fixture."""
-    real = FiniteCdga.codiff
+    """DualSectionComplex.left_image, d', with every coefficient negated:
+    -d' still squares to 0, and the chain property d' o Du = +-Du o d_A
+    breaks wherever Du o d_A != 0, as on the massey fixture."""
+    real = DualSectionComplex.left_image
 
     def negated(self, j):
-        return {r: -v for r, v in real(self, j).items()}
+        img = real(self, j)
+        return img and {r: -v for r, v in img.items()}
     return negated
 
 
@@ -900,9 +902,9 @@ def negated_extended_twist():
 # of `cli._COMMANDS`, on the model, the patch, and the error's class,
 # exit code and message.  Without the patch
 # TopClassCollapse cannot fire, as omega is a cocycle outside S^N + B^N;
-# the zero functional here is the one way to reach it.  A zero pairing
-# makes Du = 0, which keeps the chain property and fails the isomorphism
-# on H^0.  On S2 every degree-preserving rho commutes with d, as d_A is 0
+# the zero functional here is the one way to reach it.  Du = 0 on A, at
+# word length 0, keeps the chain property and fails the isomorphism on
+# H^0.  On S2 every degree-preserving rho commutes with d, as d_A is 0
 # and d lands above the formal dimension, so the quotient's fault is on
 # S2xS3, where d y = x^2 stays in A.  A negated d' shows only where
 # Du o d_A != 0, which holds on no model but the non-formal massey fixture.
@@ -920,20 +922,20 @@ FAULTS = [
     ("loop_extension_quasi_iso", "verify", "s2", ExtendedQuotientModel, "twist",
      negated_extended_twist(), ChainMapFailure, 4,
      "rho (x) 1 fails to commute with the differentials on slice (2, 1)"),
-    ("duality_chain_property", "verify", "massey", FiniteCdga, "codiff",
+    ("duality_chain_property", "verify", "massey", DualSectionComplex, "left_image",
      negated_codiff(), ChainMapFailure, 4,
      "duality map fails the chain property at degree 3"),
-    ("duality_cohomology_iso", "verify", "s2", FiniteCdga, "pairing",
-     lambda self, i: {}, SingularDuality, 3,
+    ("duality_cohomology_iso", "verify", "s2", sections, "_du_tensor_matrix",
+     zero_du_tensor(0), SingularDuality, 3,
      "duality map is not an isomorphism on H^0 (rank 0 of 1)"),
     ("square_identity", "verify", "s2", DualSectionComplex, "twist",
      negated_dual_twist(), SignIdentityFailure, 3,
      "square identity fails on the degree 2 slice"),
     ("dual_complex_quasi_iso", "verify", "s2", sections, "_du_tensor_matrix",
-     zero_du_tensor(), DualMismatch, 3,
+     zero_du_tensor(1), DualMismatch, 3,
      "degree 1: induced duality map has rank 0, expected 1"),
     ("dual_complex_agreement", "aut-ranks", "s2", sections, "_du_tensor_matrix",
-     zero_du_tensor(), DualMismatch, 3,
+     zero_du_tensor(1), DualMismatch, 3,
      "degree 1: induced duality map has rank 0, expected 1"),
     ("hodge_sum_consistency", "verify", "s2xs3", freeloop, "rank",
      lowered_row_rank(3, 2), HodgeSumMismatch, 4,
@@ -1195,6 +1197,35 @@ def fraction_dbar(eqm, pair):
     return out
 
 
+def fraction_dual_tables(algebra):
+    """d' and Du from A's Fraction tables: {j: {r: -(-1)^{|a_j|} beta_r^j}}
+    and {i: {l: alpha_il^top}}, each key only where it has a term."""
+    codiff, pairing, top = {}, {}, algebra.size - 1
+    for r, coeffs in algebra.diff.items():
+        for j, v in coeffs.items():
+            codiff.setdefault(j, {})[r] = v if algebra.degrees[j] % 2 else -v
+    for (i, l), coeffs in algebra.products.items():
+        if v := coeffs.get(top):
+            pairing.setdefault(i, {})[l] = v
+    return codiff, pairing
+
+
+def fraction_dual_twist(eqm, pair):
+    """The twist of the dual complex at pair (j, m) in Fractions, each
+    alpha_il^j read from A's tables over the classes a_l of degree
+    |a_j| - |a_i|, in order, with Dbar(1 (x) m) over `dbar_denominator`."""
+    j, m = pair
+    algebra = eqm.algebra
+    degs = algebra.degrees
+    sgn = -1 if degs[j] % 2 else 1
+    out = []
+    for (i, t), c in eqm.dbar_on_svmono(m).items():
+        for l in algebra.basis(degs[j] - degs[i]):
+            if a := algebra.product(i, l).get(j):
+                out.append((l, t, sgn * a * Q(c, eqm.dbar_denominator)))
+    return out
+
+
 class TestIntegerSlices:
     """The loop, extended and dual slices, rho (x) 1 and Du (x) 1 are built
     in ints over a denominator known in advance; a Fraction path kept here
@@ -1249,6 +1280,31 @@ class TestIntegerSlices:
             assert der.d_matrix(n) == want, n
             nonzero += bool(want.entries)
         assert nonzero >= 2
+
+    @pytest.mark.parametrize("name", PD_MODELS)
+    def test_dual_tables_are_the_fraction_tables_times_the_denominator(self, name):
+        # d', Du and each twist list, in order, as A's Fraction tables give
+        # them, read through the extended complex's integer tables
+        _, algebra, _, eqm = setup(name)
+        codiff, pairing = fraction_dual_tables(algebra)
+        den = eqm.denominator
+        for word_length in (0, 1):
+            dual = DualSectionComplex(eqm, word_length)
+            assert dual.denominator == den
+            got = {j: img for j in range(algebra.size) if (img := dual.left_image(j))}
+            assert got == {j: {r: v * den for r, v in img.items()}
+                           for j, img in codiff.items()}
+            assert dual._du == {i: {l: v * den for l, v in img.items()}
+                                for i, img in pairing.items()}
+            assert all(type(v) is int for table in (got, dual._du)
+                       for img in table.values() for v in img.values())
+            lo, hi = dual.degree_range()
+            twists = [(pair, dual.twist(pair)) for n in range(lo, hi + 1)
+                      for pair in dual.basis(n)]
+            assert twists == [
+                (pair, [(l, t, v * den) for l, t, v in fraction_dual_twist(eqm, pair)])
+                for pair, _ in twists]
+            assert word_length or not any(tw for _, tw in twists)
 
     def test_slices_form_no_fraction_and_call_no_constructor(self, monkeypatch):
         # the loop slices (n, 0) are the base model's, built through the
