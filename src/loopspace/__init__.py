@@ -16,8 +16,7 @@ from .errors import (ParseError, UnknownGenerator, DegreeMismatch,
                      TheoremMismatch, SingularDuality, InternalCheckFailure,
                      exit_code_for)
 from .sullivan import (SullivanModel, RankTable, parse_model, validate,
-                       cohomology_table, cocycle_representatives,
-                       check_poincare_duality)
+                       cohomology_table, check_poincare_duality)
 from .freeloop import (FreeLoopModel, HodgeTable, GrowthReport,
                        build_free_loop_model, hodge_betti_table, loop_betti,
                        growth_report, integer_nth_root)

@@ -100,10 +100,6 @@ class ChainMapFailure(InternalCheckFailure):
     pass
 
 
-class TopClassCollapse(InternalCheckFailure):
-    pass
-
-
 def exit_code_for(exc):
     """Map an exception to the CLI exit code contract."""
     if isinstance(exc, ParseError):

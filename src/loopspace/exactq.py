@@ -406,20 +406,6 @@ def kernel_basis(m):
     return list(basis.values())
 
 
-def representative_cocycles(d_out, d_in):
-    """Kernel vectors of d_out that complete im(d_in) to a basis of ker.
-
-    The result represents a basis of ker(d_out)/im(d_in), picked
-    deterministically: of the boundaries and then the kernel basis,
-    stacked one row per vector, the pivots that fall in the kernel block.
-    """
-    z = kernel_basis(d_out)
-    b = d_in.columns()
-    pivots = echelon(SparseMatrix(len(b) + len(z), d_out.cols, {
-        (i, r): v for i, vec in enumerate(b + z) for r, v in vec.items()}))
-    return [z[p - len(b)] for p in pivots if p >= len(b)]
-
-
 def cohomology_dim(d_out, d_in):
     """dim ker(d_out) - rank(d_in) for consecutive maps of a cochain complex.
 
@@ -639,10 +625,11 @@ def induced_rank(f, d_out, target_d_in):
     rank(block) - rank(d_out) - rank(target_d_in) is the rank of Z ->
     H^n(D), one elimination beside two memoised ranks.  It is the rank on
     H^n(C) when f sends boundaries into im target_d_in, that is when the
-    chain square one degree down commutes; both callers check it first,
-    at either word length: the rho (x) 1 walk of `sections` on the same
-    slice, and `sections.verify_duality_quasi_iso` through the square
-    identity of the dual complex's builder.  ValueError unless f has
+    chain square one degree down commutes; every caller checks it first:
+    the rho (x) 1 walk of `pdquotient` on the same slice, at either word
+    length, `sections.verify_duality_quasi_iso` through the square
+    identity of the dual complex's builder, and the cup pairing square of
+    `sullivan.check_poincare_duality`.  ValueError unless f has
     d_out's columns and target_d_in's rows.
 
     The block is assembled from the three integer forms as they are:

@@ -153,13 +153,12 @@ class ExtendedQuotientModel(TensorComplex):
             "projection left the slice at degree %d" % n)
 
 
-def extend_to_quotient_loop(model, algebra, qmap, flm=None):
-    """Push the loop differential through the quotient: check that each
-    D(sv) has word length one and build A (x) L sV.  No slice is built or
-    tested here; the rho (x) 1 walk does, at either word length."""
-    if flm is None:
-        flm = build_free_loop_model(model)
-    nb = len(model.generators)
+def extend_to_quotient_loop(algebra, qmap, flm):
+    """Push the loop differential of flm through the quotient of its base:
+    check that each D(sv) has word length one and build A (x) L sV.  No
+    slice is built or tested here; the rho (x) 1 walk does, at either word
+    length."""
+    nb = len(flm.base.generators)
     if any(sum(t) != 1 for j in range(nb)
            for _, t, _ in flm.d_suspended(
                tuple(int(i == j) for i in range(nb)))):
@@ -439,7 +438,7 @@ class TheoremReport:
 
     @cached_property
     def eqm(self):
-        return extend_to_quotient_loop(self.model, *self.quotient, self.flm)
+        return extend_to_quotient_loop(*self.quotient, self.flm)
 
     @cached_property
     def rho_tensor_slices(self):

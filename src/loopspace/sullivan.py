@@ -23,9 +23,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (ParseError, UnknownGenerator, DegreeMismatch, OddExponent,
-                     NotPoincareDuality, InternalCheckFailure, TopClassCollapse)
-from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, add_term, rank,
-                     echelon, kernel_basis, representative_cocycles)
+                     NotPoincareDuality, InternalCheckFailure)
+from .exactq import (CochainComplex, SparseMatrix, ZERO, ONE, add_term, echelon,
+                     induced_rank, is_chain_map, kernel_basis)
 from . import gca
 from .gca import Generator, DerivationSpec
 
@@ -346,21 +346,13 @@ def cohomology_table(model, n_max):
     return RankTable(entries, model.trusted(n_max))
 
 
-def cocycle_representatives(model, n):
-    """Deterministic cocycle vectors representing a basis of H^n."""
-    return representative_cocycles(model.d_matrix(n), model.d_matrix(n - 1))
-
-
-def _vector_to_element(basis, vec):
-    return {basis[i]: c for i, c in vec.items() if c}
-
-
 class PoincareReport(NamedTuple):
     formal_dim: int
     window: int
     fundamental_class: dict    # element dict of degree N
     fundamental_render: str
-    pairing_ranks: dict        # k -> rank of the cup pairing H^k x H^{N-k}
+    pairing_ranks: dict        # k -> rank of P_k on Z^k x Z^{N-k}, that of
+                               # the cup pairing H^k x H^{N-k}
     top_functional: dict       # degree-N position -> coeff: lambda, giving the
                                # omega coefficient modulo S^N + boundaries
     betti: RankTable
@@ -374,7 +366,18 @@ def check_poincare_duality(model, n_max=None):
     the cup product pairing into H^N has full rank, for every 0 <= k <= N.
     Returns a report carrying the top-class functional lambda, which reads
     off the omega coefficient modulo S^N + B^N, and omega: the first
-    monomial cocycle on which lambda is nonzero, else the H^N representative.
+    monomial cocycle on which lambda is nonzero, else the first vector of
+    the kernel of d(N) on which it is.
+
+    The pairing is ranked as a chain map, as the duality map Du is: P_k
+    sends a monomial u of degree k to v -> lambda(u v) on the monomials
+    of degree N - k, a map from C^k to the dual of C^{N-k}, whose
+    differential there is d(N-k) transposed.  As lambda kills B^N, the
+    Leibniz rule gives P_k d(k-1) = (-1)^k d(N-k)^T P_{k-1}, checked for
+    each k >= 1 (at k = 1 it says that lambda kills B^N); that square lets
+    `induced_rank` take the rank of P_k on Z^k x Z^{N-k}, which is the rank
+    of the cup pairing H^k x H^{N-k}, as lambda vanishes on a product with
+    a boundary factor.
     """
     N = model.formal_dim
     window = n_max if n_max is not None else model.default_window
@@ -390,11 +393,8 @@ def check_poincare_duality(model, n_max=None):
 
     gens = model.generators
     basis_N = model.basis(N)
-    pos_N = {m: c for c, m in enumerate(basis_N)}
-    reps = {k: cocycle_representatives(model, k) for k in range(N + 1)}
 
-    # the top-class functional spans the annihilator of S^N + B^N, and
-    # each pairing entry is its value: u*v is a cocycle, Z^N = Q omega + B^N
+    # the top-class functional spans the annihilator of S^N + B^N
     kill = ([{p: ONE} for p in model.s_pivots(N)]
             + model.d_matrix(N - 1).columns())
     ann = kernel_basis(SparseMatrix(len(kill), len(basis_N), {
@@ -403,46 +403,47 @@ def check_poincare_duality(model, n_max=None):
         raise InternalCheckFailure(
             "degree-%d monomial escaped omega + S + boundaries" % N)
 
-    # fundamental class: a cocycle is a boundary exactly when the
-    # functional vanishes on it, so omega is the first monomial cocycle on
-    # which it is nonzero, else the representative of H^N
-    monomial_cocycles = (
-        {j: ONE} for j, mono in enumerate(basis_N) if ann[0].get(j)
-        and not gca.apply_derivation(gens, model.differential, {mono: ONE}))
-    omega = next(monomial_cocycles, reps[N][0] if reps[N] else None)
-    if omega is None:
-        raise NotPoincareDuality(N, "no cocycle represents the top class")
-    at_omega = sum((ann[0].get(c, ZERO) * x for c, x in omega.items()), ZERO)
-    if not at_omega:
-        raise TopClassCollapse("functional evaluates to 0 on the fundamental class")
-    lam = {c: v / at_omega for c, v in ann[0].items()}
+    # fundamental class: Z^N = Q omega + B^N and the functional vanishes
+    # exactly on B^N there, so omega is the first monomial cocycle on which
+    # it is nonzero, else the first such vector of the kernel of d(N)
+    def at(vec):
+        return sum((ann[0].get(c, ZERO) * x for c, x in vec.items()), ZERO)
 
-    pairing_ranks = {}
+    d_N = model.d_matrix(N)
+    columns = d_N.columns()
+    omega = next(({j: ONE} for j in range(len(basis_N))
+                  if not columns[j] and ann[0].get(j)), None)
+    if omega is None:
+        omega = next(z for z in kernel_basis(d_N) if at(z))
+    at_omega = at(omega)
+    lam = {c: v / at_omega for c, v in ann[0].items()}
+    lam_at = {basis_N[c]: v for c, v in lam.items()}
+
+    pairing_ranks, below = {}, None
     for k in range(N + 1):
         hk, hnk = betti.get(k), betti.get(N - k)
         if hk != hnk:
             raise NotPoincareDuality(
                 k, "dim H^%d = %d but dim H^%d = %d" % (k, hk, N - k, hnk))
-        rows = {}
-        for i, u in enumerate(reps[k]):
-            eu = _vector_to_element(model.basis(k), u)
-            for j, v in enumerate(reps[N - k]):
-                ev = _vector_to_element(model.basis(N - k), v)
-                prod = gca.elem_mul(gens, eu, ev)
-                if gca.apply_derivation(gens, model.differential, prod):
-                    raise InternalCheckFailure(
-                        "degree-N cocycle escaped span of boundaries and top class")
-                c = sum((lam.get(pos_N[m], ZERO) * x for m, x in prod.items()), ZERO)
-                if c:
-                    rows[(i, j)] = c
-        pr = rank(SparseMatrix(hk, hnk, rows))
+        left, right = model.basis(k), model.basis(N - k)
+        p_k = SparseMatrix(len(right), len(left), {
+            (j, i): sum((lam_at.get(m, ZERO) * x for m, x in gca.elem_mul(
+                gens, {u: ONE}, {v: ONE}).items()), ZERO)
+            for i, u in enumerate(left) for j, v in enumerate(right)})
+        dual_d = model.d_matrix(N - k).transpose()
+        if k and not is_chain_map(p_k, model.d_matrix(k - 1), dual_d, below,
+                                  (-1) ** k):
+            raise InternalCheckFailure(
+                "cup pairing fails the chain property at degree %d" % k)
+        pr = induced_rank(p_k, model.d_matrix(k), dual_d)
         pairing_ranks[k] = pr
         if pr != hk:
             raise NotPoincareDuality(
                 k, "cup pairing H^%d x H^%d has rank %d, expected %d"
                 % (k, N - k, pr, hk))
+        below = p_k
 
-    omega_elem = _vector_to_element(basis_N, omega)
+    omega_elem = {basis_N[c]: x for c, x in omega.items()}
     return PoincareReport(
         formal_dim=N, window=window, fundamental_class=omega_elem,
         fundamental_render=gca.render_element(gens, omega_elem),

@@ -42,7 +42,7 @@ def pipeline(name):
     model = load_corpus_model(name)
     report = check_poincare_duality(model)
     algebra, qmap = build_quotient(model, report)
-    eqm = extend_to_quotient_loop(model, algebra, qmap)
+    eqm = extend_to_quotient_loop(algebra, qmap, build_free_loop_model(model))
     return model, algebra, qmap, eqm
 
 

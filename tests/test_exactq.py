@@ -27,7 +27,6 @@ from loopspace.exactq import (
     matrix_of_map,
     product_is_zero,
     rank,
-    representative_cocycles,
     rref,
 )
 from loopspace.errors import CompositionNotZero, InternalCheckFailure
@@ -696,26 +695,6 @@ class TestCohomology:
         with pytest.raises(CompositionNotZero):
             cohomology_dim(d_out, d_in)
         assert cohomology_dim(d_out, from_dense([[2], [-3]], 2, 1)) == 0
-
-    def test_representatives_span_cohomology(self):
-        # middle space Q^3, image spanned by e0, kernel all of Q^3
-        d_out = SparseMatrix(1, 3)
-        d_in = from_dense([[1], [0], [0]], 3, 1)
-        reps = representative_cocycles(d_out, d_in)
-        assert len(reps) == 2
-        for v in reps:
-            assert apply(d_out, v) == {}
-        # reps must be independent from the boundary column
-        assert induced_rank(identity(3), d_out, d_in) == 2
-
-    @given(matrices(max_dim=4))
-    @settings(max_examples=50, deadline=None)
-    def test_representative_count_matches_dimension(self, data):
-        grid, rows, cols = data
-        d_out = from_dense(grid, rows, cols)
-        d_in = SparseMatrix(cols, 0)
-        reps = representative_cocycles(d_out, d_in)
-        assert len(reps) == cohomology_dim(d_out, d_in)
 
 
 class TestRankMemo:

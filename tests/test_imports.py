@@ -336,8 +336,9 @@ def test_one_walker_checks_rho_at_every_word_length():
 
 def test_no_check_recomputes_a_table_entry():
     """The product table of A is rho of the products of the lifts, built
-    once; the duality check multiplies cocycle representatives, and no
-    check multiplies in LV again to compare with the table."""
+    once; the duality check multiplies monomials for its cup pairing
+    matrices, and no check multiplies in LV again to compare with the
+    table."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "elem_mul") == [
         ("pdquotient", "build_quotient"), ("sullivan", "check_poincare_duality")]
@@ -373,14 +374,16 @@ def test_only_the_loop_side_walk_builds_rho_tensor_one():
     assert callers(sources, "rho_tensor_matrix") == [("pdquotient", "_rho_quasi_iso")]
 
 
-def test_two_walks_take_induced_ranks():
+def test_three_checks_take_induced_ranks():
     """rho on LV is the word-length zero slice of rho (x) 1, and Du on A
     that of Du (x) 1, so the rho walk and the duality quasi-iso take
-    every induced rank; in the quotient's module only the rho walk ranks
-    or compares a map."""
+    those induced ranks, and the Poincare duality check takes those of
+    its cup pairing; in the quotient's module only the rho walk ranks or
+    compares a map."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "induced_rank") == [
-        ("pdquotient", "_rho_quasi_iso"), ("sections", "verify_duality_quasi_iso")]
+        ("pdquotient", "_rho_quasi_iso"), ("sections", "verify_duality_quasi_iso"),
+        ("sullivan", "check_poincare_duality")]
     assert {c for name in ("induced_rank", "is_chain_map", "betti")
             for c in callers(sources, name) if c[0] == "pdquotient"} == {
         ("pdquotient", "_rho_quasi_iso")}

@@ -24,6 +24,7 @@ from loopspace.errors import (
     exit_code_for,
 )
 from loopspace.exactq import cohomology_dim, kernel_basis, matrix_of_map, rref
+from loopspace.freeloop import build_free_loop_model
 from loopspace.pdquotient import (
     FiniteCdga,
     build_quotient,
@@ -59,7 +60,8 @@ def quasi_iso(model, alg, qmap, n_max):
     """The quotient_quasi_iso check as `TheoremReport.quasi_iso` runs it:
     the word-length-0 walk of rho (x) 1 up to n_max; returns the number
     of slices."""
-    return verify_quasi_iso(sections.extend_to_quotient_loop(model, alg, qmap), n_max)
+    eqm = sections.extend_to_quotient_loop(alg, qmap, build_free_loop_model(model))
+    return verify_quasi_iso(eqm, n_max)
 
 
 def rho_matrix(model, alg, qmap, k):
@@ -309,7 +311,7 @@ class TestDifferentialMatrix:
         # extended complex at word length 0, has no row for it
         model, alg, qmap = quotient("cp2")
         alg.diff[1] = {2: 1}
-        eqm = sections.extend_to_quotient_loop(model, alg, qmap)
+        eqm = sections.extend_to_quotient_loop(alg, qmap, build_free_loop_model(model))
         with pytest.raises(InternalCheckFailure, match=(
                 "ExtendedQuotientModel differential left its slice: degree 2, "
                 "word length 0")) as err:
@@ -327,7 +329,7 @@ class TestQuasiIso:
             n_max = model.formal_dim + 4
             assert quasi_iso(model, alg, qmap, n_max) == want, name
             assert want == sum(1 for n in range(n_max + 1) if model.basis(n)), name
-            eqm = sections.extend_to_quotient_loop(model, alg, qmap)
+            eqm = sections.extend_to_quotient_loop(alg, qmap, build_free_loop_model(model))
             for n in range(model.formal_dim + 5):
                 dim = model.betti(n)
                 assert dim == eqm.betti(n, 0) if n <= model.formal_dim else dim == 0

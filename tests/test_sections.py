@@ -29,7 +29,6 @@ from loopspace.errors import (
     SignIdentityFailure,
     SingularDuality,
     TheoremMismatch,
-    TopClassCollapse,
     ValidationFailure,
     exit_code_for,
 )
@@ -78,7 +77,7 @@ def get_model(name):
 def setup(name):
     model = get_model(name)
     algebra, qmap = build_quotient(model, check_poincare_duality(model))
-    eqm = extend_to_quotient_loop(model, algebra, qmap)
+    eqm = extend_to_quotient_loop(algebra, qmap, build_free_loop_model(model))
     return model, algebra, qmap, eqm
 
 
@@ -323,8 +322,9 @@ class TestExtendedComplex:
         algebra, qmap = build_quotient(model, check_poincare_duality(model))
         algebra.diff[3] = {4: Q(2)}   # d y = 2 x^2 in A only
         with pytest.raises(ChainMapFailure):
-            verify_rho_tensor_quasi_iso(extend_to_quotient_loop(model, algebra, qmap),
-                                        algebra.top_degree + 2)
+            verify_rho_tensor_quasi_iso(
+                extend_to_quotient_loop(algebra, qmap, build_free_loop_model(model)),
+                algebra.top_degree + 2)
 
     def test_rho_tensor_quasi_iso_slice_counts(self):
         _, _, _, eqm = setup("s2")
@@ -483,8 +483,9 @@ class TestExtendedDifferential:
         assert row < len(classes) and col < len(basis)
         add_term(qmap.image.setdefault(basis[col], {}), classes[row], ONE)
         with pytest.raises(ChainMapFailure):
-            verify_rho_tensor_quasi_iso(extend_to_quotient_loop(model, algebra, qmap),
-                                        model.formal_dim + 4)
+            verify_rho_tensor_quasi_iso(
+                extend_to_quotient_loop(algebra, qmap, build_free_loop_model(model)),
+                model.formal_dim + 4)
 
     def test_suspension_image_of_word_length_two_is_refused(self):
         model = get_model("s2")
@@ -494,7 +495,7 @@ class TestExtendedDifferential:
         # D(sy) = sx * sy: the right degree, 3, but two suspended factors
         flm.loop_differential.images[nb + 1] = {(0, 0, 1, 1): ONE}
         with pytest.raises(InternalCheckFailure, match="word length != 1"):
-            extend_to_quotient_loop(model, algebra, qmap, flm)
+            extend_to_quotient_loop(algebra, qmap, flm)
 
 
 def du_block(dm, k):
@@ -705,7 +706,8 @@ class TestRhoDerivations:
         model = get_model(name)
         pd = check_poincare_duality(model)
         algebra, qmap = build_quotient(model, pd)
-        dual = build_dual_complex(extend_to_quotient_loop(model, algebra, qmap))
+        dual = build_dual_complex(
+            extend_to_quotient_loop(algebra, qmap, build_free_loop_model(model)))
         D = rho_derivation_differential(model, pd, algebra, qmap)
         degs = algebra.degrees
         transposed = {}
@@ -792,7 +794,7 @@ class TestRankTables:
         text = ("dim 4\ncomplete-to 6\ngen x 2\ngen y 5\nd y = x^3\n")
         model = parse_model(text, "trunc")
         algebra, qmap = build_quotient(model, check_poincare_duality(model, 6))
-        eqm = extend_to_quotient_loop(model, algebra, qmap)
+        eqm = extend_to_quotient_loop(algebra, qmap, build_free_loop_model(model))
         aut = aut_rank_table(eqm, 5)
         assert aut.trusted_up_to == 1    # c - 1 - N = 6 - 1 - 4
         oracle = derivation_oracle(model, 5)
@@ -897,14 +899,28 @@ def negated_extended_twist():
     return negated
 
 
+def boundary_in_the_functional():
+    """sullivan.kernel_basis with 1 added at u^2 of S2xS2 to its first
+    vector: u^2 = d v is a boundary, so the top-class functional no
+    longer kills B^4, while the annihilator is still a line; only the
+    cup pairing square at degree 1, lambda o d(3) = 0, sees it."""
+    u2 = get_model("s2xs2").basis(4).index((0, 2, 0, 0))
+    real = sullivan.kernel_basis
+
+    def perturbed(m):
+        first, *rest = real(m)
+        return [{**first, u2: first.get(u2, 0) + 1}, *rest]
+    return perturbed
+
+
 # One injected fault per row, each made by patching one function: the
 # check that must fail first, the command whose checks run, in the order
 # of `cli._COMMANDS`, on the model, the patch, and the error's class,
-# exit code and message.  Without the patch
-# TopClassCollapse cannot fire, as omega is a cocycle outside S^N + B^N;
-# the zero functional here is the one way to reach it.  Du = 0 on A, at
-# word length 0, keeps the chain property and fails the isomorphism on
-# H^0.  On S2 every degree-preserving rho commutes with d, as d_A is 0
+# exit code and message.  Two kernel vectors where the annihilator of
+# S^N + B^N is a line fail the duality check before any pairing; a
+# functional that does not kill B^N fails its first pairing square
+# (boundary_in_the_functional).  Du = 0 on A, at word length 0, keeps
+# the chain property and fails the isomorphism on H^0.  On S2 every degree-preserving rho commutes with d, as d_A is 0
 # and d lands above the formal dimension, so the quotient's fault is on
 # S2xS3, where d y = x^2 stays in A.  A negated d' shows only where
 # Du o d_A != 0, which holds on no model but the non-formal massey fixture.
@@ -912,8 +928,9 @@ def negated_extended_twist():
 # dual_complex_quasi_iso reads in verify.  An empty theta o d leaves
 # d o theta, still a differential, with other homology.
 FAULTS = [
-    ("poincare_duality", "verify", "s2", sullivan, "kernel_basis", lambda m: [{}],
-     TopClassCollapse, 4, "functional evaluates to 0 on the fundamental class"),
+    ("poincare_duality", "verify", "s2", sullivan, "kernel_basis",
+     lambda m: [{}, {}], InternalCheckFailure, 4,
+     "degree-2 monomial escaped omega + S + boundaries"),
     ("structure_identities", "verify", "s2", FiniteCdga, "product",
      doubled_unit_product(), IdentityViolation, 3, "unit axiom fails at a_1"),
     ("quotient_quasi_iso", "verify", "s2xs3", sections, "build_quotient",
@@ -967,6 +984,14 @@ class TestFaultTable:
         assert status == code
         assert out.endswith("verdict %s: pass\nerror: %s\nexit-code: %d\n"
                             % (passed[-1], message, code))
+
+    @pytest.mark.parametrize("command", ["validate", "verify"])
+    def test_a_functional_off_the_boundaries_fails_the_pairing_square(
+            self, monkeypatch, command):
+        self.test_an_injected_fault_fails_its_verdict_first(
+            monkeypatch, "poincare_duality", command, "s2xs2", sullivan,
+            "kernel_basis", boundary_in_the_functional(), InternalCheckFailure, 4,
+            "cup pairing fails the chain property at degree 1")
 
     def test_the_row_pass_shares_no_clearing_with_the_hodge_table(self, monkeypatch):
         # the Hodge table ranks d(4, 1) of S2 with every column cleared;
@@ -1103,7 +1128,8 @@ class TestVerifyTheorems:
         with pytest.raises(CompositionNotZero, match=(
                 r"^ExtendedQuotientModel slice \(%d, %d\): composite of consecutive "
                 r"differentials is nonzero$" % (n, k))) as err:
-            verify_rho_tensor_quasi_iso(extend_to_quotient_loop(model, algebra, qmap), top)
+            verify_rho_tensor_quasi_iso(
+                extend_to_quotient_loop(algebra, qmap, build_free_loop_model(model)), top)
         assert exit_code_for(err.value) == 4
 
     def test_bumped_dual_square_still_raises(self, monkeypatch):

@@ -13,20 +13,20 @@ from loopspace.errors import (
     ParseError,
     UnknownGenerator,
 )
-from loopspace.exactq import rank
+from loopspace import gca, sullivan
 from loopspace.sullivan import (
     check_poincare_duality,
-    cocycle_representatives,
     cohomology_table,
     parse_model,
     validate,
 )
-from test_exactq import apply, dense, dense_rref, from_columns
+from test_exactq import dense, dense_kernel, dense_rref, transpose
+from test_families import flag_model_text, grassmannian_model_text
 
 Q = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_MODELS = Path(__file__).parent.parent / "perfbench" / "models"
-PD_FIXTURES = ("massey", "s2xs2", "s2xs3_twisted")
+PD_FIXTURES = ("massey", "nonintegral", "s2xs2", "s2xs3_twisted")
 
 S2_TEXT = """\
 model S2
@@ -229,12 +229,6 @@ class TestCohomology:
         assert table.trusted_up_to == 6
         assert table.as_array(9) == [1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
 
-    def test_representatives(self):
-        m = load_corpus_model("s2")
-        assert cocycle_representatives(m, 2) == [{0: Q(1)}]
-        assert cocycle_representatives(m, 3) == []
-        assert cocycle_representatives(m, 4) == []  # x^2 is a boundary
-
 
 class TestPoincareDuality:
     def test_s2_report(self):
@@ -295,39 +289,114 @@ def pd_model(name):
     return load_corpus_model(name)
 
 
-class TestFundamentalClass:
-    """omega against a rank oracle: it completes the boundaries B^N to one
-    more dimension, and it is the first monomial cocycle that does, when
-    there is one."""
+# the generated models of test_families
+GENERATED = {"U(4)/T^4": flag_model_text(4),
+             **{"G(%d,%d)" % kn: grassmannian_model_text(*kn)
+                for kn in ((2, 4), (2, 5), (3, 6))}}
+
+
+def dense_rank(vectors, size):
+    return dense_rref(vectors, len(vectors), size)[2]
+
+
+def dense_duality(model):
+    """The duality check recomputed by dense Fraction elimination, apart
+    from the package's kernels: cocycles completing the boundaries B^k to
+    a basis of Z^k represent H^k, their products are written as t omega
+    plus a boundary, and the pairing rank in degree k is the rank of the
+    coefficients t.  omega is the first monomial cocycle outside B^N, else
+    the first vector outside B^N of the RREF kernel basis of d(N).
+    Returns (pairing ranks, omega as a vector, a basis of B^N)."""
+    N, gens = model.formal_dim, model.generators
+
+    def cocycles(k):
+        d = model.d_matrix(k)
+        return dense_kernel(dense(d), d.rows, d.cols)
+
+    def boundaries(k):
+        return transpose(dense(model.d_matrix(k - 1)))
+
+    def classes(k):
+        size, span, reps = len(model.basis(k)), boundaries(k), []
+        for z in cocycles(k):
+            if dense_rank(span + [z], size) > dense_rank(span, size):
+                span.append(z)
+                reps.append(z)
+        return reps
+
+    size = len(model.basis(N))
+    b_rows = boundaries(N)
+    red, _, b_rank = dense_rref(b_rows, len(b_rows), size)
+    b_basis = red[:b_rank]
+
+    def outside(vec):
+        return dense_rank(b_basis + [vec], size) > b_rank
+
+    d_top = dense(model.d_matrix(N))
+    units = ([Q(int(i == j)) for i in range(size)] for j in range(size)
+             if not any(row[j] for row in d_top))
+    omega = next((u for u in units if outside(u)), None)
+    if omega is None:
+        omega = next(z for z in cocycles(N) if outside(z))
+
+    def top_coefficient(c):
+        columns = b_basis + [omega, c]
+        red, pivots, _ = dense_rref([[col[r] for col in columns] for r in range(size)],
+                                    size, len(columns))
+        assert pivots == tuple(range(b_rank + 1))   # c lies in B^N + Q omega
+        return red[b_rank][-1]
+
+    def element(k, vec):
+        return {m: v for m, v in zip(model.basis(k), vec) if v}
+
+    def as_vector(elem):
+        return [elem.get(m, Q(0)) for m in model.basis(N)]
+
+    ranks = {}
+    for k in range(N + 1):
+        left, right = classes(k), classes(N - k)
+        grid = [[top_coefficient(as_vector(gca.elem_mul(
+            gens, element(k, u), element(N - k, v)))) for v in right] for u in left]
+        ranks[k] = dense_rank(grid, len(right))
+    return ranks, omega, b_basis
+
+
+class TestDenseDualityOracle:
+    """check_poincare_duality against `dense_duality`: the pairing ranks,
+    omega, and the functional, 1 on omega and 0 on B^N."""
 
     @pytest.mark.parametrize("name", corpus_models()
                              + sorted(p.stem for p in BENCH_MODELS.glob("*.model"))
-                             + list(PD_FIXTURES))
-    def test_omega_is_the_first_cocycle_outside_the_boundaries(self, name):
-        model = pd_model(name)
+                             + list(PD_FIXTURES) + list(GENERATED))
+    def test_the_check_matches_the_dense_reference(self, name):
+        model = (parse_model(GENERATED[name], name) if name in GENERATED
+                 else pd_model(name))
         report = check_poincare_duality(model)
-        N = model.formal_dim
-        basis = model.basis(N)
-        omega = {basis.index(m): v for m, v in report.fundamental_class.items()}
-        assert apply(model.d_matrix(N), omega) == {}
+        ranks, omega, b_basis = dense_duality(model)
+        basis = model.basis(model.formal_dim)
+        assert report.pairing_ranks == ranks
+        assert report.fundamental_class == {m: v for m, v in zip(basis, omega) if v}
         lam = report.top_functional
-        assert sum((lam.get(c, 0) * v for c, v in omega.items()), Q(0)) == 1
 
-        boundaries = model.d_matrix(N - 1).columns()
-        b_rank = rank(model.d_matrix(N - 1))
+        def at(vec):
+            return sum((lam.get(c, 0) * v for c, v in enumerate(vec)), Q(0))
 
-        def completes(vec):
-            return rank(from_columns(
-                len(basis), boundaries + [vec])) == b_rank + 1
+        assert at(omega) == 1
+        assert [at(b) for b in b_basis] == [0] * len(b_basis)
 
-        assert completes(omega)
-        d_top = model.d_matrix(N).columns()
-        monomial = [j for j in range(len(basis))
-                    if not d_top[j] and completes({j: Q(1)})]
-        if monomial:
-            assert report.fundamental_class == {basis[monomial[0]]: Q(1)}
-        else:
-            assert omega == cocycle_representatives(model, N)[0]
+    def test_kernel_basis_runs_twice_only_without_a_monomial_cocycle(self, monkeypatch):
+        # the annihilator, then d(N) only when no monomial cocycle is omega
+        calls, real = [], sullivan.kernel_basis
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(sullivan, "kernel_basis", counting)
+        check_poincare_duality(fixture_model("s2xs2"))
+        assert len(calls) == 1
+        check_poincare_duality(fixture_model("s2xs3_twisted"))
+        assert len(calls) == 3
 
 
 ALL_MODELS = (corpus_models() + sorted(p.stem for p in BENCH_MODELS.glob("*.model"))
