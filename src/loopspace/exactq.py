@@ -20,14 +20,15 @@ of a model or a quotient hold Fractions.  Ints live in the matrices and
 the kernels, and in the slices of every complex of tensors, whose
 coefficients have a `denominator` known before any column is built:
 those slices and the rho (x) 1 and Du (x) 1 matrices between them
-(`tensor_one_matrix`) form no Fraction.  `CochainComplex` keeps slices,
-bases and `betti` per (n, k) in its `memo`, and two classes build
-slices: the model on the generic path of `gca`, the reference, and
-`TensorComplex` for the loop model, the extended and the dual complex
-(A-dual, the target of Du, at word length 0) and the derivations, as
-`left_image` (x) 1, placed block by block as rho (x) 1 is, plus
-`twist`.  The quotient is no complex: it is the extended complex at
-word length 0.
+(`tensor_one_matrix`) form no Fraction.  `CochainComplex` keeps slices
+and `betti` per (n, k) in its `memo`, and two classes build slices: the
+model on the generic path of `gca`, the reference, over its monomial
+bases, and `TensorComplex` for the loop model, the extended and the
+dual complex (A-dual, the target of Du, at word length 0) and the
+derivations, from the layouts of its slices, never their bases of
+pairs: `left_image` (x) 1, placed block by block as rho (x) 1 is, plus
+the twist, walked one left factor at a time.  The quotient is no
+complex: it is the extended complex at word length 0.
 Commuting squares are checked with `is_chain_map` and ranks on
 cohomology taken with `induced_rank`, one rank identity that needs the
 square below to commute.
@@ -39,6 +40,7 @@ outputs.
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
+from operator import itemgetter
 from numbers import Rational
 
 from .errors import CompositionNotZero, InternalCheckFailure
@@ -118,10 +120,11 @@ class SparseMatrix:
         """{(row, col): nonzero Fraction}, a new dict on each read."""
         return {rc: Fraction(v, self.den) for rc, v in self.ints.items()}
 
-    def transpose(self):
-        """The transpose, its ints in the order of this matrix's."""
+    def transpose(self, sign=1):
+        """The transpose times sign, 1 or -1, its ints in the order of this
+        matrix's."""
         return SparseMatrix._of_ints(self.cols, self.rows, {
-            (c, r): v for (r, c), v in self.ints.items()}, self.den)
+            (c, r): sign * v for (r, c), v in self.ints.items()}, self.den)
 
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
@@ -461,10 +464,11 @@ class CochainComplex:
     A subclass holds a dict `_cache` and defines `_basis(n, k)`, the
     ordered basis of degree n restricted to word length k where it has
     one, and `slice_matrix(n, k)`, the differential from degree n to n+1:
-    the model builds it on the generic path of `gca`, a complex of
-    tensors in ints (`TensorComplex`).  An empty degree-n slice, as below
-    degree 0 of a model, gives a matrix with no columns, so it needs no
-    special case.
+    the model builds it on the generic path of `gca` over its bases, a
+    complex of tensors in ints from its layouts (`TensorComplex`), which
+    unpacks a basis only for a reader that asks for one.  An empty
+    degree-n slice, as below degree 0 of a model, gives a matrix with no
+    columns, so it needs no special case.
     """
 
     word_length = None
@@ -524,58 +528,110 @@ class TensorComplex(CochainComplex):
     of degree p in their own order; `sgens`, whose slices
     `gca.slice_basis(sgens, q, k)` make the right factor, at the slice's
     k or at `word_length` where that is set: the suspended generators, or
-    the duals v' of the derivations; and `left_image`, `twist` and
-    `denominator` for `slice_matrix`.
+    the duals v' of the derivations; and `left_image`, `right_image`,
+    `times` and `denominator` for `slice_matrix`.
 
     Slice (n, k) lists, left factor by left factor, the pairs (left, t)
     with t in the right slice T of a degree q populated at the word
-    length and left of degree n - q.  `layout(n, k)` maps left to
-    (offset, positions), positions the table `gca.slice_positions` shares
-    for T: the row of (left, t) is offset + positions[t].  Every slice has
-    a word length, its k or `word_length`: no slice merges word lengths.
+    length and left of degree n - q.  Its layout, kept in the memo, is
+    what `slice_matrix` and the f (x) 1 placer read: `layout(n, k)` maps
+    left to (offset, positions), positions the table that
+    `gca.slice_positions` shares for T, whose keys list T in order, so
+    the row of (left, t) is offset + positions[t], and `size(n, k)` is
+    the offset past the last block.
+    `basis(n, k)`, the tuple of pairs, is unpacked from the layout for a
+    reader that asks for it; no slice or map is built from it.  Every
+    slice has a word length, its k or `word_length`: no slice merges
+    word lengths.
+
+    The differential of left (x) t is left_image(left) (x) t plus the
+    twist, the sum over the terms c x (x) t' of right_image(t) of c
+    times(left, x) (x) t'.  `slice_matrix` asks times(left, x) once per
+    left and x and keeps it in `_cache`, by left factor.
     """
 
     def layout(self, n, k=None):
-        """{left: (offset, {right: position})}, kept beside the basis."""
-        self.basis(n, k)
-        return self._cache[("layout", n, k)]
+        """{left: (offset, {right: position})}, built once and then kept in
+        `_cache`."""
+        return self.memo(("layout", n, k), self._layout, n, k)
+
+    def size(self, n, k=None):
+        """The number of pairs in slice (n, k), read off its layout."""
+        layout = self.layout(n, k)
+        if not layout:
+            return 0
+        offset, positions = next(reversed(layout.values()))
+        return offset + len(positions)
 
     def slice_matrix(self, n, k):
         """d from degree n to n+1: `left_image` (x) 1, placed by blocks with
-        the placer of rho (x) 1, plus each `twist` term summed into its
-        entry, dropping a sum that cancels, in ints over `denominator` and
-        with no dict over the codomain."""
-        dom, cod = self.basis(n, k), self.basis(n + 1, k)
+        the placer of rho (x) 1, then the twist, walked one left factor at
+        a time over its block of columns: for each term c x (x) t' of
+        right_image(t) of a column, c times(left, x) (x) t' is summed into
+        its entries, dropping a sum that cancels.  In ints over
+        `denominator`, from the two layouts: no pair basis and no dict
+        over the codomain."""
+        dom, cod = self.layout(n, k), self.layout(n + 1, k)
+        rows, cols = self.size(n + 1, k), self.size(n, k)
         failure = ("%s differential left its slice: degree %d, word length %s"
                    % (type(self).__name__, n, k))
-        layout, index = self.layout(n + 1, k), _indices(max(len(cod), len(dom)))
-        ints = _tensor_one(self.left_image, self.layout(n, k), layout, index, failure)
-        for x, c in zip(dom, index):
-            try:
-                for left, right, v in self.twist(x):
-                    offset, positions = layout[left]
-                    add_term(ints, (index[offset + positions[right]], c), v)
-            except (KeyError, TypeError, ValueError):
-                raise InternalCheckFailure(failure) from None
-        return _lowest_terms(len(cod), len(dom), ints, self.denominator)
+        index = _indices(max(rows, cols))
+        ints = _tensor_one(self.left_image, dom, cod, index, failure)
+        right_image, times, cache, get = self.right_image, self.times, self._cache, ints.get
+        # the (position, terms) of the right factors with a nonzero image,
+        # by position table: the tables are shared, and the layouts keep
+        # each one alive, so its id names it for the length of this call
+        columns = {}
+        try:
+            for left, (col, positions) in dom.items():
+                terms = columns.get(id(positions))
+                if terms is None:
+                    terms = columns[id(positions)] = [
+                        (j, img.items()) for t, j in positions.items()
+                        if (img := right_image(t))]
+                if not terms:
+                    continue
+                products = cache.get(("times", left))
+                if products is None:
+                    products = cache[("times", left)] = {}
+                for j, img in terms:
+                    c = index[col + j]
+                    for (x, t2), v in img:
+                        product = products.get(x)
+                        if product is None:
+                            product = products[x] = times(left, x)
+                        for target, a in product:
+                            offset, block = cod[target]
+                            key = (index[offset + block[t2]], c)
+                            w, old = a * v, get(key)
+                            if old is not None:
+                                w += old
+                            if w:
+                                ints[key] = w
+                            elif old is not None:
+                                del ints[key]
+        except (KeyError, TypeError, ValueError):
+            raise InternalCheckFailure(failure) from None
+        return _lowest_terms(rows, cols, ints, self.denominator)
 
-    def _basis(self, n, k):
+    def _layout(self, n, k):
         from . import gca       # gca builds on this module
         w = k if self.word_length is None else self.word_length
         sgens, parts = self.sgens, []
         for q in gca.word_length_degrees(sgens, w):
             lefts = self.left_basis(n - q)
-            if lefts and (ts := gca.slice_basis(sgens, q, w)):
-                positions = gca.slice_positions(sgens, q, w)
-                parts.extend((left, ts, positions) for left in lefts)
-        # each left factor has one degree, so the sort never compares ts
-        parts.sort()
+            if lefts and (positions := gca.slice_positions(sgens, q, w)):
+                parts.extend(zip(lefts, repeat(positions)))
+        parts.sort(key=itemgetter(0))
         layout, offset = {}, 0
-        for left, ts, positions in parts:
+        for left, positions in parts:
             layout[left] = (offset, positions)
-            offset += len(ts)
-        self._cache[("layout", n, k)] = layout
-        return tuple((left, t) for left, ts, _ in parts for t in ts)
+            offset += len(positions)
+        return layout
+
+    def _basis(self, n, k):
+        return tuple((left, t) for left, (_, positions) in self.layout(n, k).items()
+                     for t in positions)
 
 
 def _tensor_one(image, dom, cod, index, failure):
@@ -588,22 +644,27 @@ def _tensor_one(image, dom, cod, index, failure):
     left' of f(left) puts c on the diagonal of the block at (offset of
     left', offset of left), as both blocks list the same right factors,
     the one position table that both layouts share.  Distinct terms
-    fill distinct blocks, so no entry is summed.  A left' outside cod,
-    or whose block lists other right factors, raises
-    InternalCheckFailure(failure).
+    fill distinct blocks, so no entry is summed.  The blocks of one left
+    factor are looked up once and written column by column: most hold
+    one to ten right factors, too few for a bulk update to pay for
+    itself.  A left' outside cod, or whose block lists other right
+    factors, raises InternalCheckFailure(failure).
     """
     ints = {}
     for left, (col, positions) in dom.items():
         img = image(left)
         if not img:
             continue
-        size = len(positions)
-        cols = index[col:col + size]
+        blocks = []
         for target, v in img.items():
             row, same = cod.get(target, (0, None))
             if same is not positions:
                 raise InternalCheckFailure(failure)
-            ints.update(zip(zip(index[row:row + size], cols), repeat(v)))
+            blocks.append((row, v))
+        for j in range(len(positions)):
+            c = index[col + j]
+            for row, v in blocks:
+                ints[(index[row + j], c)] = v
     return ints
 
 

@@ -23,8 +23,8 @@ so a slice is d (x) 1 on the base factor, placed in blocks, plus a
 twist: one base-length product b*b' for each term b'*t' of D(t).  Slice
 (n, k) is the union over j of the degree n - j base monomials times the
 degree j suspended monomials of word length k, its pairs in ascending
-order, that of b + t, laid out by `exactq.TensorComplex`; sections
-unpacks the pairs and reads D(t).
+order, that of b + t, laid out block by block by `exactq.TensorComplex`,
+which builds the slice from that layout; sections reads D(t).
 """
 
 from fractions import Fraction
@@ -46,25 +46,26 @@ class FreeLoopModel(TensorComplex):
     generators are base's then the suspended ones, and suspension the
     degree -1 derivation s with s(v) = sv, s(sv) = 0.
 
-    D(b*t) = d(b)*t + (-1)^|b| b*D(t) is given to `TensorComplex` in two
+    D(b*t) = d(b)*t + (-1)^|b| b*D(t) is given to `TensorComplex` in
     parts: `left_image(b)`, d(b), which the slice places as d (x) 1 by
-    blocks, and `twist(bt)`, the terms of (-1)^|b| b*D(t) as a list.  The
+    blocks, and the twist (-1)^|b| b*D(t) as `right_image(t)`, D(t), and
+    `times(b, b')`, (-1)^|b| b*b', from one base-length
+    `normalize_product`, which the slice asks once per b and b'.  The
     coefficients are ints over `denominator`, L, the lcm of the
     denominators in D: a coefficient of D(b*t) is one of d times an
     integer from the exponents and the signs.  `_d_base` keeps, for each
-    base monomial b, the parity of |b|, d(b) * L and the products b*b'
-    met so far, each from one base-length `normalize_product`; `_d_susp`
-    keeps D(t) * L for each suspended monomial t as (b', t', c) int
-    terms, filled by `d_suspended`, which the extended complex of
-    sections reads too.  Both come from `gca.apply_derivation` on d and D
-    times L, and both live as long as the model: caches the size of the
-    two factors, not one entry per loop monomial.  Every slice has its
-    word length k, and each of word length k >= 1 is built over its own
-    basis and layout; at word length 0, LV, the `d_matrix` and `betti`
-    are the base model's, built and ranked once, and the basis and layout
-    stay for rho (x) 1.  `slices(n_max)` lists the populated (n, k), read
-    from the bases of the two factors: every complex over this one, the
-    extended complex included, is empty outside them.
+    base monomial b, the parity of |b| and d(b) * L; `_d_susp` keeps D(t)
+    * L for each suspended monomial t as {(b', t'): c} with c an int,
+    filled by `right_image`, which the extended complex of sections reads
+    too.  Both come from `gca.apply_derivation` on d and D times L, and
+    both live as long as the model: caches the size of the two factors,
+    not one entry per loop monomial.  Every slice has its word length k,
+    and each of word length k >= 1 is built from its own layout; at word
+    length 0, LV, the `d_matrix` and `betti` are the base model's, built
+    and ranked once, and the layout stays for rho (x) 1.  `slices(n_max)`
+    lists the populated (n, k), read from the bases of the two factors:
+    every complex over this one, the extended complex included, is empty
+    outside them.
     """
 
     def __init__(self, base, generators, loop_differential, suspension):
@@ -117,48 +118,35 @@ class FreeLoopModel(TensorComplex):
         return self.base.tested_pair(n) if k == 0 else super().tested_pair(n, k)
 
     def _factor(self, b):
-        """(parity of |b|, d(b) * L, the products memo) of a base monomial
-        b, kept in `_d_base`."""
+        """(parity of |b|, d(b) * L) of a base monomial b, kept in
+        `_d_base`."""
         base_gens = self.base.generators
         got = self._d_base[b] = (
             gca.monomial_degree(base_gens, b) % 2,
-            gca.apply_derivation(base_gens, self._integral_differentials[0], {b: 1}),
-            {})
+            gca.apply_derivation(base_gens, self._integral_differentials[0], {b: 1}))
         return got
 
     def left_image(self, b):
         """d(b), as {b': int} over L."""
         return (self._d_base.get(b) or self._factor(b))[1]
 
-    def twist(self, bt):
-        """(-1)^|b| b*D(t), the rest of D(b*t), as [(b', t', int)] over L,
-        with no two terms at one (b', t')."""
-        b, t = bt
-        odd, _, times = self._d_base.get(b) or self._factor(b)
-        dt = self._d_susp.get(t)
-        if dt is None:
-            dt = self.d_suspended(t)
-        out = []
-        for b1, t1, c in dt:
-            p = times.get(b1)
-            if p is None:
-                p = gca.normalize_product(self.base.generators, b, b1)
-                # b*b1 and whether its term takes -c, or () if it is 0
-                p = times[b1] = (p[1], (p[0] < 0) != odd) if p else ()
-            if p:
-                out.append((p[0], t1, -c if p[1] else c))
-        return out
+    def times(self, b, b1):
+        """(-1)^|b| b*b1, as ((b*b1, 1 or -1),), or () when it is 0."""
+        p = gca.normalize_product(self.base.generators, b, b1)
+        if not p:
+            return ()
+        odd = (self._d_base.get(b) or self._factor(b))[0]
+        return ((p[1], -p[0] if odd else p[0]),)
 
-    def d_suspended(self, t):
-        """D(t) for a suspended monomial t, as (b', t', c) terms with c an
-        int over L, kept in `_d_susp`."""
+    def right_image(self, t):
+        """D(t) for a suspended monomial t, as {(b', t'): int} over L, kept
+        in `_d_susp`."""
         dt = self._d_susp.get(t)
         if dt is None:
             nb = len(self.base.generators)
             full = gca.apply_derivation(
                 self.generators, self._integral_differentials[1], {(0,) * nb + t: 1})
-            dt = self._d_susp[t] = tuple(
-                (m[:nb], m[nb:], c) for m, c in full.items())
+            dt = self._d_susp[t] = {(m[:nb], m[nb:]): c for m, c in full.items()}
         return dt
 
 

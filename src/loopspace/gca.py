@@ -87,21 +87,49 @@ def normalize_product(gens, m1, m2):
     return (-1 if swaps % 2 else 1), tuple(out)
 
 
+# gens -> tables: tables[i][d] holds the exponent tuples over gens[i:] of
+# degree d, or of degree -d where the degrees are negative, ascending
+_TABLES = {}
+
+
+def _monomial_tables(gens, top):
+    """The tables of gens, extended degree by degree to |degree| top, no
+    further: tables[i][d] lists, for each exponent e of gens[i] in
+    ascending order, e followed by each tuple of tables[i + 1] of the
+    degree left, so every degree reads the lower ones and no search
+    starts over.  An odd generator takes exponent 0 or 1."""
+    tables = _TABLES.get(gens)
+    if tables is None:
+        tables = _TABLES[gens] = [[] for _ in range(len(gens) + 1)]
+    if len(tables[0]) > top:
+        return tables
+    steps = [(tables[i], tables[i + 1], abs(g.degree), g.degree % 2)
+             for i, g in enumerate(gens)][::-1]
+    last = tables[-1]
+    for d in range(len(tables[0]), top + 1):
+        last.append(() if d else ((),))
+        for table, rest, deg, odd in steps:
+            top_e = d // deg
+            if odd and top_e > 1:
+                top_e = 1
+            table.append(tuple([(e,) + m for e in range(top_e + 1)
+                                for m in rest[d - e * deg]]))
+    return tables
+
+
 @lru_cache(maxsize=None)
 def basis_of_degree(gens, n):
-    """All monomials of total degree n, ascending lexicographic order."""
-    # depth first over (exponent prefix, degree left), without recursion;
-    # exponents are pushed largest first, so they pop in ascending order
-    out, stack = [], [((), n)]
-    while stack:
-        prefix, left = stack.pop()
-        if len(prefix) < len(gens):
-            deg = gens[len(prefix)].degree
-            top = min(1, left // deg) if deg % 2 else left // deg
-            stack.extend((prefix + (e,), left - e * deg) for e in range(top, -1, -1))
-        elif left == 0:
-            out.append(prefix)
-    return tuple(out)
+    """All monomials of total degree n, ascending lexicographic order, read
+    from the tables of gens (`_monomial_tables`), which grow to |n| on
+    first need.  The degrees of gens share one sign, so the monomials of
+    degree n are those of degree -n over the degrees negated."""
+    sign = -1 if gens and gens[0].degree < 0 else 1
+    if any((g.degree > 0) - (g.degree < 0) != sign for g in gens):
+        raise ValueError("generator degrees must be nonzero and of one sign")
+    d = sign * n
+    if d < 0:
+        return ()
+    return _monomial_tables(gens, d)[0][d]
 
 
 @lru_cache(maxsize=None)

@@ -69,8 +69,9 @@ class ExtendedQuotientModel(TensorComplex):
         Dbar(a_i (x) t) = d_A(a_i) (x) t + (-1)^|a_i| a_i * Dbar(1 (x) t),
 
     given to `TensorComplex` as `left_image(i)`, d_A(a_i), placed as
-    d_A (x) 1 by blocks, and `twist(pair)`, the product terms as a list.
-    Only Dbar(1 (x) t) is memoised, once per suspended monomial t.
+    d_A (x) 1 by blocks, and the twist as `right_image(t)`, Dbar(1 (x)
+    t), and `times(i, l)`, (-1)^|a_i| a_i a_l.  Dbar(1 (x) t) is memoised
+    once per suspended monomial t, in `_cache`.
     Building it tests no slice: `betti` tests each Dbar Dbar = 0 before it
     ranks a slice, and the rho (x) 1 walk and the square identity check
     the chain squares below the degrees that they compare.
@@ -108,16 +109,16 @@ class ExtendedQuotientModel(TensorComplex):
         """The classes of A of degree p."""
         return self.algebra.basis(p)
 
-    def dbar_on_svmono(self, t):
+    def right_image(self, t):
         """Dbar(1 (x) t) = sum c rho(b') (x) t' over the terms b' t' of D(t),
         as {(class, sv monomial): int} over `dbar_denominator`, built once
         per t."""
-        return self.memo(("dbar", t), self._dbar_on_svmono, t)
+        return self.memo(("dbar", t), self._right_image, t)
 
-    def _dbar_on_svmono(self, t):
+    def _right_image(self, t):
         out = {}
         rho = self._rho
-        for b, t2, c in self.flm.d_suspended(t):
+        for (b, t2), c in self.flm.right_image(t).items():
             for ai, v in rho.get(b, {}).items():
                 add_term(out, (ai, t2), c * v)
         return out
@@ -126,19 +127,13 @@ class ExtendedQuotientModel(TensorComplex):
         """d_A(a_i), as {class: int} over `denominator`."""
         return self._diff.get(i)
 
-    def twist(self, pair):
-        """(-1)^|a_i| a_i * Dbar(1 (x) m), the rest of Dbar(a_i (x) m) for
-        pair (i, m), as [(class, sv monomial, int)] over `denominator`."""
-        i, m = pair
-        odd = self.algebra.degrees[i] % 2
-        products = self._products
-        out = []
-        for (ai, m2), c in self.dbar_on_svmono(m).items():
-            prod = products.get((i, ai))
-            if prod:
-                c = -c if odd else c
-                out.extend((k, m2, c * a) for k, a in prod.items())
-        return out
+    def times(self, i, l):
+        """(-1)^|a_i| a_i a_l, as ((class, int), ...) over `denominator` /
+        `dbar_denominator`."""
+        prod = self._products.get((i, l), {})
+        if self.algebra.degrees[i] % 2:
+            return tuple((k, -a) for k, a in prod.items())
+        return tuple(prod.items())
 
     def rho_tensor_matrix(self, n, k):
         """Matrix of rho (x) 1 from the loop slice (n, k) to this one, the
@@ -148,7 +143,7 @@ class ExtendedQuotientModel(TensorComplex):
 
     def _rho_tensor_matrix(self, n, k):
         return tensor_one_matrix(
-            len(self.basis(n, k)), len(self.flm.basis(n, k)), self._rho.get,
+            self.size(n, k), self.flm.size(n, k), self._rho.get,
             self.flm.layout(n, k), self.layout(n, k), self.rho_denominator,
             "projection left the slice at degree %d" % n)
 
@@ -160,7 +155,7 @@ def extend_to_quotient_loop(algebra, qmap, flm):
     length."""
     nb = len(flm.base.generators)
     if any(sum(t) != 1 for j in range(nb)
-           for _, t, _ in flm.d_suspended(
+           for _, t in flm.right_image(
                tuple(int(i == j) for i in range(nb)))):
         raise InternalCheckFailure(
             "loop differential of a suspension has word length != 1")
@@ -181,14 +176,15 @@ class DualSectionComplex(TensorComplex):
 
     Basis pairs (j, m) stand for a_j' (x) m in degree |m| - |a_j|, m a
     suspended monomial of `word_length` whatever word length is asked
-    for, in the order of (j, m).  delta is `left_image` (x) 1 plus
-    `twist`.  A is read in one pass over each of eqm's tables: d' from
-    `_diff`, and from `_products` one index {(i, j): {l: alpha_il^j}} of
-    the products by their factor a_i and term a_j, as ints over
-    `denominator` / `dbar_denominator`.  The twist reads that index, and
-    Du (x) 1 its entries at the fundamental class j = top, times
-    `dbar_denominator`.  lemma_slices counts the degrees that the
-    quasi-iso compares, each square identity below them.
+    for, in the order of (j, m).  delta is `left_image` (x) 1 plus the
+    twist, `times(j, i)` for each term a_i (x) t of `right_image(m)`.  A
+    is read in one pass over each of eqm's tables: d' from `_diff`, and
+    from `_products` one index {(i, j): {l: alpha_il^j}} of the products
+    by their factor a_i and term a_j, as ints over `denominator` /
+    `dbar_denominator`.  `times` reads that index, and Du (x) 1 its
+    entries at the fundamental class j = top, times `dbar_denominator`.
+    lemma_slices counts the degrees that the quasi-iso compares, each
+    square identity below them.
     """
 
     def __init__(self, eqm, word_length):
@@ -225,15 +221,18 @@ class DualSectionComplex(TensorComplex):
         f o d, as {class: int} over `denominator`."""
         return self._codiff.get(j)
 
-    def twist(self, pair):
-        """(-1)^{|a_j|} sum alpha_il^j c a_l' (x) t over the terms c a_i (x)
-        t of Dbar(1 (x) m), the rest of delta(a_j' (x) m) for pair (j, m),
-        as [(class, sv monomial, int)] over `denominator`."""
-        j, m = pair
-        index = self._index
-        sgn = -1 if self.eqm.algebra.degrees[j] % 2 else 1
-        return [(l, t, sgn * a * c) for (i, t), c in self.eqm.dbar_on_svmono(m).items()
-                for l, a in index.get((i, j), {}).items()]
+    def right_image(self, m):
+        """Dbar(1 (x) m), read from eqm."""
+        return self.eqm.right_image(m)
+
+    def times(self, j, i):
+        """(-1)^{|a_j|} sum_l alpha_il^j a_l', as ((class, int), ...) over
+        `denominator` / `dbar_denominator`: for each term c a_i (x) t of
+        Dbar(1 (x) m), delta(a_j' (x) m) has c times it (x) t."""
+        img = self._index.get((i, j), {})
+        if self.eqm.algebra.degrees[j] % 2:
+            return tuple((l, -a) for l, a in img.items())
+        return tuple(img.items())
 
     @property
     def singular_degrees(self):
@@ -253,7 +252,7 @@ def _du_tensor_matrix(eqm, dual, n):
     (x) 1 is; built once per n and kept in the dual's memo."""
     m, k = n - eqm.algebra.top_degree, dual.word_length
     return dual.memo(("du", n), lambda: tensor_one_matrix(
-        len(dual.basis(m)), len(eqm.basis(n, k)), dual._du.get,
+        dual.size(m), eqm.size(n, k), dual._du.get,
         eqm.layout(n, k), dual.layout(m), dual.denominator,
         "Du (x) 1 left its degree slice at %d" % n))
 
@@ -345,8 +344,9 @@ class DerivationComplex(TensorComplex):
     cochain degree -m.  The pair (b, t) is theta, sending the generator v
     of t, a unit tuple over `sgens`, the duals v' of degree -|v|, to b and
     the others to 0.  D theta = d o theta - (-1)^|theta| theta o d is d
-    (x) 1 plus `twist`, in ints over `denominator`, both from the parsed d
-    through `gca.apply_derivation`, never from the loop model's twist."""
+    (x) 1 plus the twist of `right_image` and `times`, in ints over
+    `denominator`, both from the parsed d through `gca.apply_derivation`,
+    never from the loop model's twist."""
 
     word_length = 1
 
@@ -368,16 +368,28 @@ class DerivationComplex(TensorComplex):
         """d(b), as {b': int} over `denominator`."""
         return gca.apply_derivation(self.model.generators, self._d, {b: 1})
 
-    def twist(self, pair):
-        """-(-1)^|theta| theta(d w) (x) w' over the generators w, for theta
-        of pair (b, t), as [(b', t', int)] over `denominator`."""
-        b, t = pair
-        gens, d, v = self.model.generators, self._d.images, t.index(1)
+    def right_image(self, t):
+        """For the generator v of t, {((v, m), w'): c} over the generators w
+        and the terms c m of d(w) with a factor v, c over `denominator`."""
+        return self.memo(("right", t), self._right_image, t)
+
+    def _right_image(self, t):
+        v = t.index(1)
+        return {((v, m), unit): c for w, unit in enumerate(self._units)
+                for m, c in self._d.images.get(w, {}).items() if m[v]}
+
+    def times(self, b, x):
+        """-(-1)^|theta| theta(m), for x = (v, m) and theta the derivation
+        sending v to b and the other generators to 0, as ((b', int), ...):
+        theta of pair (b, t) sends d(w) to the sum of c theta(m) over the
+        terms of right_image(t), and D theta has that term at w'."""
+        v, m = x
+        gens = self.model.generators
         degree = gca.monomial_degree(gens, b) - gens[v].degree
-        theta = DerivationSpec(degree, {w: {b: 1} if w == v else {} for w in range(len(t))})
+        theta = DerivationSpec(degree, {w: {b: 1} if w == v else {} for w in range(len(gens))})
         sign = 1 if degree % 2 else -1
-        return [(b2, unit, sign * c) for w, unit in enumerate(self._units)
-                for b2, c in gca.apply_derivation(gens, theta, d.get(w, {})).items()]
+        return tuple((b2, sign * c)
+                     for b2, c in gca.apply_derivation(gens, theta, {m: 1}).items())
 
 
 def derivation_oracle(model, m_max):

@@ -372,7 +372,9 @@ def check_poincare_duality(model, n_max=None):
     The pairing is ranked as a chain map, as the duality map Du is: P_k
     sends a monomial u of degree k to v -> lambda(u v) on the monomials
     of degree N - k, a map from C^k to the dual of C^{N-k}, whose
-    differential there is d(N-k) transposed.  As lambda kills B^N, the
+    differential there is d(N-k) transposed.  Each product u v is formed
+    once: for k > N - k, P_k is (-1)^(k(N-k)) times the transpose of
+    P_{N-k}, as u v = (-1)^(k(N-k)) v u.  As lambda kills B^N, the
     Leibniz rule gives P_k d(k-1) = (-1)^k d(N-k)^T P_{k-1}, checked for
     each k >= 1 (at k = 1 it says that lambda kills B^N); that square lets
     `induced_rank` take the rank of P_k on Z^k x Z^{N-k}, which is the rank
@@ -419,20 +421,26 @@ def check_poincare_duality(model, n_max=None):
     lam = {c: v / at_omega for c, v in ann[0].items()}
     lam_at = {basis_N[c]: v for c, v in lam.items()}
 
-    pairing_ranks, below = {}, None
+    pairing_ranks, pairings = {}, {}
     for k in range(N + 1):
         hk, hnk = betti.get(k), betti.get(N - k)
         if hk != hnk:
             raise NotPoincareDuality(
                 k, "dim H^%d = %d but dim H^%d = %d" % (k, hk, N - k, hnk))
-        left, right = model.basis(k), model.basis(N - k)
-        p_k = SparseMatrix(len(right), len(left), {
-            (j, i): sum((lam_at.get(m, ZERO) * x for m, x in gca.elem_mul(
-                gens, {u: ONE}, {v: ONE}).items()), ZERO)
-            for i, u in enumerate(left) for j, v in enumerate(right)})
+        if N - k < k:
+            # lambda(u v) = (-1)^(k (N - k)) lambda(v u): each product
+            # was formed once, for P_(N-k)
+            p_k = pairings[N - k].transpose((-1) ** (k * (N - k)))
+        else:
+            left, right = model.basis(k), model.basis(N - k)
+            p_k = SparseMatrix(len(right), len(left), {
+                (j, i): sum((lam_at.get(m, ZERO) * x for m, x in gca.elem_mul(
+                    gens, {u: ONE}, {v: ONE}).items()), ZERO)
+                for i, u in enumerate(left) for j, v in enumerate(right)})
+        pairings[k] = p_k
         dual_d = model.d_matrix(N - k).transpose()
-        if k and not is_chain_map(p_k, model.d_matrix(k - 1), dual_d, below,
-                                  (-1) ** k):
+        if k and not is_chain_map(p_k, model.d_matrix(k - 1), dual_d,
+                                  pairings[k - 1], (-1) ** k):
             raise InternalCheckFailure(
                 "cup pairing fails the chain property at degree %d" % k)
         pr = induced_rank(p_k, model.d_matrix(k), dual_d)
@@ -441,7 +449,6 @@ def check_poincare_duality(model, n_max=None):
             raise NotPoincareDuality(
                 k, "cup pairing H^%d x H^%d has rank %d, expected %d"
                 % (k, N - k, pr, hk))
-        below = p_k
 
     omega_elem = {basis_N[c]: x for c, x in omega.items()}
     return PoincareReport(

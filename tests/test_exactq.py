@@ -375,15 +375,17 @@ class TestAddTerm:
     @settings(max_examples=100, deadline=None)
     def test_dbar_pair_stores_no_zero(self, name, n, k, data):
         """Dbar of one pair, d_A (x) 1 plus the twist summed by add_term,
-        holds no zero, and neither does its column of the slice."""
+        holds no zero, and neither does its column of the slice; the twist
+        is c times(i, x) (x) t' for each term c x (x) t' of Dbar(1 (x) m)."""
         eqm = quotient_extension(name)
         basis = eqm.basis(n, k)
         if basis:
             col = data.draw(st.integers(0, len(basis) - 1))
             i, m = basis[col]
             dbar = {(j, m): c for j, c in (eqm.left_image(i) or {}).items()}
-            for j, m2, c in eqm.twist(basis[col]):
-                add_term(dbar, (j, m2), c)
+            for (x, m2), c in eqm.right_image(m).items():
+                for j, a in eqm.times(i, x):
+                    add_term(dbar, (j, m2), a * c)
             assert all(dbar.values())
             cod = eqm.basis(n + 1, k)
             column = {cod[r]: v for (r, c), v in eqm.d_matrix(n, k).entries.items()

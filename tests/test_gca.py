@@ -5,13 +5,17 @@ prod 1/(1 - t^d) over even generators times prod (1 + t^d) over odd ones,
 computed here by integer polynomial arithmetic.
 """
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from loopspace import gca
 from loopspace.errors import InternalCheckFailure, MissingImage
+from loopspace.freeloop import build_free_loop_model
 from loopspace.gca import (
     DerivationSpec,
     Generator,
@@ -28,6 +32,8 @@ from loopspace.gca import (
     slice_basis,
     word_length_degrees,
 )
+from loopspace.sections import DerivationComplex
+from loopspace.sullivan import parse_model
 
 Q = Fraction
 
@@ -369,6 +375,75 @@ class TestNoStoredZero:
     @settings(max_examples=100, deadline=None)
     def test_apply_derivation(self, spec, elem):
         assert_no_zero(apply_derivation(GENS, spec, elem))
+
+
+def depth_first_basis(gens, n):
+    """The monomials of degree n by a depth-first search over (exponent
+    prefix, degree left), exponents pushed largest first so that they pop
+    in ascending order: the enumerator that `basis_of_degree` replaced,
+    kept as its oracle."""
+    out, stack = [], [((), n)]
+    while stack:
+        prefix, left = stack.pop()
+        if len(prefix) < len(gens):
+            deg = gens[len(prefix)].degree
+            top = min(1, left // deg) if deg % 2 else left // deg
+            stack.extend((prefix + (e,), left - e * deg) for e in range(top, -1, -1))
+        elif left == 0:
+            out.append(prefix)
+    return tuple(out)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+MODEL_FILES = sorted([*(ROOT / "src" / "loopspace" / "models").glob("*.model"),
+                      *(ROOT / "perfbench" / "models").glob("*.model"),
+                      *(ROOT / "tests" / "fixtures").glob("*.model")])
+THOUSAND = ("dim 2\ncomplete\ngen x 2\ngen y 3\nd y = x^2\n"
+            + "".join("gen z%d 40\n" % i for i in range(1100)))
+
+
+def renamed(gens):
+    """gens with every name marked: equal degrees and kinds, so the same
+    monomials, but a tuple no table is kept for yet."""
+    return tuple(g._replace(name=g.name + "~") for g in gens)
+
+
+class TestTablesMatchTheDepthFirstOracle:
+    """basis_of_degree reads tables that grow degree by degree; in any
+    order of degrees asked, they list what the depth-first search does."""
+
+    @pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.stem)
+    def test_every_generator_tuple_of_a_model(self, path):
+        model = parse_model(path.read_text(encoding="utf-8"))
+        tuples = (model.generators, build_free_loop_model(model).sgens,
+                  DerivationComplex(model).sgens)
+        degrees = list(range(-24, 25))
+        random.Random(path.stem).shuffle(degrees)
+        for gens in tuples:
+            for fresh in (gens, renamed(gens)):
+                for n in degrees:
+                    assert basis_of_degree(fresh, n) == depth_first_basis(fresh, n), n
+
+    def test_a_thousand_generators(self):
+        gens = renamed(parse_model(THOUSAND).generators)
+        degrees = list(range(-12, 13))
+        random.Random(1100).shuffle(degrees)
+        for n in degrees:
+            assert basis_of_degree(gens, n) == depth_first_basis(gens, n), n
+
+    def test_tables_grow_no_further_than_asked(self):
+        gens = renamed(GENS)
+        basis_of_degree(gens, 9)
+        assert [len(table) for table in gca._TABLES[gens]] == [10] * (len(gens) + 1)
+        basis_of_degree(gens, 4)
+        assert len(gca._TABLES[gens][0]) == 10
+        duals = tuple(g._replace(degree=-g.degree) for g in gens)
+        basis_of_degree(duals, -6)
+        assert len(gca._TABLES[duals][0]) == 7
+
+    def test_generators_of_both_signs_are_refused(self):
+        with pytest.raises(ValueError):
+            basis_of_degree((Generator("x~", 2), Generator("y~", -3)), 2)
 
 
 class TestRendering:

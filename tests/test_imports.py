@@ -202,7 +202,8 @@ def complex_classes():
 
 def test_two_classes_build_the_slices():
     """Two slice builders: the model's generic Leibniz path of `gca`, the
-    reference, and TensorComplex's, from `left_image` and `twist`, for
+    reference, and TensorComplex's, from `left_image`, `right_image` and
+    `times`, for
     the loop model, the extended and the dual complex and the
     derivations.  No complex builds a slice from the differential of one
     basis element, `image`, so only the generic path asks matrix_of_map
@@ -306,12 +307,12 @@ def test_one_method_tests_every_composite():
 
 
 def test_one_place_computes_the_koszul_sign_of_a_product():
-    """Products, the Leibniz walk and the loop model's twist merge
-    monomials; every other differential is built from theirs, so the
-    sign convention lives in one place."""
+    """Products, the Leibniz walk and the loop model's twist, through its
+    `times`, merge monomials; every other differential is built from
+    theirs, so the sign convention lives in one place."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert callers(sources, "normalize_product") == [
-        ("freeloop", "twist"), ("gca", "apply_derivation"), ("gca", "elem_mul")]
+        ("freeloop", "times"), ("gca", "apply_derivation"), ("gca", "elem_mul")]
 
 
 def test_three_walkers_share_the_populated_slices():
@@ -356,12 +357,12 @@ def test_the_row_pass_reads_no_betti_number():
 def test_the_dual_complex_reads_a_through_the_integer_tables():
     """d', the twist and Du (x) 1 of the dual complex come from the
     extended complex's integer tables, each in one pass: the class scales
-    no Fraction table, its twist scans no degree of A, and A keeps no
-    table of d' or Du of its own."""
+    no Fraction table, the `times` of its twist scans no degree of A, and
+    A keeps no table of d' or Du of its own."""
     tree = ast.parse((ROOT / "src" / "loopspace" / "sections.py").read_text(encoding="utf-8"))
     dual = next(c for c in tree.body
                 if isinstance(c, ast.ClassDef) and c.name == "DualSectionComplex")
-    twist = next(f for f in dual.body if isinstance(f, FUNCTIONS) and f.name == "twist")
+    twist = next(f for f in dual.body if isinstance(f, FUNCTIONS) and f.name == "times")
     assert "scaled" not in names_in(dual)
     assert "basis" not in names_in(twist)
     assert not {"pairing", "_pairing_table", "codiff", "_codiff_table"} & set(vars(FiniteCdga))
@@ -419,7 +420,7 @@ def test_rho_is_a_matrix_only_through_rho_tensor_matrix():
 
 def test_only_freeloop_reads_the_loop_differential():
     """D of the loop model is read in freeloop alone; other modules read
-    D(t) through `FreeLoopModel.d_suspended`, and `exactq.TensorComplex`
+    D(t) through `FreeLoopModel.right_image`, and `exactq.TensorComplex`
     lays out the loop monomials."""
     readers = [p.stem for p in PACKAGE
                if "loop_differential" in names_in(ast.parse(p.read_text(encoding="utf-8")))]
@@ -428,12 +429,12 @@ def test_only_freeloop_reads_the_loop_differential():
 
 def test_one_class_lays_out_the_complexes_of_tensors():
     """A complex of tensors gives its left factors, the generators of its
-    right factor, `left_image`, `twist` and `denominator`, and
-    `exactq.TensorComplex` builds its bases and layouts from them, so no
-    other module looks up a position table or keeps a layout, and no
-    complex of tensors lays out a basis of its own."""
+    right factor, `left_image`, `right_image`, `times` and `denominator`,
+    and `exactq.TensorComplex` builds its layouts, and the bases from
+    them, so no other module looks up a position table or keeps a
+    layout, and no complex of tensors lays out a basis of its own."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert callers(sources, "slice_positions") == [("exactq", "_basis")]
+    assert callers(sources, "slice_positions") == [("exactq", "_layout")]
     assert sorted({mod for mod, src in sources.items() for node in ast.walk(ast.parse(src))
                    if isinstance(node, ast.Tuple) and node.elts
                    and isinstance(node.elts[0], ast.Constant)
@@ -444,7 +445,7 @@ def test_one_class_lays_out_the_complexes_of_tensors():
         "DerivationComplex", "DualSectionComplex", "ExtendedQuotientModel",
         "FreeLoopModel"]
     assert [cls.__name__ for cls in tensors
-            if {"_basis", "basis", "layout"} & set(vars(cls))] == []
+            if {"_basis", "basis", "_layout", "layout", "size"} & set(vars(cls))] == []
 
 
 def test_only_exactq_reads_the_integer_form():
